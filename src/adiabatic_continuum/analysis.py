@@ -21,15 +21,20 @@ import numpy as np
 from .bands import BandPartition, virtual_gap
 from .errors import AnalysisError, ConfigError, CrossingError, StepBudgetError
 from .propagation import (
+    EXACT,
     GeneratorVariant,
     PropagationConfig,
     UnitaryFamily,
     MIDPOINT,
     deviation_from_identity,
+    evolve_intertwiner,
+    evolve_propagator,
     final_intertwiner,
     final_propagator,
     kato_state,
+    phase_family,
     phase_operator,
+    wave_operator,
 )
 from .spectral import EPS_CROSS, HBAR, ContinuumModel
 
@@ -40,10 +45,6 @@ from .spectral import EPS_CROSS, HBAR, ContinuumModel
 POINTS_PER_PERIOD = 20
 _OVERSAMPLE = 32
 _MIN_SUBSTEPS = 50_000
-
-# Pairs whose coupling probe stays below this relative floor contribute
-# |F|^2 < 1e-24 of the leading term; their quadrature is skipped.
-_SILENT_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -98,17 +99,6 @@ class TransitionParts:
 def coupling(model: ContinuumModel, j0: int, j: int, s: float) -> complex:
     """Frame coupling <phi_j0(s) | d/ds phi_j(s)>."""
     return complex(model.frame_coupling_profile(j0, j, float(s))[0])
-
-
-def _coupling_scale(model: ContinuumModel, samples: int = 65) -> float:
-    rate = np.abs(model.rotation.schedule.angle_rate(np.linspace(0.0, 1.0, samples)))
-    return float(rate.max()) * float(np.abs(model.rotation.generator).max())
-
-
-def _silent_pair(model: ContinuumModel, j0: int, j: int, probes: int = 65) -> bool:
-    s = np.linspace(0.0, 1.0, probes)
-    probe = float(np.abs(model.frame_coupling_profile(j0, j, s)).max())
-    return probe <= _SILENT_REL * _coupling_scale(model)
 
 
 def mandated_substeps(
@@ -175,13 +165,14 @@ def transition_integral(
 
     Composite midpoint over [0, s_end] of
     exp[i*T*(alpha_j0 - alpha_j)/hbar] * i*hbar*<phi_j0|dphi_j>.
-    Exactly zero for pairs removed by the variant's mask.
+    Exactly zero for pairs removed by the variant's mask and for pairs the
+    generator does not couple (the coupling is theta' * G[j0, j]).
     """
     if not 0.0 <= s_end <= 1.0:
         raise ConfigError(f"s_end must lie in [0, 1], got {s_end}")
     if not _pair_mask_allows(model, variant, j0, j):
         return 0.0 + 0.0j
-    if s_end == 0.0 or _silent_pair(model, j0, j):
+    if s_end == 0.0 or model.rotation.generator[j0, j] == 0.0:
         return 0.0 + 0.0j
     n = _resolve_substeps(model, j0, j, duration, s_end, hbar, substeps)
     h = s_end / n
@@ -201,13 +192,13 @@ def transition_integral_parts(
     s_end: float = 1.0,
     substeps: int | None = None,
     hbar: float = HBAR,
-    fd_step: float = 1e-5,
 ) -> TransitionParts:
     """Integration-by-parts rearrangement of transition_integral.
 
     Valid only when the energy mismatch never vanishes on [0, s_end];
     returns the boundary term, the remaining integral, and the resulting
-    O(hbar/T) magnitude bound.
+    O(hbar/T) magnitude bound.  Couplings, gaps and their s-derivatives
+    are all closed form, evaluated only on [0, s_end].
     """
     if duration <= 0.0:
         raise ConfigError("integration by parts needs a positive duration")
@@ -227,18 +218,13 @@ def transition_integral_parts(
             "integration by parts is invalid"
         )
 
-    keep = 1.0 if _pair_mask_allows(model, variant, j0, j) else 0.0
-
-    def masked_coupling(pts: np.ndarray) -> np.ndarray:
-        return keep * 1j * hbar * np.asarray(model.frame_coupling_profile(j0, j, pts))
-
-    g = masked_coupling(grid) / de
-    # d/ds (coupling/gap): centered difference for the coupling (the
-    # schedules are smooth polynomials, safe to probe slightly outside
-    # the interval), analytic rate for the gap.
-    cp = (masked_coupling(grid + fd_step) - masked_coupling(grid - fd_step)) / (2.0 * fd_step)
+    factor = 1j * hbar if _pair_mask_allows(model, variant, j0, j) else 0.0
+    c = factor * model.frame_coupling_profile(j0, j, grid)
+    cp = factor * model.frame_coupling_rate_profile(j0, j, grid)
+    g = c / de
+    # d/ds (coupling/gap) by the quotient rule
     de_rate = np.asarray(model.energy_rate(j0, grid)) - np.asarray(model.energy_rate(j, grid))
-    gp = (cp * de - masked_coupling(grid) * de_rate) / (de * de)
+    gp = (cp * de - c * de_rate) / (de * de)
 
     dalpha_end = float(model.phase(j0, s_end)) - float(model.phase(j, s_end))
     pref = hbar / (1j * duration)
@@ -394,8 +380,9 @@ def sweep_leakage(
 ) -> list[LeakageReport]:
     """One LeakageReport per duration, computed independently per duration.
 
-    The transport unitary is duration-free, so it is integrated once and
-    shared read-only across workers.  Results are reduced sorted by
+    The transport unitary is duration-free, so its closed form at s=1 is
+    evaluated once and shared read-only across workers; `scheme` applies
+    to the propagator.  Results are reduced sorted by
     duration; a failure aborts with the error of the smallest failing
     duration, so the outcome never depends on scheduling.
     """
@@ -407,7 +394,7 @@ def sweep_leakage(
     variant = variant if variant is not None else kato_state()
     band = part.band_of(j0)
     model.frame_matrix(0.5)  # warm the cached eigendecomposition before fan-out
-    a1 = final_intertwiner(model, variant, steps, scheme, hbar)
+    a1 = final_intertwiner(model, variant, steps, EXACT, hbar)
 
     def one(duration: float) -> LeakageReport:
         u1 = final_propagator(model, PropagationConfig(duration, steps, scheme, hbar))
@@ -438,6 +425,21 @@ def sweep_leakage(
     if failures:
         raise failures[min(failures)]
     return [results[t] for t in sorted(results)]
+
+
+def build_families(
+    model: ContinuumModel,
+    variant: GeneratorVariant,
+    duration: float,
+    steps: int,
+    scheme: str = MIDPOINT,
+    hbar: float = HBAR,
+) -> tuple[UnitaryFamily, UnitaryFamily, UnitaryFamily, UnitaryFamily]:
+    """(U, A, Phi, W) on one grid of steps+1 nodes; A in closed form."""
+    u = evolve_propagator(model, PropagationConfig(duration, steps, scheme, hbar))
+    a = evolve_intertwiner(model, variant, steps, EXACT, hbar)
+    phi = phase_family(model, duration, steps, hbar)
+    return u, a, phi, wave_operator(u, a, phi)
 
 
 def fit_power_law(durations, values) -> ConvergenceFit:

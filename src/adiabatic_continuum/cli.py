@@ -23,7 +23,7 @@ from .errors import (
     NoExteriorError,
     NoFeasibleBandError,
 )
-from .runner import COMMANDS, write_outputs
+from .runner import COMMANDS, output_files, write_outputs
 
 _COMMAND_HELP = {
     "simulate": "run one duration and report leakage, criterion, and diagnostics",
@@ -84,7 +84,12 @@ def main(argv=None) -> int:
         return 2
     for line in lines:
         print(line)
-    print(f"outputs written to {out}")
+    written = output_files(config, csv_text)
+    if written:
+        print(f"outputs written to {out}: {', '.join(written)}")
+    else:
+        formats = ",".join(config.formats)
+        print(f"no outputs written: [output] formats = {formats} selects no file of {args.command}")
     return code
 
 

@@ -7,7 +7,9 @@ initial frame), and the residual wave operator obtained by composition.
 
 Every step exponential goes through a Hermitian eigendecomposition, so all
 families are unitary to roundoff regardless of step count; step budgets
-only control accuracy, never stability.
+only control accuracy, never stability.  The transport unitary also has a
+closed form (scheme EXACT), because the frame exp(theta(s) G) rotates with
+one constant generator; the stepped schemes stay as its independent check.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from .spectral import HBAR, ContinuumModel
 MIDPOINT = "midpoint_exponential"
 CF4 = "fourth_order_commutator_free"
 SCHEMES = (MIDPOINT, CF4)
+# Closed-form transport; selects no integrator, so it is not in SCHEMES
+# and cannot be configured for the propagator.
+EXACT = "exact"
 
 VARIANTS = ("kato_state", "weyl_band")
 
@@ -306,12 +311,41 @@ def _intertwiner_steps(model: ContinuumModel, variant: GeneratorVariant, steps: 
         yield a
 
 
-def _check_intertwiner_budget(model: ContinuumModel, variant: GeneratorVariant, steps: int, hbar: float):
+def _check_intertwiner(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str, hbar: float):
+    if scheme not in (*SCHEMES, EXACT):
+        raise ConfigError(f"unknown scheme {scheme!r}; pick one of {(*SCHEMES, EXACT)}")
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
+    if scheme == EXACT:
+        return
     required = intertwiner_step_budget(model, variant, hbar)
     if steps < required:
         raise StepBudgetError(
             f"steps={steps} cannot resolve the transport generator", required
         )
+
+
+def _exact_transport(model: ContinuumModel, variant: GeneratorVariant, s) -> np.ndarray:
+    """Kato's closed form A(s) = exp(theta G) exp(-theta G_in), stacked over s.
+
+    With Q = exp(theta G) the frame velocity in the frame is theta' G, so
+    the masked generator is theta' (G - G_in), where G_in keeps the couplings
+    the variant removes; A = Q X then reduces to dX/ds = -theta' G_in X.
+    G_in vanishes for kato_state (G has zero diagonal), leaving A = Q.  Both
+    factors go through Hermitian eigendecompositions, so A is unitary to
+    roundoff, and theta = 0 gives the identity bitwise.
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    n = model.size
+    a = model.frame_slices_profile(range(n), s)
+    theta = model.rotation.schedule.angle(s)
+    g_in = np.where(variant.keep_mask(n), 0.0, model.rotation.generator)
+    if g_in.any():
+        mu, w = np.linalg.eigh(1j * g_in)
+        x = (w * np.exp(1j * np.multiply.outer(theta, mu))[:, None, :]) @ w.conj().T
+        a = a @ x
+    a[theta == 0.0] = np.eye(n)
+    return a
 
 
 def evolve_intertwiner(
@@ -321,13 +355,15 @@ def evolve_intertwiner(
     scheme: str = MIDPOINT,
     hbar: float = HBAR,
 ) -> UnitaryFamily:
-    """Transport family A solving iħ dA/ds = K(s) A; duration-free."""
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
-    _check_intertwiner_budget(model, variant, steps, hbar)
+    """Transport family A solving iħ dA/ds = K(s) A; duration-free.
+
+    scheme=EXACT evaluates the closed form on the same steps+1 nodes and
+    needs no step budget.
+    """
+    _check_intertwiner(model, variant, steps, scheme, hbar)
     s_nodes = np.linspace(0.0, 1.0, steps + 1)
+    if scheme == EXACT:
+        return UnitaryFamily("A", s_nodes, _exact_transport(model, variant, s_nodes), variant=variant)
     matrices = np.empty((steps + 1, model.size, model.size), dtype=complex)
     for i, a in enumerate(_intertwiner_steps(model, variant, steps, scheme, hbar)):
         matrices[i] = a
@@ -341,11 +377,10 @@ def final_intertwiner(
     scheme: str = MIDPOINT,
     hbar: float = HBAR,
 ) -> np.ndarray:
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
-    _check_intertwiner_budget(model, variant, steps, hbar)
+    """A at s=1 only; scheme=EXACT skips the steps."""
+    _check_intertwiner(model, variant, steps, scheme, hbar)
+    if scheme == EXACT:
+        return _exact_transport(model, variant, 1.0)[0]
     a = None
     for a in _intertwiner_steps(model, variant, steps, scheme, hbar):
         pass
@@ -356,7 +391,12 @@ def intertwine_residual(a_family: UnitaryFamily, model: ContinuumModel, part: Ba
     """max over bands and nodes of || P_band(s) − A(s) P_band(0) A(s)^dag ||_2.
 
     P_band(0) selects columns (the frame is the computational basis at
-    s=0), so the transported projector is A_band A_band^dag.
+    s=0), so the transported band is spanned by A_b = A[:, band].  For two
+    rank-m projectors the norm is the sine of the largest principal angle
+    between their ranges: the largest singular value of the N x m matrix
+    A_b − Q_b (Q_b^dag A_b).  It is taken from an SVD of that matrix, not
+    from a Gram matrix, whose squared singular values would lose residuals
+    near 1e-8 to roundoff.
     """
     if part.grid_size != model.size:
         raise ConfigError("partition and model grid sizes disagree")
@@ -364,11 +404,9 @@ def intertwine_residual(a_family: UnitaryFamily, model: ContinuumModel, part: Ba
     for members in part.bands:
         idx = list(members)
         ab = a_family.matrices[:, :, idx]
-        transported = np.matmul(ab, ab.conj().swapaxes(-1, -2))
         qb = model.frame_slices_profile(idx, a_family.s_nodes)
-        target = np.matmul(qb, qb.conj().swapaxes(-1, -2))
-        diff = transported - target
-        sv = np.linalg.svd(diff, compute_uv=False)
+        off = ab - np.matmul(qb, np.matmul(qb.conj().swapaxes(-1, -2), ab))
+        sv = np.linalg.svd(off, compute_uv=False)
         worst = max(worst, float(sv[..., 0].max()))
     return worst
 

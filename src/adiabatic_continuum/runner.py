@@ -19,6 +19,7 @@ import numpy as np
 
 from .analysis import (
     adiabatic_criterion,
+    build_families,
     fit_power_law,
     leakage_exact,
     leakage_first_order,
@@ -35,16 +36,10 @@ from .bands import (
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .propagation import (
-    PropagationConfig,
     deviation_from_identity,
-    evolve_intertwiner,
-    evolve_propagator,
     intertwine_residual,
-    intertwiner_step_budget,
     literal_window_hermiticity,
-    phase_family,
     propagator_step_budget,
-    wave_operator,
 )
 from .verify import verify_config
 
@@ -76,15 +71,28 @@ def _write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def output_files(config: ExperimentConfig, csv_text: str | None = None) -> list[str]:
+    """Names of the files write_outputs writes: what [output] formats selects
+    among report.json, resolved_config.json and (for sweeps) sweep.csv."""
+    names = []
+    if "json" in config.formats:
+        names += ["report.json", "resolved_config.json"]
+    if csv_text is not None and "csv" in config.formats:
+        names.append("sweep.csv")
+    return names
+
+
 def write_outputs(config: ExperimentConfig, record: dict, csv_text: str | None = None) -> Path:
-    """Persist report.json, resolved_config.json, and (for sweeps) sweep.csv."""
+    """Persist the output_files into the output directory; returns it."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if "json" in config.formats:
-        _write_text(out / "report.json", _json_text(record))
-        _write_text(out / "resolved_config.json", _json_text(config.resolved))
-    if csv_text is not None and "csv" in config.formats:
-        _write_text(out / "sweep.csv", csv_text)
+    texts = {
+        "report.json": _json_text(record),
+        "resolved_config.json": _json_text(config.resolved),
+        "sweep.csv": csv_text,
+    }
+    for name in output_files(config, csv_text):
+        _write_text(out / name, texts[name])
     return out
 
 
@@ -109,11 +117,7 @@ def cmd_simulate(config: ExperimentConfig, jobs: int = 1):
     cross = validate_noncrossing(model, part, s_samples=max(257, config.s_samples))
     variant = config.build_variant(part)
 
-    run = PropagationConfig(duration, config.steps, config.scheme)
-    u = evolve_propagator(model, run)
-    a = evolve_intertwiner(model, variant, config.steps, config.scheme)
-    phi = phase_family(model, duration, config.steps)
-    w = wave_operator(u, a, phi)
+    u, a, phi, w = build_families(model, variant, duration, config.steps, config.scheme)
 
     eta = leakage_exact(model, u, part, config.j0)
     eta_hat = leakage_first_order(model, part, config.j0, duration)
@@ -142,10 +146,6 @@ def cmd_simulate(config: ExperimentConfig, jobs: int = 1):
             "propagator_steps": {
                 "used": config.steps,
                 "required": propagator_step_budget(model, duration),
-            },
-            "intertwiner_steps": {
-                "used": config.steps,
-                "required": intertwiner_step_budget(model, variant),
             },
             "transition_substeps": {"mandated": mandated, "used": used},
             "min_band_separation": cross.min_separation,

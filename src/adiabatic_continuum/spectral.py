@@ -224,6 +224,16 @@ class AngleSchedule:
             return 6.0 * self.theta_max * s * (1.0 - s)
         return np.broadcast_to(self.theta_max, s.shape).copy() if s.ndim else self.theta_max
 
+    def angle_accel(self, s):
+        """theta''(s), closed form; never probes outside the given s."""
+        s = np.asarray(s, dtype=float)
+        if self.kind == "cubic_ramp":
+            return 6.0 * self.theta_max * s
+        if self.kind == "smoothstep":
+            return 6.0 * self.theta_max * (1.0 - 2.0 * s)
+        accel = 2.0 * self.theta_max if self.kind == "quadratic_ramp" else 0.0
+        return np.full(s.shape, accel) if s.ndim else accel
+
 
 @dataclass(frozen=True)
 class FrameRotation:
@@ -312,10 +322,6 @@ class ContinuumModel:
         lam, v = np.linalg.eigh(1j * self.rotation.generator)
         return lam, v
 
-    @cached_property
-    def _gv(self) -> np.ndarray:
-        return self.rotation.generator @ self._eig[1]
-
     # ---- energies and phases -------------------------------------------
 
     def energies(self, s):
@@ -357,22 +363,9 @@ class ContinuumModel:
         lam, v = self._eig
         return v @ (np.exp(-1j * theta * lam) * v[j].conj())
 
-    def frame_velocity(self, j: int, s: float) -> np.ndarray:
-        """d/ds phi_j(s) = theta'(s) G phi_j(s)."""
-        rate = float(self.rotation.schedule.angle_rate(s))
-        return rate * (self.rotation.generator @ self.frame_vector(j, s))
-
     def frame_velocity_matrix(self, s: float) -> np.ndarray:
         rate = float(self.rotation.schedule.angle_rate(s))
         return rate * (self.rotation.generator @ self.frame_matrix(s))
-
-    def frame_vectors_profile(self, j: int, s) -> np.ndarray:
-        """phi_j(s) for an array of s; shape (len(s), N)."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        lam, v = self._eig
-        theta = self.rotation.schedule.angle(s)
-        coeff = np.exp(-1j * np.outer(theta, lam)) * v[j].conj()
-        return coeff @ v.T
 
     def frame_slices_profile(self, indices, s) -> np.ndarray:
         """Frame columns for an index set over an s-array; shape (S, N, m)."""
@@ -384,20 +377,18 @@ class ContinuumModel:
         return np.einsum("nk,sk,km->snm", v, expo, w0, optimize=True)
 
     def frame_coupling_profile(self, a: int, b: int, s) -> np.ndarray:
-        """<phi_a(s) | d/ds phi_b(s)> for an array of s (vectorized).
+        """<phi_a(s) | d/ds phi_b(s)> = theta'(s) * G[a, b] for an array of s.
 
-        Equals theta'(s) * G[a, b] whenever exp(theta G) commutes with G,
-        which every single-generator rotation here does; computed from the
-        eigendecomposition without assuming it.
+        Exact because exp(theta G) commutes with G:
+        Q^dag dQ/ds = theta' Q^dag G Q = theta' G.
         """
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        lam, v = self._eig
-        theta = self.rotation.schedule.angle(s)
-        rate = np.atleast_1d(self.rotation.schedule.angle_rate(s))
-        expo = np.exp(-1j * np.outer(theta, lam))
-        va = (expo * v[a].conj()) @ v.T          # phi_a(s), rows over s
-        vb_dot = (expo * v[b].conj()) @ self._gv.T
-        return rate * np.einsum("sn,sn->s", va.conj(), vb_dot)
+        return np.atleast_1d(self.rotation.schedule.angle_rate(s)) * self.rotation.generator[a, b]
+
+    def frame_coupling_rate_profile(self, a: int, b: int, s) -> np.ndarray:
+        """d/ds <phi_a(s) | d/ds phi_b(s)> = theta''(s) * G[a, b] for an array of s."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        return np.atleast_1d(self.rotation.schedule.angle_accel(s)) * self.rotation.generator[a, b]
 
     def hamiltonian(self, s: float) -> np.ndarray:
         """H(s) = Q(s) diag(E(k, s)) Q(s)^dag."""

@@ -15,7 +15,12 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import leakage_exact, transition_integral, transition_integral_parts
+from .analysis import (
+    build_families,
+    leakage_exact,
+    transition_integral,
+    transition_integral_parts,
+)
 from .bands import BandPartition, band_projector
 from .config import ExperimentConfig
 from .errors import NoExteriorError
@@ -28,7 +33,6 @@ from .propagation import (
     kato_state,
     literal_window_hermiticity,
     phase_family,
-    wave_operator,
     weyl_band,
 )
 from .spectral import MONOTONE_SCREEN_SAMPLES
@@ -75,18 +79,10 @@ def _check_projector_algebra(config, model, part) -> dict:
     }
 
 
-def _families(config, model, part, t_ref):
-    variant = config.build_variant(part)
-    u = evolve_propagator(model, PropagationConfig(t_ref, config.steps, config.scheme))
-    a = evolve_intertwiner(model, variant, config.steps, config.scheme)
-    phi = phase_family(model, t_ref, config.steps)
-    w = wave_operator(u, a, phi)
-    return u, a, phi, w
-
-
 def _check_unitarity(config, model, part) -> dict:
     t_ref = _reference_duration(config)
-    defects = {fam.kind: fam.unitarity_defect() for fam in _families(config, model, part, t_ref)}
+    families = build_families(model, config.build_variant(part), t_ref, config.steps, config.scheme)
+    defects = {fam.kind: fam.unitarity_defect() for fam in families}
     worst = max(defects.values())
     return {
         "passed": worst <= 1e-9,

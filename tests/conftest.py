@@ -7,6 +7,11 @@ exponentials inside the package.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +28,19 @@ N = 16
 THETA_MAX = 0.4
 J0 = 1
 M = 2
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*args):
+    """`python -m adiabatic_continuum ARGS` in a child that imports this checkout."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "adiabatic_continuum", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 def taylor_expm(a: np.ndarray, terms: int = 40) -> np.ndarray:

@@ -8,8 +8,6 @@ five-duration sweep) are built once per module and shared.
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -39,7 +37,7 @@ from adiabatic_continuum import (
     wave_operator,
     weyl_band,
 )
-from conftest import J0, M, N, make_model
+from conftest import J0, M, N, make_model, run_cli
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -228,23 +226,17 @@ def test_10_rotation_angle_scaling(capsys, part):
 
 
 def test_11_cli_determinism_and_self_check(capsys, tmp_path):
-    def run(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "adiabatic_continuum", *args],
-            capture_output=True, text=True,
-        )
-
     out = tmp_path / "sweep_out"
     sweep_cfg = str(REPO / "configs" / "sweep.cfg")
     names = ("report.json", "sweep.csv", "resolved_config.json")
 
-    serial = run("sweep", "--config", sweep_cfg, "--out", str(out), "--jobs", "1")
+    serial = run_cli("sweep", "--config", sweep_cfg, "--out", str(out), "--jobs", "1")
     first = {name: (out / name).read_bytes() for name in names}
-    threaded = run("sweep", "--config", sweep_cfg, "--out", str(out), "--jobs", "8")
+    threaded = run_cli("sweep", "--config", sweep_cfg, "--out", str(out), "--jobs", "8")
     identical = all((out / name).read_bytes() == first[name] for name in names)
 
-    check = run("verify", "--config", str(REPO / "configs" / "default.cfg"),
-                "--out", str(tmp_path / "verify_out"))
+    check = run_cli("verify", "--config", str(REPO / "configs" / "default.cfg"),
+                    "--out", str(tmp_path / "verify_out"))
 
     ok = (serial.returncode == 0 and threaded.returncode == 0 and identical
           and check.returncode == 0)

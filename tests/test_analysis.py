@@ -7,6 +7,7 @@ import pytest
 
 from adiabatic_continuum import (
     AnalysisError,
+    AngleSchedule,
     BandPartition,
     ConfigError,
     CrossingError,
@@ -101,6 +102,27 @@ def test_by_parts_agreement(default_model):
     assert parts.total == pytest.approx(parts.boundary + parts.tail)
     assert abs(parts.boundary) > abs(parts.tail)
     assert parts.bound >= abs(parts.total)
+
+
+@pytest.mark.parametrize("s_end", [0.6, 1.0])
+def test_by_parts_probes_schedule_only_inside_interval(monkeypatch, s_end):
+    # every coupling and coupling derivative comes from the schedule's
+    # angle/rate/acceleration; record where they are evaluated
+    probed = []
+    for name in ("angle", "angle_rate", "angle_accel"):
+        original = getattr(AngleSchedule, name)
+
+        def recorder(self, s, _original=original):
+            probed.append(np.atleast_1d(np.asarray(s, dtype=float)))
+            return _original(self, s)
+
+        monkeypatch.setattr(AngleSchedule, name, recorder)
+    model = make_model()
+    parts = transition_integral_parts(model, kato_state(), 1, 2, 100.0, s_end=s_end, substeps=600)
+    assert parts.total != 0.0
+    points = np.concatenate(probed)
+    assert points.size >= 2 * 602
+    assert points.min() == 0.0 and points.max() == s_end
 
 
 def test_by_parts_bound_scales_inversely_with_duration(default_model):

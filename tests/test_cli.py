@@ -3,20 +3,12 @@
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 
 import pytest
 
+from conftest import run_cli
+
 FLIP_PROFILE = "1.0, -0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0"
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "adiabatic_continuum", *args],
-        capture_output=True,
-        text=True,
-    )
 
 
 def test_help_exits_zero():
@@ -37,12 +29,23 @@ def test_simulate_writes_reports(write_config, tmp_path):
     out = tmp_path / "sim"
     result = run_cli("simulate", "--config", str(cfg), "--out", str(out))
     assert result.returncode == 0, result.stderr
-    assert "outputs written to" in result.stdout
+    assert f"outputs written to {out}: report.json, resolved_config.json" in result.stdout
     report = json.loads((out / "report.json").read_text())
     assert report["command"] == "simulate"
     assert report["leakage"]["T"] == 20.0
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved == report["resolved_config"]
+
+
+def test_simulate_csv_only_says_nothing_was_written(write_config, tmp_path):
+    # simulate produces no sweep.csv, so formats = csv selects no file at all
+    cfg = write_config({"run": {"T": "20.0", "steps": "512"}, "output": {"formats": "csv"}})
+    out = tmp_path / "sim"
+    result = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert "outputs written to" not in result.stdout
+    assert "no outputs written: [output] formats = csv selects no file of simulate" in result.stdout
+    assert list(out.iterdir()) == []
 
 
 def test_simulate_steps_override_lands_in_record(write_config, tmp_path):

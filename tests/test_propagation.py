@@ -14,6 +14,7 @@ import pytest
 
 from adiabatic_continuum import (
     CF4,
+    EXACT,
     MIDPOINT,
     BandPartition,
     ConfigError,
@@ -222,6 +223,22 @@ def test_band_transport_matches_factorized_solution(default_model, default_part)
     assert np.abs(fam_mid.final - oracle).max() < 1e-6
 
 
+@pytest.mark.parametrize("band_variant", [False, True], ids=["kato_state", "weyl_band"])
+def test_closed_form_transport_matches_cf4(default_model, default_part, band_variant):
+    variant = weyl_band(default_part) if band_variant else kato_state()
+    exact = evolve_intertwiner(default_model, variant, 500, EXACT)
+    stepped = evolve_intertwiner(default_model, variant, 500, CF4)
+    assert np.array_equal(exact.s_nodes, stepped.s_nodes)
+    assert np.abs(exact.matrices - stepped.matrices).max() < 1e-11
+    assert np.array_equal(exact.matrices[0], np.eye(16))
+    assert exact.unitarity_defect() < 1e-14
+    # the closed form takes no steps, so it needs no step budget
+    final = final_intertwiner(default_model, variant, 1, EXACT)
+    assert np.abs(final - exact.final).max() < 1e-14
+    with pytest.raises(ConfigError):
+        PropagationConfig(100.0, 500, EXACT)
+
+
 def test_transport_is_duration_free(default_model):
     a = final_intertwiner(default_model, kato_state(), 200)
     b = final_intertwiner(default_model, kato_state(), 200)
@@ -245,6 +262,20 @@ def test_intertwine_residual_metric(default_model, default_part):
     assert intertwine_residual(exact, default_model, default_part) < 1e-13
     fam = evolve_intertwiner(default_model, kato_state(), 1000)
     assert intertwine_residual(fam, default_model, default_part) == pytest.approx(1.0e-7, rel=0.1)
+
+
+def test_principal_angle_residual_equals_projector_difference_norm(default_model, default_part):
+    fam = evolve_intertwiner(default_model, kato_state(), 200)
+    worst = 0.0
+    for s, a in zip(fam.s_nodes, fam.matrices):
+        q = default_model.frame_matrix(s)
+        for members in default_part.bands:
+            idx = list(members)
+            transported = a[:, idx] @ a[:, idx].conj().T
+            target = q[:, idx] @ q[:, idx].conj().T
+            worst = max(worst, np.linalg.norm(transported - target, 2))
+    assert worst > 1e-7
+    assert abs(intertwine_residual(fam, default_model, default_part) - worst) < 1e-11
 
 
 # ---- phases and the wave operator ---------------------------------------------

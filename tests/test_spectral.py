@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from adiabatic_continuum import (
     ANGLE_SCHEDULES,
+    ROTATION_BUILDERS,
     AngleSchedule,
     ConfigError,
     DegenerateSpectrumError,
@@ -133,6 +134,10 @@ def test_schedule_rate_is_derivative(kind):
     for s in (0.2, 0.5, 0.9):
         fd = _fd(lambda x: sched.angle(x), s)
         assert fd == pytest.approx(sched.angle_rate(s), rel=1e-7, abs=1e-9)
+        fd_rate = _fd(lambda x: sched.angle_rate(x), s)
+        assert fd_rate == pytest.approx(sched.angle_accel(s), rel=1e-7, abs=1e-9)
+    grid = np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(sched.angle_accel(grid), [sched.angle_accel(x) for x in grid])
 
 
 def test_cubic_ramp_boundary_rates():
@@ -236,6 +241,29 @@ def test_frame_coupling_closed_form(default_model):
         assert got == pytest.approx(rate * 1.0, rel=1e-12)
         got_rev = complex(default_model.frame_coupling_profile(2, 1, s)[0])
         assert got_rev == pytest.approx(-rate * 1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("builder", ROTATION_BUILDERS)
+def test_frame_coupling_matches_frame_matrix_oracle(builder):
+    # theta' * phi_a^dag G phi_b and theta'' * phi_a^dag G phi_b, with the
+    # frame vectors taken from frame_matrix instead of assuming [Q, G] = 0
+    sched = AngleSchedule("smoothstep", 0.7)
+    rotation = {
+        "nearest_neighbor": lambda: nearest_neighbor_rotation(8, sched),
+        "banded": lambda: banded_rotation(8, 3, sched),
+        "random_banded": lambda: random_banded_rotation(8, 2, 7, sched),
+    }[builder]()
+    model = build_model(KGrid(1.0, 2.0, 8), linear_dispersion(), rotation)
+    g = rotation.generator
+    s = np.array([0.0, 0.3, 0.75, 1.0])
+    for a, b in [(0, 1), (2, 4), (3, 3), (6, 5), (1, 7)]:
+        overlap = np.array([
+            model.frame_matrix(x)[:, a].conj() @ g @ model.frame_matrix(x)[:, b] for x in s
+        ])
+        got = model.frame_coupling_profile(a, b, s)
+        assert np.abs(got - sched.angle_rate(s) * overlap).max() < 1e-13
+        got_rate = model.frame_coupling_rate_profile(a, b, s)
+        assert np.abs(got_rate - sched.angle_accel(s) * overlap).max() < 1e-13
 
 
 def test_frame_coupling_against_finite_difference(default_model):
