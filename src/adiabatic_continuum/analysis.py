@@ -478,6 +478,23 @@ def fit_power_law(durations, values) -> ConvergenceFit:
     )
 
 
+def check_gap_margin(
+    model: ContinuumModel, part: BandPartition, j0: int, durations, margin: float
+) -> None:
+    """Raise ConfigError at the smallest duration T with gap*T < margin.
+
+    gap is the virtual gap of j0's band, so the check is the precondition
+    of the adiabatic regime on the physical clock.
+    """
+    gap = virtual_gap(model, part, part.band_of(j0))
+    for t in sorted(durations):
+        if gap * t < margin:
+            raise ConfigError(
+                f"duration T={t:g} violates the gap margin: "
+                f"gap*T = {gap * t:.3g} < {margin:g}"
+            )
+
+
 def convergence_study(
     model: ContinuumModel,
     part: BandPartition,
@@ -496,12 +513,7 @@ def convergence_study(
     if len(durations) < 3:
         raise ConfigError(f"convergence study needs >= 3 durations, got {len(durations)}")
     if margin is not None:
-        gap = virtual_gap(model, part, part.band_of(j0))
-        for t in sorted(durations):
-            if gap * t < margin:
-                raise ConfigError(
-                    f"duration T={t} violates the gap margin: gap*T = {gap * t:.3g} < {margin}"
-                )
+        check_gap_margin(model, part, j0, durations, margin)
     reports = sweep_leakage(
         model, part, j0, durations, steps, scheme, variant, jobs, substeps, hbar
     )

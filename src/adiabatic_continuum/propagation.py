@@ -10,6 +10,21 @@ families are unitary to roundoff regardless of step count; step budgets
 only control accuracy, never stability.  The transport unitary also has a
 closed form (scheme EXACT), because the frame exp(theta(s) G) rotates with
 one constant generator; the stepped schemes stay as its independent check.
+
+The midpoint propagator step is Q(s_k) diag(p_k) Q(s_k)^dag, with s_k the
+step's midpoint and p_k = exp(-i T ds E(s_k) / hbar).  With the frame's
+cached eigensystem iG = V diag(lam) V^dag, Q(s) = V E(theta(s)) V^dag for
+the diagonal E(theta) = diag(exp(-i theta lam)).  In the basis
+z_k = E(theta_k)^dag V^dag U_k, theta_k = theta(s_k), the step becomes
+z_k = B_k D_k z_{k-1} with B_k = V^dag diag(p_k) V and the column scaling
+D_k = diag(exp(i (theta_k - theta_{k-1}) lam)).  The B_k of a chunk of
+steps come from one GEMM, so each step costs one N x N matmul and no
+frame rebuild; U_k = V E(theta_k) z_k is formed once per chunk for a
+stored family and once at the end for a final.  The matmuls compose
+strictly in step order, in one path that both the stored family and the
+final consume, so a final equals the last node of its family bitwise.  A
+pairwise tree reduction would be faster for finals alone, but it rounds
+differently from the sequential path and would fork the two.
 """
 
 from __future__ import annotations
@@ -40,6 +55,11 @@ _C1 = 0.5 - math.sqrt(3.0) / 6.0
 _C2 = 0.5 + math.sqrt(3.0) / 6.0
 _A1 = 0.25 + math.sqrt(3.0) / 6.0
 _A2 = 0.25 - math.sqrt(3.0) / 6.0
+
+# Midpoint steps built per vectorised chunk.  A chunk's temporaries are a
+# few complex (chunk, N, N) arrays, so memory stays flat in `steps`; larger
+# chunks buy no speed and cost peak RSS when sweeps run in threads.
+_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -241,27 +261,69 @@ def literal_window_hermiticity(model: ContinuumModel, window: int, s: float, hba
 # ---- evolutions --------------------------------------------------------
 
 
-def _propagator_steps(model: ContinuumModel, config: PropagationConfig):
-    """Yield U after each step of iħ dU/ds = T H(s) U, midpoint or CF4."""
+def _midpoint_chunks(model: ContinuumModel, config: PropagationConfig):
+    """Yield (theta, z) for consecutive chunks of the midpoint nodes s_1..s_steps.
+
+    U at a chunk's nodes is V diag(exp(-i theta lam)) z (see the module
+    docstring); theta holds the frame angle at each step's midpoint.
+    """
+    lam, v = model.frame_eigensystem
     n = model.size
     ds = 1.0 / config.steps
     scale = config.duration / config.hbar
-    u = np.eye(n, dtype=complex)
-    yield u
+    # pairs[j, a*n + b] = conj(V[j, a]) V[j, b], so p @ pairs stacks V^dag diag(p) V.
+    pairs = (v.conj()[:, :, None] * v[:, None, :]).reshape(n, n * n)
+    z = v.conj().T.copy()  # theta(0) = 0, so z_0 = V^dag U(0)
+    theta_prev = 0.0
+    for lo in range(0, config.steps, _CHUNK):
+        sm = np.arange(lo, min(lo + _CHUNK, config.steps)) * ds + 0.5 * ds
+        theta = model.rotation.schedule.angle(sm)
+        p = np.exp(-1j * scale * ds * model.energies(sm))
+        dtheta = theta - np.concatenate(([theta_prev], theta[:-1]))
+        d = np.exp(1j * np.multiply.outer(dtheta, lam))
+        mats = (p @ pairs).reshape(-1, n, n) * d[:, None, :]  # B_k D_k
+        zs = np.empty_like(mats)
+        for mat, out in zip(mats, zs):
+            z = np.dot(mat, z, out=out)
+        theta_prev = theta[-1]
+        yield theta, zs
+
+
+def _cf4_steps(model: ContinuumModel, config: PropagationConfig):
+    """Yield U after each CF4 step of iħ dU/ds = T H(s) U."""
+    ds = 1.0 / config.steps
+    scale = config.duration / config.hbar
+    u = np.eye(model.size, dtype=complex)
     for step in range(config.steps):
         s0 = step * ds
-        if config.scheme == MIDPOINT:
-            sm = s0 + 0.5 * ds
-            q = model.frame_matrix(sm)
-            phases = np.exp(-1j * scale * ds * np.asarray(model.energies(sm)))
-            u = q @ (phases[:, None] * (q.conj().T @ u))
-        else:
-            h1 = model.hamiltonian(s0 + _C1 * ds)
-            h2 = model.hamiltonian(s0 + _C2 * ds)
-            u = _phase_exp(_A2 * h1 + _A1 * h2, scale * ds) @ (
-                _phase_exp(_A1 * h1 + _A2 * h2, scale * ds) @ u
-            )
+        h1 = model.hamiltonian(s0 + _C1 * ds)
+        h2 = model.hamiltonian(s0 + _C2 * ds)
+        u = _phase_exp(_A2 * h1 + _A1 * h2, scale * ds) @ (
+            _phase_exp(_A1 * h1 + _A2 * h2, scale * ds) @ u
+        )
         yield u
+
+
+def _propagator_chunks(model: ContinuumModel, config: PropagationConfig):
+    """Yield (theta, z) for consecutive chunks of the nodes s_1..s_steps.
+
+    The one sequential composition both evolve_propagator and
+    final_propagator consume; _chunk_matrices turns a chunk into U.  CF4
+    chunks are single lab-frame steps with theta None.
+    """
+    if config.scheme == MIDPOINT:
+        yield from _midpoint_chunks(model, config)
+    else:
+        for u in _cf4_steps(model, config):
+            yield None, u[None]
+
+
+def _chunk_matrices(model: ContinuumModel, theta, z) -> np.ndarray:
+    """U at a chunk's nodes: V diag(exp(-i theta lam)) z, or z itself for CF4."""
+    if theta is None:
+        return z
+    lam, v = model.frame_eigensystem
+    return (v * np.exp(-1j * np.multiply.outer(theta, lam))[:, None, :]) @ z
 
 
 def _check_propagator_budget(model: ContinuumModel, config: PropagationConfig):
@@ -278,18 +340,23 @@ def evolve_propagator(model: ContinuumModel, config: PropagationConfig) -> Unita
     _check_propagator_budget(model, config)
     s_nodes = np.linspace(0.0, 1.0, config.steps + 1)
     matrices = np.empty((config.steps + 1, model.size, model.size), dtype=complex)
-    for i, u in enumerate(_propagator_steps(model, config)):
-        matrices[i] = u
+    matrices[0] = np.eye(model.size)
+    k = 1
+    for theta, z in _propagator_chunks(model, config):
+        matrices[k : k + len(z)] = _chunk_matrices(model, theta, z)
+        k += len(z)
     return UnitaryFamily("U", s_nodes, matrices)
 
 
 def final_propagator(model: ContinuumModel, config: PropagationConfig) -> np.ndarray:
     """U at s=1 only; streaming variant for memory-lean sweeps."""
     _check_propagator_budget(model, config)
-    u = None
-    for u in _propagator_steps(model, config):
+    for theta, z in _propagator_chunks(model, config):
         pass
-    return u
+    # the last node of the last chunk, converted exactly as evolve_propagator does
+    if theta is not None:
+        theta = theta[-1:]
+    return _chunk_matrices(model, theta, z[-1:])[0]
 
 
 def _intertwiner_steps(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str, hbar: float):

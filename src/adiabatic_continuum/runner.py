@@ -20,6 +20,7 @@ import numpy as np
 from .analysis import (
     adiabatic_criterion,
     build_families,
+    check_gap_margin,
     fit_power_law,
     leakage_exact,
     leakage_first_order,
@@ -34,7 +35,6 @@ from .bands import (
     virtual_gap,
 )
 from .config import ExperimentConfig
-from .errors import ConfigError
 from .propagation import (
     deviation_from_identity,
     intertwine_residual,
@@ -170,14 +170,7 @@ def cmd_sweep(config: ExperimentConfig, jobs: int = 1):
     validate_noncrossing(model, part, s_samples=max(257, config.s_samples))
     variant = config.build_variant(part)
 
-    gap = virtual_gap(model, part, part.band_of(config.j0))
-    for t in sorted(durations):
-        if gap * t < config.margin:
-            raise ConfigError(
-                f"duration T={t:g} violates the gap margin: "
-                f"gap*T = {gap * t:.3g} < {config.margin:g}"
-            )
-
+    check_gap_margin(model, part, config.j0, durations, config.margin)
     reports = sweep_leakage(
         model, part, config.j0, durations, config.steps, config.scheme, variant, jobs
     )

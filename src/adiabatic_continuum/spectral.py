@@ -318,7 +318,8 @@ class ContinuumModel:
         return self.grid.size
 
     @cached_property
-    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
+    def frame_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, V) with iG = V diag(lam) V^dag, so Q(s) = V diag(exp(-i theta lam)) V^dag."""
         lam, v = np.linalg.eigh(1j * self.rotation.generator)
         return lam, v
 
@@ -351,7 +352,7 @@ class ContinuumModel:
         theta = float(self.rotation.schedule.angle(s))
         if theta == 0.0:
             return np.eye(self.size, dtype=complex)
-        lam, v = self._eig
+        lam, v = self.frame_eigensystem
         return (v * np.exp(-1j * theta * lam)) @ v.conj().T
 
     def frame_vector(self, j: int, s: float) -> np.ndarray:
@@ -360,7 +361,7 @@ class ContinuumModel:
             e = np.zeros(self.size, dtype=complex)
             e[j] = 1.0
             return e
-        lam, v = self._eig
+        lam, v = self.frame_eigensystem
         return v @ (np.exp(-1j * theta * lam) * v[j].conj())
 
     def frame_velocity_matrix(self, s: float) -> np.ndarray:
@@ -370,7 +371,7 @@ class ContinuumModel:
     def frame_slices_profile(self, indices, s) -> np.ndarray:
         """Frame columns for an index set over an s-array; shape (S, N, m)."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        lam, v = self._eig
+        lam, v = self.frame_eigensystem
         theta = self.rotation.schedule.angle(s)
         expo = np.exp(-1j * np.outer(theta, lam))
         w0 = v.conj().T[:, list(indices)]

@@ -2,7 +2,9 @@
 
 The matrix exponential oracle below uses scaling-and-squaring with a
 plain Taylor series, so it shares no code path with the eigh-based
-exponentials inside the package.
+exponentials inside the package.  The midpoint loop below is the
+propagator's step-by-step lab-frame form, kept as the reference for the
+package's chunked eigenbasis kernel.
 """
 
 from __future__ import annotations
@@ -57,6 +59,20 @@ def taylor_expm(a: np.ndarray, terms: int = 40) -> np.ndarray:
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def midpoint_loop(model, duration: float, steps: int) -> np.ndarray:
+    """U at all steps+1 nodes from Q(s_m) diag(p) Q(s_m)^dag u, one step at a time."""
+    ds = 1.0 / steps
+    u = np.eye(model.size, dtype=complex)
+    out = [u]
+    for step in range(steps):
+        sm = step * ds + 0.5 * ds
+        q = model.frame_matrix(sm)
+        phases = np.exp(-1j * duration * ds * np.asarray(model.energies(sm)))
+        u = q @ (phases[:, None] * (q.conj().T @ u))
+        out.append(u)
+    return np.array(out)
 
 
 def make_model(theta_max: float = THETA_MAX, kind: str = "cubic_ramp", n: int = N,

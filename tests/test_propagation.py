@@ -16,12 +16,16 @@ from adiabatic_continuum import (
     CF4,
     EXACT,
     MIDPOINT,
+    SCHEMES,
+    AngleSchedule,
     BandPartition,
     ConfigError,
     GeneratorVariant,
+    KGrid,
     PropagationConfig,
     StepBudgetError,
     UnitaryFamily,
+    build_model,
     deviation_from_identity,
     dynamical_phase,
     evolve_intertwiner,
@@ -34,16 +38,20 @@ from adiabatic_continuum import (
     intertwine_residual,
     intertwiner_step_budget,
     kato_state,
+    linear_dispersion,
     literal_window_hermiticity,
     phase_family,
     phase_operator,
     propagator_step_budget,
+    random_banded_rotation,
     rotating_picture,
+    tabulated_dispersion,
     wave_operator,
     weyl_band,
 )
+from adiabatic_continuum.propagation import _CHUNK
 
-from conftest import make_model, taylor_expm
+from conftest import make_model, midpoint_loop, taylor_expm
 
 
 def rk4_propagator(model, duration: float, steps: int) -> np.ndarray:
@@ -182,7 +190,43 @@ def test_propagator_family_structure(default_model):
     with pytest.raises(ConfigError):
         fam.at(0.012345)
     assert fam.unitarity_defect() < 1e-12
-    assert np.array_equal(final_propagator(default_model, PropagationConfig(2.0, 64)), fam.final)
+    # the final is the family's last node bitwise, also across a chunk boundary
+    for scheme in SCHEMES:
+        for steps in (64, _CHUNK + 3):
+            config = PropagationConfig(2.0, steps, scheme)
+            final = final_propagator(default_model, config)
+            assert np.array_equal(final, evolve_propagator(default_model, config).final)
+
+
+# The chunked eigenbasis kernel and the step loop are one scheme rounded
+# differently; their max-abs difference is roundoff, which this bound caps.
+KERNEL_TOL = 1e-11
+
+
+def _kernel_models():
+    grid = KGrid(1.0, 2.0, 12)
+    cubic = AngleSchedule("cubic_ramp", 0.4)
+    return {
+        "nearest_neighbor": make_model(),
+        "random_banded": build_model(
+            grid, linear_dispersion(), random_banded_rotation(12, 3, 7, cubic)
+        ),
+        "tabulated": make_model(
+            kind="smoothstep", dispersion=tabulated_dispersion([1.0, 1.6, 0.7, 1.2])
+        ),
+        "frozen": make_model(theta_max=0.0),
+    }
+
+
+@pytest.mark.parametrize("steps", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+@pytest.mark.parametrize("name", ["nearest_neighbor", "random_banded", "tabulated", "frozen"])
+def test_midpoint_kernel_matches_step_loop(name, steps):
+    model = _kernel_models()[name]
+    duration = 0.1 * steps  # a phase swing of at most 0.4 rad per step
+    fam = evolve_propagator(model, PropagationConfig(duration, steps))
+    reference = midpoint_loop(model, duration, steps)
+    assert np.array_equal(fam.matrices[0], np.eye(model.size))
+    assert np.abs(fam.matrices - reference).max() < KERNEL_TOL
 
 
 def test_zero_duration_propagator_is_identity(default_model):
