@@ -19,12 +19,14 @@ z_k = E(theta_k)^dag V^dag U_k, theta_k = theta(s_k), the step becomes
 z_k = B_k D_k z_{k-1} with B_k = V^dag diag(p_k) V and the column scaling
 D_k = diag(exp(i (theta_k - theta_{k-1}) lam)).  The B_k of a chunk of
 steps come from one GEMM, so each step costs one N x N matmul and no
-frame rebuild; U_k = V E(theta_k) z_k is formed once per chunk for a
-stored family and once at the end for a final.  The matmuls compose
-strictly in step order, in one path that both the stored family and the
-final consume, so a final equals the last node of its family bitwise.  A
-pairwise tree reduction would be faster for finals alone, but it rounds
-differently from the sequential path and would fork the two.
+frame rebuild.  A chunk carries the factors of U_k = V E(theta_k) z_k: a
+stored family multiplies out every node, a final only the last.  A frozen
+frame (theta_max = 0) has the eigensystem (0, I), so its steps stay
+diag(p_k) exactly.  The matmuls compose strictly in step order, in one
+path of chunks that both the stored family and the final consume, so a
+final equals the last node of its family bitwise.  A pairwise tree
+reduction would be faster for finals alone, but it rounds differently
+from the sequential path and would fork the two.
 """
 
 from __future__ import annotations
@@ -56,10 +58,12 @@ _C2 = 0.5 + math.sqrt(3.0) / 6.0
 _A1 = 0.25 + math.sqrt(3.0) / 6.0
 _A2 = 0.25 - math.sqrt(3.0) / 6.0
 
-# Midpoint steps built per vectorised chunk.  A chunk's temporaries are a
-# few complex (chunk, N, N) arrays, so memory stays flat in `steps`; larger
-# chunks buy no speed and cost peak RSS when sweeps run in threads.
+# Midpoint steps built per vectorised chunk: _CHUNK, or fewer above N = 32
+# so that each of a chunk's few complex (chunk, N, N) temporaries stays
+# within _CHUNK_BYTES.  Memory is flat in `steps` and O(N^2); larger chunks
+# buy no speed and cost peak RSS when sweeps run in threads.
 _CHUNK = 128
+_CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -262,38 +266,39 @@ def literal_window_hermiticity(model: ContinuumModel, window: int, s: float, hba
 
 
 def _midpoint_chunks(model: ContinuumModel, config: PropagationConfig):
-    """Yield (theta, z) for consecutive chunks of the midpoint nodes s_1..s_steps.
+    """Yield (F, Z) for consecutive chunks of the nodes s_1..s_steps (midpoint scheme).
 
-    U at a chunk's nodes is V diag(exp(-i theta lam)) z (see the module
-    docstring); theta holds the frame angle at each step's midpoint.
+    Z stacks the z_k of the module docstring and F the V diag(exp(-i theta_k lam)),
+    so U_k = F_k Z_k.
     """
     lam, v = model.frame_eigensystem
+    vh = v.conj().T
     n = model.size
     ds = 1.0 / config.steps
     scale = config.duration / config.hbar
-    # pairs[j, a*n + b] = conj(V[j, a]) V[j, b], so p @ pairs stacks V^dag diag(p) V.
-    pairs = (v.conj()[:, :, None] * v[:, None, :]).reshape(n, n * n)
-    z = v.conj().T.copy()  # theta(0) = 0, so z_0 = V^dag U(0)
+    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (16 * n * n)))
+    z = vh.copy()  # theta(0) = 0, so z_0 = V^dag U(0)
     theta_prev = 0.0
-    for lo in range(0, config.steps, _CHUNK):
-        sm = np.arange(lo, min(lo + _CHUNK, config.steps)) * ds + 0.5 * ds
+    for lo in range(0, config.steps, chunk):
+        sm = np.arange(lo, min(lo + chunk, config.steps)) * ds + 0.5 * ds
         theta = model.rotation.schedule.angle(sm)
         p = np.exp(-1j * scale * ds * model.energies(sm))
-        dtheta = theta - np.concatenate(([theta_prev], theta[:-1]))
-        d = np.exp(1j * np.multiply.outer(dtheta, lam))
-        mats = (p @ pairs).reshape(-1, n, n) * d[:, None, :]  # B_k D_k
+        d = np.exp(1j * np.multiply.outer(np.diff(theta, prepend=theta_prev), lam))
+        # every B_k = V^dag diag(p_k) V of the chunk from one (chunk*N, N) x (N, N) GEMM
+        mats = ((vh * p[:, None, :]).reshape(-1, n) @ v).reshape(-1, n, n) * d[:, None, :]
         zs = np.empty_like(mats)
         for mat, out in zip(mats, zs):
             z = np.dot(mat, z, out=out)
         theta_prev = theta[-1]
-        yield theta, zs
+        yield v * np.exp(-1j * np.multiply.outer(theta, lam))[:, None, :], zs
 
 
 def _cf4_steps(model: ContinuumModel, config: PropagationConfig):
-    """Yield U after each CF4 step of iħ dU/ds = T H(s) U."""
+    """Yield (I, U) after each CF4 step of iħ dU/ds = T H(s) U, as a one-node chunk."""
     ds = 1.0 / config.steps
     scale = config.duration / config.hbar
-    u = np.eye(model.size, dtype=complex)
+    eye = np.eye(model.size, dtype=complex)
+    u = eye
     for step in range(config.steps):
         s0 = step * ds
         h1 = model.hamiltonian(s0 + _C1 * ds)
@@ -301,29 +306,19 @@ def _cf4_steps(model: ContinuumModel, config: PropagationConfig):
         u = _phase_exp(_A2 * h1 + _A1 * h2, scale * ds) @ (
             _phase_exp(_A1 * h1 + _A2 * h2, scale * ds) @ u
         )
-        yield u
+        yield eye[None], u[None]
 
 
 def _propagator_chunks(model: ContinuumModel, config: PropagationConfig):
-    """Yield (theta, z) for consecutive chunks of the nodes s_1..s_steps.
+    """(F, Z) for consecutive chunks of the nodes s_1..s_steps; U = F @ Z node by node.
 
     The one sequential composition both evolve_propagator and
-    final_propagator consume; _chunk_matrices turns a chunk into U.  CF4
-    chunks are single lab-frame steps with theta None.
+    final_propagator consume: the family multiplies out every node, the
+    final only the last one.
     """
     if config.scheme == MIDPOINT:
-        yield from _midpoint_chunks(model, config)
-    else:
-        for u in _cf4_steps(model, config):
-            yield None, u[None]
-
-
-def _chunk_matrices(model: ContinuumModel, theta, z) -> np.ndarray:
-    """U at a chunk's nodes: V diag(exp(-i theta lam)) z, or z itself for CF4."""
-    if theta is None:
-        return z
-    lam, v = model.frame_eigensystem
-    return (v * np.exp(-1j * np.multiply.outer(theta, lam))[:, None, :]) @ z
+        return _midpoint_chunks(model, config)
+    return _cf4_steps(model, config)
 
 
 def _check_propagator_budget(model: ContinuumModel, config: PropagationConfig):
@@ -342,8 +337,8 @@ def evolve_propagator(model: ContinuumModel, config: PropagationConfig) -> Unita
     matrices = np.empty((config.steps + 1, model.size, model.size), dtype=complex)
     matrices[0] = np.eye(model.size)
     k = 1
-    for theta, z in _propagator_chunks(model, config):
-        matrices[k : k + len(z)] = _chunk_matrices(model, theta, z)
+    for f, z in _propagator_chunks(model, config):
+        np.matmul(f, z, out=matrices[k : k + len(z)])
         k += len(z)
     return UnitaryFamily("U", s_nodes, matrices)
 
@@ -351,12 +346,9 @@ def evolve_propagator(model: ContinuumModel, config: PropagationConfig) -> Unita
 def final_propagator(model: ContinuumModel, config: PropagationConfig) -> np.ndarray:
     """U at s=1 only; streaming variant for memory-lean sweeps."""
     _check_propagator_budget(model, config)
-    for theta, z in _propagator_chunks(model, config):
+    for f, z in _propagator_chunks(model, config):
         pass
-    # the last node of the last chunk, converted exactly as evolve_propagator does
-    if theta is not None:
-        theta = theta[-1:]
-    return _chunk_matrices(model, theta, z[-1:])[0]
+    return f[-1] @ z[-1]
 
 
 def _intertwiner_steps(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str, hbar: float):

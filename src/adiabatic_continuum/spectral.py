@@ -319,7 +319,15 @@ class ContinuumModel:
 
     @cached_property
     def frame_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lam, V) with iG = V diag(lam) V^dag, so Q(s) = V diag(exp(-i theta lam)) V^dag."""
+        """(lam, V) with Q(s) = V diag(exp(-i theta(s) lam)) V^dag.
+
+        The eigensystem iG = V diag(lam) V^dag, or (0, I) when theta_max = 0:
+        a frozen frame is the identity, and the trivial pair keeps everything
+        built from it exact, as frame_matrix is at theta = 0.
+        """
+        n = self.size
+        if self.rotation.schedule.theta_max == 0.0:
+            return np.zeros(n), np.eye(n, dtype=complex)
         lam, v = np.linalg.eigh(1j * self.rotation.generator)
         return lam, v
 

@@ -9,6 +9,8 @@ equation for the propagator.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,7 +51,7 @@ from adiabatic_continuum import (
     wave_operator,
     weyl_band,
 )
-from adiabatic_continuum.propagation import _CHUNK
+from adiabatic_continuum.propagation import _CHUNK, _CHUNK_BYTES
 
 from conftest import make_model, midpoint_loop, taylor_expm
 
@@ -227,6 +229,39 @@ def test_midpoint_kernel_matches_step_loop(name, steps):
     reference = midpoint_loop(model, duration, steps)
     assert np.array_equal(fam.matrices[0], np.eye(model.size))
     assert np.abs(fam.matrices - reference).max() < KERNEL_TOL
+
+
+def test_frozen_frame_propagator_stays_diagonal(frozen_model):
+    # the frame never moves, so every step is diag(p) exactly, at any step count
+    steps = 3 * _CHUNK + 5
+    fam = evolve_propagator(frozen_model, PropagationConfig(0.1 * steps, steps))
+    assert not fam.matrices[:, ~np.eye(16, dtype=bool)].any()
+
+
+def test_midpoint_kernel_shrinks_chunks_on_large_grids():
+    n = 128
+    chunk = _CHUNK_BYTES // (16 * n * n)  # steps per chunk that fit the byte cap
+    assert 1 <= chunk < _CHUNK
+    model = make_model(n=n)
+    steps = 2 * chunk + 1
+    duration = 0.1 * steps
+    fam = evolve_propagator(model, PropagationConfig(duration, steps))
+    assert np.abs(fam.matrices - midpoint_loop(model, duration, steps)).max() < KERNEL_TOL
+    final = final_propagator(model, PropagationConfig(duration, steps))
+    assert np.array_equal(final, fam.final)
+
+
+def test_midpoint_final_memory_stays_within_chunk_budget():
+    # a 128-step chunk at N=128 would take 32 MiB per temporary
+    model = make_model(n=128)
+    model.frame_eigensystem  # cached before measuring
+    tracemalloc.start()
+    try:
+        final_propagator(model, PropagationConfig(12.8, _CHUNK))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _CHUNK_BYTES
 
 
 def test_zero_duration_propagator_is_identity(default_model):
