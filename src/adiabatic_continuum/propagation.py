@@ -27,6 +27,19 @@ path of chunks that both the stored family and the final consume, so a
 final equals the last node of its family bitwise.  A pairwise tree
 reduction would be faster for finals alone, but it rounds differently
 from the sequential path and would fork the two.
+
+The CF4 propagator and both stepped transports share one eigh kernel in
+the same basis.  There V^dag H(s) V = E(theta) B(s) E(theta)^dag with
+B(s) = V^dag diag(E(s)) V, and V^dag K(s) V = theta'(s) E(theta) C E(theta)^dag
+with the constant core C = V^dag (i hbar G_masked) V.  A chunk builds the
+stage matrices at all its Gauss nodes (two per CF4 step, one per midpoint
+step) with E(theta) as an elementwise phase, takes one stacked eigh of
+them, forms every step exponential with stacked matmuls and composes the
+steps in order with one N x N matmul each, again with no frame rebuild.
+The transport keeps the generic core C, formed by matmul, instead of its
+diagonal in exact arithmetic (hbar diag(lam) for kato_state): with the
+diagonal, the stepped transport would be the closed form by construction
+and would no longer check it.
 """
 
 from __future__ import annotations
@@ -58,10 +71,11 @@ _C2 = 0.5 + math.sqrt(3.0) / 6.0
 _A1 = 0.25 + math.sqrt(3.0) / 6.0
 _A2 = 0.25 - math.sqrt(3.0) / 6.0
 
-# Midpoint steps built per vectorised chunk: _CHUNK, or fewer above N = 32
-# so that each of a chunk's few complex (chunk, N, N) temporaries stays
-# within _CHUNK_BYTES.  Memory is flat in `steps` and O(N^2); larger chunks
-# buy no speed and cost peak RSS when sweeps run in threads.
+# Steps built per vectorised chunk: _CHUNK, or fewer on larger grids so
+# that each of a chunk's few complex (stages, N, N) temporaries stays
+# within _CHUNK_BYTES (one stage per midpoint step, two per CF4 step).
+# Memory is flat in `steps` and O(N^2); larger chunks buy no speed and
+# cost peak RSS when sweeps run in threads.
 _CHUNK = 128
 _CHUNK_BYTES = 2 << 20
 
@@ -172,12 +186,6 @@ class UnitaryFamily:
         return worst
 
 
-def _phase_exp(h: np.ndarray, factor: float) -> np.ndarray:
-    """exp(-1j * factor * h) for Hermitian h, exactly unitary."""
-    w, p = np.linalg.eigh(h)
-    return (p * np.exp(-1j * factor * w)) @ p.conj().T
-
-
 # ---- step budgets ------------------------------------------------------
 
 
@@ -187,12 +195,20 @@ def propagator_step_budget(model: ContinuumModel, duration: float, hbar: float =
     return max(1, math.ceil(scale * 4.0 / math.pi))
 
 
+def _masked_generator(model: ContinuumModel, variant: GeneratorVariant) -> np.ndarray:
+    """G with the couplings the variant removes set to zero."""
+    return np.where(variant.keep_mask(model.size), model.rotation.generator, 0.0)
+
+
 def generator_norm(model: ContinuumModel, variant: GeneratorVariant, samples: int = 65) -> float:
-    worst = 0.0
-    for s in np.linspace(0.0, 1.0, samples):
-        k = generator(model, variant, float(s))
-        worst = max(worst, float(np.abs(np.linalg.eigvalsh(k)).max()))
-    return worst
+    """max over `samples` uniform nodes of the spectral norm of K(s), closed form.
+
+    K(s) = Q(s) (i hbar theta'(s) G_masked) Q(s)^dag has the eigenvalues
+    hbar theta'(s) eig(i G_masked).
+    """
+    rate = np.abs(model.rotation.schedule.angle_rate(np.linspace(0.0, 1.0, samples))).max()
+    spread = np.abs(np.linalg.eigvalsh(1j * _masked_generator(model, variant))).max()
+    return HBAR * float(rate) * float(spread)
 
 
 def intertwiner_step_budget(model: ContinuumModel, variant: GeneratorVariant, hbar: float = HBAR, samples: int = 65) -> int:
@@ -293,20 +309,49 @@ def _midpoint_chunks(model: ContinuumModel, config: PropagationConfig):
         yield v * np.exp(-1j * np.multiply.outer(theta, lam))[:, None, :], zs
 
 
-def _cf4_steps(model: ContinuumModel, config: PropagationConfig):
-    """Yield (I, U) after each CF4 step of iħ dU/ds = T H(s) U, as a one-node chunk."""
-    ds = 1.0 / config.steps
-    scale = config.duration / config.hbar
-    eye = np.eye(model.size, dtype=complex)
-    u = eye
-    for step in range(config.steps):
-        s0 = step * ds
-        h1 = model.hamiltonian(s0 + _C1 * ds)
-        h2 = model.hamiltonian(s0 + _C2 * ds)
-        u = _phase_exp(_A2 * h1 + _A1 * h2, scale * ds) @ (
-            _phase_exp(_A1 * h1 + _A2 * h2, scale * ds) @ u
-        )
-        yield eye[None], u[None]
+def _stages(model: ContinuumModel, s: np.ndarray, scheme: str, core) -> np.ndarray:
+    """The Hermitian stage matrices of the steps whose Gauss nodes are s, in the frame eigenbasis.
+
+    Each node contributes E(theta) X(s) E(theta)^dag with X = core(s); a
+    CF4 step mixes its two nodes with the commutator-free weights.
+    """
+    lam = model.frame_eigensystem[0]
+    e = np.exp(-1j * np.multiply.outer(model.rotation.schedule.angle(s), lam))
+    h = core(s)
+    h *= e[:, :, None]
+    h *= e.conj()[:, None, :]
+    if scheme == MIDPOINT:
+        return h
+    h1, h2 = h[0::2], h[1::2]
+    return np.stack((_A1 * h1 + _A2 * h2, _A2 * h1 + _A1 * h2), axis=1).reshape(h.shape)
+
+
+def _eigh_chunks(model: ContinuumModel, steps: int, scheme: str, core, scale: float):
+    """Yield (F, Z) for consecutive chunks of the nodes s_1..s_steps of i dY/ds = scale H(s) Y.
+
+    H is the Hamiltonian or the transport generator.  In the frame
+    eigenbasis V^dag H(s) V = E(theta) X(s) E(theta)^dag, and core(s) stacks
+    the X(s) over an array of s.  F is V and Z stacks the V^dag Y_k, from
+    Y_0 = I, so Y_k = F Z_k.
+    """
+    v = model.frame_eigensystem[1]
+    n = model.size
+    ds = 1.0 / steps
+    nodes = np.multiply((0.5,) if scheme == MIDPOINT else (_C1, _C2), ds)
+    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (16 * len(nodes) * n * n)))
+    z = v.conj().T.copy()
+    for lo in range(0, steps, chunk):
+        s = np.add.outer(np.arange(lo, min(lo + chunk, steps)) * ds, nodes).ravel()
+        # one stacked eigh for every stage of the chunk, then exp(-i scale ds h)
+        mu, w = np.linalg.eigh(_stages(model, s, scheme, core))
+        x = w * np.exp(-1j * scale * ds * mu)[:, None, :]
+        x = x @ np.conj(w, out=w).swapaxes(-1, -2)
+        if scheme == CF4:
+            x = x[1::2] @ x[0::2]
+        zs = np.empty_like(x)
+        for mat, out in zip(x, zs):
+            z = np.dot(mat, z, out=out)
+        yield v[None], zs
 
 
 def _propagator_chunks(model: ContinuumModel, config: PropagationConfig):
@@ -318,7 +363,15 @@ def _propagator_chunks(model: ContinuumModel, config: PropagationConfig):
     """
     if config.scheme == MIDPOINT:
         return _midpoint_chunks(model, config)
-    return _cf4_steps(model, config)
+    v = model.frame_eigensystem[1]
+    vh = v.conj().T
+    n = model.size
+
+    def core(s):
+        # every B = V^dag diag(E(s)) V of the chunk from one (nodes*N, N) x (N, N) GEMM
+        return ((vh * model.energies(s)[:, None, :]).reshape(-1, n) @ v).reshape(-1, n, n)
+
+    return _eigh_chunks(model, config.steps, config.scheme, core, config.duration / config.hbar)
 
 
 def _check_propagator_budget(model: ContinuumModel, config: PropagationConfig):
@@ -334,40 +387,43 @@ def evolve_propagator(model: ContinuumModel, config: PropagationConfig) -> Unita
     """Physical propagator family U on steps+1 uniform nodes."""
     _check_propagator_budget(model, config)
     s_nodes = np.linspace(0.0, 1.0, config.steps + 1)
-    matrices = np.empty((config.steps + 1, model.size, model.size), dtype=complex)
-    matrices[0] = np.eye(model.size)
-    k = 1
-    for f, z in _propagator_chunks(model, config):
-        np.matmul(f, z, out=matrices[k : k + len(z)])
-        k += len(z)
-    return UnitaryFamily("U", s_nodes, matrices)
+    return UnitaryFamily("U", s_nodes, _stored(_propagator_chunks(model, config), config.steps, model.size))
 
 
 def final_propagator(model: ContinuumModel, config: PropagationConfig) -> np.ndarray:
     """U at s=1 only; streaming variant for memory-lean sweeps."""
     _check_propagator_budget(model, config)
-    for f, z in _propagator_chunks(model, config):
+    return _last(_propagator_chunks(model, config))
+
+
+def _stored(chunks, steps: int, n: int) -> np.ndarray:
+    """Every node of a chunked evolution: the identity at s=0, then F @ Z."""
+    matrices = np.empty((steps + 1, n, n), dtype=complex)
+    matrices[0] = np.eye(n)
+    k = 1
+    for f, z in chunks:
+        np.matmul(f, z, out=matrices[k : k + len(z)])
+        k += len(z)
+    return matrices
+
+
+def _last(chunks) -> np.ndarray:
+    """The last node of a chunked evolution, multiplied out alone."""
+    for f, z in chunks:
         pass
     return f[-1] @ z[-1]
 
 
-def _intertwiner_steps(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str, hbar: float):
-    n = model.size
-    ds = 1.0 / steps
-    a = np.eye(n, dtype=complex)
-    yield a
-    for step in range(steps):
-        s0 = step * ds
-        if scheme == MIDPOINT:
-            k = generator(model, variant, s0 + 0.5 * ds, hbar)
-            a = _phase_exp(k, ds / hbar) @ a
-        else:
-            k1 = generator(model, variant, s0 + _C1 * ds, hbar)
-            k2 = generator(model, variant, s0 + _C2 * ds, hbar)
-            a = _phase_exp(_A2 * k1 + _A1 * k2, ds / hbar) @ (
-                _phase_exp(_A1 * k1 + _A2 * k2, ds / hbar) @ a
-            )
-        yield a
+def _intertwiner_chunks(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str, hbar: float):
+    """(F, Z) chunks of the stepped transport; A = F @ Z node by node."""
+    v = model.frame_eigensystem[1]
+    # the constant core C = V^dag (i hbar G_masked) V, so V^dag K(s) V = theta' E C E^dag
+    c = v.conj().T @ (1j * hbar * _masked_generator(model, variant)) @ v
+
+    def core(s):
+        return np.multiply.outer(model.rotation.schedule.angle_rate(s), c)
+
+    return _eigh_chunks(model, steps, scheme, core, 1.0 / hbar)
 
 
 def _check_intertwiner(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str, hbar: float):
@@ -423,9 +479,7 @@ def evolve_intertwiner(
     s_nodes = np.linspace(0.0, 1.0, steps + 1)
     if scheme == EXACT:
         return UnitaryFamily("A", s_nodes, _exact_transport(model, variant, s_nodes), variant=variant)
-    matrices = np.empty((steps + 1, model.size, model.size), dtype=complex)
-    for i, a in enumerate(_intertwiner_steps(model, variant, steps, scheme, hbar)):
-        matrices[i] = a
+    matrices = _stored(_intertwiner_chunks(model, variant, steps, scheme, hbar), steps, model.size)
     return UnitaryFamily("A", s_nodes, matrices, variant=variant)
 
 
@@ -440,10 +494,7 @@ def final_intertwiner(
     _check_intertwiner(model, variant, steps, scheme, hbar)
     if scheme == EXACT:
         return _exact_transport(model, variant, 1.0)[0]
-    a = None
-    for a in _intertwiner_steps(model, variant, steps, scheme, hbar):
-        pass
-    return a
+    return _last(_intertwiner_chunks(model, variant, steps, scheme, hbar))
 
 
 def intertwine_residual(a_family: UnitaryFamily, model: ContinuumModel, part: BandPartition) -> float:

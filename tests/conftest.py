@@ -2,9 +2,10 @@
 
 The matrix exponential oracle below uses scaling-and-squaring with a
 plain Taylor series, so it shares no code path with the eigh-based
-exponentials inside the package.  The midpoint loop below is the
-propagator's step-by-step lab-frame form, kept as the reference for the
-package's chunked eigenbasis kernel.
+exponentials inside the package.  The midpoint, CF4 and transport loops
+below are the step-by-step lab-frame forms of the stepped schemes, built
+from hamiltonian()/generator() at every node, kept as the references for
+the package's chunked eigenbasis kernels.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ import numpy as np
 import pytest
 
 from adiabatic_continuum import (
+    CF4,
     AngleSchedule,
     BandPartition,
     KGrid,
     build_model,
+    generator,
     linear_dispersion,
     nearest_neighbor_rotation,
 )
@@ -73,6 +76,45 @@ def midpoint_loop(model, duration: float, steps: int) -> np.ndarray:
         u = q @ (phases[:, None] * (q.conj().T @ u))
         out.append(u)
     return np.array(out)
+
+
+# Two-point Gauss nodes on [0, 1] and the commutator-free order-4 weights
+# (Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)).
+CF4_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+CF4_WEIGHTS = (0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0)
+
+
+def eigh_expm(h: np.ndarray, factor: float) -> np.ndarray:
+    """exp(-1j * factor * h) for Hermitian h, from one eigh."""
+    w, p = np.linalg.eigh(h)
+    return (p * np.exp(-1j * factor * w)) @ p.conj().T
+
+
+def _step_loop(h, scale: float, steps: int, scheme: str) -> np.ndarray:
+    """Y at all steps+1 nodes of i dY/ds = scale h(s) Y, Y(0) = I, one step at a time."""
+    ds = 1.0 / steps
+    y = np.eye(h(0.0).shape[0], dtype=complex)
+    out = [y]
+    for step in range(steps):
+        s0 = step * ds
+        if scheme == CF4:
+            (c1, c2), (a1, a2) = CF4_NODES, CF4_WEIGHTS
+            h1, h2 = h(s0 + c1 * ds), h(s0 + c2 * ds)
+            y = eigh_expm(a2 * h1 + a1 * h2, scale * ds) @ (eigh_expm(a1 * h1 + a2 * h2, scale * ds) @ y)
+        else:
+            y = eigh_expm(h(s0 + 0.5 * ds), scale * ds) @ y
+        out.append(y)
+    return np.array(out)
+
+
+def cf4_loop(model, duration: float, steps: int) -> np.ndarray:
+    """U at all steps+1 nodes from two hamiltonian() builds and two eigh per CF4 step."""
+    return _step_loop(model.hamiltonian, duration, steps, CF4)
+
+
+def intertwiner_loop(model, variant, steps: int, scheme: str) -> np.ndarray:
+    """Stepped transport A at all steps+1 nodes from generator() and eigh per stage."""
+    return _step_loop(lambda s: generator(model, variant, s), 1.0, steps, scheme)
 
 
 def make_model(theta_max: float = THETA_MAX, kind: str = "cubic_ramp", n: int = N,

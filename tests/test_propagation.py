@@ -22,6 +22,7 @@ from adiabatic_continuum import (
     AngleSchedule,
     BandPartition,
     ConfigError,
+    ContinuumModel,
     GeneratorVariant,
     KGrid,
     PropagationConfig,
@@ -51,9 +52,10 @@ from adiabatic_continuum import (
     wave_operator,
     weyl_band,
 )
+from adiabatic_continuum import propagation
 from adiabatic_continuum.propagation import _CHUNK, _CHUNK_BYTES
 
-from conftest import make_model, midpoint_loop, taylor_expm
+from conftest import cf4_loop, intertwiner_loop, make_model, midpoint_loop, taylor_expm
 
 
 def rk4_propagator(model, duration: float, steps: int) -> np.ndarray:
@@ -220,8 +222,12 @@ def _kernel_models():
     }
 
 
-@pytest.mark.parametrize("steps", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
-@pytest.mark.parametrize("name", ["nearest_neighbor", "random_banded", "tabulated", "frozen"])
+KERNEL_STEPS = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
+KERNEL_MODELS = ["nearest_neighbor", "random_banded", "tabulated", "frozen"]
+
+
+@pytest.mark.parametrize("steps", KERNEL_STEPS)
+@pytest.mark.parametrize("name", KERNEL_MODELS)
 def test_midpoint_kernel_matches_step_loop(name, steps):
     model = _kernel_models()[name]
     duration = 0.1 * steps  # a phase swing of at most 0.4 rad per step
@@ -231,11 +237,86 @@ def test_midpoint_kernel_matches_step_loop(name, steps):
     assert np.abs(fam.matrices - reference).max() < KERNEL_TOL
 
 
+@pytest.mark.parametrize("steps", KERNEL_STEPS)
+@pytest.mark.parametrize("name", KERNEL_MODELS)
+def test_cf4_kernel_matches_step_loop(name, steps):
+    model = _kernel_models()[name]
+    duration = 0.1 * steps
+    fam = evolve_propagator(model, PropagationConfig(duration, steps, CF4))
+    assert np.array_equal(fam.matrices[0], np.eye(model.size))
+    assert np.abs(fam.matrices - cf4_loop(model, duration, steps)).max() < KERNEL_TOL
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("band_variant", [False, True], ids=["kato_state", "weyl_band"])
+@pytest.mark.parametrize("steps", KERNEL_STEPS)
+@pytest.mark.parametrize("name", KERNEL_MODELS)
+def test_transport_kernel_matches_step_loop(name, steps, band_variant, scheme):
+    model = _kernel_models()[name]
+    variant = weyl_band(BandPartition(model.size, 2)) if band_variant else kato_state()
+    # a moving frame needs a few steps; below its budget the transport is refused
+    steps = max(steps, intertwiner_step_budget(model, variant))
+    fam = evolve_intertwiner(model, variant, steps, scheme)
+    reference = intertwiner_loop(model, variant, steps, scheme)
+    assert np.array_equal(fam.matrices[0], np.eye(model.size))
+    assert np.abs(fam.matrices - reference).max() < KERNEL_TOL
+
+
 def test_frozen_frame_propagator_stays_diagonal(frozen_model):
     # the frame never moves, so every step is diag(p) exactly, at any step count
     steps = 3 * _CHUNK + 5
     fam = evolve_propagator(frozen_model, PropagationConfig(0.1 * steps, steps))
     assert not fam.matrices[:, ~np.eye(16, dtype=bool)].any()
+
+
+def test_frozen_frame_eigh_kernel_families_stay_exact(frozen_model):
+    # every CF4 propagator step is diagonal and every transport step the
+    # identity, exactly
+    steps = 3 * _CHUNK + 5
+    fam = evolve_propagator(frozen_model, PropagationConfig(0.1 * steps, steps, CF4))
+    assert not fam.matrices[:, ~np.eye(16, dtype=bool)].any()
+    for scheme in SCHEMES:
+        a = evolve_intertwiner(frozen_model, kato_state(), steps, scheme)
+        assert (a.matrices == np.eye(16)).all()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_final_intertwiner_is_last_node_bitwise(default_model, default_part, scheme):
+    for variant in (kato_state(), weyl_band(default_part)):
+        for steps in (64, _CHUNK + 3):
+            final = final_intertwiner(default_model, variant, steps, scheme)
+            assert np.array_equal(final, evolve_intertwiner(default_model, variant, steps, scheme).final)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_stepped_families_rebuild_no_frame_per_step(monkeypatch, default_part, scheme):
+    # the stepped kernels take the frame from its cached eigensystem, so the
+    # frame, Hamiltonian and generator builds they make do not grow with steps
+    calls = {"frame_matrix": 0, "hamiltonian": 0, "generator": 0}
+    for cls, name in ((ContinuumModel, "frame_matrix"), (ContinuumModel, "hamiltonian")):
+        original = getattr(cls, name)
+
+        def recorder(self, s, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, s)
+
+        monkeypatch.setattr(cls, name, recorder)
+    original_generator = propagation.generator
+
+    def generator_recorder(*args, **kwargs):
+        calls["generator"] += 1
+        return original_generator(*args, **kwargs)
+
+    monkeypatch.setattr(propagation, "generator", generator_recorder)
+    counts = []
+    for steps in (_CHUNK, 4 * _CHUNK):
+        model = make_model()
+        calls.update(dict.fromkeys(calls, 0))
+        evolve_propagator(model, PropagationConfig(0.1 * steps, steps, CF4))
+        evolve_intertwiner(model, weyl_band(default_part), steps, scheme)
+        final_intertwiner(model, kato_state(), steps, scheme)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
 
 
 def test_midpoint_kernel_shrinks_chunks_on_large_grids():
@@ -258,6 +339,32 @@ def test_midpoint_final_memory_stays_within_chunk_budget():
     tracemalloc.start()
     try:
         final_propagator(model, PropagationConfig(12.8, _CHUNK))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _CHUNK_BYTES
+
+
+def test_cf4_final_memory_stays_within_chunk_budget():
+    # unchunked, 32 CF4 steps at N=128 would take 16 MiB per stage temporary
+    model = make_model(n=128)
+    model.frame_eigensystem  # cached before measuring
+    tracemalloc.start()
+    try:
+        final_propagator(model, PropagationConfig(3.2, 32, CF4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _CHUNK_BYTES
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_stepped_final_intertwiner_memory_stays_within_chunk_budget(scheme):
+    model = make_model(n=128)
+    model.frame_eigensystem
+    tracemalloc.start()
+    try:
+        final_intertwiner(model, kato_state(), 32, scheme)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
