@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BandPartition, virtual_gap
+from .bands import GAP_SAMPLES, BandPartition, virtual_gap
 from .errors import AnalysisError, ConfigError, CrossingError, StepBudgetError
 from .propagation import (
     EXACT,
@@ -45,6 +45,9 @@ from .spectral import EPS_CROSS, HBAR, ContinuumModel
 POINTS_PER_PERIOD = 20
 _OVERSAMPLE = 32
 _MIN_SUBSTEPS = 50_000
+
+# s-samples behind the pointwise transition-weight estimate.
+_PEAK_SAMPLES = 1001
 
 
 @dataclass(frozen=True)
@@ -107,18 +110,19 @@ def mandated_substeps(
     j: int,
     duration: float,
     s_end: float = 1.0,
-    hbar: float = HBAR,
-    samples: int = 129,
 ) -> int:
-    """Hard floor: POINTS_PER_PERIOD per period of the fastest phase."""
-    s = np.linspace(0.0, s_end, samples)
+    """Hard floor: POINTS_PER_PERIOD per period of the fastest phase.
+
+    The fastest phase is found over GAP_SAMPLES uniform s in [0, s_end].
+    """
+    s = np.linspace(0.0, s_end, GAP_SAMPLES)
     de = np.abs(np.asarray(model.energy(j0, s)) - np.asarray(model.energy(j, s)))
-    periods = abs(duration) * float(de.max()) * s_end / (2.0 * math.pi * hbar)
+    periods = abs(duration) * float(de.max()) * s_end / (2.0 * math.pi * HBAR)
     return max(1, math.ceil(POINTS_PER_PERIOD * periods))
 
 
-def _resolve_substeps(model, j0, j, duration, s_end, hbar, substeps) -> int:
-    floor = mandated_substeps(model, j0, j, duration, s_end, hbar)
+def _resolve_substeps(model, j0, j, duration, s_end, substeps) -> int:
+    floor = mandated_substeps(model, j0, j, duration, s_end)
     if substeps is None:
         return max(_MIN_SUBSTEPS, _OVERSAMPLE * floor)
     if substeps < floor:
@@ -140,14 +144,13 @@ def planned_substeps(
     j0: int,
     duration: float,
     substeps: int | None = None,
-    hbar: float = HBAR,
 ) -> tuple[int, int]:
     """(mandated floor, points actually used) over the exterior of j0's band."""
     floor = 0
     used = 0
     for j in part.exterior(part.band_of(j0)):
-        floor = max(floor, mandated_substeps(model, j0, j, duration, 1.0, hbar))
-        used = max(used, _resolve_substeps(model, j0, j, duration, 1.0, hbar, substeps))
+        floor = max(floor, mandated_substeps(model, j0, j, duration, 1.0))
+        used = max(used, _resolve_substeps(model, j0, j, duration, 1.0, substeps))
     return floor, used
 
 
@@ -159,7 +162,6 @@ def transition_integral(
     duration: float,
     s_end: float = 1.0,
     substeps: int | None = None,
-    hbar: float = HBAR,
 ) -> complex:
     """Oscillatory integral of the masked coupling against the phase mismatch.
 
@@ -174,12 +176,12 @@ def transition_integral(
         return 0.0 + 0.0j
     if s_end == 0.0 or model.rotation.generator[j0, j] == 0.0:
         return 0.0 + 0.0j
-    n = _resolve_substeps(model, j0, j, duration, s_end, hbar, substeps)
+    n = _resolve_substeps(model, j0, j, duration, s_end, substeps)
     h = s_end / n
     sm = (np.arange(n) + 0.5) * h
     dalpha = np.asarray(model.phase(j0, sm)) - np.asarray(model.phase(j, sm))
-    weight = np.exp(1j * duration * dalpha / hbar)
-    integrand = weight * (1j * hbar * model.frame_coupling_profile(j0, j, sm))
+    weight = np.exp(1j * duration * dalpha / HBAR)
+    integrand = weight * (1j * HBAR * model.frame_coupling_profile(j0, j, sm))
     return complex(h * integrand.sum())
 
 
@@ -191,7 +193,6 @@ def transition_integral_parts(
     duration: float,
     s_end: float = 1.0,
     substeps: int | None = None,
-    hbar: float = HBAR,
 ) -> TransitionParts:
     """Integration-by-parts rearrangement of transition_integral.
 
@@ -204,7 +205,7 @@ def transition_integral_parts(
         raise ConfigError("integration by parts needs a positive duration")
     if not 0.0 < s_end <= 1.0:
         raise ConfigError(f"s_end must lie in (0, 1], got {s_end}")
-    n = _resolve_substeps(model, j0, j, duration, s_end, hbar, substeps)
+    n = _resolve_substeps(model, j0, j, duration, s_end, substeps)
     h = s_end / n
     sm = (np.arange(n) + 0.5) * h
     grid = np.concatenate([[0.0], sm, [s_end]])
@@ -218,7 +219,7 @@ def transition_integral_parts(
             "integration by parts is invalid"
         )
 
-    factor = 1j * hbar if _pair_mask_allows(model, variant, j0, j) else 0.0
+    factor = 1j * HBAR if _pair_mask_allows(model, variant, j0, j) else 0.0
     c = factor * model.frame_coupling_profile(j0, j, grid)
     cp = factor * model.frame_coupling_rate_profile(j0, j, grid)
     g = c / de
@@ -227,14 +228,14 @@ def transition_integral_parts(
     gp = (cp * de - c * de_rate) / (de * de)
 
     dalpha_end = float(model.phase(j0, s_end)) - float(model.phase(j, s_end))
-    pref = hbar / (1j * duration)
-    boundary = pref * (np.exp(1j * duration * dalpha_end / hbar) * g[-1] - g[0])
+    pref = HBAR / (1j * duration)
+    boundary = pref * (np.exp(1j * duration * dalpha_end / HBAR) * g[-1] - g[0])
 
     dalpha_mid = np.asarray(model.phase(j0, sm)) - np.asarray(model.phase(j, sm))
-    weight = np.exp(1j * duration * dalpha_mid / hbar)
+    weight = np.exp(1j * duration * dalpha_mid / HBAR)
     tail = -pref * h * np.sum(weight * gp[1:-1])
 
-    bound = (hbar / duration) * (
+    bound = (HBAR / duration) * (
         2.0 * float(np.abs(g).max()) + float(h * np.abs(gp[1:-1]).sum())
     )
     return TransitionParts(complex(boundary + tail), complex(boundary), complex(tail), bound)
@@ -275,16 +276,15 @@ def leakage_first_order(
     j0: int,
     duration: float,
     substeps: int | None = None,
-    hbar: float = HBAR,
 ) -> float:
     """First-order leakage: summed |transition integral|^2 over the exterior."""
     band = part.band_of(j0)
     variant = kato_state()
     total = 0.0
     for j in part.exterior(band):
-        f = transition_integral(model, variant, j0, j, duration, 1.0, substeps, hbar)
+        f = transition_integral(model, variant, j0, j, duration, 1.0, substeps)
         total += abs(f) ** 2
-    return total / hbar**2
+    return total / HBAR**2
 
 
 def transition_weight(
@@ -294,7 +294,6 @@ def transition_weight(
     j: int,
     duration: float,
     substeps: int | None = None,
-    hbar: float = HBAR,
 ) -> float:
     """Single-pair transition probability on the physical clock.
 
@@ -304,8 +303,8 @@ def transition_weight(
     """
     if part.band_of(j) == part.band_of(j0):
         raise ConfigError(f"state {j} is inside the band of {j0}; no transition weight")
-    f = transition_integral(model, kato_state(), j0, j, duration, 1.0, substeps, hbar)
-    return abs(f) ** 2 / hbar**2
+    f = transition_integral(model, kato_state(), j0, j, duration, 1.0, substeps)
+    return abs(f) ** 2 / HBAR**2
 
 
 def transition_weight_max_estimate(
@@ -313,22 +312,20 @@ def transition_weight_max_estimate(
     j0: int,
     j: int,
     duration: float | None = None,
-    samples: int = 1001,
-    hbar: float = HBAR,
 ) -> float:
-    """Peak of |hbar * coupling / gap|^2 over the sweep.
+    """Peak of |hbar * coupling / gap|^2 over _PEAK_SAMPLES uniform s.
 
     With a duration, the coupling is converted to the physical clock
     (one factor 1/T), giving the a-priori peak transition probability.
     """
-    s = np.linspace(0.0, 1.0, samples)
+    s = np.linspace(0.0, 1.0, _PEAK_SAMPLES)
     de = np.asarray(model.energy(j0, s)) - np.asarray(model.energy(j, s))
     if float(np.abs(de).min()) <= EPS_CROSS or bool(np.any(de[:-1] * de[1:] < 0.0)):
         raise CrossingError(
             f"energy mismatch of pair ({j0}, {j}) vanishes; no finite estimate"
         )
     de = np.abs(de)
-    ratio = hbar * np.abs(model.frame_coupling_profile(j0, j, s)) / de
+    ratio = HBAR * np.abs(model.frame_coupling_profile(j0, j, s)) / de
     peak = float(ratio.max()) ** 2
     if duration is not None:
         if duration <= 0:
@@ -376,7 +373,6 @@ def sweep_leakage(
     variant: GeneratorVariant | None = None,
     jobs: int = 1,
     substeps: int | None = None,
-    hbar: float = HBAR,
 ) -> list[LeakageReport]:
     """One LeakageReport per duration, computed independently per duration.
 
@@ -393,14 +389,14 @@ def sweep_leakage(
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     variant = variant if variant is not None else kato_state()
     band = part.band_of(j0)
-    model.frame_matrix(0.5)  # warm the cached eigendecomposition before fan-out
-    a1 = final_intertwiner(model, variant, steps, EXACT, hbar)
+    # the closed form also fills the model's cached eigensystem before fan-out
+    a1 = final_intertwiner(model, variant, steps, EXACT)
 
     def one(duration: float) -> LeakageReport:
-        u1 = final_propagator(model, PropagationConfig(duration, steps, scheme, hbar))
+        u1 = final_propagator(model, PropagationConfig(duration, steps, scheme))
         eta = leakage_exact(model, u1, part, j0)
-        eta_hat = leakage_first_order(model, part, j0, duration, substeps, hbar)
-        phi1 = phase_operator(model, duration, 1.0, hbar)
+        eta_hat = leakage_first_order(model, part, j0, duration, substeps)
+        phi1 = phase_operator(model, duration, 1.0)
         w1 = phi1.conj().T @ (a1.conj().T @ u1)
         return LeakageReport(
             duration, j0, band, eta, eta_hat, deviation_from_identity(w1)
@@ -433,12 +429,11 @@ def build_families(
     duration: float,
     steps: int,
     scheme: str = MIDPOINT,
-    hbar: float = HBAR,
 ) -> tuple[UnitaryFamily, UnitaryFamily, UnitaryFamily, UnitaryFamily]:
     """(U, A, Phi, W) on one grid of steps+1 nodes; A in closed form."""
-    u = evolve_propagator(model, PropagationConfig(duration, steps, scheme, hbar))
-    a = evolve_intertwiner(model, variant, steps, EXACT, hbar)
-    phi = phase_family(model, duration, steps, hbar)
+    u = evolve_propagator(model, PropagationConfig(duration, steps, scheme))
+    a = evolve_intertwiner(model, variant, steps, EXACT)
+    phi = phase_family(model, duration, steps)
     return u, a, phi, wave_operator(u, a, phi)
 
 
@@ -506,7 +501,6 @@ def convergence_study(
     jobs: int = 1,
     margin: float | None = None,
     substeps: int | None = None,
-    hbar: float = HBAR,
 ) -> ConvergenceFit:
     """Fit the decay exponent of exact leakage across a duration sweep."""
     durations = [float(t) for t in durations]
@@ -515,7 +509,7 @@ def convergence_study(
     if margin is not None:
         check_gap_margin(model, part, j0, durations, margin)
     reports = sweep_leakage(
-        model, part, j0, durations, steps, scheme, variant, jobs, substeps, hbar
+        model, part, j0, durations, steps, scheme, variant, jobs, substeps
     )
     return fit_power_law(
         [r.duration for r in reports], [r.eta_exact for r in reports]

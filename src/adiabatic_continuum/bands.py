@@ -10,11 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ConfigError, CrossingError, NoExteriorError, NoFeasibleBandError
 from .spectral import EPS_CROSS, ContinuumModel, KGrid
+
+# s-samples of the energy scans behind pair_gap and the virtual gaps.
+GAP_SAMPLES = 129
 
 
 @dataclass(frozen=True)
@@ -154,20 +158,20 @@ def weyl_packet(model: ContinuumModel, part: BandPartition, band: int, s: float)
     return WeylPacket(band, float(s), coeff, vector)
 
 
-def pair_gap(model: ContinuumModel, inside, outside, samples: int = 129) -> float:
-    """Smallest |E_in - E_out| over sampled s for explicit index sets."""
+def pair_gap(model: ContinuumModel, inside, outside) -> float:
+    """Smallest |E_in - E_out| over GAP_SAMPLES uniform s for explicit index sets."""
     inside = list(inside)
     outside = list(outside)
     if not inside or not outside:
         raise ConfigError("pair_gap needs nonempty index sets on both sides")
-    s = np.linspace(0.0, 1.0, samples)
+    s = np.linspace(0.0, 1.0, GAP_SAMPLES)
     e = np.asarray(model.energies(s), dtype=float)
     return float(np.abs(e[:, inside, None] - e[:, None, outside]).min())
 
 
-def virtual_gap(model: ContinuumModel, part: BandPartition, band: int, samples: int = 129) -> float:
+def virtual_gap(model: ContinuumModel, part: BandPartition, band: int) -> float:
     """Smallest in-band to exterior energy distance over s in [0, 1]."""
-    return pair_gap(model, part.members(band), part.exterior(band), samples)
+    return pair_gap(model, part.members(band), part.exterior(band))
 
 
 def minimal_time(gap: float, margin: float) -> float:
@@ -184,22 +188,33 @@ def minimal_time(gap: float, margin: float) -> float:
 FEASIBLE_SLACK = 1e-9
 
 
-def feasible_band_size(
-    model: ContinuumModel,
-    duration: float,
-    margin: float = 1.0,
-    samples: int = 129,
-) -> int:
-    """Smallest band size whose worst band satisfies gap * duration >= margin."""
+def band_plan(model: ContinuumModel, duration: float, margin: float) -> Iterator[tuple]:
+    """(m, gap, ratio, feasible) for every band size m = 1..N in order.
+
+    gap is the worst virtual gap over the partition's bands and
+    ratio = gap * duration / margin; a size is feasible when
+    ratio >= 1 - FEASIBLE_SLACK.  The tail band absorbs the remainder, so
+    every m > N/2 is a single band with no exterior to be adiabatic
+    against: its gap and ratio are None.
+    """
     if duration <= 0.0:
         raise ConfigError(f"duration must be positive, got {duration}")
-    for m in range(1, model.size):
+    if margin <= 0.0:
+        raise ConfigError(f"margin must be positive, got {margin}")
+    for m in range(1, model.size + 1):
         part = BandPartition(model.size, m)
         if len(part) < 2:
-            # The tail band absorbed everything; larger m only coarsens further.
-            break
-        gaps = [virtual_gap(model, part, b, samples) for b in range(len(part))]
-        if min(gaps) * duration >= margin * (1.0 - FEASIBLE_SLACK):
+            yield m, None, None, False
+            continue
+        gap = min(virtual_gap(model, part, b) for b in range(len(part)))
+        ratio = gap * duration / margin
+        yield m, gap, ratio, ratio >= 1.0 - FEASIBLE_SLACK
+
+
+def feasible_band_size(model: ContinuumModel, duration: float, margin: float = 1.0) -> int:
+    """Smallest band size whose worst band satisfies gap * duration >= margin."""
+    for m, _gap, _ratio, feasible in band_plan(model, duration, margin):
+        if feasible:
             return m
     raise NoFeasibleBandError(
         f"no band size in [1, {model.size - 1}] reaches gap*T >= {margin} at T={duration}"
@@ -210,14 +225,12 @@ def feasible_band_size(
 class CrossingReport:
     """Outcome of the no-crossing scan for every band of a partition.
 
-    `ok` is true iff every band keeps min separation above eps and no
+    `ok` is true iff every band keeps min separation above EPS_CROSS and no
     in-band/exterior energy pair changes sign between adjacent samples.
     A failed check is a report, not an exception.
     """
 
     ok: bool
-    eps: float
-    samples: int
     band_separations: tuple[float, ...]
     min_separation: float
     worst_band: int
@@ -228,7 +241,6 @@ def crossing_report(
     model: ContinuumModel,
     part: BandPartition,
     s_samples: int = 257,
-    eps: float = EPS_CROSS,
 ) -> CrossingReport:
     """Scan in-band vs exterior energies for touching or sign-crossing.
 
@@ -260,7 +272,7 @@ def crossing_report(
         if sep < min_sep:
             min_sep = sep
             worst = b
-        if sep <= eps:
+        if sep <= EPS_CROSS:
             ok = False
         flips = (d[:-1] * d[1:] < 0.0).any(axis=(1, 2))
         if flips.any():
@@ -273,8 +285,6 @@ def crossing_report(
         min_sep = np.inf
     return CrossingReport(
         ok=ok,
-        eps=eps,
-        samples=s_samples,
         band_separations=tuple(separations),
         min_separation=float(min_sep),
         worst_band=worst,
@@ -286,10 +296,9 @@ def validate_noncrossing(
     model: ContinuumModel,
     part: BandPartition,
     s_samples: int = 257,
-    eps: float = EPS_CROSS,
 ) -> CrossingReport:
     """Raising wrapper around crossing_report for fail-fast pipelines."""
-    report = crossing_report(model, part, s_samples, eps)
+    report = crossing_report(model, part, s_samples)
     if not report.ok:
         where = (
             f" in s-interval [{report.crossing_interval[0]:.4f}, {report.crossing_interval[1]:.4f}]"
@@ -298,6 +307,6 @@ def validate_noncrossing(
         )
         raise CrossingError(
             f"band {report.worst_band} approaches or crosses its exterior"
-            f"{where}: min separation {report.min_separation:.3e} (eps {eps:.1e})"
+            f"{where}: min separation {report.min_separation:.3e} (eps {EPS_CROSS:.1e})"
         )
     return report

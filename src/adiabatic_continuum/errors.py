@@ -1,7 +1,8 @@
 """Exception classes shared across the package.
 
-Each class maps to one CLI exit code (see cli.EXIT_CODES); keeping them
-distinct lets the harness report failures without string matching.
+Each class maps to one CLI exit code (see the exit-code table in the
+docstring of the cli module); keeping them distinct lets the harness report
+failures without string matching.
 """
 
 from __future__ import annotations

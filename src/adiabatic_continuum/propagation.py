@@ -52,7 +52,7 @@ import numpy as np
 
 from .bands import BandPartition
 from .errors import ConfigError, StepBudgetError
-from .spectral import HBAR, ContinuumModel
+from .spectral import ENERGY_SAMPLES, HBAR, ContinuumModel
 
 MIDPOINT = "midpoint_exponential"
 CF4 = "fourth_order_commutator_free"
@@ -87,7 +87,6 @@ class PropagationConfig:
     duration: float
     steps: int
     scheme: str = MIDPOINT
-    hbar: float = HBAR
 
     def __post_init__(self):
         if self.duration < 0:
@@ -96,8 +95,6 @@ class PropagationConfig:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
-        if not self.hbar > 0:
-            raise ConfigError("hbar must be positive")
 
 
 @dataclass(frozen=True)
@@ -189,9 +186,9 @@ class UnitaryFamily:
 # ---- step budgets ------------------------------------------------------
 
 
-def propagator_step_budget(model: ContinuumModel, duration: float, hbar: float = HBAR, samples: int = 65) -> int:
+def propagator_step_budget(model: ContinuumModel, duration: float) -> int:
     """Minimum steps keeping each propagator step's phase swing <= pi/4."""
-    scale = abs(duration) * model.max_energy(samples) / hbar
+    scale = abs(duration) * model.max_energy() / HBAR
     return max(1, math.ceil(scale * 4.0 / math.pi))
 
 
@@ -200,20 +197,20 @@ def _masked_generator(model: ContinuumModel, variant: GeneratorVariant) -> np.nd
     return np.where(variant.keep_mask(model.size), model.rotation.generator, 0.0)
 
 
-def generator_norm(model: ContinuumModel, variant: GeneratorVariant, samples: int = 65) -> float:
-    """max over `samples` uniform nodes of the spectral norm of K(s), closed form.
+def generator_norm(model: ContinuumModel, variant: GeneratorVariant) -> float:
+    """max over ENERGY_SAMPLES uniform nodes of the spectral norm of K(s), closed form.
 
     K(s) = Q(s) (i hbar theta'(s) G_masked) Q(s)^dag has the eigenvalues
     hbar theta'(s) eig(i G_masked).
     """
-    rate = np.abs(model.rotation.schedule.angle_rate(np.linspace(0.0, 1.0, samples))).max()
+    rate = np.abs(model.rotation.schedule.angle_rate(np.linspace(0.0, 1.0, ENERGY_SAMPLES))).max()
     spread = np.abs(np.linalg.eigvalsh(1j * _masked_generator(model, variant))).max()
     return HBAR * float(rate) * float(spread)
 
 
-def intertwiner_step_budget(model: ContinuumModel, variant: GeneratorVariant, hbar: float = HBAR, samples: int = 65) -> int:
+def intertwiner_step_budget(model: ContinuumModel, variant: GeneratorVariant) -> int:
     """Step budget for the transport unitary (duration-free)."""
-    scale = generator_norm(model, variant, samples) / hbar
+    scale = generator_norm(model, variant) / HBAR
     return max(1, math.ceil(scale * 4.0 / math.pi))
 
 
@@ -226,21 +223,21 @@ def frame_velocity_overlaps(model: ContinuumModel, s: float) -> np.ndarray:
     return q.conj().T @ model.frame_velocity_matrix(s)
 
 
-def generator_in_frame(model: ContinuumModel, variant: GeneratorVariant, s: float, hbar: float = HBAR) -> np.ndarray:
+def generator_in_frame(model: ContinuumModel, variant: GeneratorVariant, s: float) -> np.ndarray:
     """Generator elements in the instantaneous frame: i*hbar*(masked M)."""
     m = frame_velocity_overlaps(model, s)
     keep = variant.keep_mask(model.size)
-    return 1j * hbar * np.where(keep, m, 0.0)
+    return 1j * HBAR * np.where(keep, m, 0.0)
 
 
-def generator(model: ContinuumModel, variant: GeneratorVariant, s: float, hbar: float = HBAR) -> np.ndarray:
+def generator(model: ContinuumModel, variant: GeneratorVariant, s: float) -> np.ndarray:
     """Transport generator K(s), Hermitian by the symmetric masking.
 
     Equals i*hbar * sum_j (I - P_win(j)) |dphi_j><phi_j| with rank-1
     windows (kato_state) or fixed-partition bands (weyl_band).
     """
     q = model.frame_matrix(s)
-    masked = generator_in_frame(model, variant, s, hbar)
+    masked = generator_in_frame(model, variant, s)
     return q @ masked @ q.conj().T
 
 
@@ -263,7 +260,7 @@ class LiteralWindowDiagnostic:
         return self.hermiticity_defect / self.norm if self.norm > 0 else 0.0
 
 
-def literal_window_hermiticity(model: ContinuumModel, window: int, s: float, hbar: float = HBAR) -> LiteralWindowDiagnostic:
+def literal_window_hermiticity(model: ContinuumModel, window: int, s: float) -> LiteralWindowDiagnostic:
     if not 1 <= window <= model.size:
         raise ConfigError(f"window must be in [1, {model.size}], got {window}")
     m = frame_velocity_overlaps(model, s)
@@ -272,7 +269,7 @@ def literal_window_hermiticity(model: ContinuumModel, window: int, s: float, hba
     cols = np.arange(n)[None, :]
     keep = ~((rows >= cols) & (rows < np.minimum(cols + window, n)))
     q = model.frame_matrix(s)
-    k = 1j * hbar * (q @ np.where(keep, m, 0.0) @ q.conj().T)
+    k = 1j * HBAR * (q @ np.where(keep, m, 0.0) @ q.conj().T)
     norm = float(np.abs(k).max())
     defect = float(np.abs(k - k.conj().T).max())
     return LiteralWindowDiagnostic(window, float(s), norm, defect)
@@ -291,7 +288,7 @@ def _midpoint_chunks(model: ContinuumModel, config: PropagationConfig):
     vh = v.conj().T
     n = model.size
     ds = 1.0 / config.steps
-    scale = config.duration / config.hbar
+    scale = config.duration / HBAR
     chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (16 * n * n)))
     z = vh.copy()  # theta(0) = 0, so z_0 = V^dag U(0)
     theta_prev = 0.0
@@ -371,11 +368,11 @@ def _propagator_chunks(model: ContinuumModel, config: PropagationConfig):
         # every B = V^dag diag(E(s)) V of the chunk from one (nodes*N, N) x (N, N) GEMM
         return ((vh * model.energies(s)[:, None, :]).reshape(-1, n) @ v).reshape(-1, n, n)
 
-    return _eigh_chunks(model, config.steps, config.scheme, core, config.duration / config.hbar)
+    return _eigh_chunks(model, config.steps, config.scheme, core, config.duration / HBAR)
 
 
 def _check_propagator_budget(model: ContinuumModel, config: PropagationConfig):
-    required = propagator_step_budget(model, config.duration, config.hbar)
+    required = propagator_step_budget(model, config.duration)
     if config.steps < required:
         raise StepBudgetError(
             f"steps={config.steps} cannot resolve duration T={config.duration}",
@@ -414,26 +411,26 @@ def _last(chunks) -> np.ndarray:
     return f[-1] @ z[-1]
 
 
-def _intertwiner_chunks(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str, hbar: float):
+def _intertwiner_chunks(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str):
     """(F, Z) chunks of the stepped transport; A = F @ Z node by node."""
     v = model.frame_eigensystem[1]
     # the constant core C = V^dag (i hbar G_masked) V, so V^dag K(s) V = theta' E C E^dag
-    c = v.conj().T @ (1j * hbar * _masked_generator(model, variant)) @ v
+    c = v.conj().T @ (1j * HBAR * _masked_generator(model, variant)) @ v
 
     def core(s):
         return np.multiply.outer(model.rotation.schedule.angle_rate(s), c)
 
-    return _eigh_chunks(model, steps, scheme, core, 1.0 / hbar)
+    return _eigh_chunks(model, steps, scheme, core, 1.0 / HBAR)
 
 
-def _check_intertwiner(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str, hbar: float):
+def _check_intertwiner(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str):
     if scheme not in (*SCHEMES, EXACT):
         raise ConfigError(f"unknown scheme {scheme!r}; pick one of {(*SCHEMES, EXACT)}")
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     if scheme == EXACT:
         return
-    required = intertwiner_step_budget(model, variant, hbar)
+    required = intertwiner_step_budget(model, variant)
     if steps < required:
         raise StepBudgetError(
             f"steps={steps} cannot resolve the transport generator", required
@@ -468,18 +465,17 @@ def evolve_intertwiner(
     variant: GeneratorVariant,
     steps: int,
     scheme: str = MIDPOINT,
-    hbar: float = HBAR,
 ) -> UnitaryFamily:
     """Transport family A solving iħ dA/ds = K(s) A; duration-free.
 
     scheme=EXACT evaluates the closed form on the same steps+1 nodes and
     needs no step budget.
     """
-    _check_intertwiner(model, variant, steps, scheme, hbar)
+    _check_intertwiner(model, variant, steps, scheme)
     s_nodes = np.linspace(0.0, 1.0, steps + 1)
     if scheme == EXACT:
         return UnitaryFamily("A", s_nodes, _exact_transport(model, variant, s_nodes), variant=variant)
-    matrices = _stored(_intertwiner_chunks(model, variant, steps, scheme, hbar), steps, model.size)
+    matrices = _stored(_intertwiner_chunks(model, variant, steps, scheme), steps, model.size)
     return UnitaryFamily("A", s_nodes, matrices, variant=variant)
 
 
@@ -488,13 +484,12 @@ def final_intertwiner(
     variant: GeneratorVariant,
     steps: int,
     scheme: str = MIDPOINT,
-    hbar: float = HBAR,
 ) -> np.ndarray:
     """A at s=1 only; scheme=EXACT skips the steps."""
-    _check_intertwiner(model, variant, steps, scheme, hbar)
+    _check_intertwiner(model, variant, steps, scheme)
     if scheme == EXACT:
         return _exact_transport(model, variant, 1.0)[0]
-    return _last(_intertwiner_chunks(model, variant, steps, scheme, hbar))
+    return _last(_intertwiner_chunks(model, variant, steps, scheme))
 
 
 def intertwine_residual(a_family: UnitaryFamily, model: ContinuumModel, part: BandPartition) -> float:
@@ -529,20 +524,22 @@ def dynamical_phase(model: ContinuumModel, j: int, s: float) -> float:
     return float(model.phase(j, s))
 
 
-def phase_operator(model: ContinuumModel, duration: float, s: float, hbar: float = HBAR) -> np.ndarray:
-    """Dynamical-phase unitary at s, diagonal in the initial frame."""
-    alphas = np.array([model.phase(j, s) for j in range(model.size)], dtype=float)
-    phases = np.exp(-1j * duration * alphas / hbar)
-    q0 = model.frame_matrix(0.0)
-    return (q0 * phases) @ q0.conj().T
+def phase_operator(model: ContinuumModel, duration: float, s: float) -> np.ndarray:
+    """Dynamical-phase unitary at s, diagonal in the initial frame.
+
+    The initial frame is the computational basis (theta(0) = 0), so the
+    operator is the diagonal matrix of the phases.
+    """
+    alphas = model.dispersion.phase(model.grid.nodes, s)
+    return np.diag(np.exp(-1j * duration * alphas / HBAR))
 
 
-def phase_family(model: ContinuumModel, duration: float, steps: int, hbar: float = HBAR) -> UnitaryFamily:
+def phase_family(model: ContinuumModel, duration: float, steps: int) -> UnitaryFamily:
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     s_nodes = np.linspace(0.0, 1.0, steps + 1)
     alphas = np.stack([np.asarray(model.phase(j, s_nodes)) for j in range(model.size)], axis=1)
-    phases = np.exp(-1j * duration * alphas / hbar)
+    phases = np.exp(-1j * duration * alphas / HBAR)
     matrices = np.zeros((steps + 1, model.size, model.size), dtype=complex)
     idx = np.arange(model.size)
     matrices[:, idx, idx] = phases

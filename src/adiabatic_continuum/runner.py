@@ -27,13 +27,7 @@ from .analysis import (
     planned_substeps,
     sweep_leakage,
 )
-from .bands import (
-    FEASIBLE_SLACK,
-    BandPartition,
-    minimal_time,
-    validate_noncrossing,
-    virtual_gap,
-)
+from .bands import band_plan, minimal_time, validate_noncrossing
 from .config import ExperimentConfig
 from .propagation import (
     deviation_from_identity,
@@ -237,32 +231,21 @@ def cmd_bands(config: ExperimentConfig, jobs: int = 1):
     model = config.build_model()
     target = config.planning_duration()
     margin = config.margin
-    n = config.grid_size
 
     candidates = []
     selected: int | None = None
     best_ratio = 0.0
-    for m in range(1, n + 1):
-        part_m = BandPartition(n, m)
-        # The tail band absorbs the remainder, so any m > N/2 collapses to a
-        # single band with no exterior: nothing to be adiabatic against.
-        if len(part_m) < 2:
-            candidates.append(
-                {"m": m, "virtual_gap": None, "minimal_T": None, "feasible": False}
-            )
-            continue
-        gap = min(virtual_gap(model, part_m, b) for b in range(len(part_m)))
-        ratio = gap * target / margin
-        feasible = ratio >= 1.0 - FEASIBLE_SLACK
+    for m, gap, ratio, feasible in band_plan(model, target, margin):
         candidates.append(
             {
                 "m": m,
                 "virtual_gap": gap,
-                "minimal_T": minimal_time(gap, margin),
+                "minimal_T": None if gap is None else minimal_time(gap, margin),
                 "feasible": feasible,
             }
         )
-        best_ratio = max(best_ratio, ratio)
+        if ratio is not None:
+            best_ratio = max(best_ratio, ratio)
         if feasible and selected is None:
             selected = m
 

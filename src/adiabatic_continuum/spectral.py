@@ -21,11 +21,15 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSpectrumError
 
-# Units: hbar = 1 throughout; kept symbolic in formulas for traceability.
+# Units: hbar = 1 throughout, and no function takes it as a parameter; kept
+# symbolic in formulas for traceability.
 HBAR = 1.0
 
 # Two energies closer than this at any sampled s count as degenerate.
 EPS_CROSS = 1e-9
+
+# s-samples behind max_energy and both step budgets (propagator and transport).
+ENERGY_SAMPLES = 65
 
 # s-values scanned by build_model when screening for degenerate spectra.
 MONOTONE_SCREEN_SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -349,8 +353,9 @@ class ContinuumModel:
         """Dynamical phase integral(0..s) E(k_j, s') ds'."""
         return self.dispersion.phase(self.grid.nodes[j], s)
 
-    def max_energy(self, samples: int = 65) -> float:
-        s = np.linspace(0.0, 1.0, samples)
+    def max_energy(self) -> float:
+        """max |E(k_j, s)| over ENERGY_SAMPLES uniform s in [0, 1]."""
+        s = np.linspace(0.0, 1.0, ENERGY_SAMPLES)
         return float(np.abs(self.energies(s)).max())
 
     # ---- frame machinery -----------------------------------------------

@@ -37,15 +37,21 @@ M = 2
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args):
-    """`python -m adiabatic_continuum ARGS` in a child that imports this checkout."""
+def run_python(*args, cwd=None):
+    """`python ARGS` in a child that imports this checkout's package."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "adiabatic_continuum", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def run_cli(*args):
+    """`python -m adiabatic_continuum ARGS` in a child that imports this checkout."""
+    return run_python("-m", "adiabatic_continuum", *args)
 
 
 def taylor_expm(a: np.ndarray, terms: int = 40) -> np.ndarray:

@@ -94,8 +94,6 @@ def test_propagation_config_validation():
         PropagationConfig(1.0, 0)
     with pytest.raises(ConfigError):
         PropagationConfig(1.0, 100, scheme="euler")
-    with pytest.raises(ConfigError):
-        PropagationConfig(1.0, 100, hbar=0.0)
 
 
 def test_variant_masks(default_part):

@@ -1,0 +1,24 @@
+"""Smoke runs of the example scripts against this checkout's package."""
+
+from __future__ import annotations
+
+import pytest
+
+from conftest import SRC, run_python
+
+ROOT = SRC.parent
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("run_convergence.py", "configs/sweep.cfg"),
+        ("schedule_comparison.py", "--durations", "50,100,200", "--steps", "2000", "--jobs", "1"),
+    ],
+    ids=["run_convergence", "schedule_comparison"],
+)
+def test_script_runs_and_fits(args):
+    script, *rest = args
+    result = run_python(str(ROOT / "scripts" / script), *rest, cwd=ROOT)
+    assert result.returncode == 0, result.stderr
+    assert "slope" in result.stdout
