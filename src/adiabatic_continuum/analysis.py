@@ -5,6 +5,10 @@ exact and first-order band leakage, the pointwise transition-weight
 estimate, the coupling/gap validity criterion, and log-log convergence
 fits over a sweep of durations.
 
+The unitarity and intertwining diagnostics of simulate, and its U(1) and
+W(1), come from the streamed pass propagation.stream_families, which
+stores no family; the leakages here take those finals.
+
 Everything is computed on the dimensionless schedule clock s; quantities
 the literature states on the physical clock t = t0 + s*T absorb their
 powers of T at the reporting boundary, never inside the integrators.
@@ -27,14 +31,10 @@ from .propagation import (
     UnitaryFamily,
     MIDPOINT,
     deviation_from_identity,
-    evolve_intertwiner,
-    evolve_propagator,
     final_intertwiner,
     final_propagator,
     kato_state,
-    phase_family,
     phase_operator,
-    wave_operator,
 )
 from .spectral import EPS_CROSS, HBAR, ContinuumModel
 
@@ -421,20 +421,6 @@ def sweep_leakage(
     if failures:
         raise failures[min(failures)]
     return [results[t] for t in sorted(results)]
-
-
-def build_families(
-    model: ContinuumModel,
-    variant: GeneratorVariant,
-    duration: float,
-    steps: int,
-    scheme: str = MIDPOINT,
-) -> tuple[UnitaryFamily, UnitaryFamily, UnitaryFamily, UnitaryFamily]:
-    """(U, A, Phi, W) on one grid of steps+1 nodes; A in closed form."""
-    u = evolve_propagator(model, PropagationConfig(duration, steps, scheme))
-    a = evolve_intertwiner(model, variant, steps, EXACT)
-    phi = phase_family(model, duration, steps)
-    return u, a, phi, wave_operator(u, a, phi)
 
 
 def fit_power_law(durations, values) -> ConvergenceFit:

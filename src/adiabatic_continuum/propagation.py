@@ -40,6 +40,20 @@ The transport keeps the generic core C, formed by matmul, instead of its
 diagonal in exact arithmetic (hbar diag(lam) for kato_state): with the
 diagonal, the stepped transport would be the closed form by construction
 and would no longer check it.
+
+simulate and verify do not store the families.  stream_families makes
+one pass over the propagator's chunks (propagator_nodes): per chunk it
+forms A from the closed form, Phi from one vectorised phase call and
+W = Phi^dag (A^dag U), updates running maxima of the four unitarity
+defects and of the intertwining residual, and keeps only U(1) and W(1),
+so memory is one chunk, O(chunk N^2), at any step count.  Every node of
+the pass equals the node of the stored family bitwise: W goes through the
+same two matmuls as wave_operator, with Phi as full diagonal matrices
+(a row scaling rounds differently), and a node's frame columns do not
+depend on how many nodes a call takes (ContinuumModel.frame_slices_profile).
+verify's stepped transport is streamed the same way (transport_residual).
+The stored families (evolve_*, phase_family, wave_operator) stay for
+library use and as the references of the tests.
 """
 
 from __future__ import annotations
@@ -78,6 +92,11 @@ _A2 = 0.25 - math.sqrt(3.0) / 6.0
 # cost peak RSS when sweeps run in threads.
 _CHUNK = 128
 _CHUNK_BYTES = 2 << 20
+
+
+def _chunk_len(n: int, stages: int = 1) -> int:
+    """Steps (or stored nodes) per chunk at grid size n with `stages` (N, N) matrices each."""
+    return max(1, min(_CHUNK, _CHUNK_BYTES // (16 * stages * n * n)))
 
 
 @dataclass(frozen=True)
@@ -146,7 +165,6 @@ class UnitaryFamily:
     kind: str
     s_nodes: np.ndarray
     matrices: np.ndarray
-    variant: GeneratorVariant | None = None
 
     def __post_init__(self):
         if self.kind not in ("U", "A", "Phi", "W"):
@@ -171,16 +189,21 @@ class UnitaryFamily:
     def at(self, s: float) -> np.ndarray:
         return self.matrices[self.index_of(s)]
 
+    def chunks(self):
+        """(s, matrices) views over consecutive chunks of the nodes."""
+        step = _chunk_len(self.matrices.shape[-1])
+        for lo in range(0, len(self), step):
+            yield self.s_nodes[lo : lo + step], self.matrices[lo : lo + step]
+
     def unitarity_defect(self) -> float:
         """max over nodes of the entrywise defect of M^dag M from identity."""
-        n = self.matrices.shape[-1]
-        eye = np.eye(n)
-        worst = 0.0
-        for lo in range(0, len(self), 2048):
-            block = self.matrices[lo : lo + 2048]
-            prod = np.matmul(block.conj().swapaxes(-1, -2), block)
-            worst = max(worst, float(np.abs(prod - eye).max()))
-        return worst
+        return max(_unitarity_defect(m) for _, m in self.chunks())
+
+
+def _unitarity_defect(mats: np.ndarray) -> float:
+    """max over a stack of matrices of the entrywise defect of M^dag M from identity."""
+    prod = np.matmul(mats.conj().swapaxes(-1, -2), mats)
+    return float(np.abs(prod - np.eye(mats.shape[-1])).max())
 
 
 # ---- step budgets ------------------------------------------------------
@@ -289,7 +312,7 @@ def _midpoint_chunks(model: ContinuumModel, config: PropagationConfig):
     n = model.size
     ds = 1.0 / config.steps
     scale = config.duration / HBAR
-    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (16 * n * n)))
+    chunk = _chunk_len(n)
     z = vh.copy()  # theta(0) = 0, so z_0 = V^dag U(0)
     theta_prev = 0.0
     for lo in range(0, config.steps, chunk):
@@ -335,7 +358,7 @@ def _eigh_chunks(model: ContinuumModel, steps: int, scheme: str, core, scale: fl
     n = model.size
     ds = 1.0 / steps
     nodes = np.multiply((0.5,) if scheme == MIDPOINT else (_C1, _C2), ds)
-    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (16 * len(nodes) * n * n)))
+    chunk = _chunk_len(n, len(nodes))
     z = v.conj().T.copy()
     for lo in range(0, steps, chunk):
         s = np.add.outer(np.arange(lo, min(lo + chunk, steps)) * ds, nodes).ravel()
@@ -394,13 +417,12 @@ def final_propagator(model: ContinuumModel, config: PropagationConfig) -> np.nda
 
 
 def _stored(chunks, steps: int, n: int) -> np.ndarray:
-    """Every node of a chunked evolution: the identity at s=0, then F @ Z."""
+    """Every node of a chunked evolution, stored: the _nodes chunks end to end."""
     matrices = np.empty((steps + 1, n, n), dtype=complex)
-    matrices[0] = np.eye(n)
-    k = 1
-    for f, z in chunks:
-        np.matmul(f, z, out=matrices[k : k + len(z)])
-        k += len(z)
+    k = 0
+    for _, m in _nodes(chunks, steps, n):
+        matrices[k : k + len(m)] = m
+        k += len(m)
     return matrices
 
 
@@ -409,6 +431,27 @@ def _last(chunks) -> np.ndarray:
     for f, z in chunks:
         pass
     return f[-1] @ z[-1]
+
+
+def _nodes(chunks, steps: int, n: int):
+    """(s, F @ Z) chunk by chunk over every node of a chunked evolution, s=0 (the identity) first."""
+    s_nodes = np.linspace(0.0, 1.0, steps + 1)
+    yield s_nodes[:1], np.eye(n, dtype=complex)[None]
+    k = 1
+    for f, z in chunks:
+        yield s_nodes[k : k + len(z)], np.matmul(f, z)
+        k += len(z)
+
+
+def propagator_nodes(model: ContinuumModel, config: PropagationConfig):
+    """(s, U) for consecutive chunks of the steps+1 nodes, from s=0; the streamed evolve_propagator.
+
+    The budget is checked on the call, before the first chunk is asked for.
+    Each U equals the family's matrices at s bitwise, and one chunk is held
+    at a time.
+    """
+    _check_propagator_budget(model, config)
+    return _nodes(_propagator_chunks(model, config), config.steps, model.size)
 
 
 def _intertwiner_chunks(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str):
@@ -474,9 +517,9 @@ def evolve_intertwiner(
     _check_intertwiner(model, variant, steps, scheme)
     s_nodes = np.linspace(0.0, 1.0, steps + 1)
     if scheme == EXACT:
-        return UnitaryFamily("A", s_nodes, _exact_transport(model, variant, s_nodes), variant=variant)
+        return UnitaryFamily("A", s_nodes, _exact_transport(model, variant, s_nodes))
     matrices = _stored(_intertwiner_chunks(model, variant, steps, scheme), steps, model.size)
-    return UnitaryFamily("A", s_nodes, matrices, variant=variant)
+    return UnitaryFamily("A", s_nodes, matrices)
 
 
 def final_intertwiner(
@@ -492,6 +535,28 @@ def final_intertwiner(
     return _last(_intertwiner_chunks(model, variant, steps, scheme))
 
 
+def _chunk_residual(model: ContinuumModel, part: BandPartition, s: np.ndarray, a: np.ndarray) -> float:
+    """max over bands and the nodes s of sigma_max((Q^dag A)[ext(b), b]), with Q = Q(s).
+
+    One frame profile and one Q^dag A per chunk serve every band; a band
+    with no exterior has no off-block and adds nothing.
+    """
+    x = np.matmul(model.frame_slices_profile(range(model.size), s).conj().swapaxes(-1, -2), a)
+    worst = 0.0
+    for members in part.bands:
+        outside = np.ones(model.size, dtype=bool)
+        outside[list(members)] = False
+        if outside.any():
+            off = x[:, outside, members[0] : members[-1] + 1]
+            worst = max(worst, float(np.linalg.svd(off, compute_uv=False)[:, 0].max()))
+    return worst
+
+
+def _check_partition(model: ContinuumModel, part: BandPartition):
+    if part.grid_size != model.size:
+        raise ConfigError("partition and model grid sizes disagree")
+
+
 def intertwine_residual(a_family: UnitaryFamily, model: ContinuumModel, part: BandPartition) -> float:
     """max over bands and nodes of || P_band(s) − A(s) P_band(0) A(s)^dag ||_2.
 
@@ -499,29 +564,53 @@ def intertwine_residual(a_family: UnitaryFamily, model: ContinuumModel, part: Ba
     s=0), so the transported band is spanned by A_b = A[:, band].  For two
     rank-m projectors the norm is the sine of the largest principal angle
     between their ranges: the largest singular value of the N x m matrix
-    A_b − Q_b (Q_b^dag A_b).  It is taken from an SVD of that matrix, not
-    from a Gram matrix, whose squared singular values would lose residuals
-    near 1e-8 to roundoff.
+    A_b − Q_b Q_b^dag A_b = Q_ext Q_ext^dag A_b, where Q_ext holds the frame
+    columns outside the band.  Q_ext has orthonormal columns, so that
+    singular value is exactly the largest one of the (N−m) x m off-block
+    Q_ext^dag A_b = (Q^dag A)[ext, band], which is what is computed, from an
+    SVD.  The cosine (Gram) form 1 − sigma_min(Q_b^dag A_b)^2 is not used:
+    it squares the residual, so residuals below about 1e-8 drown in the
+    roundoff of the cosines near 1.  The family is read chunk by chunk.
     """
-    if part.grid_size != model.size:
-        raise ConfigError("partition and model grid sizes disagree")
-    worst = 0.0
-    for members in part.bands:
-        idx = list(members)
-        ab = a_family.matrices[:, :, idx]
-        qb = model.frame_slices_profile(idx, a_family.s_nodes)
-        off = ab - np.matmul(qb, np.matmul(qb.conj().swapaxes(-1, -2), ab))
-        sv = np.linalg.svd(off, compute_uv=False)
-        worst = max(worst, float(sv[..., 0].max()))
-    return worst
+    _check_partition(model, part)
+    return max(_chunk_residual(model, part, s, a) for s, a in a_family.chunks())
+
+
+def transport_residual(
+    model: ContinuumModel,
+    variant: GeneratorVariant,
+    part: BandPartition,
+    steps: int,
+    scheme: str = MIDPOINT,
+) -> float:
+    """intertwine_residual of the stepped transport family, streamed over its chunks unstored."""
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown stepped scheme {scheme!r}; pick one of {SCHEMES}")
+    _check_intertwiner(model, variant, steps, scheme)
+    _check_partition(model, part)
+    nodes = _nodes(_intertwiner_chunks(model, variant, steps, scheme), steps, model.size)
+    return max(_chunk_residual(model, part, s, a) for s, a in nodes)
 
 
 # ---- phases and the wave operator --------------------------------------
 
 
-def dynamical_phase(model: ContinuumModel, j: int, s: float) -> float:
-    """Accumulated energy integral of grid state j up to s (closed form)."""
-    return float(model.phase(j, s))
+def phase_factors(model: ContinuumModel, duration: float, s) -> np.ndarray:
+    """exp(-i T alpha_j(s) / hbar) for all j, from one vectorised phase call; shape (..., N).
+
+    The diagonal of the dynamical-phase operator at s.
+    """
+    s = np.asarray(s, dtype=float)
+    alphas = model.dispersion.phase(model.grid.nodes, s[..., None] if s.ndim else s)
+    return np.exp(-1j * duration * alphas / HBAR)
+
+
+def _diagonals(d: np.ndarray) -> np.ndarray:
+    """Stack of diagonal matrices with the rows of d on their diagonals."""
+    n = d.shape[-1]
+    out = np.zeros((*d.shape, n), dtype=d.dtype)
+    out[..., np.arange(n), np.arange(n)] = d
+    return out
 
 
 def phase_operator(model: ContinuumModel, duration: float, s: float) -> np.ndarray:
@@ -530,20 +619,14 @@ def phase_operator(model: ContinuumModel, duration: float, s: float) -> np.ndarr
     The initial frame is the computational basis (theta(0) = 0), so the
     operator is the diagonal matrix of the phases.
     """
-    alphas = model.dispersion.phase(model.grid.nodes, s)
-    return np.diag(np.exp(-1j * duration * alphas / HBAR))
+    return np.diag(phase_factors(model, duration, s))
 
 
 def phase_family(model: ContinuumModel, duration: float, steps: int) -> UnitaryFamily:
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     s_nodes = np.linspace(0.0, 1.0, steps + 1)
-    alphas = np.stack([np.asarray(model.phase(j, s_nodes)) for j in range(model.size)], axis=1)
-    phases = np.exp(-1j * duration * alphas / HBAR)
-    matrices = np.zeros((steps + 1, model.size, model.size), dtype=complex)
-    idx = np.arange(model.size)
-    matrices[:, idx, idx] = phases
-    return UnitaryFamily("Phi", s_nodes, matrices)
+    return UnitaryFamily("Phi", s_nodes, _diagonals(phase_factors(model, duration, s_nodes)))
 
 
 def wave_operator(u: UnitaryFamily, a: UnitaryFamily, phi: UnitaryFamily) -> UnitaryFamily:
@@ -555,9 +638,12 @@ def wave_operator(u: UnitaryFamily, a: UnitaryFamily, phi: UnitaryFamily) -> Uni
         np.array_equal(u.s_nodes, a.s_nodes) and np.array_equal(u.s_nodes, phi.s_nodes)
     ):
         raise ConfigError("families do not share one s-grid")
-    am = np.matmul(a.matrices.conj().swapaxes(-1, -2), u.matrices)
-    wm = np.matmul(phi.matrices.conj().swapaxes(-1, -2), am)
-    return UnitaryFamily("W", u.s_nodes.copy(), wm)
+    return UnitaryFamily("W", u.s_nodes.copy(), _residual_operator(u.matrices, a.matrices, phi.matrices))
+
+
+def _residual_operator(u: np.ndarray, a: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Phi^dag (A^dag U), stacked; Phi as full diagonal matrices, so streamed and stored W agree bitwise."""
+    return np.matmul(phi.conj().swapaxes(-1, -2), np.matmul(a.conj().swapaxes(-1, -2), u))
 
 
 def deviation_from_identity(matrix: np.ndarray) -> float:
@@ -566,11 +652,50 @@ def deviation_from_identity(matrix: np.ndarray) -> float:
     return float(np.linalg.svd(matrix - np.eye(n), compute_uv=False)[0])
 
 
-def rotating_picture(model: ContinuumModel, a_family: UnitaryFamily, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Conjugated pair (A^dag H A, A^dag K A) at one node of A's grid."""
-    if a_family.variant is None:
-        raise ConfigError("rotating picture needs a transport family with a variant")
-    a = a_family.at(s)
-    h = model.hamiltonian(s)
-    k = generator(model, a_family.variant, s)
-    return a.conj().T @ h @ a, a.conj().T @ k @ a
+# ---- the streamed pass -------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class FamilyDiagnostics:
+    """What the four families U, A, Phi, W are read for, from one streamed pass.
+
+    unitarity maps each kind to the max over nodes of its unitarity
+    defect; intertwine_residual is that of A (None without a partition).
+    """
+
+    u_final: np.ndarray
+    w_final: np.ndarray
+    unitarity: dict[str, float]
+    intertwine_residual: float | None
+
+
+def stream_families(
+    model: ContinuumModel,
+    variant: GeneratorVariant,
+    config: PropagationConfig,
+    part: BandPartition | None = None,
+) -> FamilyDiagnostics:
+    """U, the closed-form A, Phi and W over all steps+1 nodes, one chunk of nodes at a time.
+
+    Per chunk of propagator_nodes: A from the closed form, Phi from one
+    vectorised phase call, W = Phi^dag (A^dag U), then running maxima of
+    the defects and, given part, of the intertwining residual.  Only U(1)
+    and W(1) are kept, so memory is O(chunk N^2) at any steps.  Every
+    node's U, A and W equal those of the stored families bitwise, so the
+    U, A and W defects do too; Phi's defect is taken elementwise, as
+    | |exp(-i T alpha)|^2 - 1 |, since Phi is diagonal.
+    """
+    if part is not None:
+        _check_partition(model, part)
+    defects = dict.fromkeys(("U", "A", "Phi", "W"), 0.0)
+    residual = 0.0
+    for s, u in propagator_nodes(model, config):
+        a = _exact_transport(model, variant, s)
+        p = phase_factors(model, config.duration, s)
+        w = _residual_operator(u, a, _diagonals(p))
+        for kind, mats in (("U", u), ("A", a), ("W", w)):
+            defects[kind] = max(defects[kind], _unitarity_defect(mats))
+        defects["Phi"] = max(defects["Phi"], float(np.abs(p.conj() * p - 1.0).max()))
+        if part is not None:
+            residual = max(residual, _chunk_residual(model, part, s, a))
+    return FamilyDiagnostics(u[-1], w[-1], defects, residual if part is not None else None)

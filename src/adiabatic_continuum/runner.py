@@ -19,7 +19,6 @@ import numpy as np
 
 from .analysis import (
     adiabatic_criterion,
-    build_families,
     check_gap_margin,
     fit_power_law,
     leakage_exact,
@@ -30,10 +29,11 @@ from .analysis import (
 from .bands import band_plan, minimal_time, validate_noncrossing
 from .config import ExperimentConfig
 from .propagation import (
+    PropagationConfig,
     deviation_from_identity,
-    intertwine_residual,
     literal_window_hermiticity,
     propagator_step_budget,
+    stream_families,
 )
 from .verify import verify_config
 
@@ -111,11 +111,13 @@ def cmd_simulate(config: ExperimentConfig, jobs: int = 1):
     cross = validate_noncrossing(model, part, s_samples=max(257, config.s_samples))
     variant = config.build_variant(part)
 
-    u, a, phi, w = build_families(model, variant, duration, config.steps, config.scheme)
+    families = stream_families(
+        model, variant, PropagationConfig(duration, config.steps, config.scheme), part
+    )
 
-    eta = leakage_exact(model, u, part, config.j0)
+    eta = leakage_exact(model, families.u_final, part, config.j0)
     eta_hat = leakage_first_order(model, part, config.j0, duration)
-    w_dev = deviation_from_identity(w.final)
+    w_dev = deviation_from_identity(families.w_final)
     crit = adiabatic_criterion(model, part, config.j0, config.s_samples, config.threshold)
     mandated, used = planned_substeps(model, part, config.j0, duration)
     window = literal_window_hermiticity(model, config.band_size, 0.5)
@@ -135,8 +137,8 @@ def cmd_simulate(config: ExperimentConfig, jobs: int = 1):
         },
         "criterion": _criterion_dict(crit),
         "diagnostics": {
-            "unitarity": {fam.kind: fam.unitarity_defect() for fam in (u, a, phi, w)},
-            "intertwine_residual": intertwine_residual(a, model, part),
+            "unitarity": families.unitarity,
+            "intertwine_residual": families.intertwine_residual,
             "propagator_steps": {
                 "used": config.steps,
                 "required": propagator_step_budget(model, duration),

@@ -34,6 +34,19 @@ ENERGY_SAMPLES = 65
 # s-values scanned by build_model when screening for degenerate spectra.
 MONOTONE_SCREEN_SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
+# frame_slices_profile keeps each node's columns bitwise the same however
+# many nodes a call takes, so a profile built chunk by chunk equals the one
+# built at once.  einsum's own contraction order changes with the number of
+# nodes, so the order is fixed: V with V^dag's columns first while that
+# (N, N, m) product fits in _PROFILE_BYTES, else the phases with V first.
+# And BLAS takes the rows of a product in blocks, where a partial block
+# (or a single row, through GEMV) may round differently, so the nodes are
+# padded to a multiple of _PROFILE_ROWS with copies of the last one.
+_PAIR_FIRST = ["einsum_path", (0, 2), (0, 1)]
+_NODE_FIRST = ["einsum_path", (0, 1), (0, 1)]
+_PROFILE_BYTES = 2 << 20
+_PROFILE_ROWS = 8
+
 DISPERSION_FAMILIES = ("linear", "quadratic", "tabulated")
 ANGLE_SCHEDULES = ("cubic_ramp", "quadratic_ramp", "smoothstep", "linear_ramp")
 ROTATION_BUILDERS = ("nearest_neighbor", "banded", "random_banded")
@@ -382,13 +395,19 @@ class ContinuumModel:
         return rate * (self.rotation.generator @ self.frame_matrix(s))
 
     def frame_slices_profile(self, indices, s) -> np.ndarray:
-        """Frame columns for an index set over an s-array; shape (S, N, m)."""
+        """Frame columns for an index set over an s-array; shape (S, N, m).
+
+        Bitwise the same per node however many nodes a call takes (see
+        _PROFILE_ROWS).
+        """
         s = np.atleast_1d(np.asarray(s, dtype=float))
+        count = len(s)
+        s = np.concatenate([s, np.repeat(s[-1:], -count % _PROFILE_ROWS)])
         lam, v = self.frame_eigensystem
-        theta = self.rotation.schedule.angle(s)
-        expo = np.exp(-1j * np.outer(theta, lam))
         w0 = v.conj().T[:, list(indices)]
-        return np.einsum("nk,sk,km->snm", v, expo, w0, optimize=True)
+        expo = np.exp(-1j * np.outer(self.rotation.schedule.angle(s), lam))
+        path = _PAIR_FIRST if 16 * w0.size * self.size <= _PROFILE_BYTES else _NODE_FIRST
+        return np.einsum("nk,sk,km->snm", v, expo, w0, optimize=path)[:count]
 
     def frame_coupling_profile(self, a: int, b: int, s) -> np.ndarray:
         """<phi_a(s) | d/ds phi_b(s)> = theta'(s) * G[a, b] for an array of s.

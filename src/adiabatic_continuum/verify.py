@@ -15,24 +15,20 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import (
-    build_families,
-    leakage_exact,
-    transition_integral,
-    transition_integral_parts,
-)
+from .analysis import leakage_exact, transition_integral, transition_integral_parts
 from .bands import BandPartition, band_projector
 from .config import ExperimentConfig
 from .errors import NoExteriorError
 from .propagation import (
     PropagationConfig,
-    evolve_intertwiner,
-    evolve_propagator,
+    final_intertwiner,
     generator,
-    intertwine_residual,
     kato_state,
     literal_window_hermiticity,
-    phase_family,
+    phase_factors,
+    propagator_nodes,
+    stream_families,
+    transport_residual,
     weyl_band,
 )
 from .spectral import MONOTONE_SCREEN_SAMPLES
@@ -81,8 +77,8 @@ def _check_projector_algebra(config, model, part) -> dict:
 
 def _check_unitarity(config, model, part) -> dict:
     t_ref = _reference_duration(config)
-    families = build_families(model, config.build_variant(part), t_ref, config.steps, config.scheme)
-    defects = {fam.kind: fam.unitarity_defect() for fam in families}
+    prop = PropagationConfig(t_ref, config.steps, config.scheme)
+    defects = stream_families(model, config.build_variant(part), prop).unitarity
     worst = max(defects.values())
     return {
         "passed": worst <= 1e-9,
@@ -100,12 +96,14 @@ def _check_frozen_frame(config, model, part) -> dict:
     t_ref = _reference_duration(config)
 
     k_max = max(_max_abs(generator(fmodel, variant, s)) for s in MONOTONE_SCREEN_SAMPLES)
-    a = evolve_intertwiner(fmodel, variant, steps=16)
-    a_dev = _max_abs(a.final - np.eye(fmodel.size))
-    u = evolve_propagator(fmodel, PropagationConfig(t_ref, config.steps, config.scheme))
-    phi = phase_family(fmodel, t_ref, config.steps)
-    u_phi = _max_abs(u.matrices - phi.matrices)
-    eta = leakage_exact(fmodel, u, fpart, config.j0)
+    a_dev = _max_abs(final_intertwiner(fmodel, variant, 16) - np.eye(fmodel.size))
+    u_phi = 0.0
+    idx = np.arange(fmodel.size)
+    for s, u in propagator_nodes(fmodel, PropagationConfig(t_ref, config.steps, config.scheme)):
+        diff = u.copy()
+        diff[:, idx, idx] -= phase_factors(fmodel, t_ref, s)
+        u_phi = max(u_phi, _max_abs(diff))
+    eta = leakage_exact(fmodel, u[-1], fpart, config.j0)
 
     passed = k_max <= 1e-15 and a_dev <= 1e-12 and u_phi <= 1e-10 and eta <= 1e-12
     return {
@@ -180,8 +178,7 @@ def _check_by_parts(config, model, part) -> dict:
 
 
 def _check_intertwining(config, model, part) -> dict:
-    a = evolve_intertwiner(model, kato_state(), config.steps, config.scheme)
-    residual = intertwine_residual(a, model, part)
+    residual = transport_residual(model, kato_state(), part, config.steps, config.scheme)
     return {
         "passed": residual <= 1e-6,
         "measured": residual,

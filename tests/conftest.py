@@ -5,7 +5,10 @@ plain Taylor series, so it shares no code path with the eigh-based
 exponentials inside the package.  The midpoint, CF4 and transport loops
 below are the step-by-step lab-frame forms of the stepped schemes, built
 from hamiltonian()/generator() at every node, kept as the references for
-the package's chunked eigenbasis kernels.
+the package's chunked eigenbasis kernels.  stored_families and
+projector_residual_loop are the stored-family path and the per-band
+residual formula that the streamed pass and its off-block residual
+replaced, kept as their references.
 """
 
 from __future__ import annotations
@@ -20,13 +23,18 @@ import pytest
 
 from adiabatic_continuum import (
     CF4,
+    EXACT,
     AngleSchedule,
     BandPartition,
     KGrid,
     build_model,
+    evolve_intertwiner,
+    evolve_propagator,
     generator,
     linear_dispersion,
     nearest_neighbor_rotation,
+    phase_family,
+    wave_operator,
 )
 
 N = 16
@@ -121,6 +129,26 @@ def cf4_loop(model, duration: float, steps: int) -> np.ndarray:
 def intertwiner_loop(model, variant, steps: int, scheme: str) -> np.ndarray:
     """Stepped transport A at all steps+1 nodes from generator() and eigh per stage."""
     return _step_loop(lambda s: generator(model, variant, s), 1.0, steps, scheme)
+
+
+def stored_families(model, variant, config):
+    """(U, A, Phi, W) stored on all steps+1 nodes, A in closed form."""
+    u = evolve_propagator(model, config)
+    a = evolve_intertwiner(model, variant, config.steps, EXACT)
+    phi = phase_family(model, config.duration, config.steps)
+    return u, a, phi, wave_operator(u, a, phi)
+
+
+def projector_residual_loop(a_family, model, part) -> float:
+    """max over bands and nodes of sigma_max(A_b - Q_b Q_b^dag A_b), one band at a time."""
+    worst = 0.0
+    for members in part.bands:
+        idx = list(members)
+        ab = a_family.matrices[:, :, idx]
+        qb = model.frame_slices_profile(idx, a_family.s_nodes)
+        off = ab - np.matmul(qb, np.matmul(qb.conj().swapaxes(-1, -2), ab))
+        worst = max(worst, float(np.linalg.svd(off, compute_uv=False)[..., 0].max()))
+    return worst
 
 
 def make_model(theta_max: float = THETA_MAX, kind: str = "cubic_ramp", n: int = N,

@@ -150,6 +150,50 @@ def test_verify_frozen_annotation(fast_config):
     assert any("theta_max = 0" in note for note in record["annotations"])
 
 
+def test_simulate_and_verify_store_no_family(fast_config, monkeypatch):
+    # both stream their families chunk by chunk; a stored family would be a
+    # UnitaryFamily of steps+1 matrices
+    from adiabatic_continuum import UnitaryFamily
+
+    built = []
+    original = UnitaryFamily.__post_init__
+
+    def recorder(self):
+        built.append((self.kind, len(self.s_nodes)))
+        original(self)
+
+    monkeypatch.setattr(UnitaryFamily, "__post_init__", recorder)
+    cfg = fast_config({"run": {"T": "20.0", "steps": "512"}})
+    assert cmd_simulate(cfg)[0] == 0
+    assert cmd_verify(cfg)[0] == 0
+    assert built == []
+
+
+def test_verify_streamed_checks_equal_stored_families(fast_config):
+    # the frozen-frame and intertwining checks stream their families; they
+    # must measure what the stored families give
+    import numpy as np
+
+    from adiabatic_continuum import (
+        PropagationConfig,
+        evolve_intertwiner,
+        evolve_propagator,
+        intertwine_residual,
+        kato_state,
+        phase_family,
+    )
+
+    cfg = fast_config({"run": {"steps": "1024"}})
+    rows = {row["name"]: row for row in cmd_verify(cfg)[1]["checks"]}
+    fmodel = dataclasses.replace(cfg, theta_max=0.0).build_model()
+    u = evolve_propagator(fmodel, PropagationConfig(cfg.duration, 1024))
+    phi = phase_family(fmodel, cfg.duration, 1024)
+    assert rows["frozen_frame"]["measured"] == float(np.abs(u.matrices - phi.matrices).max())
+    a = evolve_intertwiner(cfg.build_model(), kato_state(), 1024)
+    expected = intertwine_residual(a, cfg.build_model(), cfg.build_partition())
+    assert rows["intertwining"]["measured"] == expected
+
+
 def test_write_outputs_respects_formats(fast_config, tmp_path):
     cfg = fast_config({"run": {"T": "20.0", "steps": "512"}})
     _, record, _, _ = cmd_simulate(cfg)

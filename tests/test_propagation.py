@@ -1,4 +1,4 @@
-"""Propagator, transport, phase, and wave-operator families.
+"""Propagator, transport, phase, and wave-operator families, stored and streamed.
 
 Oracles: a Taylor-series matrix exponential for the closed-form transport
 solutions (the state-wise generator commutes at all s, so A(s) is exactly
@@ -30,7 +30,6 @@ from adiabatic_continuum import (
     UnitaryFamily,
     build_model,
     deviation_from_identity,
-    dynamical_phase,
     evolve_intertwiner,
     evolve_propagator,
     final_intertwiner,
@@ -47,7 +46,7 @@ from adiabatic_continuum import (
     phase_operator,
     propagator_step_budget,
     random_banded_rotation,
-    rotating_picture,
+    stream_families,
     tabulated_dispersion,
     wave_operator,
     weyl_band,
@@ -55,7 +54,15 @@ from adiabatic_continuum import (
 from adiabatic_continuum import propagation
 from adiabatic_continuum.propagation import _CHUNK, _CHUNK_BYTES
 
-from conftest import cf4_loop, intertwiner_loop, make_model, midpoint_loop, taylor_expm
+from conftest import (
+    cf4_loop,
+    intertwiner_loop,
+    make_model,
+    midpoint_loop,
+    projector_residual_loop,
+    stored_families,
+    taylor_expm,
+)
 
 
 def rk4_propagator(model, duration: float, steps: int) -> np.ndarray:
@@ -442,7 +449,7 @@ def test_intertwine_residual_metric(default_model, default_part):
     mats = np.stack(
         [taylor_expm(default_model.rotation.schedule.angle(s) * g) for s in s_nodes]
     )
-    exact = UnitaryFamily("A", s_nodes, mats, kato_state())
+    exact = UnitaryFamily("A", s_nodes, mats)
     assert intertwine_residual(exact, default_model, default_part) < 1e-13
     fam = evolve_intertwiner(default_model, kato_state(), 1000)
     assert intertwine_residual(fam, default_model, default_part) == pytest.approx(1.0e-7, rel=0.1)
@@ -468,20 +475,24 @@ def test_principal_angle_residual_equals_projector_difference_norm(default_model
 def test_dynamical_phase_matches_quadrature(default_model):
     s = np.linspace(0.0, 0.8, 20001)
     quad = np.trapezoid(default_model.energy(5, s), s)
-    assert dynamical_phase(default_model, 5, 0.8) == pytest.approx(quad, rel=1e-9)
+    assert default_model.phase(5, 0.8) == pytest.approx(quad, rel=1e-9)
 
 
 def test_phase_operator_is_diagonal(default_model):
     phi = phase_operator(default_model, 100.0, 0.7)
     off = phi - np.diag(np.diag(phi))
     assert np.abs(off).max() == 0.0
-    expected = np.exp(-1j * 100.0 * np.array([dynamical_phase(default_model, j, 0.7) for j in range(16)]))
+    expected = np.exp(-1j * 100.0 * np.array([default_model.phase(j, 0.7) for j in range(16)]))
     assert np.abs(np.diag(phi) - expected).max() < 1e-12
 
 
 def test_phase_family_nodes(default_model):
     fam = phase_family(default_model, 100.0, 50)
     assert fam.kind == "Phi"
+    # one vectorised phase call gives the per-state phases bitwise
+    per_state = np.stack([default_model.phase(j, fam.s_nodes) for j in range(16)], axis=1)
+    assert np.array_equal(np.diagonal(fam.matrices, axis1=1, axis2=2), np.exp(-1j * 100.0 * per_state))
+    assert not fam.matrices[:, ~np.eye(16, dtype=bool)].any()
     assert np.abs(fam.at(0.5) - phase_operator(default_model, 100.0, 0.5)).max() < 1e-14
     assert fam.unitarity_defect() < 1e-12
 
@@ -511,13 +522,84 @@ def test_deviation_from_identity():
     assert deviation_from_identity(m) == pytest.approx(0.5)
 
 
-def test_rotating_picture_diagonalizes_hamiltonian(default_model):
-    fam = evolve_intertwiner(default_model, kato_state(), 256, CF4)
-    h_rot, k_rot = rotating_picture(default_model, fam, 0.5)
-    off = h_rot - np.diag(np.diag(h_rot))
-    assert np.abs(off).max() < 1e-12
-    assert np.abs(np.diag(h_rot) - default_model.energies(0.5)).max() < 1e-12
-    assert np.abs(k_rot - k_rot.conj().T).max() < 1e-12
-    phi = phase_family(default_model, 100.0, 256)
+# ---- the streamed pass ----------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("band_variant", [False, True], ids=["kato_state", "weyl_band"])
+@pytest.mark.parametrize("steps", KERNEL_STEPS)
+@pytest.mark.parametrize("name", KERNEL_MODELS)
+def test_stream_families_matches_stored_families(name, steps, band_variant, scheme):
+    model = _kernel_models()[name]
+    part = BandPartition(model.size, 5)  # the last band absorbs the remainder
+    variant = weyl_band(part) if band_variant else kato_state()
+    config = PropagationConfig(0.1 * steps, steps, scheme)
+    u, a, phi, w = stored_families(model, variant, config)
+    streamed = stream_families(model, variant, config, part)
+    assert np.array_equal(streamed.u_final, u.final)
+    assert np.array_equal(streamed.w_final, w.final)
+    for fam in (u, a, w):
+        assert streamed.unitarity[fam.kind] == fam.unitarity_defect()
+    # Phi's defect is elementwise in the pass and a matmul on the stored family
+    assert abs(streamed.unitarity["Phi"] - phi.unitarity_defect()) <= 1e-15
+    assert streamed.intertwine_residual == intertwine_residual(a, model, part)
+
+
+def test_stream_families_without_partition_skips_the_residual(default_model):
+    config = PropagationConfig(2.0, 64)
+    streamed = stream_families(default_model, kato_state(), config)
+    assert streamed.intertwine_residual is None
+    assert list(streamed.unitarity) == ["U", "A", "Phi", "W"]
+    with pytest.raises(StepBudgetError):
+        stream_families(default_model, kato_state(), PropagationConfig(100.0, 64))
     with pytest.raises(ConfigError):
-        rotating_picture(default_model, phi, 0.5)
+        stream_families(default_model, kato_state(), config, BandPartition(8, 2))
+
+
+def test_frame_profile_is_independent_of_the_node_count(default_model):
+    s = np.linspace(0.0, 1.0, 301)
+    whole = default_model.frame_slices_profile(range(16), s)
+    for lo, hi in ((0, 1), (300, 301), (5, 7), (10, 26), (0, 17), (100, 300)):
+        assert np.array_equal(default_model.frame_slices_profile(range(16), s[lo:hi]), whole[lo:hi])
+    final = final_intertwiner(default_model, kato_state(), 300, EXACT)
+    assert np.array_equal(final, evolve_intertwiner(default_model, kato_state(), 300, EXACT).final)
+
+
+@pytest.mark.parametrize(
+    "scheme, steps", [(EXACT, 300), (MIDPOINT, 1000), (CF4, 200)], ids=["exact", "midpoint", "cf4"]
+)
+@pytest.mark.parametrize("band_variant", [False, True], ids=["kato_state", "weyl_band"])
+def test_off_block_residual_matches_projector_formula(default_model, scheme, steps, band_variant):
+    part = BandPartition(16, 3)  # ragged: the last band has four states
+    variant = weyl_band(part) if band_variant else kato_state()
+    fam = evolve_intertwiner(default_model, variant, steps, scheme)
+    residual = intertwine_residual(fam, default_model, part)
+    assert abs(residual - projector_residual_loop(fam, default_model, part)) <= 1e-14
+    if scheme != EXACT:
+        streamed = propagation.transport_residual(default_model, variant, part, steps, scheme)
+        assert streamed == residual
+
+
+def test_transport_residual_validation(default_model, default_part):
+    with pytest.raises(ConfigError):
+        propagation.transport_residual(default_model, kato_state(), default_part, 300, EXACT)
+    with pytest.raises(StepBudgetError):
+        propagation.transport_residual(default_model, kato_state(), default_part, 1, MIDPOINT)
+
+
+def test_stream_families_memory_is_flat_in_steps():
+    # the four stored families would take 4 (steps+1) N^2 16 bytes: 35 MB at
+    # 32 steps and 68 MB at 64
+    model = make_model(n=128)
+    part = BandPartition(128, 2)
+    model.frame_eigensystem  # cached before measuring
+    peaks = []
+    for steps in (32, 64):
+        tracemalloc.start()
+        try:
+            stream_families(model, kato_state(), PropagationConfig(1.0, steps), part)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[1] < 16 * _CHUNK_BYTES
