@@ -287,26 +287,6 @@ def leakage_first_order(
     return total / HBAR**2
 
 
-def transition_weight(
-    model: ContinuumModel,
-    part: BandPartition,
-    j0: int,
-    j: int,
-    duration: float,
-    substeps: int | None = None,
-) -> float:
-    """Single-pair transition probability on the physical clock.
-
-    The clock change cancels: T from dt = T ds against 1/T in the
-    physical-time coupling, so this is exactly one exterior term of
-    leakage_first_order.
-    """
-    if part.band_of(j) == part.band_of(j0):
-        raise ConfigError(f"state {j} is inside the band of {j0}; no transition weight")
-    f = transition_integral(model, kato_state(), j0, j, duration, 1.0, substeps)
-    return abs(f) ** 2 / HBAR**2
-
-
 def transition_weight_max_estimate(
     model: ContinuumModel,
     j0: int,
@@ -474,29 +454,3 @@ def check_gap_margin(
                 f"duration T={t:g} violates the gap margin: "
                 f"gap*T = {gap * t:.3g} < {margin:g}"
             )
-
-
-def convergence_study(
-    model: ContinuumModel,
-    part: BandPartition,
-    j0: int,
-    durations,
-    steps: int,
-    scheme: str = MIDPOINT,
-    variant: GeneratorVariant | None = None,
-    jobs: int = 1,
-    margin: float | None = None,
-    substeps: int | None = None,
-) -> ConvergenceFit:
-    """Fit the decay exponent of exact leakage across a duration sweep."""
-    durations = [float(t) for t in durations]
-    if len(durations) < 3:
-        raise ConfigError(f"convergence study needs >= 3 durations, got {len(durations)}")
-    if margin is not None:
-        check_gap_margin(model, part, j0, durations, margin)
-    reports = sweep_leakage(
-        model, part, j0, durations, steps, scheme, variant, jobs, substeps
-    )
-    return fit_power_law(
-        [r.duration for r in reports], [r.eta_exact for r in reports]
-    )

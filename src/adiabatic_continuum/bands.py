@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, CrossingError, NoExteriorError, NoFeasibleBandError
-from .spectral import EPS_CROSS, ContinuumModel, KGrid
+from .spectral import EPS_CROSS, ContinuumModel
 
 # s-samples of the energy scans behind pair_gap and the virtual gaps.
 GAP_SAMPLES = 129
@@ -68,10 +68,6 @@ class BandPartition:
                 "no exterior states exist"
             )
         return out
-
-
-def partition(grid: KGrid, m: int) -> BandPartition:
-    return BandPartition(grid.size, m)
 
 
 @dataclass(frozen=True)

@@ -43,15 +43,17 @@ and would no longer check it.
 
 simulate and verify do not store the families.  stream_families makes
 one pass over the propagator's chunks (propagator_nodes): per chunk it
-forms A from the closed form, Phi from one vectorised phase call and
-W = Phi^dag (A^dag U), updates running maxima of the four unitarity
-defects and of the intertwining residual, and keeps only U(1) and W(1),
-so memory is one chunk, O(chunk N^2), at any step count.  Every node of
-the pass equals the node of the stored family bitwise: W goes through the
-same two matmuls as wave_operator, with Phi as full diagonal matrices
-(a row scaling rounds differently), and a node's frame columns do not
-depend on how many nodes a call takes (ContinuumModel.frame_slices_profile).
-verify's stepped transport is streamed the same way (transport_residual).
+builds the frame Q = frame_matrix(s) once, forms A from the closed form
+on it, Phi from one vectorised phase call and W = Phi^dag (A^dag U),
+updates running maxima of the four unitarity defects and of the
+intertwining residual (read against the same Q), and keeps only U(1) and
+W(1), so memory is one chunk, O(chunk N^2), at any step count.  Every
+node of the pass equals the node of the stored family bitwise, because
+no node depends on the chunk it is built in: frame_matrix takes one
+N x N product per node, and stored and streamed W share one helper
+(_residual_operator, Phi^dag as a row scaling by the phases), to which
+wave_operator passes its Phi family's diagonal.  verify's stepped
+transport is streamed the same way (transport_residual).
 The stored families (evolve_*, phase_family, wave_operator) stay for
 library use and as the references of the tests.
 """
@@ -60,7 +62,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -480,8 +481,10 @@ def _check_intertwiner(model: ContinuumModel, variant: GeneratorVariant, steps: 
         )
 
 
-def _exact_transport(model: ContinuumModel, variant: GeneratorVariant, s) -> np.ndarray:
-    """Kato's closed form A(s) = exp(theta G) exp(-theta G_in), stacked over s.
+def _exact_transport(
+    model: ContinuumModel, variant: GeneratorVariant, s: np.ndarray, q: np.ndarray
+) -> np.ndarray:
+    """Kato's closed form A(s) = exp(theta G) exp(-theta G_in), stacked over s, given Q = frame_matrix(s).
 
     With Q = exp(theta G) the frame velocity in the frame is theta' G, so
     the masked generator is theta' (G - G_in), where G_in keeps the couplings
@@ -490,15 +493,13 @@ def _exact_transport(model: ContinuumModel, variant: GeneratorVariant, s) -> np.
     factors go through Hermitian eigendecompositions, so A is unitary to
     roundoff, and theta = 0 gives the identity bitwise.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
     n = model.size
-    a = model.frame_slices_profile(range(n), s)
-    theta = model.rotation.schedule.angle(s)
     g_in = np.where(variant.keep_mask(n), 0.0, model.rotation.generator)
-    if g_in.any():
-        mu, w = np.linalg.eigh(1j * g_in)
-        x = (w * np.exp(1j * np.multiply.outer(theta, mu))[:, None, :]) @ w.conj().T
-        a = a @ x
+    if not g_in.any():
+        return q
+    theta = model.rotation.schedule.angle(s)
+    mu, w = np.linalg.eigh(1j * g_in)
+    a = q @ ((w * np.exp(1j * np.multiply.outer(theta, mu))[:, None, :]) @ w.conj().T)
     a[theta == 0.0] = np.eye(n)
     return a
 
@@ -517,7 +518,8 @@ def evolve_intertwiner(
     _check_intertwiner(model, variant, steps, scheme)
     s_nodes = np.linspace(0.0, 1.0, steps + 1)
     if scheme == EXACT:
-        return UnitaryFamily("A", s_nodes, _exact_transport(model, variant, s_nodes))
+        a = _exact_transport(model, variant, s_nodes, model.frame_matrix(s_nodes))
+        return UnitaryFamily("A", s_nodes, a)
     matrices = _stored(_intertwiner_chunks(model, variant, steps, scheme), steps, model.size)
     return UnitaryFamily("A", s_nodes, matrices)
 
@@ -531,20 +533,21 @@ def final_intertwiner(
     """A at s=1 only; scheme=EXACT skips the steps."""
     _check_intertwiner(model, variant, steps, scheme)
     if scheme == EXACT:
-        return _exact_transport(model, variant, 1.0)[0]
+        s = np.ones(1)
+        return _exact_transport(model, variant, s, model.frame_matrix(s))[0]
     return _last(_intertwiner_chunks(model, variant, steps, scheme))
 
 
-def _chunk_residual(model: ContinuumModel, part: BandPartition, s: np.ndarray, a: np.ndarray) -> float:
-    """max over bands and the nodes s of sigma_max((Q^dag A)[ext(b), b]), with Q = Q(s).
+def _chunk_residual(part: BandPartition, q: np.ndarray, a: np.ndarray) -> float:
+    """max over bands and a chunk's nodes of sigma_max((Q^dag A)[ext(b), b]), with Q stacked as A.
 
-    One frame profile and one Q^dag A per chunk serve every band; a band
-    with no exterior has no off-block and adds nothing.
+    One Q^dag A per chunk serves every band; a band with no exterior has
+    no off-block and adds nothing.
     """
-    x = np.matmul(model.frame_slices_profile(range(model.size), s).conj().swapaxes(-1, -2), a)
+    x = np.matmul(q.conj().swapaxes(-1, -2), a)
     worst = 0.0
     for members in part.bands:
-        outside = np.ones(model.size, dtype=bool)
+        outside = np.ones(part.grid_size, dtype=bool)
         outside[list(members)] = False
         if outside.any():
             off = x[:, outside, members[0] : members[-1] + 1]
@@ -573,7 +576,7 @@ def intertwine_residual(a_family: UnitaryFamily, model: ContinuumModel, part: Ba
     roundoff of the cosines near 1.  The family is read chunk by chunk.
     """
     _check_partition(model, part)
-    return max(_chunk_residual(model, part, s, a) for s, a in a_family.chunks())
+    return max(_chunk_residual(part, model.frame_matrix(s), a) for s, a in a_family.chunks())
 
 
 def transport_residual(
@@ -589,7 +592,7 @@ def transport_residual(
     _check_intertwiner(model, variant, steps, scheme)
     _check_partition(model, part)
     nodes = _nodes(_intertwiner_chunks(model, variant, steps, scheme), steps, model.size)
-    return max(_chunk_residual(model, part, s, a) for s, a in nodes)
+    return max(_chunk_residual(part, model.frame_matrix(s), a) for s, a in nodes)
 
 
 # ---- phases and the wave operator --------------------------------------
@@ -638,12 +641,13 @@ def wave_operator(u: UnitaryFamily, a: UnitaryFamily, phi: UnitaryFamily) -> Uni
         np.array_equal(u.s_nodes, a.s_nodes) and np.array_equal(u.s_nodes, phi.s_nodes)
     ):
         raise ConfigError("families do not share one s-grid")
-    return UnitaryFamily("W", u.s_nodes.copy(), _residual_operator(u.matrices, a.matrices, phi.matrices))
+    p = np.diagonal(phi.matrices, axis1=-2, axis2=-1)
+    return UnitaryFamily("W", u.s_nodes.copy(), _residual_operator(u.matrices, a.matrices, p))
 
 
-def _residual_operator(u: np.ndarray, a: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Phi^dag (A^dag U), stacked; Phi as full diagonal matrices, so streamed and stored W agree bitwise."""
-    return np.matmul(phi.conj().swapaxes(-1, -2), np.matmul(a.conj().swapaxes(-1, -2), u))
+def _residual_operator(u: np.ndarray, a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Phi^dag (A^dag U), stacked, with Phi^dag applied as a row scaling by the conjugated phases p."""
+    return p.conj()[..., :, None] * np.matmul(a.conj().swapaxes(-1, -2), u)
 
 
 def deviation_from_identity(matrix: np.ndarray) -> float:
@@ -677,25 +681,27 @@ def stream_families(
 ) -> FamilyDiagnostics:
     """U, the closed-form A, Phi and W over all steps+1 nodes, one chunk of nodes at a time.
 
-    Per chunk of propagator_nodes: A from the closed form, Phi from one
-    vectorised phase call, W = Phi^dag (A^dag U), then running maxima of
-    the defects and, given part, of the intertwining residual.  Only U(1)
-    and W(1) are kept, so memory is O(chunk N^2) at any steps.  Every
-    node's U, A and W equal those of the stored families bitwise, so the
-    U, A and W defects do too; Phi's defect is taken elementwise, as
-    | |exp(-i T alpha)|^2 - 1 |, since Phi is diagonal.
+    Per chunk of propagator_nodes: one frame Q, A from the closed form on
+    it, Phi from one vectorised phase call, W = Phi^dag (A^dag U), then
+    running maxima of the defects and, given part, of the intertwining
+    residual against the same Q.  Only U(1) and W(1) are kept, so memory
+    is O(chunk N^2) at any steps.  Every node's U, A and W equal those of
+    the stored families bitwise, so the U, A and W defects do too; Phi's
+    defect is taken elementwise, as | |exp(-i T alpha)|^2 - 1 |, since Phi
+    is diagonal.
     """
     if part is not None:
         _check_partition(model, part)
     defects = dict.fromkeys(("U", "A", "Phi", "W"), 0.0)
     residual = 0.0
     for s, u in propagator_nodes(model, config):
-        a = _exact_transport(model, variant, s)
+        q = model.frame_matrix(s)
+        a = _exact_transport(model, variant, s, q)
         p = phase_factors(model, config.duration, s)
-        w = _residual_operator(u, a, _diagonals(p))
+        w = _residual_operator(u, a, p)
         for kind, mats in (("U", u), ("A", a), ("W", w)):
             defects[kind] = max(defects[kind], _unitarity_defect(mats))
         defects["Phi"] = max(defects["Phi"], float(np.abs(p.conj() * p - 1.0).max()))
         if part is not None:
-            residual = max(residual, _chunk_residual(model, part, s, a))
+            residual = max(residual, _chunk_residual(part, q, a))
     return FamilyDiagnostics(u[-1], w[-1], defects, residual if part is not None else None)

@@ -13,7 +13,7 @@ so frames stay unitary to roundoff for any angle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
@@ -33,19 +33,6 @@ ENERGY_SAMPLES = 65
 
 # s-values scanned by build_model when screening for degenerate spectra.
 MONOTONE_SCREEN_SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-# frame_slices_profile keeps each node's columns bitwise the same however
-# many nodes a call takes, so a profile built chunk by chunk equals the one
-# built at once.  einsum's own contraction order changes with the number of
-# nodes, so the order is fixed: V with V^dag's columns first while that
-# (N, N, m) product fits in _PROFILE_BYTES, else the phases with V first.
-# And BLAS takes the rows of a product in blocks, where a partial block
-# (or a single row, through GEMV) may round differently, so the nodes are
-# padded to a multiple of _PROFILE_ROWS with copies of the last one.
-_PAIR_FIRST = ["einsum_path", (0, 2), (0, 1)]
-_NODE_FIRST = ["einsum_path", (0, 1), (0, 1)]
-_PROFILE_BYTES = 2 << 20
-_PROFILE_ROWS = 8
 
 DISPERSION_FAMILIES = ("linear", "quadratic", "tabulated")
 ANGLE_SCHEDULES = ("cubic_ramp", "quadratic_ramp", "smoothstep", "linear_ramp")
@@ -315,7 +302,7 @@ class ContinuumModel:
 
     Frame columns are phi_j(s) = exp(theta(s) G) e_j.  The exponential is
     evaluated through iG = V diag(lam) V^dag, exact up to roundoff and
-    exactly unitary, and theta(s) == 0 short-circuits to the identity so
+    exactly unitary, and a node with theta(s) == 0 is set to the identity so
     phi_j(0) = e_j holds bitwise.
     """
 
@@ -373,41 +360,22 @@ class ContinuumModel:
 
     # ---- frame machinery -----------------------------------------------
 
-    def frame_matrix(self, s: float) -> np.ndarray:
-        """Unitary Q(s) whose columns are phi_j(s)."""
-        theta = float(self.rotation.schedule.angle(s))
-        if theta == 0.0:
-            return np.eye(self.size, dtype=complex)
-        lam, v = self.frame_eigensystem
-        return (v * np.exp(-1j * theta * lam)) @ v.conj().T
+    def frame_matrix(self, s) -> np.ndarray:
+        """Unitary Q(s) whose columns are phi_j(s); shape (..., N, N) over an array of s.
 
-    def frame_vector(self, j: int, s: float) -> np.ndarray:
-        theta = float(self.rotation.schedule.angle(s))
-        if theta == 0.0:
-            e = np.zeros(self.size, dtype=complex)
-            e[j] = 1.0
-            return e
+        Each node is one N x N product (V E(theta)) @ V^dag, so its Q does
+        not depend on how many nodes a call takes; theta = 0 gives the
+        identity exactly.
+        """
+        theta = np.asarray(self.rotation.schedule.angle(s), dtype=float)
         lam, v = self.frame_eigensystem
-        return v @ (np.exp(-1j * theta * lam) * v[j].conj())
+        q = np.matmul(v * np.exp(-1j * theta[..., None, None] * lam), v.conj().T)
+        q[theta == 0.0] = np.eye(self.size)
+        return q
 
     def frame_velocity_matrix(self, s: float) -> np.ndarray:
         rate = float(self.rotation.schedule.angle_rate(s))
         return rate * (self.rotation.generator @ self.frame_matrix(s))
-
-    def frame_slices_profile(self, indices, s) -> np.ndarray:
-        """Frame columns for an index set over an s-array; shape (S, N, m).
-
-        Bitwise the same per node however many nodes a call takes (see
-        _PROFILE_ROWS).
-        """
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        count = len(s)
-        s = np.concatenate([s, np.repeat(s[-1:], -count % _PROFILE_ROWS)])
-        lam, v = self.frame_eigensystem
-        w0 = v.conj().T[:, list(indices)]
-        expo = np.exp(-1j * np.outer(self.rotation.schedule.angle(s), lam))
-        path = _PAIR_FIRST if 16 * w0.size * self.size <= _PROFILE_BYTES else _NODE_FIRST
-        return np.einsum("nk,sk,km->snm", v, expo, w0, optimize=path)[:count]
 
     def frame_coupling_profile(self, a: int, b: int, s) -> np.ndarray:
         """<phi_a(s) | d/ds phi_b(s)> = theta'(s) * G[a, b] for an array of s.

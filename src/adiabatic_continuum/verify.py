@@ -222,7 +222,7 @@ def verify_config(config: ExperimentConfig) -> tuple[bool, list[dict], list[str]
             "theta_max = 0: the frame never moves, so transition and leakage "
             "checks are satisfied trivially"
         )
-    if config.band_size == config.grid_size:
+    if len(part) == 1:
         annotations.append("a single band covers the grid; exterior checks are vacuous")
     window = literal_window_hermiticity(model, config.band_size, 0.5)
     annotations.append(

@@ -145,7 +145,7 @@ def projector_residual_loop(a_family, model, part) -> float:
     for members in part.bands:
         idx = list(members)
         ab = a_family.matrices[:, :, idx]
-        qb = model.frame_slices_profile(idx, a_family.s_nodes)
+        qb = model.frame_matrix(a_family.s_nodes)[:, :, idx]
         off = ab - np.matmul(qb, np.matmul(qb.conj().swapaxes(-1, -2), ab))
         worst = max(worst, float(np.linalg.svd(off, compute_uv=False)[..., 0].max()))
     return worst

@@ -15,7 +15,6 @@ from adiabatic_continuum import (
     PropagationConfig,
     StepBudgetError,
     adiabatic_criterion,
-    convergence_study,
     coupling,
     final_propagator,
     fit_power_law,
@@ -30,10 +29,10 @@ from adiabatic_continuum import (
     tabulated_dispersion,
     transition_integral,
     transition_integral_parts,
-    transition_weight,
     transition_weight_max_estimate,
     weyl_band,
 )
+from adiabatic_continuum.analysis import check_gap_margin
 
 from conftest import make_model
 
@@ -173,16 +172,11 @@ def test_leakage_wave_form_counts_exterior_weight(default_model, default_part):
 def test_first_order_leakage_is_sum_of_weights(default_model, default_part):
     total = leakage_first_order(default_model, default_part, 1, 100.0)
     by_pairs = sum(
-        transition_weight(default_model, default_part, 1, j, 100.0)
+        abs(transition_integral(default_model, kato_state(), 1, j, 100.0)) ** 2
         for j in default_part.exterior(0)
     )
     assert total == pytest.approx(by_pairs, rel=1e-12)
     assert total == pytest.approx(8.0058e-3, rel=1e-3)
-
-
-def test_transition_weight_rejects_in_band(default_model, default_part):
-    with pytest.raises(ConfigError):
-        transition_weight(default_model, default_part, 1, 0, 100.0)
 
 
 def test_no_exterior_raises(default_model):
@@ -220,7 +214,7 @@ def test_estimate_quarters_when_duration_doubles(default_model):
 
 
 def test_estimate_bounds_transition_weight(default_model, default_part):
-    weight = transition_weight(default_model, default_part, 1, 2, 800.0)
+    weight = abs(transition_integral(default_model, kato_state(), 1, 2, 800.0)) ** 2
     est = transition_weight_max_estimate(default_model, 1, 2, duration=800.0)
     assert weight <= 4.0 * est
     assert est <= 4.0 * weight
@@ -313,13 +307,10 @@ def test_fit_power_law_errors():
         fit_power_law([1.0, 2.0], [1.0])
 
 
-def test_convergence_study_margin_precondition(default_model, default_part):
-    with pytest.raises(ConfigError, match="margin"):
-        convergence_study(
-            default_model, default_part, 1, [50.0, 100.0, 200.0], steps=2000, margin=100.0
-        )
-    with pytest.raises(ConfigError):
-        convergence_study(default_model, default_part, 1, [50.0, 100.0], steps=2000)
+def test_check_gap_margin_names_the_smallest_violating_duration(default_model, default_part):
+    with pytest.raises(ConfigError, match="T=50 violates the gap margin"):
+        check_gap_margin(default_model, default_part, 1, [200.0, 50.0, 100.0], 100.0)
+    check_gap_margin(default_model, default_part, 1, [50.0, 100.0, 200.0], 1.0)
 
 
 def test_first_order_tracks_exact_leakage(default_model, default_part):

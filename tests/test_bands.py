@@ -11,7 +11,6 @@ from adiabatic_continuum import (
     BandPartition,
     ConfigError,
     CrossingError,
-    KGrid,
     NoExteriorError,
     NoFeasibleBandError,
     band_projector,
@@ -19,7 +18,6 @@ from adiabatic_continuum import (
     feasible_band_size,
     minimal_time,
     pair_gap,
-    partition,
     project,
     projector,
     tabulated_dispersion,
@@ -61,11 +59,6 @@ def test_partition_band_of_and_exterior():
     assert part.exterior(0) == tuple(range(2, 16))
 
 
-def test_partition_from_grid():
-    part = partition(KGrid(1.0, 2.0, 16), 4)
-    assert len(part) == 4
-
-
 def test_partition_validation():
     with pytest.raises(ConfigError):
         BandPartition(16, 0)
@@ -97,10 +90,8 @@ def test_partition_covers_grid_disjointly(n, m):
 def test_projector_matches_frame_outer_products(default_model):
     p = projector(default_model, [2, 3], 0.4)
     assert p.rank == 2
-    direct = sum(
-        np.outer(default_model.frame_vector(j, 0.4), default_model.frame_vector(j, 0.4).conj())
-        for j in (2, 3)
-    )
+    q = default_model.frame_matrix(0.4)
+    direct = sum(np.outer(q[:, j], q[:, j].conj()) for j in (2, 3))
     assert np.abs(p.matrix - direct).max() < 1e-14
 
 
@@ -129,7 +120,7 @@ def test_projector_validation(default_model):
 
 def test_projection_coefficients(default_model, default_part):
     p = band_projector(default_model, default_part, 0, 0.5)
-    psi = default_model.frame_vector(1, 0.5)
+    psi = default_model.frame_matrix(0.5)[:, 1]
     proj = project(p, psi)
     assert proj.coefficients == pytest.approx([0.0 + 0.0j, 1.0 + 0.0j], abs=1e-14)
     assert np.allclose(proj.vector, psi)

@@ -150,6 +150,15 @@ def test_verify_frozen_annotation(fast_config):
     assert any("theta_max = 0" in note for note in record["annotations"])
 
 
+@pytest.mark.parametrize("m, single", [(8, False), (9, True), (16, True)])
+def test_verify_single_band_annotation(fast_config, m, single):
+    # the last band absorbs the remainder, so every m > N/2 leaves one band
+    cfg = fast_config({"bands": {"m": str(m)}, "run": {"steps": "1024"}})
+    _, record, _, _ = cmd_verify(cfg)
+    notes = record["annotations"]
+    assert any("single band covers the grid" in note for note in notes) == single
+
+
 def test_simulate_and_verify_store_no_family(fast_config, monkeypatch):
     # both stream their families chunk by chunk; a stored family would be a
     # UnitaryFamily of steps+1 matrices

@@ -556,13 +556,40 @@ def test_stream_families_without_partition_skips_the_residual(default_model):
         stream_families(default_model, kato_state(), config, BandPartition(8, 2))
 
 
-def test_frame_profile_is_independent_of_the_node_count(default_model):
-    s = np.linspace(0.0, 1.0, 301)
-    whole = default_model.frame_slices_profile(range(16), s)
-    for lo, hi in ((0, 1), (300, 301), (5, 7), (10, 26), (0, 17), (100, 300)):
-        assert np.array_equal(default_model.frame_slices_profile(range(16), s[lo:hi]), whole[lo:hi])
-    final = final_intertwiner(default_model, kato_state(), 300, EXACT)
-    assert np.array_equal(final, evolve_intertwiner(default_model, kato_state(), 300, EXACT).final)
+@pytest.mark.parametrize(
+    "n, theta_max", [(7, 0.4), (16, 0.4), (64, 0.4), (128, 0.4), (16, 0.0)],
+    ids=["n7", "n16", "n64", "n128", "frozen"],
+)
+def test_frame_matrix_is_independent_of_the_node_count(n, theta_max):
+    model = make_model(theta_max=theta_max, n=n)
+    s = np.linspace(0.0, 1.0, 65)
+    whole = model.frame_matrix(s)
+    for lo, hi in ((0, 1), (64, 65), (5, 7), (10, 26), (0, 17), (30, 64)):
+        assert np.array_equal(model.frame_matrix(s[lo:hi]), whole[lo:hi])
+    for k, x in enumerate(s):
+        assert np.array_equal(model.frame_matrix(x), whole[k])
+    assert np.array_equal(whole[0], np.eye(n))
+    if theta_max == 0.0:
+        assert np.array_equal(whole, np.broadcast_to(np.eye(n), whole.shape))
+    final = final_intertwiner(model, kato_state(), 64, EXACT)
+    assert np.array_equal(final, evolve_intertwiner(model, kato_state(), 64, EXACT).final)
+
+
+@pytest.mark.parametrize("band_variant", [False, True], ids=["kato_state", "weyl_band"])
+def test_stream_families_builds_one_frame_per_chunk(monkeypatch, default_model, default_part, band_variant):
+    config = PropagationConfig(10.0, 2 * _CHUNK + 5)
+    chunks = [len(s) for s, _ in propagation.propagator_nodes(default_model, config)]
+    sizes = []
+    original = ContinuumModel.frame_matrix
+
+    def recorder(self, s):
+        sizes.append(np.size(s))
+        return original(self, s)
+
+    monkeypatch.setattr(ContinuumModel, "frame_matrix", recorder)
+    variant = weyl_band(default_part) if band_variant else kato_state()
+    stream_families(default_model, variant, config, default_part)
+    assert sizes == chunks
 
 
 @pytest.mark.parametrize(

@@ -229,8 +229,12 @@ def test_frame_matrix_unitary(default_model):
 
 
 def test_frame_vector_is_column(default_model):
-    q = default_model.frame_matrix(0.5)
-    assert np.allclose(default_model.frame_vector(3, 0.5), q[:, 3])
+    # phi_3(s) = exp(theta(s) G) e_3 is column 3 of Q(s) at every stacked node
+    s = np.array([0.2, 0.5, 0.9])
+    q = default_model.frame_matrix(s)
+    for x, col in zip(s, q[:, :, 3]):
+        theta = default_model.rotation.schedule.angle(x)
+        assert np.allclose(col, taylor_expm(theta * default_model.rotation.generator)[:, 3])
 
 
 def test_frame_coupling_closed_form(default_model):
@@ -276,11 +280,12 @@ def test_frame_coupling_against_finite_difference(default_model):
     assert got == pytest.approx(fd, rel=1e-7)
 
 
-def test_frame_slices_profile_shape(default_model):
+def test_frame_matrix_stacks_over_s(default_model):
     s = np.array([0.0, 0.5, 1.0])
-    sl = default_model.frame_slices_profile([0, 1], s)
+    sl = default_model.frame_matrix(s)[..., [0, 1]]
     assert sl.shape == (3, 16, 2)
     assert np.allclose(sl[1], default_model.frame_matrix(0.5)[:, [0, 1]])
+    assert default_model.frame_matrix(s.reshape(3, 1)).shape == (3, 1, 16, 16)
 
 
 def test_hamiltonian_spectrum_matches_dispersion(default_model):
@@ -307,5 +312,5 @@ def test_build_model_rejects_degenerate_spectrum():
 def test_frozen_frame_is_constant(frozen_model):
     assert np.array_equal(frozen_model.frame_matrix(0.8), np.eye(16))
     assert np.abs(frozen_model.frame_velocity_matrix(0.8)).max() == 0.0
-    slices = frozen_model.frame_slices_profile(range(16), [0.3, 0.8])
+    slices = frozen_model.frame_matrix([0.3, 0.8])
     assert np.array_equal(slices, np.broadcast_to(np.eye(16), (2, 16, 16)))
