@@ -34,7 +34,8 @@ from .propagation import (
     final_intertwiner,
     final_propagator,
     kato_state,
-    phase_operator,
+    phase_factors,
+    _residual_operator,
 )
 from .spectral import EPS_CROSS, HBAR, ContinuumModel
 
@@ -376,8 +377,7 @@ def sweep_leakage(
         u1 = final_propagator(model, PropagationConfig(duration, steps, scheme))
         eta = leakage_exact(model, u1, part, j0)
         eta_hat = leakage_first_order(model, part, j0, duration, substeps)
-        phi1 = phase_operator(model, duration, 1.0)
-        w1 = phi1.conj().T @ (a1.conj().T @ u1)
+        w1 = _residual_operator(u1, a1, phase_factors(model, duration, 1.0))
         return LeakageReport(
             duration, j0, band, eta, eta_hat, deviation_from_identity(w1)
         )

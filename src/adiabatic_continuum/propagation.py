@@ -5,11 +5,14 @@ duration T), the transport unitary generated by the masked frame-velocity
 generator (T-independent), the dynamical-phase operator (diagonal in the
 initial frame), and the residual wave operator obtained by composition.
 
-Every step exponential goes through a Hermitian eigendecomposition, so all
-families are unitary to roundoff regardless of step count; step budgets
-only control accuracy, never stability.  The transport unitary also has a
-closed form (scheme EXACT), because the frame exp(theta(s) G) rotates with
-one constant generator; the stepped schemes stay as its independent check.
+Every step is unitary to roundoff: a midpoint propagator step is
+diagonal in the frame's eigenbasis, and every other step is a Taylor
+exponential whose truncation error stays below the unit roundoff (see
+below).  So the families stay unitary to roundoff at any step count;
+step budgets only control accuracy, never stability.
+The transport unitary also has a closed form (scheme EXACT), because the
+frame exp(theta(s) G) rotates with one constant generator; the stepped
+schemes stay as its independent check.
 
 The midpoint propagator step is Q(s_k) diag(p_k) Q(s_k)^dag, with s_k the
 step's midpoint and p_k = exp(-i T ds E(s_k) / hbar).  With the frame's
@@ -28,18 +31,23 @@ final equals the last node of its family bitwise.  A pairwise tree
 reduction would be faster for finals alone, but it rounds differently
 from the sequential path and would fork the two.
 
-The CF4 propagator and both stepped transports share one eigh kernel in
-the same basis.  There V^dag H(s) V = E(theta) B(s) E(theta)^dag with
+The CF4 propagator and both stepped transports share one kernel in the
+same basis.  There V^dag H(s) V = E(theta) B(s) E(theta)^dag with
 B(s) = V^dag diag(E(s)) V, and V^dag K(s) V = theta'(s) E(theta) C E(theta)^dag
 with the constant core C = V^dag (i hbar G_masked) V.  A chunk builds the
 stage matrices at all its Gauss nodes (two per CF4 step, one per midpoint
-step) with E(theta) as an elementwise phase, takes one stacked eigh of
-them, forms every step exponential with stacked matmuls and composes the
-steps in order with one N x N matmul each, again with no frame rebuild.
-The transport keeps the generic core C, formed by matmul, instead of its
-diagonal in exact arithmetic (hbar diag(lam) for kato_state): with the
-diagonal, the stepped transport would be the closed form by construction
-and would no longer check it.
+step) with E(theta) as an elementwise phase and exponentiates the whole
+stack at once with a truncated Taylor series (_expm): the degree (at
+most 16, evaluated by Paterson-Stockmeyer in at most six matrix
+products) and the number of squarings follow from the chunk's largest
+1-norm and the double-precision backward-error thresholds of Al-Mohy
+and Higham.  It composes the steps in order with one N x N matmul each,
+again with no frame rebuild.  A zero stage gives the identity and a
+diagonal one a diagonal step, exactly, so a frozen frame keeps its exact
+transport and diagonal propagator.  The transport keeps the generic core
+C, formed by matmul, instead of its diagonal in exact arithmetic (hbar
+diag(lam) for kato_state): with the diagonal, the stepped transport would
+be the closed form by construction and would no longer check it.
 
 simulate and verify do not store the families.  stream_families makes
 one pass over the propagator's chunks (propagator_nodes): per chunk it
@@ -88,11 +96,24 @@ _A2 = 0.25 - math.sqrt(3.0) / 6.0
 
 # Steps built per vectorised chunk: _CHUNK, or fewer on larger grids so
 # that each of a chunk's few complex (stages, N, N) temporaries stays
-# within _CHUNK_BYTES (one stage per midpoint step, two per CF4 step).
+# within _CHUNK_BYTES (one stage per midpoint step, two per CF4 step), and
+# all _EXPM_TEMPS of a Taylor-exponential chunk together do.
 # Memory is flat in `steps` and O(N^2); larger chunks buy no speed and
 # cost peak RSS when sweeps run in threads.
 _CHUNK = 128
 _CHUNK_BYTES = 2 << 20
+
+
+# The step exponentials of the CF4 propagator and the stepped transports:
+# Taylor degrees evaluated by Paterson-Stockmeyer (1, 2, 3, 4, 5 and 6
+# matrix products), each with the largest 1-norm theta at which its
+# truncation is the exact exponential of a matrix within a unit roundoff
+# (2^-53) of the argument, relatively (Al-Mohy & Higham, SIAM J. Matrix
+# Anal. Appl. 31 (2009)).  Above the last theta the argument is halved
+# until it fits and the result squared back.  An exponential holds about
+# _EXPM_TEMPS stacks the size of its argument at once.
+_TAYLOR_DEGREES = ((2, 2.58e-8), (4, 3.40e-4), (6, 9.07e-3), (9, 8.96e-2), (12, 3.00e-1), (16, 7.81e-1))
+_EXPM_TEMPS = 8
 
 
 def _chunk_len(n: int, stages: int = 1) -> int:
@@ -109,8 +130,8 @@ class PropagationConfig:
     scheme: str = MIDPOINT
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ConfigError(f"duration must be >= 0, got {self.duration}")
+        if not math.isfinite(self.duration) or self.duration < 0:
+            raise ConfigError(f"duration must be finite and >= 0, got {self.duration}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.scheme not in SCHEMES:
@@ -347,7 +368,61 @@ def _stages(model: ContinuumModel, s: np.ndarray, scheme: str, core) -> np.ndarr
     return np.stack((_A1 * h1 + _A2 * h2, _A2 * h1 + _A1 * h2), axis=1).reshape(h.shape)
 
 
-def _eigh_chunks(model: ContinuumModel, steps: int, scheme: str, core, scale: float):
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of every matrix of the stack a, by a scaled and squared Taylor polynomial; a is overwritten.
+
+    The degree and the number of squarings follow from the largest 1-norm
+    of the stack (_TAYLOR_DEGREES), so before rounding each result is
+    exp(a + e) with ||e||_1 <= 2^-53 ||a||_1.  A zero matrix gives the
+    identity and a diagonal one a diagonal result, exactly.  A non-finite
+    entry raises ConfigError.
+    """
+    norm = float(np.abs(a).sum(axis=-2).max())
+    if not math.isfinite(norm):
+        raise ConfigError(f"step exponential of a non-finite matrix (1-norm {norm})")
+    squarings = 0
+    for degree, theta in _TAYLOR_DEGREES:
+        if norm <= theta:
+            break
+    else:
+        squarings = math.ceil(math.log2(norm / theta))
+        a *= 0.5**squarings
+    x = _taylor(a, degree)
+    for _ in range(squarings):
+        x = x @ x
+    return x
+
+
+def _taylor(a: np.ndarray, degree: int) -> np.ndarray:
+    """sum_{k <= degree} a^k / k! at every matrix of the stack a, by Paterson-Stockmeyer.
+
+    With p = ceil(sqrt(degree)) and the powers a..a^p, the series splits
+    into blocks of p terms, summed by Horner's rule in a^p: p - 1 products
+    for the powers and one per block below the top.
+    """
+    p = math.isqrt(degree - 1) + 1
+    powers = [a]
+    for _ in range(p - 1):
+        powers.append(powers[-1] @ a)
+    top = (degree - 1) // p * p  # the top block holds the degrees top..degree
+    x = powers[degree - top - 1] / math.factorial(degree)
+    _add_block(x, powers, top, degree - top - 1)
+    for lo in range(top - p, -1, -p):
+        x = x @ powers[-1]
+        _add_block(x, powers, lo, p - 1)
+    return x
+
+
+def _add_block(x: np.ndarray, powers: list, lo: int, top: int):
+    """x += sum_{i <= top} a^i / (lo + i)!, in place, with powers[i - 1] = a^i and a^0 = I."""
+    term = np.empty_like(x)
+    for i in range(top, 0, -1):
+        x += np.multiply(powers[i - 1], 1.0 / math.factorial(lo + i), out=term)
+    d = np.arange(x.shape[-1])
+    x[..., d, d] += 1.0 / math.factorial(lo)
+
+
+def _expm_chunks(model: ContinuumModel, steps: int, scheme: str, core, scale: float):
     """Yield (F, Z) for consecutive chunks of the nodes s_1..s_steps of i dY/ds = scale H(s) Y.
 
     H is the Hamiltonian or the transport generator.  In the frame
@@ -359,14 +434,13 @@ def _eigh_chunks(model: ContinuumModel, steps: int, scheme: str, core, scale: fl
     n = model.size
     ds = 1.0 / steps
     nodes = np.multiply((0.5,) if scheme == MIDPOINT else (_C1, _C2), ds)
-    chunk = _chunk_len(n, len(nodes))
+    chunk = _chunk_len(n, len(nodes) * _EXPM_TEMPS)
     z = v.conj().T.copy()
     for lo in range(0, steps, chunk):
         s = np.add.outer(np.arange(lo, min(lo + chunk, steps)) * ds, nodes).ravel()
-        # one stacked eigh for every stage of the chunk, then exp(-i scale ds h)
-        mu, w = np.linalg.eigh(_stages(model, s, scheme, core))
-        x = w * np.exp(-1j * scale * ds * mu)[:, None, :]
-        x = x @ np.conj(w, out=w).swapaxes(-1, -2)
+        h = _stages(model, s, scheme, core)
+        h *= -1j * scale * ds
+        x = _expm(h)
         if scheme == CF4:
             x = x[1::2] @ x[0::2]
         zs = np.empty_like(x)
@@ -392,7 +466,7 @@ def _propagator_chunks(model: ContinuumModel, config: PropagationConfig):
         # every B = V^dag diag(E(s)) V of the chunk from one (nodes*N, N) x (N, N) GEMM
         return ((vh * model.energies(s)[:, None, :]).reshape(-1, n) @ v).reshape(-1, n, n)
 
-    return _eigh_chunks(model, config.steps, config.scheme, core, config.duration / HBAR)
+    return _expm_chunks(model, config.steps, config.scheme, core, config.duration / HBAR)
 
 
 def _check_propagator_budget(model: ContinuumModel, config: PropagationConfig):
@@ -464,7 +538,7 @@ def _intertwiner_chunks(model: ContinuumModel, variant: GeneratorVariant, steps:
     def core(s):
         return np.multiply.outer(model.rotation.schedule.angle_rate(s), c)
 
-    return _eigh_chunks(model, steps, scheme, core, 1.0 / HBAR)
+    return _expm_chunks(model, steps, scheme, core, 1.0 / HBAR)
 
 
 def _check_intertwiner(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str):

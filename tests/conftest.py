@@ -1,11 +1,14 @@
 """Shared fixtures and independent oracles.
 
 The matrix exponential oracle below uses scaling-and-squaring with a
-plain Taylor series, so it shares no code path with the eigh-based
-exponentials inside the package.  The midpoint, CF4 and transport loops
-below are the step-by-step lab-frame forms of the stepped schemes, built
-from hamiltonian()/generator() at every node, kept as the references for
-the package's chunked eigenbasis kernels.  stored_families and
+plain 40-term Taylor series, so it shares no code path with the closed
+forms inside the package.  eigh_expm exponentiates a Hermitian matrix
+through its eigendecomposition, independently of the package's
+Paterson-Stockmeyer Taylor step exponentials.  The midpoint, CF4 and
+transport loops below are the step-by-step lab-frame forms of the
+stepped schemes, built from hamiltonian()/generator() at every node and
+eigh_expm at every stage, kept as the references for the package's
+chunked eigenbasis kernels.  stored_families and
 projector_residual_loop are the stored-family path and the per-band
 residual formula that the streamed pass and its off-block residual
 replaced, kept as their references.

@@ -12,6 +12,7 @@ from adiabatic_continuum import (
     ConfigError,
     CrossingError,
     NoExteriorError,
+    SCHEMES,
     PropagationConfig,
     StepBudgetError,
     adiabatic_criterion,
@@ -25,6 +26,7 @@ from adiabatic_continuum import (
     linear_dispersion,
     mandated_substeps,
     planned_substeps,
+    stream_families,
     sweep_leakage,
     tabulated_dispersion,
     transition_integral,
@@ -266,6 +268,29 @@ def test_sweep_independent_of_jobs(default_model, default_part):
     assert [r.duration for r in serial] == [20.0, 30.0, 40.0]
     for a, b in zip(serial, threaded):
         assert a == b  # exact float equality, field by field
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("band_variant", [False, True], ids=["kato_state", "weyl_band"])
+def test_sweep_residual_operator_equals_streamed_w_final(monkeypatch, default_model, default_part,
+                                                         scheme, band_variant):
+    # the sweep's W(1) and simulate's streamed W(1) come from one helper, so
+    # they are the same bits at the same model, T, steps and scheme
+    from adiabatic_continuum import analysis
+
+    variant = weyl_band(default_part) if band_variant else kato_state()
+    seen = []
+    original = analysis.deviation_from_identity
+
+    def recorder(matrix):
+        seen.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(analysis, "deviation_from_identity", recorder)
+    (report,) = sweep_leakage(default_model, default_part, 1, [20.0], 256, scheme, variant)
+    streamed = stream_families(default_model, variant, PropagationConfig(20.0, 256, scheme))
+    assert np.array_equal(seen[0], streamed.w_final)
+    assert report.w_deviation == original(streamed.w_final)
 
 
 def test_sweep_failure_reduced_to_smallest_duration(default_model, default_part):

@@ -123,6 +123,18 @@ def test_verify_passes_on_default(fast_config):
     assert any("window" in note for note in record["annotations"])
 
 
+def test_verify_passes_with_the_cf4_scheme(fast_config):
+    # the CF4 propagator and stepped CF4 transport stay unitary to near
+    # roundoff at 1024 steps; the bound was fixed before measuring
+    cfg = fast_config({"run": {"steps": "1024", "scheme": "fourth_order_commutator_free"}})
+    code, record, _, _ = cmd_verify(cfg)
+    assert code == 0
+    assert record["all_passed"] is True
+    rows = {row["name"]: row for row in record["checks"]}
+    assert "fourth_order_commutator_free" in rows["intertwining"]["detail"]
+    assert rows["unitarity"]["measured"] < 1e-13
+
+
 def test_verify_sabotage_names_intertwining(fast_config):
     cfg = fast_config({"run": {"steps": "10"}})
     code, record, _, lines = cmd_verify(cfg)

@@ -9,6 +9,7 @@ equation for the propagator.
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,7 @@ from adiabatic_continuum.propagation import _CHUNK, _CHUNK_BYTES
 
 from conftest import (
     cf4_loop,
+    eigh_expm,
     intertwiner_loop,
     make_model,
     midpoint_loop,
@@ -97,6 +99,9 @@ def in_band_generator(part: BandPartition, g: np.ndarray) -> np.ndarray:
 def test_propagation_config_validation():
     with pytest.raises(ConfigError):
         PropagationConfig(-1.0, 100)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError, match="finite"):
+            PropagationConfig(bad, 100)
     with pytest.raises(ConfigError):
         PropagationConfig(1.0, 0)
     with pytest.raises(ConfigError):
@@ -267,6 +272,20 @@ def test_transport_kernel_matches_step_loop(name, steps, band_variant, scheme):
     assert np.abs(fam.matrices - reference).max() < KERNEL_TOL
 
 
+# At its step budget a stage has the largest norm the budget admits: the
+# CF4 propagator's stages take Taylor degree 12 or 16 there.  The transport
+# runs at its budget in the kernel test above (steps = 1 is raised to it),
+# where the midpoint transport's stages need a squaring.
+@pytest.mark.parametrize("name", KERNEL_MODELS)
+def test_cf4_kernel_matches_step_loop_at_the_budget(name):
+    model = _kernel_models()[name]
+    steps = 3 * _CHUNK + 5
+    duration = steps * math.pi / (4.0 * model.max_energy()) * (1.0 - 1e-9)
+    assert propagator_step_budget(model, duration) == steps
+    fam = evolve_propagator(model, PropagationConfig(duration, steps, CF4))
+    assert np.abs(fam.matrices - cf4_loop(model, duration, steps)).max() < KERNEL_TOL
+
+
 def test_frozen_frame_propagator_stays_diagonal(frozen_model):
     # the frame never moves, so every step is diag(p) exactly, at any step count
     steps = 3 * _CHUNK + 5
@@ -295,9 +314,11 @@ def test_final_intertwiner_is_last_node_bitwise(default_model, default_part, sch
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_stepped_families_rebuild_no_frame_per_step(monkeypatch, default_part, scheme):
-    # the stepped kernels take the frame from its cached eigensystem, so the
-    # frame, Hamiltonian and generator builds they make do not grow with steps
-    calls = {"frame_matrix": 0, "hamiltonian": 0, "generator": 0}
+    # the stepped kernels take the frame from its cached eigensystem and
+    # their step exponentials from Taylor polynomials, so the frame,
+    # Hamiltonian and generator builds and the eigh calls they make do not
+    # grow with steps; the one eigh left is the frame's eigensystem
+    calls = {"frame_matrix": 0, "hamiltonian": 0, "generator": 0, "eigh": 0}
     for cls, name in ((ContinuumModel, "frame_matrix"), (ContinuumModel, "hamiltonian")):
         original = getattr(cls, name)
 
@@ -313,6 +334,13 @@ def test_stepped_families_rebuild_no_frame_per_step(monkeypatch, default_part, s
         return original_generator(*args, **kwargs)
 
     monkeypatch.setattr(propagation, "generator", generator_recorder)
+    original_eigh = np.linalg.eigh
+
+    def eigh_recorder(*args, **kwargs):
+        calls["eigh"] += 1
+        return original_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_recorder)
     counts = []
     for steps in (_CHUNK, 4 * _CHUNK):
         model = make_model()
@@ -322,6 +350,7 @@ def test_stepped_families_rebuild_no_frame_per_step(monkeypatch, default_part, s
         final_intertwiner(model, kato_state(), steps, scheme)
         counts.append(dict(calls))
     assert counts[0] == counts[1]
+    assert counts[0]["eigh"] == 1
 
 
 def test_midpoint_kernel_shrinks_chunks_on_large_grids():
@@ -380,6 +409,119 @@ def test_zero_duration_propagator_is_identity(default_model):
     # each step is Q(s) Q(s)^dag up to roundoff, so identity to ~1e-13
     fam = evolve_propagator(default_model, PropagationConfig(0.0, 8))
     assert np.abs(fam.final - np.eye(16)).max() < 1e-12
+
+
+# ---- the step exponential -------------------------------------------------------
+
+# One bound, fixed before measuring, on the max-abs distance of a Taylor
+# step exponential from the eigh reference and of X^dag X from identity:
+# a few unit roundoffs per matrix product, and up to ten products.
+def expm_tol(norm: float) -> float:
+    return 1e-14 * (1.0 + norm)
+
+
+def hermitian_stack(rng, count: int, n: int = 8) -> np.ndarray:
+    x = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    return x + x.conj().swapaxes(-1, -2)
+
+
+def one_norms(h: np.ndarray) -> np.ndarray:
+    return np.abs(h).sum(axis=-2).max(axis=-1)
+
+
+def eigh_reference(h: np.ndarray, factor) -> np.ndarray:
+    return np.stack([eigh_expm(m, f) for m, f in zip(h, np.broadcast_to(factor, len(h)))])
+
+
+EXPM_NORMS = sorted(
+    {theta * f for _, theta in propagation._TAYLOR_DEGREES for f in (1 - 1e-6, 1 + 1e-6)} | {2.0, 5.0, 10.0}
+)
+
+
+def taylor_backward_error_bound(degree: int, theta: float, terms: int = 60) -> float:
+    """sum_{k > degree} |f_k| theta^(k-1) for f = log(exp(-x) T_degree(x)), exact coefficients.
+
+    The relative backward error of the degree-`degree` Taylor polynomial
+    at 1-norm theta (Al-Mohy & Higham 2009).  (1 + r) f' = r' with
+    1 + r = exp(-x) T_degree(x) gives f term by term.
+    """
+    from fractions import Fraction
+
+    fact = [math.factorial(k) for k in range(terms)]
+    r = [sum(Fraction((-1) ** (k - j), fact[k - j] * fact[j]) for j in range(min(k, degree) + 1))
+         for k in range(terms)]
+    r[0] = Fraction(0)
+    f = [Fraction(0)] * terms
+    for k in range(1, terms):
+        f[k] = r[k] - sum(r[j] * (k - j) * f[k - j] for j in range(1, k)) / k
+    return sum(abs(float(c)) * theta ** (k - 1) for k, c in enumerate(f) if k > degree)
+
+
+@pytest.mark.parametrize("degree, theta", propagation._TAYLOR_DEGREES)
+def test_taylor_thresholds_are_the_double_precision_bounds(degree, theta):
+    # each theta is where the backward error reaches 2^-53; the constants
+    # carry three digits, which moves the bound by under 2% at degree 16
+    assert taylor_backward_error_bound(degree, theta) == pytest.approx(2.0**-53, rel=0.05)
+
+
+@pytest.mark.parametrize("norm", EXPM_NORMS, ids=lambda x: f"{x:.3g}")
+def test_expm_matches_eigh_around_each_threshold(monkeypatch, norm):
+    h = hermitian_stack(np.random.default_rng(11), 6)
+    factor = norm / one_norms(h).max()  # the stack's largest 1-norm is `norm`
+    degrees = []
+    original = propagation._taylor
+
+    def recorder(a, degree):
+        degrees.append(degree)
+        return original(a, degree)
+
+    monkeypatch.setattr(propagation, "_taylor", recorder)
+    x = propagation._expm(-1j * factor * h)
+    assert np.abs(x - eigh_reference(h, factor)).max() < expm_tol(norm)
+    # the smallest degree whose threshold covers the norm, else the top one
+    fits = [m for m, theta in propagation._TAYLOR_DEGREES if norm <= theta]
+    assert degrees == [fits[0] if fits else propagation._TAYLOR_DEGREES[-1][0]]
+
+
+def test_expm_of_a_mixed_norm_stack():
+    # one degree and one squaring count serve the whole stack, set by its
+    # largest norm; the small members stay as accurate
+    rng = np.random.default_rng(12)
+    h = hermitian_stack(rng, 8)
+    targets = np.array([0.0, 1e-12, 1e-6, 3e-3, 0.05, 0.5, 2.0, 9.0])
+    factors = targets / one_norms(h)
+    x = propagation._expm(-1j * factors[:, None, None] * h)
+    assert np.array_equal(x[0], np.eye(8))
+    assert np.abs(x - eigh_reference(h, factors)).max() < expm_tol(targets.max())
+
+
+def test_expm_of_zero_is_the_identity_bitwise():
+    x = propagation._expm(np.zeros((5, 7, 7), dtype=complex))
+    assert np.array_equal(x, np.broadcast_to(np.eye(7), x.shape))
+
+
+@pytest.mark.parametrize("norm", [1e-3, 0.5, 10.0])
+def test_expm_of_a_diagonal_stack_stays_diagonal(norm):
+    d = np.random.default_rng(13).uniform(-1.0, 1.0, size=(4, 9))
+    d *= norm / np.abs(d).max()
+    x = propagation._expm(-1j * np.apply_along_axis(np.diag, -1, d).astype(complex))
+    assert not x[:, ~np.eye(9, dtype=bool)].any()
+    assert np.abs(np.diagonal(x, axis1=1, axis2=2) - np.exp(-1j * d)).max() < expm_tol(norm)
+
+
+@pytest.mark.parametrize("norm", [0.026, 0.7, 3.0, 10.0])
+def test_expm_unitarity_defect_is_bounded(norm):
+    h = hermitian_stack(np.random.default_rng(14), 16, n=16)
+    x = propagation._expm(-1j * (norm / one_norms(h).max()) * h)
+    assert propagation._unitarity_defect(x) < expm_tol(norm)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_expm_rejects_a_non_finite_stage(bad):
+    a = np.zeros((3, 4, 4), dtype=complex)
+    a[1, 2, 3] = bad
+    with pytest.raises(ConfigError, match="non-finite"):
+        propagation._expm(a)
 
 
 # ---- transport ----------------------------------------------------------------
