@@ -1,8 +1,9 @@
 """Leakage decay versus duration for a configured experiment.
 
-Runs the sweep in-process (no files written) and prints one row per
-duration plus the fitted decay exponent.  Useful for quick checks that a
-model sits in the first-order regime before committing to a long sweep.
+Runs the CLI's sweep in-process (no files written), with the same
+crossing and gap-margin checks, and prints one row per duration plus the
+fitted decay exponent.  Useful for quick checks that a model sits in the
+first-order regime before committing to a long sweep.
 
 usage: python3 scripts/run_convergence.py configs/sweep.cfg [--jobs 4]
 """
@@ -10,8 +11,10 @@ usage: python3 scripts/run_convergence.py configs/sweep.cfg [--jobs 4]
 from __future__ import annotations
 
 import argparse
+import sys
 
-from adiabatic_continuum import fit_power_law, load_config, sweep_leakage
+from adiabatic_continuum import AnalysisError, ConfigError, CrossingError, NoExteriorError, load_config
+from adiabatic_continuum.runner import cmd_sweep
 
 
 def main() -> None:
@@ -20,32 +23,23 @@ def main() -> None:
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
-    cfg = load_config(args.config)
-    model = cfg.build_model()
-    part = cfg.build_partition()
-    reports = sweep_leakage(
-        model,
-        part,
-        cfg.j0,
-        cfg.sweep_durations(),
-        cfg.steps,
-        cfg.scheme,
-        cfg.build_variant(part),
-        jobs=args.jobs,
-    )
+    try:
+        _, record, _, _ = cmd_sweep(load_config(args.config), args.jobs)
+    except (ConfigError, CrossingError, NoExteriorError, AnalysisError) as exc:
+        sys.exit(f"{type(exc).__name__}: {exc}")
 
     print(f"{'T':>8}  {'eta_exact':>12}  {'eta_first':>12}  {'ratio':>8}  {'w_dev*T':>10}")
-    for r in reports:
-        ratio = r.eta_first_order / r.eta_exact if r.eta_exact else float("inf")
+    for r in record["rows"]:
+        ratio = r["eta_first_order"] / r["eta_exact"] if r["eta_exact"] else float("inf")
         print(
-            f"{r.duration:8g}  {r.eta_exact:12.4e}  {r.eta_first_order:12.4e}"
-            f"  {ratio:8.4f}  {r.w_deviation * r.duration:10.4f}"
+            f"{r['T']:8g}  {r['eta_exact']:12.4e}  {r['eta_first_order']:12.4e}"
+            f"  {ratio:8.4f}  {r['w_deviation'] * r['T']:10.4f}"
         )
 
-    fit = fit_power_law([r.duration for r in reports], [r.eta_exact for r in reports])
-    print(f"\nslope = {fit.slope:.4f}   r^2 = {fit.r_squared:.6f}")
-    if fit.excluded:
-        print("excluded exact zeros at T =", ", ".join(f"{t:g}" for t in fit.excluded))
+    fit = record["fit"]
+    print(f"\nslope = {fit['slope']:.4f}   r^2 = {fit['r_squared']:.6f}")
+    if fit["excluded"]:
+        print("excluded exact zeros at T =", ", ".join(f"{t:g}" for t in fit["excluded"]))
 
 
 if __name__ == "__main__":

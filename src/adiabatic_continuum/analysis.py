@@ -23,18 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import GAP_SAMPLES, BandPartition, virtual_gap
-from .errors import AnalysisError, ConfigError, CrossingError, StepBudgetError
+from .errors import AnalysisError, ConfigError, CrossingError
 from .propagation import (
-    EXACT,
     GeneratorVariant,
     PropagationConfig,
     UnitaryFamily,
     MIDPOINT,
     deviation_from_identity,
-    final_intertwiner,
     final_propagator,
     kato_state,
     phase_factors,
+    _exact_transport,
     _residual_operator,
 )
 from .spectral import EPS_CROSS, HBAR, ContinuumModel
@@ -105,34 +104,20 @@ def coupling(model: ContinuumModel, j0: int, j: int, s: float) -> complex:
     return complex(model.frame_coupling_profile(j0, j, float(s))[0])
 
 
-def mandated_substeps(
-    model: ContinuumModel,
-    j0: int,
-    j: int,
-    duration: float,
-    s_end: float = 1.0,
-) -> int:
+def mandated_substeps(model: ContinuumModel, j0: int, j: int, duration: float) -> int:
     """Hard floor: POINTS_PER_PERIOD per period of the fastest phase.
 
-    The fastest phase is found over GAP_SAMPLES uniform s in [0, s_end].
+    The fastest phase is found over GAP_SAMPLES uniform s in [0, 1].
     """
-    s = np.linspace(0.0, s_end, GAP_SAMPLES)
+    s = np.linspace(0.0, 1.0, GAP_SAMPLES)
     de = np.abs(np.asarray(model.energy(j0, s)) - np.asarray(model.energy(j, s)))
-    periods = abs(duration) * float(de.max()) * s_end / (2.0 * math.pi * HBAR)
+    periods = abs(duration) * float(de.max()) / (2.0 * math.pi * HBAR)
     return max(1, math.ceil(POINTS_PER_PERIOD * periods))
 
 
-def _resolve_substeps(model, j0, j, duration, s_end, substeps) -> int:
-    floor = mandated_substeps(model, j0, j, duration, s_end)
-    if substeps is None:
-        return max(_MIN_SUBSTEPS, _OVERSAMPLE * floor)
-    if substeps < floor:
-        raise StepBudgetError(
-            f"substeps={substeps} cannot resolve the transition phase of pair "
-            f"({j0}, {j}) at T={duration}",
-            floor,
-        )
-    return int(substeps)
+def _resolve_substeps(floor: int) -> int:
+    """Midpoint points the quadrature uses over [0, 1], given the mandated floor."""
+    return max(_MIN_SUBSTEPS, _OVERSAMPLE * floor)
 
 
 def _pair_mask_allows(model, variant: GeneratorVariant, j0: int, j: int) -> bool:
@@ -144,15 +129,10 @@ def planned_substeps(
     part: BandPartition,
     j0: int,
     duration: float,
-    substeps: int | None = None,
 ) -> tuple[int, int]:
     """(mandated floor, points actually used) over the exterior of j0's band."""
-    floor = 0
-    used = 0
-    for j in part.exterior(part.band_of(j0)):
-        floor = max(floor, mandated_substeps(model, j0, j, duration, 1.0))
-        used = max(used, _resolve_substeps(model, j0, j, duration, 1.0, substeps))
-    return floor, used
+    floor = max(mandated_substeps(model, j0, j, duration) for j in part.exterior(part.band_of(j0)))
+    return floor, _resolve_substeps(floor)
 
 
 def transition_integral(
@@ -161,24 +141,19 @@ def transition_integral(
     j0: int,
     j: int,
     duration: float,
-    s_end: float = 1.0,
-    substeps: int | None = None,
 ) -> complex:
     """Oscillatory integral of the masked coupling against the phase mismatch.
 
-    Composite midpoint over [0, s_end] of
-    exp[i*T*(alpha_j0 - alpha_j)/hbar] * i*hbar*<phi_j0|dphi_j>.
+    Composite midpoint over [0, 1] of
+    exp[i*T*(alpha_j0 - alpha_j)/hbar] * i*hbar*<phi_j0|dphi_j>, on
+    _resolve_substeps of the pair's mandated floor.
     Exactly zero for pairs removed by the variant's mask and for pairs the
     generator does not couple (the coupling is theta' * G[j0, j]).
     """
-    if not 0.0 <= s_end <= 1.0:
-        raise ConfigError(f"s_end must lie in [0, 1], got {s_end}")
-    if not _pair_mask_allows(model, variant, j0, j):
+    if not _pair_mask_allows(model, variant, j0, j) or model.rotation.generator[j0, j] == 0.0:
         return 0.0 + 0.0j
-    if s_end == 0.0 or model.rotation.generator[j0, j] == 0.0:
-        return 0.0 + 0.0j
-    n = _resolve_substeps(model, j0, j, duration, s_end, substeps)
-    h = s_end / n
+    n = _resolve_substeps(mandated_substeps(model, j0, j, duration))
+    h = 1.0 / n
     sm = (np.arange(n) + 0.5) * h
     dalpha = np.asarray(model.phase(j0, sm)) - np.asarray(model.phase(j, sm))
     weight = np.exp(1j * duration * dalpha / HBAR)
@@ -192,31 +167,27 @@ def transition_integral_parts(
     j0: int,
     j: int,
     duration: float,
-    s_end: float = 1.0,
-    substeps: int | None = None,
 ) -> TransitionParts:
-    """Integration-by-parts rearrangement of transition_integral.
+    """Integration-by-parts rearrangement of transition_integral, on the same midpoints.
 
-    Valid only when the energy mismatch never vanishes on [0, s_end];
+    Valid only when the energy mismatch never vanishes on [0, 1];
     returns the boundary term, the remaining integral, and the resulting
     O(hbar/T) magnitude bound.  Couplings, gaps and their s-derivatives
-    are all closed form, evaluated only on [0, s_end].
+    are all closed form, evaluated only on [0, 1].
     """
     if duration <= 0.0:
         raise ConfigError("integration by parts needs a positive duration")
-    if not 0.0 < s_end <= 1.0:
-        raise ConfigError(f"s_end must lie in (0, 1], got {s_end}")
-    n = _resolve_substeps(model, j0, j, duration, s_end, substeps)
-    h = s_end / n
+    n = _resolve_substeps(mandated_substeps(model, j0, j, duration))
+    h = 1.0 / n
     sm = (np.arange(n) + 0.5) * h
-    grid = np.concatenate([[0.0], sm, [s_end]])
+    grid = np.concatenate([[0.0], sm, [1.0]])
 
     de = np.asarray(model.energy(j0, grid)) - np.asarray(model.energy(j, grid))
     # A sign change between grid points means the mismatch vanished there
     # even when no sample lands near zero.
     if float(np.abs(de).min()) <= EPS_CROSS or bool(np.any(de[:-1] * de[1:] < 0.0)):
         raise CrossingError(
-            f"energy mismatch of pair ({j0}, {j}) vanishes on [0, {s_end}]; "
+            f"energy mismatch of pair ({j0}, {j}) vanishes on [0, 1]; "
             "integration by parts is invalid"
         )
 
@@ -228,7 +199,7 @@ def transition_integral_parts(
     de_rate = np.asarray(model.energy_rate(j0, grid)) - np.asarray(model.energy_rate(j, grid))
     gp = (cp * de - c * de_rate) / (de * de)
 
-    dalpha_end = float(model.phase(j0, s_end)) - float(model.phase(j, s_end))
+    dalpha_end = float(model.phase(j0, 1.0)) - float(model.phase(j, 1.0))
     pref = HBAR / (1j * duration)
     boundary = pref * (np.exp(1j * duration * dalpha_end / HBAR) * g[-1] - g[0])
 
@@ -276,14 +247,13 @@ def leakage_first_order(
     part: BandPartition,
     j0: int,
     duration: float,
-    substeps: int | None = None,
 ) -> float:
     """First-order leakage: summed |transition integral|^2 over the exterior."""
     band = part.band_of(j0)
     variant = kato_state()
     total = 0.0
     for j in part.exterior(band):
-        f = transition_integral(model, variant, j0, j, duration, 1.0, substeps)
+        f = transition_integral(model, variant, j0, j, duration)
         total += abs(f) ** 2
     return total / HBAR**2
 
@@ -353,7 +323,6 @@ def sweep_leakage(
     scheme: str = MIDPOINT,
     variant: GeneratorVariant | None = None,
     jobs: int = 1,
-    substeps: int | None = None,
 ) -> list[LeakageReport]:
     """One LeakageReport per duration, computed independently per duration.
 
@@ -371,12 +340,13 @@ def sweep_leakage(
     variant = variant if variant is not None else kato_state()
     band = part.band_of(j0)
     # the closed form also fills the model's cached eigensystem before fan-out
-    a1 = final_intertwiner(model, variant, steps, EXACT)
+    s1 = np.ones(1)
+    a1 = _exact_transport(model, variant, s1, model.frame_matrix(s1))[0]
 
     def one(duration: float) -> LeakageReport:
         u1 = final_propagator(model, PropagationConfig(duration, steps, scheme))
         eta = leakage_exact(model, u1, part, j0)
-        eta_hat = leakage_first_order(model, part, j0, duration, substeps)
+        eta_hat = leakage_first_order(model, part, j0, duration)
         w1 = _residual_operator(u1, a1, phase_factors(model, duration, 1.0))
         return LeakageReport(
             duration, j0, band, eta, eta_hat, deviation_from_identity(w1)
@@ -384,20 +354,13 @@ def sweep_leakage(
 
     results: dict[float, LeakageReport] = {}
     failures: dict[float, Exception] = {}
-    if jobs == 1:
-        for t in durations:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        futures = {t: pool.submit(one, t) for t in durations}
+        for t, fut in futures.items():
             try:
-                results[t] = one(t)
+                results[t] = fut.result()
             except Exception as exc:  # reduced deterministically below
                 failures[t] = exc
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {t: pool.submit(one, t) for t in durations}
-            for t, fut in futures.items():
-                try:
-                    results[t] = fut.result()
-                except Exception as exc:
-                    failures[t] = exc
     if failures:
         raise failures[min(failures)]
     return [results[t] for t in sorted(results)]
@@ -413,6 +376,9 @@ def fit_power_law(durations, values) -> ConvergenceFit:
     values = [float(v) for v in values]
     if len(durations) != len(values):
         raise ConfigError("durations and values differ in length")
+    bad = [t for t in durations if not t > 0.0]
+    if bad:
+        raise AnalysisError(f"duration T={bad[0]:g} is not positive and cannot enter a log-log fit")
     excluded = tuple(t for t, v in zip(durations, values) if v == 0.0)
     kept = [(t, v) for t, v in zip(durations, values) if v != 0.0]
     if not kept:

@@ -217,92 +217,46 @@ def feasible_band_size(model: ContinuumModel, duration: float, margin: float = 1
     )
 
 
-@dataclass(frozen=True)
-class CrossingReport:
-    """Outcome of the no-crossing scan for every band of a partition.
-
-    `ok` is true iff every band keeps min separation above EPS_CROSS and no
-    in-band/exterior energy pair changes sign between adjacent samples.
-    A failed check is a report, not an exception.
-    """
-
-    ok: bool
-    band_separations: tuple[float, ...]
-    min_separation: float
-    worst_band: int
-    crossing_interval: tuple[float, float] | None
-
-
-def crossing_report(
+def validate_noncrossing(
     model: ContinuumModel,
     part: BandPartition,
     s_samples: int = 257,
-) -> CrossingReport:
-    """Scan in-band vs exterior energies for touching or sign-crossing.
+) -> float:
+    """Smallest in-band to exterior energy separation over s_samples uniform s.
 
-    Sign changes of E_in - E_out between adjacent samples are flagged even
-    when no sample lands on the crossing itself; the first offending
-    s-interval is reported.
+    A single band covering the grid is vacuously crossing-free: inf.
+    Raises CrossingError when a band comes within EPS_CROSS of its
+    exterior, or when some E_in - E_out changes sign between adjacent
+    samples even though no sample lands on the crossing itself; the
+    message names the closest band and the first offending s-interval.
     """
     if s_samples < 2:
         raise ConfigError(f"s_samples must be >= 2, got {s_samples}")
     s = np.linspace(0.0, 1.0, s_samples)
     e = np.asarray(model.energies(s), dtype=float)
 
-    separations: list[float] = []
     min_sep = np.inf
     worst = 0
     interval: tuple[float, float] | None = None
-    ok = True
     for b in range(len(part)):
-        inside = list(part.members(b))
         try:
             outside = list(part.exterior(b))
         except NoExteriorError:
-            # Single band covering the grid: vacuously crossing-free.
-            separations.append(np.inf)
             continue
-        d = e[:, inside, None] - e[:, None, outside]
+        d = e[:, list(part.members(b)), None] - e[:, None, outside]
         sep = float(np.abs(d).min())
-        separations.append(sep)
         if sep < min_sep:
             min_sep = sep
             worst = b
-        if sep <= EPS_CROSS:
-            ok = False
         flips = (d[:-1] * d[1:] < 0.0).any(axis=(1, 2))
-        if flips.any():
-            ok = False
-            if interval is None:
-                t = int(np.argmax(flips))
-                interval = (float(s[t]), float(s[t + 1]))
+        if flips.any() and interval is None:
+            t = int(np.argmax(flips))
+            interval = (float(s[t]), float(s[t + 1]))
 
-    if not np.isfinite(min_sep):
-        min_sep = np.inf
-    return CrossingReport(
-        ok=ok,
-        band_separations=tuple(separations),
-        min_separation=float(min_sep),
-        worst_band=worst,
-        crossing_interval=interval,
-    )
-
-
-def validate_noncrossing(
-    model: ContinuumModel,
-    part: BandPartition,
-    s_samples: int = 257,
-) -> CrossingReport:
-    """Raising wrapper around crossing_report for fail-fast pipelines."""
-    report = crossing_report(model, part, s_samples)
-    if not report.ok:
-        where = (
-            f" in s-interval [{report.crossing_interval[0]:.4f}, {report.crossing_interval[1]:.4f}]"
-            if report.crossing_interval
-            else ""
-        )
+    if min_sep <= EPS_CROSS or interval is not None:
+        where = f" in s-interval [{interval[0]:.4f}, {interval[1]:.4f}]" if interval else ""
         raise CrossingError(
-            f"band {report.worst_band} approaches or crosses its exterior"
-            f"{where}: min separation {report.min_separation:.3e} (eps {EPS_CROSS:.1e})"
+            f"band {worst} approaches or crosses its exterior"
+            f"{where}: min separation {min_sep:.3e} (eps {EPS_CROSS:.1e})"
         )
-    return report
+    return min_sep

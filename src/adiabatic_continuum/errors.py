@@ -13,7 +13,7 @@ class ConfigError(ValueError):
 
 
 class StepBudgetError(ConfigError):
-    """Step or substep count too small to resolve the fastest phase.
+    """Step count too small to resolve the fastest phase or the transport generator.
 
     Carries the minimum admissible count so callers can rerun.
     """

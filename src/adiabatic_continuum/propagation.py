@@ -10,8 +10,8 @@ diagonal in the frame's eigenbasis, and every other step is a Taylor
 exponential whose truncation error stays below the unit roundoff (see
 below).  So the families stay unitary to roundoff at any step count;
 step budgets only control accuracy, never stability.
-The transport unitary also has a closed form (scheme EXACT), because the
-frame exp(theta(s) G) rotates with one constant generator; the stepped
+The transport unitary also has a closed form (_exact_transport), because
+the frame exp(theta(s) G) rotates with one constant generator; the stepped
 schemes stay as its independent check.
 
 The midpoint propagator step is Q(s_k) diag(p_k) Q(s_k)^dag, with s_k the
@@ -80,9 +80,6 @@ from .spectral import ENERGY_SAMPLES, HBAR, ContinuumModel
 MIDPOINT = "midpoint_exponential"
 CF4 = "fourth_order_commutator_free"
 SCHEMES = (MIDPOINT, CF4)
-# Closed-form transport; selects no integrator, so it is not in SCHEMES
-# and cannot be configured for the propagator.
-EXACT = "exact"
 
 VARIANTS = ("kato_state", "weyl_band")
 
@@ -262,17 +259,13 @@ def intertwiner_step_budget(model: ContinuumModel, variant: GeneratorVariant) ->
 # ---- generators --------------------------------------------------------
 
 
-def frame_velocity_overlaps(model: ContinuumModel, s: float) -> np.ndarray:
-    """Anti-Hermitian overlap matrix M_ab = <phi_a(s) | d/ds phi_b(s)>."""
-    q = model.frame_matrix(s)
-    return q.conj().T @ model.frame_velocity_matrix(s)
-
-
 def generator_in_frame(model: ContinuumModel, variant: GeneratorVariant, s: float) -> np.ndarray:
-    """Generator elements in the instantaneous frame: i*hbar*(masked M)."""
-    m = frame_velocity_overlaps(model, s)
-    keep = variant.keep_mask(model.size)
-    return 1j * HBAR * np.where(keep, m, 0.0)
+    """Generator elements in the instantaneous frame: i*hbar*theta'(s)*G_masked, closed form.
+
+    The overlaps <phi_a(s) | d/ds phi_b(s)> are theta'(s) G[a, b], because
+    Q = exp(theta G) commutes with G.
+    """
+    return 1j * HBAR * model.rotation.schedule.angle_rate(s) * _masked_generator(model, variant)
 
 
 def generator(model: ContinuumModel, variant: GeneratorVariant, s: float) -> np.ndarray:
@@ -308,7 +301,7 @@ class LiteralWindowDiagnostic:
 def literal_window_hermiticity(model: ContinuumModel, window: int, s: float) -> LiteralWindowDiagnostic:
     if not 1 <= window <= model.size:
         raise ConfigError(f"window must be in [1, {model.size}], got {window}")
-    m = frame_velocity_overlaps(model, s)
+    m = model.rotation.schedule.angle_rate(s) * model.rotation.generator
     n = model.size
     rows = np.arange(n)[:, None]
     cols = np.arange(n)[None, :]
@@ -542,12 +535,10 @@ def _intertwiner_chunks(model: ContinuumModel, variant: GeneratorVariant, steps:
 
 
 def _check_intertwiner(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str):
-    if scheme not in (*SCHEMES, EXACT):
-        raise ConfigError(f"unknown scheme {scheme!r}; pick one of {(*SCHEMES, EXACT)}")
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
-    if scheme == EXACT:
-        return
     required = intertwiner_step_budget(model, variant)
     if steps < required:
         raise StepBudgetError(
@@ -584,16 +575,9 @@ def evolve_intertwiner(
     steps: int,
     scheme: str = MIDPOINT,
 ) -> UnitaryFamily:
-    """Transport family A solving iħ dA/ds = K(s) A; duration-free.
-
-    scheme=EXACT evaluates the closed form on the same steps+1 nodes and
-    needs no step budget.
-    """
+    """Transport family A solving iħ dA/ds = K(s) A; duration-free."""
     _check_intertwiner(model, variant, steps, scheme)
     s_nodes = np.linspace(0.0, 1.0, steps + 1)
-    if scheme == EXACT:
-        a = _exact_transport(model, variant, s_nodes, model.frame_matrix(s_nodes))
-        return UnitaryFamily("A", s_nodes, a)
     matrices = _stored(_intertwiner_chunks(model, variant, steps, scheme), steps, model.size)
     return UnitaryFamily("A", s_nodes, matrices)
 
@@ -604,11 +588,8 @@ def final_intertwiner(
     steps: int,
     scheme: str = MIDPOINT,
 ) -> np.ndarray:
-    """A at s=1 only; scheme=EXACT skips the steps."""
+    """A at s=1 only; streaming variant of evolve_intertwiner."""
     _check_intertwiner(model, variant, steps, scheme)
-    if scheme == EXACT:
-        s = np.ones(1)
-        return _exact_transport(model, variant, s, model.frame_matrix(s))[0]
     return _last(_intertwiner_chunks(model, variant, steps, scheme))
 
 
@@ -661,8 +642,6 @@ def transport_residual(
     scheme: str = MIDPOINT,
 ) -> float:
     """intertwine_residual of the stepped transport family, streamed over its chunks unstored."""
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown stepped scheme {scheme!r}; pick one of {SCHEMES}")
     _check_intertwiner(model, variant, steps, scheme)
     _check_partition(model, part)
     nodes = _nodes(_intertwiner_chunks(model, variant, steps, scheme), steps, model.size)

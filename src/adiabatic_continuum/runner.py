@@ -108,7 +108,7 @@ def cmd_simulate(config: ExperimentConfig, jobs: int = 1):
     duration = config.scalar_duration()
     model = config.build_model()
     part = config.build_partition()
-    cross = validate_noncrossing(model, part, s_samples=max(257, config.s_samples))
+    min_separation = validate_noncrossing(model, part, s_samples=max(257, config.s_samples))
     variant = config.build_variant(part)
 
     families = stream_families(
@@ -144,7 +144,7 @@ def cmd_simulate(config: ExperimentConfig, jobs: int = 1):
                 "required": propagator_step_budget(model, duration),
             },
             "transition_substeps": {"mandated": mandated, "used": used},
-            "min_band_separation": cross.min_separation,
+            "min_band_separation": min_separation,
             "literal_window_relative_defect": window.relative_defect,
         },
     }

@@ -373,10 +373,6 @@ class ContinuumModel:
         q[theta == 0.0] = np.eye(self.size)
         return q
 
-    def frame_velocity_matrix(self, s: float) -> np.ndarray:
-        rate = float(self.rotation.schedule.angle_rate(s))
-        return rate * (self.rotation.generator @ self.frame_matrix(s))
-
     def frame_coupling_profile(self, a: int, b: int, s) -> np.ndarray:
         """<phi_a(s) | d/ds phi_b(s)> = theta'(s) * G[a, b] for an array of s.
 

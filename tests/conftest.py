@@ -26,12 +26,10 @@ import pytest
 
 from adiabatic_continuum import (
     CF4,
-    EXACT,
     AngleSchedule,
     BandPartition,
     KGrid,
     build_model,
-    evolve_intertwiner,
     evolve_propagator,
     generator,
     linear_dispersion,
@@ -39,6 +37,7 @@ from adiabatic_continuum import (
     phase_family,
     wave_operator,
 )
+from adiabatic_continuum.propagation import UnitaryFamily, _exact_transport
 
 N = 16
 THETA_MAX = 0.4
@@ -134,10 +133,15 @@ def intertwiner_loop(model, variant, steps: int, scheme: str) -> np.ndarray:
     return _step_loop(lambda s: generator(model, variant, s), 1.0, steps, scheme)
 
 
+def closed_form_family(model, variant, s) -> UnitaryFamily:
+    """The closed-form transport A stored on the nodes s."""
+    return UnitaryFamily("A", s, _exact_transport(model, variant, s, model.frame_matrix(s)))
+
+
 def stored_families(model, variant, config):
     """(U, A, Phi, W) stored on all steps+1 nodes, A in closed form."""
     u = evolve_propagator(model, config)
-    a = evolve_intertwiner(model, variant, config.steps, EXACT)
+    a = closed_form_family(model, variant, u.s_nodes)
     phi = phase_family(model, config.duration, config.steps)
     return u, a, phi, wave_operator(u, a, phi)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from adiabatic_continuum import (
     NoExteriorError,
     NoFeasibleBandError,
     band_projector,
-    crossing_report,
     feasible_band_size,
     minimal_time,
     pair_gap,
@@ -173,18 +174,13 @@ def test_feasible_band_size_examples(default_model):
 # ---- crossing scans ----------------------------------------------------------
 
 
-def test_crossing_report_clean(default_model, default_part):
-    report = crossing_report(default_model, default_part)
-    assert report.ok
-    assert report.crossing_interval is None
-    assert report.min_separation == pytest.approx(1.0 / 15.0, rel=1e-10)
-    assert len(report.band_separations) == 8
+def test_validate_noncrossing_clean(default_model, default_part):
+    sep = validate_noncrossing(default_model, default_part)
+    assert sep == pytest.approx(1.0 / 15.0, rel=1e-10)
 
 
-def test_crossing_report_single_band_vacuous(default_model):
-    report = crossing_report(default_model, BandPartition(16, 16))
-    assert report.ok
-    assert report.band_separations == (np.inf,)
+def test_validate_noncrossing_single_band_vacuous(default_model):
+    assert validate_noncrossing(default_model, BandPartition(16, 16)) == np.inf
 
 
 def test_crossing_detected_between_samples():
@@ -194,15 +190,12 @@ def test_crossing_detected_between_samples():
         dispersion=tabulated_dispersion([1.0, -0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     )
     part = BandPartition(16, 2)
-    report = crossing_report(model, part)
-    assert not report.ok
-    assert report.crossing_interval is not None
-    lo, hi = report.crossing_interval
-    assert 0.0 <= lo < hi <= 0.25
-    with pytest.raises(CrossingError):
+    with pytest.raises(CrossingError) as err:
         validate_noncrossing(model, part)
+    lo, hi = map(float, re.search(r"s-interval \[([0-9.]+), ([0-9.]+)\]", str(err.value)).groups())
+    assert 0.0 <= lo < hi <= 0.25
 
 
-def test_crossing_report_validation(default_model, default_part):
+def test_validate_noncrossing_validation(default_model, default_part):
     with pytest.raises(ConfigError):
-        crossing_report(default_model, default_part, s_samples=1)
+        validate_noncrossing(default_model, default_part, s_samples=1)

@@ -17,7 +17,6 @@ import pytest
 
 from adiabatic_continuum import (
     CF4,
-    EXACT,
     MIDPOINT,
     SCHEMES,
     AngleSchedule,
@@ -35,7 +34,6 @@ from adiabatic_continuum import (
     evolve_propagator,
     final_intertwiner,
     final_propagator,
-    frame_velocity_overlaps,
     generator,
     generator_norm,
     intertwine_residual,
@@ -57,6 +55,7 @@ from adiabatic_continuum.propagation import _CHUNK, _CHUNK_BYTES
 
 from conftest import (
     cf4_loop,
+    closed_form_family,
     eigh_expm,
     intertwiner_loop,
     make_model,
@@ -144,10 +143,12 @@ def test_generator_hermitian_and_masked(default_model, default_part):
 
 
 def test_frame_velocity_overlaps_match_fd(default_model):
+    # the overlaps Q^dag dQ/ds behind every coupling and generator are theta'(s) G
     s, h = 0.53, 1e-6
     qdot = (default_model.frame_matrix(s + h) - default_model.frame_matrix(s - h)) / (2 * h)
     fd = default_model.frame_matrix(s).conj().T @ qdot
-    assert np.abs(frame_velocity_overlaps(default_model, s) - fd).max() < 1e-8
+    closed = default_model.rotation.schedule.angle_rate(s) * default_model.rotation.generator
+    assert np.abs(closed - fd).max() < 1e-8
 
 
 def test_literal_window_breaks_hermiticity(default_model):
@@ -559,17 +560,16 @@ def test_band_transport_matches_factorized_solution(default_model, default_part)
 @pytest.mark.parametrize("band_variant", [False, True], ids=["kato_state", "weyl_band"])
 def test_closed_form_transport_matches_cf4(default_model, default_part, band_variant):
     variant = weyl_band(default_part) if band_variant else kato_state()
-    exact = evolve_intertwiner(default_model, variant, 500, EXACT)
     stepped = evolve_intertwiner(default_model, variant, 500, CF4)
-    assert np.array_equal(exact.s_nodes, stepped.s_nodes)
+    exact = closed_form_family(default_model, variant, stepped.s_nodes)
     assert np.abs(exact.matrices - stepped.matrices).max() < 1e-11
     assert np.array_equal(exact.matrices[0], np.eye(16))
     assert exact.unitarity_defect() < 1e-14
-    # the closed form takes no steps, so it needs no step budget
-    final = final_intertwiner(default_model, variant, 1, EXACT)
-    assert np.abs(final - exact.final).max() < 1e-14
+    # the closed form is no scheme of any family
     with pytest.raises(ConfigError):
-        PropagationConfig(100.0, 500, EXACT)
+        PropagationConfig(100.0, 500, "exact")
+    with pytest.raises(ConfigError):
+        final_intertwiner(default_model, variant, 500, "exact")
 
 
 def test_transport_is_duration_free(default_model):
@@ -713,8 +713,6 @@ def test_frame_matrix_is_independent_of_the_node_count(n, theta_max):
     assert np.array_equal(whole[0], np.eye(n))
     if theta_max == 0.0:
         assert np.array_equal(whole, np.broadcast_to(np.eye(n), whole.shape))
-    final = final_intertwiner(model, kato_state(), 64, EXACT)
-    assert np.array_equal(final, evolve_intertwiner(model, kato_state(), 64, EXACT).final)
 
 
 @pytest.mark.parametrize("band_variant", [False, True], ids=["kato_state", "weyl_band"])
@@ -735,23 +733,27 @@ def test_stream_families_builds_one_frame_per_chunk(monkeypatch, default_model, 
 
 
 @pytest.mark.parametrize(
-    "scheme, steps", [(EXACT, 300), (MIDPOINT, 1000), (CF4, 200)], ids=["exact", "midpoint", "cf4"]
+    "scheme, steps", [(None, 300), (MIDPOINT, 1000), (CF4, 200)], ids=["exact", "midpoint", "cf4"]
 )
 @pytest.mark.parametrize("band_variant", [False, True], ids=["kato_state", "weyl_band"])
 def test_off_block_residual_matches_projector_formula(default_model, scheme, steps, band_variant):
+    # scheme None is the closed-form A on the same steps+1 nodes
     part = BandPartition(16, 3)  # ragged: the last band has four states
     variant = weyl_band(part) if band_variant else kato_state()
-    fam = evolve_intertwiner(default_model, variant, steps, scheme)
+    if scheme is None:
+        fam = closed_form_family(default_model, variant, np.linspace(0.0, 1.0, steps + 1))
+    else:
+        fam = evolve_intertwiner(default_model, variant, steps, scheme)
     residual = intertwine_residual(fam, default_model, part)
     assert abs(residual - projector_residual_loop(fam, default_model, part)) <= 1e-14
-    if scheme != EXACT:
+    if scheme is not None:
         streamed = propagation.transport_residual(default_model, variant, part, steps, scheme)
         assert streamed == residual
 
 
 def test_transport_residual_validation(default_model, default_part):
     with pytest.raises(ConfigError):
-        propagation.transport_residual(default_model, kato_state(), default_part, 300, EXACT)
+        propagation.transport_residual(default_model, kato_state(), default_part, 300, "exact")
     with pytest.raises(StepBudgetError):
         propagation.transport_residual(default_model, kato_state(), default_part, 1, MIDPOINT)
 

@@ -22,3 +22,14 @@ def test_script_runs_and_fits(args):
     result = run_python(str(ROOT / "scripts" / script), *rest, cwd=ROOT)
     assert result.returncode == 0, result.stderr
     assert "slope" in result.stdout
+
+
+def test_run_convergence_keeps_the_gap_margin_check(tmp_path):
+    cfg = (ROOT / "configs" / "sweep.cfg").read_text().replace(
+        "T_list = 50, 100, 200, 400, 800", "T_list = 0, 100, 200"
+    )
+    path = tmp_path / "t0.cfg"
+    path.write_text(cfg)
+    result = run_python(str(ROOT / "scripts" / "run_convergence.py"), str(path), cwd=ROOT)
+    assert result.returncode != 0
+    assert "duration T=0 violates the gap margin" in result.stderr

@@ -311,6 +311,6 @@ def test_build_model_rejects_degenerate_spectrum():
 
 def test_frozen_frame_is_constant(frozen_model):
     assert np.array_equal(frozen_model.frame_matrix(0.8), np.eye(16))
-    assert np.abs(frozen_model.frame_velocity_matrix(0.8)).max() == 0.0
+    assert np.array_equal(frozen_model.frame_coupling_profile(1, 2, [0.3, 0.8]), np.zeros(2))
     slices = frozen_model.frame_matrix([0.3, 0.8])
     assert np.array_equal(slices, np.broadcast_to(np.eye(16), (2, 16, 16)))
