@@ -31,6 +31,7 @@ from .propagation import (
     MIDPOINT,
     deviation_from_identity,
     final_propagator,
+    final_propagators,
     kato_state,
     phase_factors,
     _exact_transport,
@@ -173,7 +174,10 @@ def transition_integral_parts(
     Valid only when the energy mismatch never vanishes on [0, 1];
     returns the boundary term, the remaining integral, and the resulting
     O(hbar/T) magnitude bound.  Couplings, gaps and their s-derivatives
-    are all closed form, evaluated only on [0, 1].
+    are all closed form, evaluated only on [0, 1].  Like
+    transition_integral, every part is exactly zero for pairs removed by
+    the variant's mask and for pairs the generator does not couple; the
+    crossing check still runs for them.
     """
     if duration <= 0.0:
         raise ConfigError("integration by parts needs a positive duration")
@@ -190,10 +194,11 @@ def transition_integral_parts(
             f"energy mismatch of pair ({j0}, {j}) vanishes on [0, 1]; "
             "integration by parts is invalid"
         )
+    if not _pair_mask_allows(model, variant, j0, j) or model.rotation.generator[j0, j] == 0.0:
+        return TransitionParts(0j, 0j, 0j, 0.0)
 
-    factor = 1j * HBAR if _pair_mask_allows(model, variant, j0, j) else 0.0
-    c = factor * model.frame_coupling_profile(j0, j, grid)
-    cp = factor * model.frame_coupling_rate_profile(j0, j, grid)
+    c = 1j * HBAR * model.frame_coupling_profile(j0, j, grid)
+    cp = 1j * HBAR * model.frame_coupling_rate_profile(j0, j, grid)
     g = c / de
     # d/ds (coupling/gap) by the quotient rule
     de_rate = np.asarray(model.energy_rate(j0, grid)) - np.asarray(model.energy_rate(j, grid))
@@ -324,13 +329,19 @@ def sweep_leakage(
     variant: GeneratorVariant | None = None,
     jobs: int = 1,
 ) -> list[LeakageReport]:
-    """One LeakageReport per duration, computed independently per duration.
+    """One LeakageReport per duration.
 
-    The transport unitary is duration-free, so its closed form at s=1 is
-    evaluated once and shared read-only across workers; `scheme` applies
-    to the propagator.  Results are reduced sorted by
-    duration; a failure aborts with the error of the smallest failing
-    duration, so the outcome never depends on scheduling.
+    `scheme` applies to the propagator.  The midpoint scheme's U(1) at
+    every duration comes from one stacked pass on the calling thread
+    (final_propagators), which shares the duration-free step rotations;
+    each CF4 U(1) is a final_propagator of its own on the `jobs` worker
+    threads.  The transport unitary is duration-free, so its closed form
+    at s=1 is evaluated once and shared read-only.  The rest of each
+    report (leakages and W(1)) runs per duration on the workers.  Every
+    U(1) equals final_propagator at its duration bitwise, so the reports
+    do not depend on `jobs`.  Results are reduced sorted by duration; a
+    failure aborts with the error of the smallest failing duration, so the
+    outcome never depends on scheduling.
     """
     durations = [float(t) for t in durations]
     if not durations:
@@ -342,9 +353,16 @@ def sweep_leakage(
     # the closed form also fills the model's cached eigensystem before fan-out
     s1 = np.ones(1)
     a1 = _exact_transport(model, variant, s1, model.frame_matrix(s1))[0]
+    if scheme == MIDPOINT:
+        u1s = dict(zip(durations, final_propagators(model, durations, steps)))
+    else:
+        u1s = None
 
     def one(duration: float) -> LeakageReport:
-        u1 = final_propagator(model, PropagationConfig(duration, steps, scheme))
+        if u1s is not None:
+            u1 = u1s[duration]
+        else:
+            u1 = final_propagator(model, PropagationConfig(duration, steps, scheme))
         eta = leakage_exact(model, u1, part, j0)
         eta_hat = leakage_first_order(model, part, j0, duration)
         w1 = _residual_operator(u1, a1, phase_factors(model, duration, 1.0))

@@ -5,31 +5,39 @@ duration T), the transport unitary generated by the masked frame-velocity
 generator (T-independent), the dynamical-phase operator (diagonal in the
 initial frame), and the residual wave operator obtained by composition.
 
-Every step is unitary to roundoff: a midpoint propagator step is
-diagonal in the frame's eigenbasis, and every other step is a Taylor
-exponential whose truncation error stays below the unit roundoff (see
-below).  So the families stay unitary to roundoff at any step count;
-step budgets only control accuracy, never stability.
+Every step is unitary to roundoff: a midpoint propagator step is a
+diagonal phase times a rotation in the frame's eigenbasis, and every
+other step is a Taylor exponential whose truncation error stays below the
+unit roundoff (see below).  So the families stay unitary to roundoff at
+any step count; step budgets only control accuracy, never stability.
 The transport unitary also has a closed form (_exact_transport), because
 the frame exp(theta(s) G) rotates with one constant generator; the stepped
 schemes stay as its independent check.
 
-The midpoint propagator step is Q(s_k) diag(p_k) Q(s_k)^dag, with s_k the
-step's midpoint and p_k = exp(-i T ds E(s_k) / hbar).  With the frame's
-cached eigensystem iG = V diag(lam) V^dag, Q(s) = V E(theta(s)) V^dag for
-the diagonal E(theta) = diag(exp(-i theta lam)).  In the basis
-z_k = E(theta_k)^dag V^dag U_k, theta_k = theta(s_k), the step becomes
-z_k = B_k D_k z_{k-1} with B_k = V^dag diag(p_k) V and the column scaling
-D_k = diag(exp(i (theta_k - theta_{k-1}) lam)).  The B_k of a chunk of
-steps come from one GEMM, so each step costs one N x N matmul and no
-frame rebuild.  A chunk carries the factors of U_k = V E(theta_k) z_k: a
-stored family multiplies out every node, a final only the last.  A frozen
-frame (theta_max = 0) has the eigensystem (0, I), so its steps stay
-diag(p_k) exactly.  The matmuls compose strictly in step order, in one
-path of chunks that both the stored family and the final consume, so a
-final equals the last node of its family bitwise.  A pairwise tree
-reduction would be faster for finals alone, but it rounds differently
-from the sequential path and would fork the two.
+The midpoint propagator step is Q(m_k) diag(p_k) Q(m_k)^dag, with m_k the
+step's midpoint and p_k = exp(-i T ds E(m_k) / hbar).  In the frame basis
+x_k = Q(m_k)^dag U_k (x_0 = I, as Q(0) = I) it becomes
+x_k = diag(p_k) R_k x_{k-1} with the step rotation R_k = Q(m_k)^dag Q(m_{k-1}).
+With the frame's cached eigensystem iG = V diag(lam) V^dag,
+Q(s) = V diag(exp(-i theta(s) lam)) V^dag, so
+R_k = V diag(exp(i (theta_k - theta_{k-1}) lam)) V^dag, theta_k = theta(m_k).
+Only p_k depends on T, so the kernel (_midpoint_chunks) carries a
+durations axis: one GEMM per chunk of steps builds every R_k once for all
+durations, and each step is one stacked matmul over the durations
+followed by the row scaling by p_k, with no frame rebuild.  The node
+U_k = Q(m_k) x_k, with Q from frame_matrix, is formed only where a caller
+reads it: a stored family or propagator_nodes forms every node, a final
+only the last.  A frozen frame (theta_max = 0) has the eigensystem (0, I),
+so R_k = I and its steps stay diag(p_k) exactly.  Every caller takes this
+one path: evolve_propagator, final_propagator and propagator_nodes (so
+simulate and verify) with one duration, final_propagators (the midpoint
+sweep) with all of them.  A duration's slice sees the same matmuls in
+strict step order whatever shares the pass (a stacked matmul is one GEMM
+per slice, and the chunks do not depend on the durations), so a final
+equals the last node of its family bitwise, and a sweep's U(1) equals
+final_propagator at its duration.  A pairwise tree reduction would be
+faster for finals alone, but it rounds differently from the sequential
+path and would fork the two.
 
 The CF4 propagator and both stepped transports share one kernel in the
 same basis.  There V^dag H(s) V = E(theta) B(s) E(theta)^dag with
@@ -54,8 +62,10 @@ one pass over the propagator's chunks (propagator_nodes): per chunk it
 builds the frame Q = frame_matrix(s) once, forms A from the closed form
 on it, Phi from one vectorised phase call and W = Phi^dag (A^dag U),
 updates running maxima of the four unitarity defects and of the
-intertwining residual (read against the same Q), and keeps only U(1) and
-W(1), so memory is one chunk, O(chunk N^2), at any step count.  Every
+intertwining residual (read against the same Q; for kato_state, whose
+closed-form A is Q itself, its Q^dag A is the A^dag A of the A defect),
+and keeps only U(1) and W(1), so memory is one chunk, O(chunk N^2), at
+any step count.  Every
 node of the pass equals the node of the stored family bitwise, because
 no node depends on the chunk it is built in: frame_matrix takes one
 N x N product per node, and stored and streamed W share one helper
@@ -219,10 +229,19 @@ class UnitaryFamily:
         return max(_unitarity_defect(m) for _, m in self.chunks())
 
 
+def _adjoint_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x^dag y, stacked."""
+    return np.matmul(x.conj().swapaxes(-1, -2), y)
+
+
+def _identity_defect(prod: np.ndarray) -> float:
+    """max over a stack of matrices of the entrywise distance from identity."""
+    return float(np.abs(prod - np.eye(prod.shape[-1])).max())
+
+
 def _unitarity_defect(mats: np.ndarray) -> float:
     """max over a stack of matrices of the entrywise defect of M^dag M from identity."""
-    prod = np.matmul(mats.conj().swapaxes(-1, -2), mats)
-    return float(np.abs(prod - np.eye(mats.shape[-1])).max())
+    return _identity_defect(_adjoint_product(mats, mats))
 
 
 # ---- step budgets ------------------------------------------------------
@@ -316,32 +335,40 @@ def literal_window_hermiticity(model: ContinuumModel, window: int, s: float) -> 
 # ---- evolutions --------------------------------------------------------
 
 
-def _midpoint_chunks(model: ContinuumModel, config: PropagationConfig):
-    """Yield (F, Z) for consecutive chunks of the nodes s_1..s_steps (midpoint scheme).
+def _midpoint_chunks(model: ContinuumModel, durations, steps: int, every_node: bool = True):
+    """Yield (frame, X) for consecutive chunks of the steps 1..steps (midpoint scheme), every duration at once.
 
-    Z stacks the z_k of the module docstring and F the V diag(exp(-i theta_k lam)),
-    so U_k = F_k Z_k.
+    X stacks the x_k = Q(m_k)^dag U_k of the module docstring over the
+    chunk's steps and the durations, shape (chunk, D, N, N), and frame(i)
+    is Q(m_i) at the chunk's midpoints m, so U_k = frame(k) @ X[k].
+    Without every_node, X holds only the chunk's last step, so that the
+    memory is O(D N^2) rather than one (chunk, N, N) stack per duration.
     """
     lam, v = model.frame_eigensystem
     vh = v.conj().T
     n = model.size
-    ds = 1.0 / config.steps
-    scale = config.duration / HBAR
+    ds = 1.0 / steps
+    rate = (-1j * ds / HBAR) * np.asarray(durations, dtype=float)[:, None, None]
     chunk = _chunk_len(n)
-    z = vh.copy()  # theta(0) = 0, so z_0 = V^dag U(0)
+    x = np.empty((len(rate), n, n), dtype=complex)
+    x[:] = np.eye(n)  # x_0 = Q(0)^dag U(0) = I
     theta_prev = 0.0
-    for lo in range(0, config.steps, chunk):
-        sm = np.arange(lo, min(lo + chunk, config.steps)) * ds + 0.5 * ds
+    for lo in range(0, steps, chunk):
+        sm = np.arange(lo, min(lo + chunk, steps)) * ds + 0.5 * ds
         theta = model.rotation.schedule.angle(sm)
-        p = np.exp(-1j * scale * ds * model.energies(sm))
         d = np.exp(1j * np.multiply.outer(np.diff(theta, prepend=theta_prev), lam))
-        # every B_k = V^dag diag(p_k) V of the chunk from one (chunk*N, N) x (N, N) GEMM
-        mats = ((vh * p[:, None, :]).reshape(-1, n) @ v).reshape(-1, n, n) * d[:, None, :]
-        zs = np.empty_like(mats)
-        for mat, out in zip(mats, zs):
-            z = np.dot(mat, z, out=out)
         theta_prev = theta[-1]
-        yield v * np.exp(-1j * np.multiply.outer(theta, lam))[:, None, :], zs
+        # every R_k = V diag(d_k) V^dag of the chunk from one (chunk*N, N) x (N, N)
+        # GEMM, shared by all durations; p_k as (D, N, 1) row factors
+        r = ((v * d[:, None, :]).reshape(-1, n) @ vh).reshape(-1, n, n)
+        p = np.exp(model.energies(sm)[:, None, :, None] * rate)
+        xs = np.empty((len(sm) if every_node else 2, *x.shape), dtype=complex)
+        for k in range(len(sm)):
+            # one stacked matmul over the durations, then the row scaling
+            x = np.matmul(r[k], x, out=xs[k if every_node else k % 2])
+            x *= p[k]
+        del r, p  # only X is held while the consumer reads the chunk
+        yield (lambda i, sm=sm: model.frame_matrix(sm[i])), (xs if every_node else x[None])
 
 
 def _stages(model: ContinuumModel, s: np.ndarray, scheme: str, core) -> np.ndarray:
@@ -416,12 +443,12 @@ def _add_block(x: np.ndarray, powers: list, lo: int, top: int):
 
 
 def _expm_chunks(model: ContinuumModel, steps: int, scheme: str, core, scale: float):
-    """Yield (F, Z) for consecutive chunks of the nodes s_1..s_steps of i dY/ds = scale H(s) Y.
+    """Yield (frame, Z) for consecutive chunks of the nodes s_1..s_steps of i dY/ds = scale H(s) Y.
 
     H is the Hamiltonian or the transport generator.  In the frame
     eigenbasis V^dag H(s) V = E(theta) X(s) E(theta)^dag, and core(s) stacks
-    the X(s) over an array of s.  F is V and Z stacks the V^dag Y_k, from
-    Y_0 = I, so Y_k = F Z_k.
+    the X(s) over an array of s.  Z stacks the V^dag Y_k, from Y_0 = I, and
+    frame(i) is V at every node, so Y_k = frame(k) @ Z_k.
     """
     v = model.frame_eigensystem[1]
     n = model.size
@@ -439,18 +466,19 @@ def _expm_chunks(model: ContinuumModel, steps: int, scheme: str, core, scale: fl
         zs = np.empty_like(x)
         for mat, out in zip(x, zs):
             z = np.dot(mat, z, out=out)
-        yield v[None], zs
+        yield (lambda i: v), zs
 
 
 def _propagator_chunks(model: ContinuumModel, config: PropagationConfig):
-    """(F, Z) for consecutive chunks of the nodes s_1..s_steps; U = F @ Z node by node.
+    """(frame, Z) for consecutive chunks of the nodes s_1..s_steps; U_k = frame(k) @ Z_k.
 
-    The one sequential composition both evolve_propagator and
-    final_propagator consume: the family multiplies out every node, the
-    final only the last one.
+    The one sequential composition evolve_propagator, final_propagator
+    and propagator_nodes consume: the family multiplies out every node,
+    the final only the last one.  The midpoint scheme runs the stacked
+    kernel with the one duration.
     """
     if config.scheme == MIDPOINT:
-        return _midpoint_chunks(model, config)
+        return ((f, x[:, 0]) for f, x in _midpoint_chunks(model, [config.duration], config.steps))
     v = model.frame_eigensystem[1]
     vh = v.conj().T
     n = model.size
@@ -484,6 +512,23 @@ def final_propagator(model: ContinuumModel, config: PropagationConfig) -> np.nda
     return _last(_propagator_chunks(model, config))
 
 
+def final_propagators(model: ContinuumModel, durations, steps: int) -> np.ndarray:
+    """U at s=1 of the midpoint scheme at every duration, from one stacked pass; shape (D, N, N).
+
+    The step rotations R_k are duration-free and built once for all
+    durations; each duration then pays one row scaling and one N x N
+    product per step.  Slice d equals final_propagator at durations[d]
+    bitwise, whichever durations share the pass.  A duration the step
+    budget cannot resolve raises, the smallest such one first.  Memory is
+    O(D N^2) plus one chunk of R_k, flat in steps.
+    """
+    if len(durations) == 0:
+        raise ConfigError("final_propagators needs at least one duration")
+    for duration in sorted(durations):
+        _check_propagator_budget(model, PropagationConfig(duration, steps))
+    return _last(_midpoint_chunks(model, durations, steps, every_node=False))
+
+
 def _stored(chunks, steps: int, n: int) -> np.ndarray:
     """Every node of a chunked evolution, stored: the _nodes chunks end to end."""
     matrices = np.empty((steps + 1, n, n), dtype=complex)
@@ -496,18 +541,18 @@ def _stored(chunks, steps: int, n: int) -> np.ndarray:
 
 def _last(chunks) -> np.ndarray:
     """The last node of a chunked evolution, multiplied out alone."""
-    for f, z in chunks:
+    for frame, z in chunks:
         pass
-    return f[-1] @ z[-1]
+    return np.matmul(frame(-1), z[-1])
 
 
 def _nodes(chunks, steps: int, n: int):
-    """(s, F @ Z) chunk by chunk over every node of a chunked evolution, s=0 (the identity) first."""
+    """(s, frame @ Z) chunk by chunk over every node of a chunked evolution, s=0 (the identity) first."""
     s_nodes = np.linspace(0.0, 1.0, steps + 1)
     yield s_nodes[:1], np.eye(n, dtype=complex)[None]
     k = 1
-    for f, z in chunks:
-        yield s_nodes[k : k + len(z)], np.matmul(f, z)
+    for frame, z in chunks:
+        yield s_nodes[k : k + len(z)], np.matmul(frame(slice(None)), z)
         k += len(z)
 
 
@@ -523,7 +568,7 @@ def propagator_nodes(model: ContinuumModel, config: PropagationConfig):
 
 
 def _intertwiner_chunks(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str):
-    """(F, Z) chunks of the stepped transport; A = F @ Z node by node."""
+    """(frame, Z) chunks of the stepped transport; A_k = frame(k) @ Z_k."""
     v = model.frame_eigensystem[1]
     # the constant core C = V^dag (i hbar G_masked) V, so V^dag K(s) V = theta' E C E^dag
     c = v.conj().T @ (1j * HBAR * _masked_generator(model, variant)) @ v
@@ -593,13 +638,12 @@ def final_intertwiner(
     return _last(_intertwiner_chunks(model, variant, steps, scheme))
 
 
-def _chunk_residual(part: BandPartition, q: np.ndarray, a: np.ndarray) -> float:
-    """max over bands and a chunk's nodes of sigma_max((Q^dag A)[ext(b), b]), with Q stacked as A.
+def _chunk_residual(part: BandPartition, x: np.ndarray) -> float:
+    """max over bands and a chunk's nodes of sigma_max(X[ext(b), b]), for the stack X = Q^dag A.
 
     One Q^dag A per chunk serves every band; a band with no exterior has
     no off-block and adds nothing.
     """
-    x = np.matmul(q.conj().swapaxes(-1, -2), a)
     worst = 0.0
     for members in part.bands:
         outside = np.ones(part.grid_size, dtype=bool)
@@ -631,7 +675,7 @@ def intertwine_residual(a_family: UnitaryFamily, model: ContinuumModel, part: Ba
     roundoff of the cosines near 1.  The family is read chunk by chunk.
     """
     _check_partition(model, part)
-    return max(_chunk_residual(part, model.frame_matrix(s), a) for s, a in a_family.chunks())
+    return max(_chunk_residual(part, _adjoint_product(model.frame_matrix(s), a)) for s, a in a_family.chunks())
 
 
 def transport_residual(
@@ -645,7 +689,7 @@ def transport_residual(
     _check_intertwiner(model, variant, steps, scheme)
     _check_partition(model, part)
     nodes = _nodes(_intertwiner_chunks(model, variant, steps, scheme), steps, model.size)
-    return max(_chunk_residual(part, model.frame_matrix(s), a) for s, a in nodes)
+    return max(_chunk_residual(part, _adjoint_product(model.frame_matrix(s), a)) for s, a in nodes)
 
 
 # ---- phases and the wave operator --------------------------------------
@@ -700,7 +744,7 @@ def wave_operator(u: UnitaryFamily, a: UnitaryFamily, phi: UnitaryFamily) -> Uni
 
 def _residual_operator(u: np.ndarray, a: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Phi^dag (A^dag U), stacked, with Phi^dag applied as a row scaling by the conjugated phases p."""
-    return p.conj()[..., :, None] * np.matmul(a.conj().swapaxes(-1, -2), u)
+    return p.conj()[..., :, None] * _adjoint_product(a, u)
 
 
 def deviation_from_identity(matrix: np.ndarray) -> float:
@@ -752,9 +796,12 @@ def stream_families(
         a = _exact_transport(model, variant, s, q)
         p = phase_factors(model, config.duration, s)
         w = _residual_operator(u, a, p)
-        for kind, mats in (("U", u), ("A", a), ("W", w)):
-            defects[kind] = max(defects[kind], _unitarity_defect(mats))
+        aa = _adjoint_product(a, a)
+        defects["U"] = max(defects["U"], _unitarity_defect(u))
+        defects["A"] = max(defects["A"], _identity_defect(aa))
+        defects["W"] = max(defects["W"], _unitarity_defect(w))
         defects["Phi"] = max(defects["Phi"], float(np.abs(p.conj() * p - 1.0).max()))
         if part is not None:
-            residual = max(residual, _chunk_residual(part, q, a))
+            # the closed form of kato_state is the frame itself, and then Q^dag A is A^dag A
+            residual = max(residual, _chunk_residual(part, aa if a is q else _adjoint_product(q, a)))
     return FamilyDiagnostics(u[-1], w[-1], defects, residual if part is not None else None)

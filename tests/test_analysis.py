@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from adiabatic_continuum import (
+    CF4,
+    MIDPOINT,
     AnalysisError,
     AngleSchedule,
     BandPartition,
@@ -75,6 +77,9 @@ def test_masked_and_silent_pairs_are_exactly_zero(default_model, default_part):
     wb = weyl_band(default_part)
     assert transition_integral(default_model, wb, 0, 1, 200.0) == 0.0 + 0.0j
     assert transition_integral(default_model, kato_state(), 1, 5, 200.0) == 0.0 + 0.0j
+    for variant, j in ((wb, 0), (kato_state(), 5)):
+        parts = transition_integral_parts(default_model, variant, 1, j, 200.0)
+        assert (parts.total, parts.boundary, parts.tail, parts.bound) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_transition_integral_leading_order(default_model):
@@ -134,6 +139,8 @@ def test_by_parts_rejects_vanishing_gap():
     )
     with pytest.raises(CrossingError):
         transition_integral_parts(model, kato_state(), 1, 2, 100.0)
+    with pytest.raises(CrossingError):  # an uncoupled pair is still checked
+        transition_integral_parts(model, kato_state(), 1, 5, 100.0)
 
 
 # ---- leakage measures ----------------------------------------------------------
@@ -281,11 +288,33 @@ def test_sweep_residual_operator_equals_streamed_w_final(monkeypatch, default_mo
     assert report.w_deviation == original(streamed.w_final)
 
 
+def test_midpoint_sweep_runs_one_stacked_pass(monkeypatch, default_model, default_part):
+    # whatever jobs says, a midpoint sweep propagates every duration in one
+    # stacked pass; a CF4 sweep takes one final per duration
+    from adiabatic_continuum import analysis
+
+    calls = []
+    for name in ("final_propagator", "final_propagators"):
+        original = getattr(analysis, name)
+
+        def recorder(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(analysis, name, recorder)
+    for scheme, expected in ((MIDPOINT, ["final_propagators"]), (CF4, ["final_propagator"] * 3)):
+        for jobs in (1, 2):
+            calls.clear()
+            sweep_leakage(default_model, default_part, 1, [20.0, 30.0, 40.0], 256, scheme, jobs=jobs)
+            assert calls == expected
+
+
 def test_sweep_failure_reduced_to_smallest_duration(default_model, default_part):
-    for jobs in (1, 2):
-        with pytest.raises(StepBudgetError) as err:
-            sweep_leakage(default_model, default_part, 1, [9000.0, 5000.0], steps=256, jobs=jobs)
-        assert "5000" in str(err.value)
+    for scheme in SCHEMES:
+        for jobs in (1, 2):
+            with pytest.raises(StepBudgetError) as err:
+                sweep_leakage(default_model, default_part, 1, [9000.0, 20.0, 5000.0], 256, scheme, jobs=jobs)
+            assert "5000" in str(err.value)
 
 
 def test_sweep_validation(default_model, default_part):

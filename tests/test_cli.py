@@ -130,18 +130,25 @@ def test_sweep_requires_duration_list(write_config, tmp_path):
 
 
 def test_sweep_outputs_identical_across_jobs(write_config, tmp_path):
-    cfg = write_config({"run": {"T": None, "T_list": "20, 30, 40", "steps": "256"}})
-    out = tmp_path / "same"
-    names = ("report.json", "sweep.csv", "resolved_config.json")
+    # the midpoint scheme runs one stacked pass whatever --jobs says, CF4 one
+    # final per duration on the worker threads
+    for scheme in ("midpoint_exponential", "fourth_order_commutator_free"):
+        cfg = write_config(
+            {"run": {"T": None, "T_list": "20, 30, 40", "steps": "256", "scheme": scheme}},
+            name=f"{scheme}.cfg",
+        )
+        out = tmp_path / scheme
+        names = ("report.json", "sweep.csv", "resolved_config.json")
 
-    first = run_cli("sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1")
-    assert first.returncode == 0, first.stderr
-    serial = {name: (out / name).read_bytes() for name in names}
+        first = run_cli("sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1")
+        assert first.returncode == 0, first.stderr
+        serial = {name: (out / name).read_bytes() for name in names}
 
-    second = run_cli("sweep", "--config", str(cfg), "--out", str(out), "--jobs", "2")
-    assert second.returncode == 0, second.stderr
-    for name in names:
-        assert (out / name).read_bytes() == serial[name]
+        for jobs in ("2", "3"):
+            again = run_cli("sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs)
+            assert again.returncode == 0, again.stderr
+            for name in names:
+                assert (out / name).read_bytes() == serial[name]
 
 
 def test_rejected_jobs_value(write_config, tmp_path):

@@ -34,6 +34,7 @@ from adiabatic_continuum import (
     evolve_propagator,
     final_intertwiner,
     final_propagator,
+    final_propagators,
     generator,
     generator_norm,
     intertwine_residual,
@@ -374,6 +375,71 @@ def test_midpoint_final_memory_stays_within_chunk_budget():
     tracemalloc.start()
     try:
         final_propagator(model, PropagationConfig(12.8, _CHUNK))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _CHUNK_BYTES
+
+
+# ---- the stacked midpoint pass ---------------------------------------------------
+
+# Durations within the midpoint step budget at 2 _CHUNK + 5 steps, whose
+# last chunk is partial on every grid below.
+STACKED_STEPS = 2 * _CHUNK + 5
+STACKED_DURATIONS = [0.0, 3.0, 10.0, 25.0, 40.0]
+
+
+def _stacked_models():
+    return {
+        "n7": make_model(n=7),
+        "n12_random_banded": _kernel_models()["random_banded"],
+        "n16": make_model(),
+        "n33": make_model(n=33),
+        "frozen": make_model(theta_max=0.0),
+    }
+
+
+@pytest.mark.parametrize(
+    "durations",
+    [STACKED_DURATIONS[3:4], STACKED_DURATIONS, [40.0, 0.0, 10.0]],
+    ids=["one", "all", "shuffled_subset"],
+)
+@pytest.mark.parametrize("name", ["n7", "n12_random_banded", "n16", "n33", "frozen"])
+def test_stacked_finals_equal_final_propagator_bitwise(name, durations):
+    model = _stacked_models()[name]
+    stacked = final_propagators(model, durations, STACKED_STEPS)
+    assert stacked.shape == (len(durations), model.size, model.size)
+    for duration, u in zip(durations, stacked):
+        assert np.array_equal(u, final_propagator(model, PropagationConfig(duration, STACKED_STEPS)))
+
+
+def test_stacked_frozen_frame_steps_stay_diagonal(frozen_model):
+    # every step rotation of a frozen frame is the identity, so each
+    # duration's final is the product of its diag(p_k), off-diagonals exactly 0
+    stacked = final_propagators(frozen_model, STACKED_DURATIONS, STACKED_STEPS)
+    assert not stacked[:, ~np.eye(16, dtype=bool)].any()
+    assert (stacked[0] == np.eye(16)).all()
+
+
+def test_stacked_finals_name_the_smallest_unresolved_duration(default_model):
+    steps = 256  # resolves T up to about 50 on the default model
+    with pytest.raises(StepBudgetError) as err:
+        final_propagators(default_model, [9000.0, 20.0, 5000.0], steps)
+    assert "T=5000" in str(err.value)
+    with pytest.raises(ConfigError):
+        final_propagators(default_model, [20.0], 0)
+    with pytest.raises(ConfigError):
+        final_propagators(default_model, [], 256)
+
+
+def test_stacked_finals_memory_stays_within_chunk_budget():
+    # four durations at N=128 take one (chunk, N, N) rotation stack and two
+    # (4, N, N) states per pass, not a (chunk, N, N) stack per duration
+    model = make_model(n=128)
+    model.frame_eigensystem  # cached before measuring
+    tracemalloc.start()
+    try:
+        final_propagators(model, [1.0, 3.0, 6.0, 12.8], _CHUNK)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -729,7 +795,9 @@ def test_stream_families_builds_one_frame_per_chunk(monkeypatch, default_model, 
     monkeypatch.setattr(ContinuumModel, "frame_matrix", recorder)
     variant = weyl_band(default_part) if band_variant else kato_state()
     stream_families(default_model, variant, config, default_part)
-    assert sizes == chunks
+    # the diagnostics build one frame per chunk of nodes; each chunk of
+    # steps past s=0 also forms its nodes from one frame at its midpoints
+    assert sizes == [chunks[0]] + [c for c in chunks[1:] for _ in range(2)]
 
 
 @pytest.mark.parametrize(

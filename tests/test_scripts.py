@@ -33,3 +33,11 @@ def test_run_convergence_keeps_the_gap_margin_check(tmp_path):
     result = run_python(str(ROOT / "scripts" / "run_convergence.py"), str(path), cwd=ROOT)
     assert result.returncode != 0
     assert "duration T=0 violates the gap margin" in result.stderr
+
+
+def test_schedule_comparison_keeps_the_gap_margin_check():
+    script = str(ROOT / "scripts" / "schedule_comparison.py")
+    result = run_python(script, "--durations", "0,100,200", "--steps", "2000", "--jobs", "1", cwd=ROOT)
+    assert result.returncode != 0
+    assert "duration T=0 violates the gap margin" in result.stderr
+    assert "Traceback" not in result.stderr
