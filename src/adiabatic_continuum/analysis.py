@@ -1,9 +1,9 @@
 """Adiabaticity diagnostics.
 
-Oscillatory transition integrals and their integration-by-parts twin,
-exact and first-order band leakage, the pointwise transition-weight
-estimate, the coupling/gap validity criterion, and log-log convergence
-fits over a sweep of durations.
+Oscillatory transition integrals and their integration-by-parts twin on
+one composite Gauss-Legendre rule, exact and first-order band leakage,
+the pointwise transition-weight estimate, the coupling/gap validity
+criterion, and log-log convergence fits over a sweep of durations.
 
 The unitarity and intertwining diagnostics of simulate, and its U(1) and
 W(1), come from the streamed pass propagation.stream_families, which
@@ -39,13 +39,12 @@ from .propagation import (
 )
 from .spectral import EPS_CROSS, HBAR, ContinuumModel
 
-# Oversampling policy for oscillatory quadrature: never fewer than 20
-# points per phase period (the hard floor), and in practice 32x that plus
-# a 50k minimum so the midpoint rule's own O(h^2) error sits far below
-# the 1e-8 by-parts cross-check budget.
-POINTS_PER_PERIOD = 20
-_OVERSAMPLE = 32
-_MIN_SUBSTEPS = 50_000
+# The first-order integrals' composite Gauss-Legendre rule (_pair_rule):
+# nodes per panel, phase swing per panel in rad, and the least panel count.
+_GL_ORDER = 20
+_PHASE_BUDGET = 1.0
+_MIN_PANELS = 64
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 # s-samples behind the pointwise transition-weight estimate.
 _PEAK_SAMPLES = 1001
@@ -105,24 +104,33 @@ def coupling(model: ContinuumModel, j0: int, j: int, s: float) -> complex:
     return complex(model.frame_coupling_profile(j0, j, float(s))[0])
 
 
-def mandated_substeps(model: ContinuumModel, j0: int, j: int, duration: float) -> int:
-    """Hard floor: POINTS_PER_PERIOD per period of the fastest phase.
+def _mismatch(model: ContinuumModel, j0: int, j: int) -> float:
+    """dk = kappa_j0 - kappa_j of the separable E(k, s) = kappa(k) f(s).
 
-    The fastest phase is found over GAP_SAMPLES uniform s in [0, 1].
+    E_j0 - E_j = dk f(s) and alpha_j0 - alpha_j = dk F(s), with F = integral
+    of f, so no two large energies or phases are subtracted.
     """
-    s = np.linspace(0.0, 1.0, GAP_SAMPLES)
-    de = np.abs(np.asarray(model.energy(j0, s)) - np.asarray(model.energy(j, s)))
-    periods = abs(duration) * float(de.max()) / (2.0 * math.pi * HBAR)
-    return max(1, math.ceil(POINTS_PER_PERIOD * periods))
+    kappa = model.dispersion.kappa(model.grid.nodes)
+    return float(kappa[j0] - kappa[j])
 
 
-def _resolve_substeps(floor: int) -> int:
-    """Midpoint points the quadrature uses over [0, 1], given the mandated floor."""
-    return max(_MIN_SUBSTEPS, _OVERSAMPLE * floor)
+def _pair_rule(model: ContinuumModel, j0: int, j: int, duration: float, s0: float = 0.0, s1: float = 1.0):
+    """Composite Gauss-Legendre rule for pair (j0, j) on [s0, s1]: (required panels, edges, nodes, weights).
 
-
-def _pair_mask_allows(model, variant: GeneratorVariant, j0: int, j: int) -> bool:
-    return bool(variant.keep_mask(model.size)[j0, j])
+    `required` panels keep each one's phase swing T max|E_j0 - E_j| width / hbar
+    (max over GAP_SAMPLES uniform s) within _PHASE_BUDGET.  The uniform
+    panels used are at least _MIN_PANELS and a multiple of the tabulated
+    profile's segments, so none straddles a kink when s0 and s1 lie on the
+    table's grid, as 0 and 1 do; nodes and weights run panel by panel.
+    """
+    disp = model.dispersion
+    de = abs(_mismatch(model, j0, j)) * float(np.abs(disp.profile(np.linspace(s0, s1, GAP_SAMPLES))).max())
+    required = max(1, math.ceil(abs(duration) * de * (s1 - s0) / (HBAR * _PHASE_BUDGET)))
+    segments = len(disp.params) - 1 if disp.family == "tabulated" else 1
+    panels = -(-max(_MIN_PANELS, required) // segments) * segments
+    edges = np.linspace(s0, s1, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    return required, edges, (edges[:-1, None] + half * (1.0 + _GL_X)).ravel(), (half * _GL_W).ravel()
 
 
 def planned_substeps(
@@ -131,9 +139,9 @@ def planned_substeps(
     j0: int,
     duration: float,
 ) -> tuple[int, int]:
-    """(mandated floor, points actually used) over the exterior of j0's band."""
-    floor = max(mandated_substeps(model, j0, j, duration) for j in part.exterior(part.band_of(j0)))
-    return floor, _resolve_substeps(floor)
+    """(nodes the phase budget requires, nodes used) of _pair_rule on [0, 1], max over j0's exterior."""
+    plans = [_pair_rule(model, j0, j, duration)[:2] for j in part.exterior(part.band_of(j0))]
+    return _GL_ORDER * max(r for r, _ in plans), _GL_ORDER * (max(e.size for _, e in plans) - 1)
 
 
 def transition_integral(
@@ -145,21 +153,18 @@ def transition_integral(
 ) -> complex:
     """Oscillatory integral of the masked coupling against the phase mismatch.
 
-    Composite midpoint over [0, 1] of
-    exp[i*T*(alpha_j0 - alpha_j)/hbar] * i*hbar*<phi_j0|dphi_j>, on
-    _resolve_substeps of the pair's mandated floor.
-    Exactly zero for pairs removed by the variant's mask and for pairs the
-    generator does not couple (the coupling is theta' * G[j0, j]).
+    Integral over [0, 1] of exp[i*T*(alpha_j0 - alpha_j)/hbar] *
+    i*hbar*<phi_j0|dphi_j>, by the pair's composite Gauss-Legendre rule
+    (_pair_rule).  Exactly zero for pairs removed by the variant's mask
+    and for pairs the generator does not couple (the coupling is
+    theta' * G[j0, j]).
     """
-    if not _pair_mask_allows(model, variant, j0, j) or model.rotation.generator[j0, j] == 0.0:
+    if not variant.keep_mask(model.size)[j0, j] or model.rotation.generator[j0, j] == 0.0:
         return 0.0 + 0.0j
-    n = _resolve_substeps(mandated_substeps(model, j0, j, duration))
-    h = 1.0 / n
-    sm = (np.arange(n) + 0.5) * h
-    dalpha = np.asarray(model.phase(j0, sm)) - np.asarray(model.phase(j, sm))
-    weight = np.exp(1j * duration * dalpha / HBAR)
-    integrand = weight * (1j * HBAR * model.frame_coupling_profile(j0, j, sm))
-    return complex(h * integrand.sum())
+    _, _, s, w = _pair_rule(model, j0, j, duration)
+    omega = duration * _mismatch(model, j0, j) / HBAR
+    weight = np.exp(1j * omega * model.dispersion.profile_integral(s))
+    return complex(np.sum(w * weight * (1j * HBAR * model.frame_coupling_profile(j0, j, s))))
 
 
 def transition_integral_parts(
@@ -169,52 +174,44 @@ def transition_integral_parts(
     j: int,
     duration: float,
 ) -> TransitionParts:
-    """Integration-by-parts rearrangement of transition_integral, on the same midpoints.
+    """Integration-by-parts rearrangement of transition_integral, on the same nodes.
 
-    Valid only when the energy mismatch never vanishes on [0, 1];
+    Valid only when the energy mismatch never vanishes on [0, 1], checked
+    on the rule's nodes and panel edges (both endpoints among them);
     returns the boundary term, the remaining integral, and the resulting
     O(hbar/T) magnitude bound.  Couplings, gaps and their s-derivatives
-    are all closed form, evaluated only on [0, 1].  Like
-    transition_integral, every part is exactly zero for pairs removed by
-    the variant's mask and for pairs the generator does not couple; the
-    crossing check still runs for them.
+    are closed form, evaluated only on [0, 1].  Every part is exactly zero
+    where transition_integral is, but the crossing check still runs.
     """
     if duration <= 0.0:
         raise ConfigError("integration by parts needs a positive duration")
-    n = _resolve_substeps(mandated_substeps(model, j0, j, duration))
-    h = 1.0 / n
-    sm = (np.arange(n) + 0.5) * h
-    grid = np.concatenate([[0.0], sm, [1.0]])
-
-    de = np.asarray(model.energy(j0, grid)) - np.asarray(model.energy(j, grid))
-    # A sign change between grid points means the mismatch vanished there
+    _, edges, s, w = _pair_rule(model, j0, j, duration)
+    grid = np.sort(np.concatenate((edges, s)))
+    disp = model.dispersion
+    dk = _mismatch(model, j0, j)
+    de = dk * disp.profile(grid)
+    # A sign change between scan points means the mismatch vanished there
     # even when no sample lands near zero.
     if float(np.abs(de).min()) <= EPS_CROSS or bool(np.any(de[:-1] * de[1:] < 0.0)):
         raise CrossingError(
             f"energy mismatch of pair ({j0}, {j}) vanishes on [0, 1]; "
             "integration by parts is invalid"
         )
-    if not _pair_mask_allows(model, variant, j0, j) or model.rotation.generator[j0, j] == 0.0:
+    if not variant.keep_mask(model.size)[j0, j] or model.rotation.generator[j0, j] == 0.0:
         return TransitionParts(0j, 0j, 0j, 0.0)
 
-    c = 1j * HBAR * model.frame_coupling_profile(j0, j, grid)
-    cp = 1j * HBAR * model.frame_coupling_rate_profile(j0, j, grid)
-    g = c / de
-    # d/ds (coupling/gap) by the quotient rule
-    de_rate = np.asarray(model.energy_rate(j0, grid)) - np.asarray(model.energy_rate(j, grid))
-    gp = (cp * de - c * de_rate) / (de * de)
+    g = 1j * HBAR * model.frame_coupling_profile(j0, j, grid) / de
+    # d/ds (coupling/gap) by the quotient rule, at the nodes only, where
+    # the rate of a tabulated profile is continuous
+    c, de = 1j * HBAR * model.frame_coupling_profile(j0, j, s), dk * disp.profile(s)
+    cp = 1j * HBAR * model.frame_coupling_rate_profile(j0, j, s)
+    gp = (cp * de - c * dk * disp.profile_rate(s)) / (de * de)
 
-    dalpha_end = float(model.phase(j0, 1.0)) - float(model.phase(j, 1.0))
+    omega = duration * dk / HBAR
     pref = HBAR / (1j * duration)
-    boundary = pref * (np.exp(1j * duration * dalpha_end / HBAR) * g[-1] - g[0])
-
-    dalpha_mid = np.asarray(model.phase(j0, sm)) - np.asarray(model.phase(j, sm))
-    weight = np.exp(1j * duration * dalpha_mid / HBAR)
-    tail = -pref * h * np.sum(weight * gp[1:-1])
-
-    bound = (HBAR / duration) * (
-        2.0 * float(np.abs(g).max()) + float(h * np.abs(gp[1:-1]).sum())
-    )
+    boundary = pref * (np.exp(1j * omega * disp.profile_integral(1.0)) * g[-1] - g[0])
+    tail = -pref * np.sum(w * np.exp(1j * omega * disp.profile_integral(s)) * gp)
+    bound = (HBAR / duration) * (2.0 * float(np.abs(g).max()) + float(np.sum(w * np.abs(gp))))
     return TransitionParts(complex(boundary + tail), complex(boundary), complex(tail), bound)
 
 
@@ -365,7 +362,7 @@ def sweep_leakage(
             u1 = final_propagator(model, PropagationConfig(duration, steps, scheme))
         eta = leakage_exact(model, u1, part, j0)
         eta_hat = leakage_first_order(model, part, j0, duration)
-        w1 = _residual_operator(u1, a1, phase_factors(model, duration, 1.0))
+        w1 = _residual_operator(u1, a1.conj().T, phase_factors(model, duration, 1.0))
         return LeakageReport(
             duration, j0, band, eta, eta_hat, deviation_from_identity(w1)
         )

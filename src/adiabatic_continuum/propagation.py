@@ -235,8 +235,10 @@ def _adjoint_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _identity_defect(prod: np.ndarray) -> float:
-    """max over a stack of matrices of the entrywise distance from identity."""
-    return float(np.abs(prod - np.eye(prod.shape[-1])).max())
+    """max over a stack of matrices of the entrywise distance from identity; prod is overwritten."""
+    d = np.arange(prod.shape[-1])
+    prod[..., d, d] -= 1.0
+    return float(np.abs(prod).max())
 
 
 def _unitarity_defect(mats: np.ndarray) -> float:
@@ -641,17 +643,21 @@ def final_intertwiner(
 def _chunk_residual(part: BandPartition, x: np.ndarray) -> float:
     """max over bands and a chunk's nodes of sigma_max(X[ext(b), b]), for the stack X = Q^dag A.
 
-    One Q^dag A per chunk serves every band; a band with no exterior has
-    no off-block and adds nothing.
+    sigma_max^2 is the top eigenvalue of the off-block's Gram, band b's
+    diagonal block of Y^dag Y with Y = X zeroed where row and column share
+    a band (a shorter last band's block padded with zeros): one stacked
+    matmul and eigvalsh per chunk, slice by slice, so a node's residual
+    does not depend on its chunk.  Not subtracted from 1, it keeps small
+    residuals' relative precision.
     """
-    worst = 0.0
-    for members in part.bands:
-        outside = np.ones(part.grid_size, dtype=bool)
-        outside[list(members)] = False
-        if outside.any():
-            off = x[:, outside, members[0] : members[-1] + 1]
-            worst = max(worst, float(np.linalg.svd(off, compute_uv=False)[:, 0].max()))
-    return worst
+    sizes = np.array([len(members) for members in part.bands])
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    y = np.where(labels[:, None] == labels, 0.0, x)
+    offsets = np.arange(sizes.max())
+    cols = np.cumsum(sizes)[:, None] - sizes[:, None] + np.minimum(offsets, sizes[:, None] - 1)
+    keep = offsets < sizes[:, None]
+    blocks = _adjoint_product(y, y)[:, cols[:, :, None], cols[:, None, :]] * (keep[:, :, None] & keep[:, None, :])
+    return math.sqrt(max(float(np.linalg.eigvalsh(blocks)[..., -1].max()), 0.0))
 
 
 def _check_partition(model: ContinuumModel, part: BandPartition):
@@ -669,10 +675,11 @@ def intertwine_residual(a_family: UnitaryFamily, model: ContinuumModel, part: Ba
     A_b − Q_b Q_b^dag A_b = Q_ext Q_ext^dag A_b, where Q_ext holds the frame
     columns outside the band.  Q_ext has orthonormal columns, so that
     singular value is exactly the largest one of the (N−m) x m off-block
-    Q_ext^dag A_b = (Q^dag A)[ext, band], which is what is computed, from an
-    SVD.  The cosine (Gram) form 1 − sigma_min(Q_b^dag A_b)^2 is not used:
-    it squares the residual, so residuals below about 1e-8 drown in the
-    roundoff of the cosines near 1.  The family is read chunk by chunk.
+    Q_ext^dag A_b = (Q^dag A)[ext, band], which is what is computed, from the
+    off-block's Gram matrix (_chunk_residual).  The cosine form
+    1 − sigma_min(Q_b^dag A_b)^2 is not used: it subtracts from 1, so
+    residuals below about 1e-8 drown in the roundoff of the cosines near
+    1.  The family is read chunk by chunk.
     """
     _check_partition(model, part)
     return max(_chunk_residual(part, _adjoint_product(model.frame_matrix(s), a)) for s, a in a_family.chunks())
@@ -739,12 +746,13 @@ def wave_operator(u: UnitaryFamily, a: UnitaryFamily, phi: UnitaryFamily) -> Uni
     ):
         raise ConfigError("families do not share one s-grid")
     p = np.diagonal(phi.matrices, axis1=-2, axis2=-1)
-    return UnitaryFamily("W", u.s_nodes.copy(), _residual_operator(u.matrices, a.matrices, p))
+    return UnitaryFamily("W", u.s_nodes.copy(), _residual_operator(u.matrices, a.matrices.conj().swapaxes(-1, -2), p))
 
 
-def _residual_operator(u: np.ndarray, a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Phi^dag (A^dag U), stacked, with Phi^dag applied as a row scaling by the conjugated phases p."""
-    return p.conj()[..., :, None] * _adjoint_product(a, u)
+def _residual_operator(u: np.ndarray, a_adj: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Phi^dag (A^dag U), stacked, from A^dag; Phi^dag is an in-place row scaling by the conjugated phases p."""
+    w = np.matmul(a_adj, u)
+    return np.multiply(p.conj()[..., :, None], w, out=w)
 
 
 def deviation_from_identity(matrix: np.ndarray) -> float:
@@ -795,13 +803,14 @@ def stream_families(
         q = model.frame_matrix(s)
         a = _exact_transport(model, variant, s, q)
         p = phase_factors(model, config.duration, s)
-        w = _residual_operator(u, a, p)
-        aa = _adjoint_product(a, a)
+        a_adj = a.conj().swapaxes(-1, -2)  # once, for A^dag U and A^dag A
+        w = _residual_operator(u, a_adj, p)
+        aa = np.matmul(a_adj, a)
+        if part is not None:
+            # the closed form of kato_state is the frame itself, and then Q^dag A is A^dag A
+            residual = max(residual, _chunk_residual(part, aa if a is q else _adjoint_product(q, a)))
         defects["U"] = max(defects["U"], _unitarity_defect(u))
         defects["A"] = max(defects["A"], _identity_defect(aa))
         defects["W"] = max(defects["W"], _unitarity_defect(w))
         defects["Phi"] = max(defects["Phi"], float(np.abs(p.conj() * p - 1.0).max()))
-        if part is not None:
-            # the closed form of kato_state is the frame itself, and then Q^dag A is A^dag A
-            residual = max(residual, _chunk_residual(part, aa if a is q else _adjoint_product(q, a)))
     return FamilyDiagnostics(u[-1], w[-1], defects, residual if part is not None else None)

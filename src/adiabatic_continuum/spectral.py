@@ -83,7 +83,7 @@ class KGrid:
 
 @dataclass(frozen=True)
 class DispersionSchedule:
-    """Dispersion E(k, s) with its s-derivative and exact s-antiderivative.
+    """Dispersion E(k, s) with its profile's s-derivative and exact s-antiderivative.
 
     Families
     --------
@@ -92,9 +92,10 @@ class DispersionSchedule:
     tabulated:  E = k * f(s) with f piecewise-linear through params sampled
                 uniformly on s in [0, 1]
 
-    The accumulated phase integral(0..s) E ds' is closed form in every
-    family (polynomial or piecewise quadratic), so dynamical phases carry
-    no quadrature error.
+    Every family is separable, E(k, s) = kappa(k) * profile(s).  The
+    accumulated phase integral(0..s) E ds' is closed form in every family
+    (polynomial or piecewise quadratic), so dynamical phases carry no
+    quadrature error.
     """
 
     family: str
@@ -110,21 +111,22 @@ class DispersionSchedule:
         if not all(np.isfinite(self.params)):
             raise ConfigError("dispersion params must be finite")
 
-    def _profile(self, s):
-        """Scalar factor multiplying k (or k^2) at time s."""
+    def profile(self, s):
+        """Scalar factor f(s) multiplying kappa(k)."""
         if self.family == "tabulated":
             return np.interp(s, self._table_s, self._table_f)
         a, b = self.params
         return a + b * np.asarray(s, dtype=float)
 
-    def _profile_rate(self, s):
+    def profile_rate(self, s):
+        """f'(s) (one-sided at tabulated kinks)."""
         if self.family == "tabulated":
             s = np.asarray(s, dtype=float)
             seg = np.clip((s * (len(self.params) - 1)).astype(int), 0, len(self.params) - 2)
             return self._table_slopes[seg]
         return np.broadcast_to(float(self.params[1]), np.shape(s)).copy() if np.ndim(s) else float(self.params[1])
 
-    def _profile_integral(self, s):
+    def profile_integral(self, s):
         """integral(0..s) of the profile; exact for each family."""
         s = np.asarray(s, dtype=float)
         if self.family != "tabulated":
@@ -157,21 +159,18 @@ class DispersionSchedule:
         seg_areas = 0.5 * (self._table_f[:-1] + self._table_f[1:]) / (len(self.params) - 1)
         return np.concatenate([[0.0], np.cumsum(seg_areas)])[:-1]
 
-    def _kpart(self, k):
+    def kappa(self, k):
+        """Label factor: k, or k^2 for the quadratic family."""
         k = np.asarray(k, dtype=float)
         return k * k if self.family == "quadratic" else k
 
     def energy(self, k, s):
         """E(k, s); broadcasts over k and s."""
-        return self._kpart(k) * self._profile(s)
-
-    def energy_rate(self, k, s):
-        """dE/ds at fixed k (one-sided at tabulated kinks)."""
-        return self._kpart(k) * self._profile_rate(s)
+        return self.kappa(k) * self.profile(s)
 
     def phase(self, k, s):
         """Accumulated phase integral(0..s) E(k, s') ds', closed form."""
-        return self._kpart(k) * self._profile_integral(s)
+        return self.kappa(k) * self.profile_integral(s)
 
 
 def linear_dispersion(a: float = 1.0, b: float = 1.0) -> DispersionSchedule:
@@ -345,9 +344,6 @@ class ContinuumModel:
 
     def energy(self, j: int, s):
         return self.dispersion.energy(self.grid.nodes[j], s)
-
-    def energy_rate(self, j: int, s):
-        return self.dispersion.energy_rate(self.grid.nodes[j], s)
 
     def phase(self, j: int, s):
         """Dynamical phase integral(0..s) E(k_j, s') ds'."""

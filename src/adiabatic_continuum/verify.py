@@ -134,7 +134,7 @@ def _check_variant_degeneracy(config, model, part) -> dict:
 
 
 def _check_by_parts(config, model, part) -> dict:
-    t_ref = config.duration if config.duration is not None else 200.0
+    t_ref = _reference_duration(config)
     if t_ref <= 0.0:
         return {
             "passed": True,

@@ -16,7 +16,9 @@ from adiabatic_continuum.runner import (
     cmd_verify,
     write_outputs,
 )
-from adiabatic_continuum.verify import CHECK_NAMES
+from adiabatic_continuum.verify import _CHECKS, CHECK_NAMES
+
+from conftest import SRC
 
 
 @pytest.fixture
@@ -251,3 +253,25 @@ def test_record_numbers_equal_library_results(fast_config):
     u1 = final_propagator(model, PropagationConfig(20.0, 512))
     eta = leakage_exact(model, u1, part, 1)
     assert record["leakage"]["eta_exact"] == eta
+
+
+def test_verify_by_parts_passes_on_a_kinked_profile():
+    # the tabulated profile has kinks at s = 1/3 and 2/3; the shipped
+    # default switched to it must pass the by-parts check
+    overrides = {
+        ("dispersion", "family"): "tabulated",
+        ("dispersion", "params"): "1.0, 1.3, 1.9, 2.0",
+        ("rotation", "schedule"): "smoothstep",
+    }
+    cfg = load_config(SRC.parent / "configs" / "default.cfg", overrides)
+    row = dict(_CHECKS)["by_parts"](cfg, cfg.build_model(), cfg.build_partition())
+    assert row["passed"], row
+    assert row["measured"] <= row["tolerance"]
+
+
+def test_verify_by_parts_takes_the_longest_duration_of_a_sweep():
+    # as unitarity and frozen_frame do: the largest T has the fastest phases
+    cfg = load_config(SRC.parent / "configs" / "sweep.cfg")
+    row = dict(_CHECKS)["by_parts"](cfg, cfg.build_model(), cfg.build_partition())
+    assert row["passed"], row
+    assert "at T=800;" in row["detail"]

@@ -68,7 +68,7 @@ def test_phase_is_antiderivative_of_energy(disp):
         fd = _fd(lambda x: disp.phase(k, x), s)
         assert fd == pytest.approx(disp.energy(k, s), rel=1e-7, abs=1e-9)
         fd_rate = _fd(lambda x: disp.energy(k, x), s)
-        assert fd_rate == pytest.approx(disp.energy_rate(k, s), rel=1e-6, abs=1e-7)
+        assert fd_rate == pytest.approx(disp.kappa(k) * disp.profile_rate(s), rel=1e-6, abs=1e-7)
 
 
 def test_linear_dispersion_values():
