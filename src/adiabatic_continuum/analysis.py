@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import GAP_SAMPLES, BandPartition, virtual_gap
+from .bands import BandPartition, pair_gap, virtual_gap
 from .errors import AnalysisError, ConfigError, CrossingError
 from .propagation import (
     GeneratorVariant,
@@ -118,13 +118,14 @@ def _pair_rule(model: ContinuumModel, j0: int, j: int, duration: float, s0: floa
     """Composite Gauss-Legendre rule for pair (j0, j) on [s0, s1]: (required panels, edges, nodes, weights).
 
     `required` panels keep each one's phase swing T max|E_j0 - E_j| width / hbar
-    (max over GAP_SAMPLES uniform s) within _PHASE_BUDGET.  The uniform
+    (exact max over [s0, s1]) within _PHASE_BUDGET.  The uniform
     panels used are at least _MIN_PANELS and a multiple of the tabulated
     profile's segments, so none straddles a kink when s0 and s1 lie on the
     table's grid, as 0 and 1 do; nodes and weights run panel by panel.
     """
     disp = model.dispersion
-    de = abs(_mismatch(model, j0, j)) * float(np.abs(disp.profile(np.linspace(s0, s1, GAP_SAMPLES))).max())
+    lo, hi = disp.profile_range(s0, s1)
+    de = abs(_mismatch(model, j0, j)) * max(-lo, hi)
     required = max(1, math.ceil(abs(duration) * de * (s1 - s0) / (HBAR * _PHASE_BUDGET)))
     segments = len(disp.params) - 1 if disp.family == "tabulated" else 1
     panels = -(-max(_MIN_PANELS, required) // segments) * segments
@@ -139,8 +140,15 @@ def planned_substeps(
     j0: int,
     duration: float,
 ) -> tuple[int, int]:
-    """(nodes the phase budget requires, nodes used) of _pair_rule on [0, 1], max over j0's exterior."""
-    plans = [_pair_rule(model, j0, j, duration)[:2] for j in part.exterior(part.band_of(j0))]
+    """(nodes the phase budget requires, nodes used) of _pair_rule on [0, 1].
+
+    The max runs over the exterior pairs leakage_first_order integrates,
+    those with G[j0, j] != 0; (0, 0) when there are none.
+    """
+    coupled = model.rotation.generator[j0]
+    plans = [_pair_rule(model, j0, j, duration)[:2] for j in part.exterior(part.band_of(j0)) if coupled[j] != 0.0]
+    if not plans:
+        return 0, 0
     return _GL_ORDER * max(r for r, _ in plans), _GL_ORDER * (max(e.size for _, e in plans) - 1)
 
 
@@ -177,22 +185,15 @@ def transition_integral_parts(
     """Integration-by-parts rearrangement of transition_integral, on the same nodes.
 
     Valid only when the energy mismatch never vanishes on [0, 1], checked
-    on the rule's nodes and panel edges (both endpoints among them);
-    returns the boundary term, the remaining integral, and the resulting
-    O(hbar/T) magnitude bound.  Couplings, gaps and their s-derivatives
-    are closed form, evaluated only on [0, 1].  Every part is exactly zero
-    where transition_integral is, but the crossing check still runs.
+    by the pair's exact gap (bands.pair_gap); returns the boundary term,
+    the remaining integral, and the resulting O(hbar/T) magnitude bound.
+    Couplings, gaps and their s-derivatives are closed form, evaluated only
+    on [0, 1].  Every part is exactly zero where transition_integral is,
+    but the crossing check still runs.
     """
     if duration <= 0.0:
         raise ConfigError("integration by parts needs a positive duration")
-    _, edges, s, w = _pair_rule(model, j0, j, duration)
-    grid = np.sort(np.concatenate((edges, s)))
-    disp = model.dispersion
-    dk = _mismatch(model, j0, j)
-    de = dk * disp.profile(grid)
-    # A sign change between scan points means the mismatch vanished there
-    # even when no sample lands near zero.
-    if float(np.abs(de).min()) <= EPS_CROSS or bool(np.any(de[:-1] * de[1:] < 0.0)):
+    if pair_gap(model, [j0], [j]) <= EPS_CROSS:
         raise CrossingError(
             f"energy mismatch of pair ({j0}, {j}) vanishes on [0, 1]; "
             "integration by parts is invalid"
@@ -200,6 +201,11 @@ def transition_integral_parts(
     if not variant.keep_mask(model.size)[j0, j] or model.rotation.generator[j0, j] == 0.0:
         return TransitionParts(0j, 0j, 0j, 0.0)
 
+    _, edges, s, w = _pair_rule(model, j0, j, duration)
+    grid = np.sort(np.concatenate((edges, s)))
+    disp = model.dispersion
+    dk = _mismatch(model, j0, j)
+    de = dk * disp.profile(grid)
     g = 1j * HBAR * model.frame_coupling_profile(j0, j, grid) / de
     # d/ds (coupling/gap) by the quotient rule, at the nodes only, where
     # the rate of a tabulated profile is continuous
@@ -271,13 +277,12 @@ def transition_weight_max_estimate(
     With a duration, the coupling is converted to the physical clock
     (one factor 1/T), giving the a-priori peak transition probability.
     """
-    s = np.linspace(0.0, 1.0, _PEAK_SAMPLES)
-    de = np.asarray(model.energy(j0, s)) - np.asarray(model.energy(j, s))
-    if float(np.abs(de).min()) <= EPS_CROSS or bool(np.any(de[:-1] * de[1:] < 0.0)):
+    if pair_gap(model, [j0], [j]) <= EPS_CROSS:
         raise CrossingError(
-            f"energy mismatch of pair ({j0}, {j}) vanishes; no finite estimate"
+            f"energy mismatch of pair ({j0}, {j}) vanishes on [0, 1]; no finite estimate"
         )
-    de = np.abs(de)
+    s = np.linspace(0.0, 1.0, _PEAK_SAMPLES)
+    de = np.abs(np.asarray(model.energy(j0, s)) - np.asarray(model.energy(j, s)))
     ratio = HBAR * np.abs(model.frame_coupling_profile(j0, j, s)) / de
     peak = float(ratio.max()) ** 2
     if duration is not None:
@@ -294,24 +299,22 @@ def adiabatic_criterion(
     s_samples: int = 129,
     threshold: float = 0.1,
 ) -> CriterionReport:
-    """Max exterior coupling against min exterior gap, flagged by threshold."""
+    """Max exterior coupling against min exterior gap, flagged by threshold.
+
+    The coupling max runs over s_samples uniform s; the gap is exact
+    (bands.pair_gap of j0 against its band's exterior).
+    """
     if s_samples < 2:
         raise ConfigError(f"s_samples must be >= 2, got {s_samples}")
     if threshold <= 0:
         raise ConfigError(f"threshold must be positive, got {threshold}")
     band = part.band_of(j0)
     exterior = part.exterior(band)
-    s = np.linspace(0.0, 1.0, s_samples)
-    e_j0 = np.asarray(model.energy(j0, s))
-    max_coupling = 0.0
-    min_gap = math.inf
-    for j in exterior:
-        max_coupling = max(
-            max_coupling, float(np.abs(model.frame_coupling_profile(j0, j, s)).max())
-        )
-        min_gap = min(min_gap, float(np.abs(e_j0 - np.asarray(model.energy(j, s))).min()))
-    if min_gap <= 0.0:
+    min_gap = pair_gap(model, [j0], exterior)
+    if min_gap <= EPS_CROSS:
         raise CrossingError("criterion undefined: exterior gap reaches zero")
+    s = np.linspace(0.0, 1.0, s_samples)
+    max_coupling = max(float(np.abs(model.frame_coupling_profile(j0, j, s)).max()) for j in exterior)
     margin = max_coupling / min_gap
     return CriterionReport(max_coupling, min_gap, margin, threshold, margin <= threshold)
 

@@ -3,7 +3,8 @@
 A band is a contiguous run of grid indices standing in for a small spectral
 window.  Projectors onto the rotating frame vectors of a band are exact
 rank-m orthogonal projectors, and each band carries a virtual gap: the
-smallest distance between in-band and exterior energies over the sweep.
+smallest distance between in-band and exterior energies over the sweep,
+exact from the separable factors (pair_gap).
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ import numpy as np
 
 from .errors import ConfigError, CrossingError, NoExteriorError, NoFeasibleBandError
 from .spectral import EPS_CROSS, ContinuumModel
-
-# s-samples of the energy scans behind pair_gap and the virtual gaps.
-GAP_SAMPLES = 129
 
 
 @dataclass(frozen=True)
@@ -155,14 +153,19 @@ def weyl_packet(model: ContinuumModel, part: BandPartition, band: int, s: float)
 
 
 def pair_gap(model: ContinuumModel, inside, outside) -> float:
-    """Smallest |E_in - E_out| over GAP_SAMPLES uniform s for explicit index sets."""
+    """Smallest |E_in - E_out| over s in [0, 1] for explicit index sets, exact.
+
+    E_in - E_out = (kappa_in - kappa_out) f(s), so the gap is
+    min |kappa_in - kappa_out| * min |f|, and min |f| = max(lo, -hi, 0)
+    over the profile's exact range [lo, hi]: 0 when f reaches 0.
+    """
     inside = list(inside)
     outside = list(outside)
     if not inside or not outside:
         raise ConfigError("pair_gap needs nonempty index sets on both sides")
-    s = np.linspace(0.0, 1.0, GAP_SAMPLES)
-    e = np.asarray(model.energies(s), dtype=float)
-    return float(np.abs(e[:, inside, None] - e[:, None, outside]).min())
+    kappa = model.dispersion.kappa(model.grid.nodes)
+    lo, hi = model.dispersion.profile_range()
+    return float(np.abs(kappa[inside, None] - kappa[None, outside]).min()) * max(lo, -hi, 0.0)
 
 
 def virtual_gap(model: ContinuumModel, part: BandPartition, band: int) -> float:
@@ -217,46 +220,22 @@ def feasible_band_size(model: ContinuumModel, duration: float, margin: float = 1
     )
 
 
-def validate_noncrossing(
-    model: ContinuumModel,
-    part: BandPartition,
-    s_samples: int = 257,
-) -> float:
-    """Smallest in-band to exterior energy separation over s_samples uniform s.
+def validate_noncrossing(model: ContinuumModel, part: BandPartition) -> float:
+    """Smallest in-band to exterior energy separation over s in [0, 1], exact.
 
     A single band covering the grid is vacuously crossing-free: inf.
-    Raises CrossingError when a band comes within EPS_CROSS of its
-    exterior, or when some E_in - E_out changes sign between adjacent
-    samples even though no sample lands on the crossing itself; the
-    message names the closest band and the first offending s-interval.
+    Raises CrossingError when a band's virtual gap is at most EPS_CROSS;
+    the message names the closest band and the first knot interval on
+    which the profile reaches 0 (all of [0, 1] when it never does).
     """
-    if s_samples < 2:
-        raise ConfigError(f"s_samples must be >= 2, got {s_samples}")
-    s = np.linspace(0.0, 1.0, s_samples)
-    e = np.asarray(model.energies(s), dtype=float)
-
-    min_sep = np.inf
-    worst = 0
-    interval: tuple[float, float] | None = None
-    for b in range(len(part)):
-        try:
-            outside = list(part.exterior(b))
-        except NoExteriorError:
-            continue
-        d = e[:, list(part.members(b)), None] - e[:, None, outside]
-        sep = float(np.abs(d).min())
-        if sep < min_sep:
-            min_sep = sep
-            worst = b
-        flips = (d[:-1] * d[1:] < 0.0).any(axis=(1, 2))
-        if flips.any() and interval is None:
-            t = int(np.argmax(flips))
-            interval = (float(s[t]), float(s[t + 1]))
-
-    if min_sep <= EPS_CROSS or interval is not None:
-        where = f" in s-interval [{interval[0]:.4f}, {interval[1]:.4f}]" if interval else ""
+    if len(part) < 2:
+        return np.inf
+    gaps = [virtual_gap(model, part, b) for b in range(len(part))]
+    worst = int(np.argmin(gaps))
+    if gaps[worst] <= EPS_CROSS:
+        lo, hi = model.dispersion.zero_interval() or (0.0, 1.0)
         raise CrossingError(
-            f"band {worst} approaches or crosses its exterior"
-            f"{where}: min separation {min_sep:.3e} (eps {EPS_CROSS:.1e})"
+            f"band {worst} approaches or crosses its exterior in s-interval "
+            f"[{lo:.4f}, {hi:.4f}]: min separation {gaps[worst]:.3e} (eps {EPS_CROSS:.1e})"
         )
-    return min_sep
+    return gaps[worst]

@@ -28,7 +28,7 @@ class CrossingError(ValueError):
 
 
 class DegenerateSpectrumError(CrossingError):
-    """Two grid energies coincide at a sampled s; the model is rejected."""
+    """Grid energies touch, or leave strict order in k, somewhere in s; the model is rejected."""
 
 
 class NoExteriorError(ValueError):

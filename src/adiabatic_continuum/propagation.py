@@ -85,13 +85,16 @@ import numpy as np
 
 from .bands import BandPartition
 from .errors import ConfigError, StepBudgetError
-from .spectral import ENERGY_SAMPLES, HBAR, ContinuumModel
+from .spectral import HBAR, ContinuumModel
 
 MIDPOINT = "midpoint_exponential"
 CF4 = "fourth_order_commutator_free"
 SCHEMES = (MIDPOINT, CF4)
 
 VARIANTS = ("kato_state", "weyl_band")
+
+# s-samples behind generator_norm's max |theta'(s)|, and so the transport step budget.
+_RATE_SAMPLES = 65
 
 # Gauss-Legendre nodes on [0,1] and the commutator-free order-4 weights.
 # First exponential weights the earlier node more (a1 > a2); swapping the
@@ -261,12 +264,12 @@ def _masked_generator(model: ContinuumModel, variant: GeneratorVariant) -> np.nd
 
 
 def generator_norm(model: ContinuumModel, variant: GeneratorVariant) -> float:
-    """max over ENERGY_SAMPLES uniform nodes of the spectral norm of K(s), closed form.
+    """max over _RATE_SAMPLES uniform nodes of the spectral norm of K(s), closed form.
 
     K(s) = Q(s) (i hbar theta'(s) G_masked) Q(s)^dag has the eigenvalues
     hbar theta'(s) eig(i G_masked).
     """
-    rate = np.abs(model.rotation.schedule.angle_rate(np.linspace(0.0, 1.0, ENERGY_SAMPLES))).max()
+    rate = np.abs(model.rotation.schedule.angle_rate(np.linspace(0.0, 1.0, _RATE_SAMPLES))).max()
     spread = np.abs(np.linalg.eigvalsh(1j * _masked_generator(model, variant))).max()
     return HBAR * float(rate) * float(spread)
 

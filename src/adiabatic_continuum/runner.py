@@ -108,7 +108,7 @@ def cmd_simulate(config: ExperimentConfig, jobs: int = 1):
     duration = config.scalar_duration()
     model = config.build_model()
     part = config.build_partition()
-    min_separation = validate_noncrossing(model, part, s_samples=max(257, config.s_samples))
+    min_separation = validate_noncrossing(model, part)
     variant = config.build_variant(part)
 
     families = stream_families(
@@ -163,7 +163,7 @@ def cmd_sweep(config: ExperimentConfig, jobs: int = 1):
     durations = config.sweep_durations()
     model = config.build_model()
     part = config.build_partition()
-    validate_noncrossing(model, part, s_samples=max(257, config.s_samples))
+    validate_noncrossing(model, part)
     variant = config.build_variant(part)
 
     check_gap_margin(model, part, config.j0, durations, config.margin)

@@ -25,14 +25,8 @@ from .errors import ConfigError, DegenerateSpectrumError
 # symbolic in formulas for traceability.
 HBAR = 1.0
 
-# Two energies closer than this at any sampled s count as degenerate.
+# Two energies closer than this anywhere in s in [0, 1] count as degenerate.
 EPS_CROSS = 1e-9
-
-# s-samples behind max_energy and both step budgets (propagator and transport).
-ENERGY_SAMPLES = 65
-
-# s-values scanned by build_model when screening for degenerate spectra.
-MONOTONE_SCREEN_SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 DISPERSION_FAMILIES = ("linear", "quadratic", "tabulated")
 ANGLE_SCHEDULES = ("cubic_ramp", "quadratic_ramp", "smoothstep", "linear_ramp")
@@ -95,7 +89,9 @@ class DispersionSchedule:
     Every family is separable, E(k, s) = kappa(k) * profile(s).  The
     accumulated phase integral(0..s) E ds' is closed form in every family
     (polynomial or piecewise quadratic), so dynamical phases carry no
-    quadrature error.
+    quadrature error.  The profile is linear between knots (the table's
+    sample points, or just 0 and 1 for the affine families), so its range
+    on any interval is exact from the ends and the knots inside.
     """
 
     family: str
@@ -141,8 +137,21 @@ class DispersionSchedule:
         partial = (f0 * frac + 0.5 * slope * frac * frac) / n_seg
         return self._cumulative[seg] + partial
 
+    def profile_range(self, s0: float = 0.0, s1: float = 1.0) -> tuple[float, float]:
+        """(min, max) of the profile on [s0, s1], exact: its ends and the knots inside."""
+        knots = self._table_s[(self._table_s > s0) & (self._table_s < s1)]
+        f = self.profile(np.concatenate(([s0], knots, [s1])))
+        return float(f.min()), float(f.max())
+
+    def zero_interval(self) -> tuple[float, float] | None:
+        """First knot interval of [0, 1] on which the profile reaches 0, or None."""
+        f = self.profile(self._table_s)
+        hits = np.flatnonzero(f[:-1] * f[1:] <= 0.0)
+        return (float(self._table_s[hits[0]]), float(self._table_s[hits[0] + 1])) if hits.size else None
+
     @cached_property
     def _table_s(self) -> np.ndarray:
+        # the profile's knots; an affine family's two params give [0, 1]
         return np.linspace(0.0, 1.0, len(self.params))
 
     @cached_property
@@ -350,9 +359,9 @@ class ContinuumModel:
         return self.dispersion.phase(self.grid.nodes[j], s)
 
     def max_energy(self) -> float:
-        """max |E(k_j, s)| over ENERGY_SAMPLES uniform s in [0, 1]."""
-        s = np.linspace(0.0, 1.0, ENERGY_SAMPLES)
-        return float(np.abs(self.energies(s)).max())
+        """max |E(k_j, s)| over s in [0, 1], exact: max |kappa| * max |f|."""
+        lo, hi = self.dispersion.profile_range()
+        return float(np.abs(self.dispersion.kappa(self.grid.nodes)).max()) * max(-lo, hi)
 
     # ---- frame machinery -----------------------------------------------
 
@@ -390,20 +399,23 @@ class ContinuumModel:
 
 
 def build_model(grid: KGrid, dispersion: DispersionSchedule, rotation: FrameRotation) -> ContinuumModel:
-    """Validating factory: rejects spectra that degenerate at a screened s.
+    """Validating factory: rejects spectra that degenerate anywhere in s in [0, 1].
 
-    The screen samples s in MONOTONE_SCREEN_SAMPLES and requires the grid
-    energies to stay strictly monotone in k (either direction) with
-    adjacent separation above EPS_CROSS.  Band-resolved scans at higher
-    density live in bands.validate_noncrossing.
+    The grid energies kappa(k_j) f(s) must stay strictly monotone in k
+    (either direction), so kappa must be, and every adjacent pair's exact
+    gap (bands.pair_gap) must exceed EPS_CROSS; with kappa monotone the
+    adjacent pairs hold the smallest gap of all.  A profile that reaches 0
+    fails the gap, and the error names its first knot interval doing so.
     """
+    from .bands import pair_gap  # bands imports this module
+
     model = ContinuumModel(grid, dispersion, rotation)
-    for s in MONOTONE_SCREEN_SAMPLES:
-        e = np.asarray(model.energies(s), dtype=float)
-        diffs = np.diff(e)
-        if np.abs(diffs).min() <= EPS_CROSS or not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise DegenerateSpectrumError(
-                f"grid energies are not strictly monotone at s={s}: "
-                f"min adjacent separation {np.abs(diffs).min():.3e}"
-            )
+    dk = np.diff(dispersion.kappa(grid.nodes))
+    gap = min(pair_gap(model, [j], [j + 1]) for j in range(grid.size - 1))
+    if gap <= EPS_CROSS or not (np.all(dk > 0) or np.all(dk < 0)):
+        lo, hi = dispersion.zero_interval() or (0.0, 1.0)
+        raise DegenerateSpectrumError(
+            f"grid energies are not strictly monotone in k in s-interval [{lo:.4f}, {hi:.4f}]: "
+            f"min adjacent separation {gap:.3e}"
+        )
     return model

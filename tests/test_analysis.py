@@ -40,7 +40,7 @@ from adiabatic_continuum import (
 )
 from adiabatic_continuum.analysis import check_gap_margin
 
-from conftest import make_model
+from conftest import flip_model, make_model
 
 
 @pytest.fixture(scope="module")
@@ -61,11 +61,18 @@ def test_coupling_closed_form(default_model):
 
 
 def test_planned_substeps_default(default_model, default_part):
-    # farthest pair (1, 15): max |dE| = 14 spacings * 2 = 28/15 at s=1, so
-    # T=100 needs ceil(186.67) = 187 panels of 20 nodes, above the 64-panel
-    # floor; T=20 needs ceil(37.33) = 38 panels and uses the floor
-    assert planned_substeps(default_model, default_part, 1, 100.0) == (3740, 3740)
-    assert planned_substeps(default_model, default_part, 1, 20.0) == (760, 1280)
+    # the only coupled exterior pair is (1, 2): max |dE| = 1 spacing * 2 =
+    # 2/15 at s=1, so T=100 needs ceil(13.33) = 14 panels of 20 nodes and
+    # T=20 needs ceil(2.67) = 3; both use the 64-panel floor
+    assert planned_substeps(default_model, default_part, 1, 100.0) == (280, 1280)
+    assert planned_substeps(default_model, default_part, 1, 20.0) == (60, 1280)
+
+
+def test_planned_substeps_without_coupled_pairs():
+    # the nearest-neighbour generator couples j0 = 1 only to 0 and 2; with
+    # bands of 3 both share its band, so no exterior pair is integrated
+    model = make_model(n=6)
+    assert planned_substeps(model, BandPartition(6, 3), 1, 100.0) == (0, 0)
 
 
 # ---- transition integral ------------------------------------------------------
@@ -131,9 +138,7 @@ def test_by_parts_validation(default_model):
 
 def test_by_parts_rejects_vanishing_gap():
     # profile crosses zero between samples: every pair's mismatch flips sign
-    model = make_model(
-        dispersion=tabulated_dispersion([1.0, -0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    )
+    model = flip_model()
     with pytest.raises(CrossingError):
         transition_integral_parts(model, kato_state(), 1, 2, 100.0)
     with pytest.raises(CrossingError):  # an uncoupled pair is still checked
@@ -258,9 +263,7 @@ def test_estimate_bounds_transition_weight(default_model, default_part):
 
 
 def test_estimate_rejects_crossing():
-    model = make_model(
-        dispersion=tabulated_dispersion([1.0, -0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    )
+    model = flip_model()
     with pytest.raises(CrossingError):
         transition_weight_max_estimate(model, 1, 2)
 

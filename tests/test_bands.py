@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from adiabatic_continuum import (
     BandPartition,
+    adiabatic_criterion,
     ConfigError,
     CrossingError,
     NoExteriorError,
@@ -27,7 +28,7 @@ from adiabatic_continuum import (
     weyl_packet,
 )
 
-from conftest import make_model
+from conftest import flip_model, make_model
 
 
 # ---- partitions ------------------------------------------------------------
@@ -149,6 +150,19 @@ def test_pair_gap_grows_with_label_distance(default_model):
     assert all(b > a for a, b in zip(gaps, gaps[1:]))
 
 
+def test_gaps_exact_on_kinked_table():
+    # f dips to 0.2 at the knot s = 1/3, off the uniform sample grids: every
+    # gap is the adjacent spacing 1/15 times min |f| = 0.2
+    model = make_model(dispersion=tabulated_dispersion([1.0, 0.2, 1.0, 1.0]))
+    part = BandPartition(16, 2)
+    exact = (1.0 / 15.0) * 0.2
+    assert virtual_gap(model, part, 0) == pytest.approx(exact, rel=1e-15, abs=0.0)
+    assert adiabatic_criterion(model, part, 1).min_gap == pytest.approx(exact, rel=1e-15, abs=0.0)
+    # the worst band sees the float grid, whose spacings differ from 1/15 by ulps
+    spacing = np.diff(model.grid.nodes)[1::2].min()
+    assert validate_noncrossing(model, part) == pytest.approx(spacing * 0.2, rel=1e-15, abs=0.0)
+
+
 def test_pair_gap_validation(default_model):
     with pytest.raises(ConfigError):
         pair_gap(default_model, [], [1])
@@ -186,16 +200,10 @@ def test_validate_noncrossing_single_band_vacuous(default_model):
 def test_crossing_detected_between_samples():
     # profile dips negative between screen samples: every inter-band pair
     # swaps order twice, without any sample landing near the touch point
-    model = make_model(
-        dispersion=tabulated_dispersion([1.0, -0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    )
+    model = flip_model()
     part = BandPartition(16, 2)
     with pytest.raises(CrossingError) as err:
         validate_noncrossing(model, part)
     lo, hi = map(float, re.search(r"s-interval \[([0-9.]+), ([0-9.]+)\]", str(err.value)).groups())
     assert 0.0 <= lo < hi <= 0.25
 
-
-def test_validate_noncrossing_validation(default_model, default_part):
-    with pytest.raises(ConfigError):
-        validate_noncrossing(default_model, default_part, s_samples=1)

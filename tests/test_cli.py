@@ -86,10 +86,14 @@ def test_simulate_whole_grid_band_has_no_exterior(write_config, tmp_path):
     assert "no exterior" in result.stderr
 
 
-def test_crossing_aborts_before_outputs(write_config, tmp_path):
-    cfg = write_config({"dispersion": {"family": "tabulated", "params": FLIP_PROFILE}})
+@pytest.mark.parametrize("command", ["simulate", "sweep", "criterion", "bands", "verify"])
+def test_crossing_aborts_before_outputs(write_config, tmp_path, command):
+    overrides = {"dispersion": {"family": "tabulated", "params": FLIP_PROFILE}}
+    if command == "sweep":
+        overrides["run"] = {"T": None, "T_list": "20, 40, 80"}
+    cfg = write_config(overrides)
     out = tmp_path / "o"
-    result = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+    result = run_cli(command, "--config", str(cfg), "--out", str(out))
     assert result.returncode == 3
     assert "crossing" in result.stderr
     assert not out.exists()

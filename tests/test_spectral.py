@@ -304,9 +304,19 @@ def test_energies_vectorized_shape(default_model):
 
 
 def test_build_model_rejects_degenerate_spectrum():
-    # profile vanishes at a screen sample: all grid energies coincide
+    # profile vanishes at a knot: all grid energies coincide
     with pytest.raises(DegenerateSpectrumError):
         make_model(dispersion=tabulated_dispersion([1.0, 0.0, 1.0, 1.0, 1.0]))
+    # profile crosses 0 between knots, off every uniform sample grid
+    flip = tabulated_dispersion([1.0, -0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(DegenerateSpectrumError, match=r"s-interval \[0\.0000, 0\.1250\]"):
+        make_model(dispersion=flip)
+
+
+def test_max_energy_exact_on_kinked_table():
+    # max |E| = k_max * f(1/3) = 2 * 1.6, at a knot no uniform sample hits
+    model = make_model(dispersion=tabulated_dispersion([1.0, 1.6, 0.7, 1.2]))
+    assert model.max_energy() == pytest.approx(3.2, rel=1e-15, abs=0.0)
 
 
 def test_frozen_frame_is_constant(frozen_model):
