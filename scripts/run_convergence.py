@@ -14,10 +14,12 @@ import argparse
 import sys
 
 from adiabatic_continuum import AnalysisError, ConfigError, CrossingError, NoExteriorError, load_config
+from adiabatic_continuum.cli import _retain_freed_heap
 from adiabatic_continuum.runner import cmd_sweep
 
 
 def main() -> None:
+    _retain_freed_heap()
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("config", help="experiment file with [run] T_list")
     ap.add_argument("--jobs", type=int, default=1)

@@ -25,12 +25,14 @@ from adiabatic_continuum import (
     NoExteriorError,
     load_config,
 )
+from adiabatic_continuum.cli import _retain_freed_heap
 from adiabatic_continuum.runner import cmd_sweep
 
 SWEEP_CFG = Path(__file__).resolve().parents[1] / "configs" / "sweep.cfg"
 
 
 def main() -> None:
+    _retain_freed_heap()
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--durations", default="50,100,200,400")
     ap.add_argument("--steps", type=int, default=12000)

@@ -274,7 +274,7 @@ def test_estimate_rejects_crossing():
 def test_criterion_default_margin(default_model, default_part):
     crit = adiabatic_criterion(default_model, default_part, 1)
     assert crit.max_coupling == pytest.approx(1.2, rel=1e-12)
-    assert crit.min_gap == pytest.approx(1.0 / 15.0, rel=1e-12)
+    assert crit.min_gap == pytest.approx(1.0 / 15.0, rel=1e-12, abs=0.0)
     assert crit.margin == pytest.approx(18.0, rel=1e-12)
     assert not crit.satisfied
     assert adiabatic_criterion(default_model, default_part, 1, threshold=19.0).satisfied

@@ -142,7 +142,7 @@ def test_weyl_packet_unit_norm(default_model, default_part):
 def test_virtual_gap_default(default_model, default_part):
     # adjacent grid labels, profile minimum at s=0: gap = spacing
     gap = virtual_gap(default_model, default_part, 0)
-    assert gap == pytest.approx(1.0 / 15.0, rel=1e-12)
+    assert gap == pytest.approx(1.0 / 15.0, rel=1e-12, abs=0.0)
 
 
 def test_pair_gap_grows_with_label_distance(default_model):
@@ -190,7 +190,7 @@ def test_feasible_band_size_examples(default_model):
 
 def test_validate_noncrossing_clean(default_model, default_part):
     sep = validate_noncrossing(default_model, default_part)
-    assert sep == pytest.approx(1.0 / 15.0, rel=1e-10)
+    assert sep == pytest.approx(1.0 / 15.0, rel=1e-10, abs=0.0)
 
 
 def test_validate_noncrossing_single_band_vacuous(default_model):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import ctypes
 import json
+import sys
+import types
 
 import pytest
 
-from conftest import run_cli
+from adiabatic_continuum import cli
+from conftest import SRC, run_cli, run_python
 
 FLIP_PROFILE = "1.0, -0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0"
 
@@ -161,3 +165,67 @@ def test_rejected_jobs_value(write_config, tmp_path):
                      "--jobs", "0")
     assert result.returncode == 2
     assert "--jobs" in result.stderr
+
+
+class _Mallopt:
+    """Stands in for glibc's mallopt and records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_allocator_policy_sets_both_thresholds(monkeypatch):
+    mallopt = _Mallopt()
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    cli._retain_freed_heap()
+    # M_MMAP_THRESHOLD (-3) at 32 MiB, the most glibc accepts on 64-bit, then M_TRIM_THRESHOLD (-1)
+    assert mallopt.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+    assert mallopt.restype is ctypes.c_int
+
+
+def test_allocator_policy_is_a_no_op_without_mallopt(monkeypatch):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    cli._retain_freed_heap()
+
+
+def test_main_sets_the_allocator_policy_once_before_parsing(monkeypatch, write_config, tmp_path):
+    events = []
+    parser = cli.build_parser
+    monkeypatch.setattr(cli, "_retain_freed_heap", lambda: events.append("policy"))
+    monkeypatch.setattr(cli, "build_parser", lambda: events.append("parse") or parser())
+    cfg = write_config()
+    cli.main(["criterion", "--config", str(cfg), "--out", str(tmp_path / "crit")])
+    assert events == ["policy", "parse"]
+
+
+# Reports the CLI child's peak RSS in KiB.  A child's ru_maxrss starts from
+# the resident size of the process that spawns it, so a small launcher
+# spawns the CLI instead of this test process.
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "adiabatic_continuum", *sys.argv[1:]],
+                        stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_simulate_peak_rss_is_flat_in_steps(tmp_path):
+    # the allocator policy keeps freed chunks on the heap; what it keeps
+    # must not grow with the number of chunks
+    cfg = SRC.parent / "configs" / "default.cfg"
+    peaks = []
+    for steps in ("2000", "16000"):
+        out = tmp_path / steps
+        result = run_python("-c", _PEAK_RSS, "simulate", "--config", str(cfg), "--out", str(out),
+                            "--steps", steps)
+        code, peak_kib = map(int, result.stdout.split())
+        assert code == 0, result.stderr
+        peaks.append(peak_kib / 1024.0)
+    assert abs(peaks[1] - peaks[0]) < 4.0, peaks
