@@ -2,12 +2,14 @@
 
 Oscillatory transition integrals and their integration-by-parts twin on
 one composite Gauss-Legendre rule, exact and first-order band leakage,
-the pointwise transition-weight estimate, the coupling/gap validity
-criterion, and log-log convergence fits over a sweep of durations.
+the coupling/gap validity criterion, and log-log convergence fits over a
+sweep of durations.
 
-The unitarity and intertwining diagnostics of simulate, and its U(1) and
-W(1), come from the streamed pass propagation.stream_families, which
-stores no family; the leakages here take those finals.
+One builder makes the leakage row of a duration (leakage_reports) from
+its U(1) and W(1).  simulate takes those finals from the streamed pass
+propagation.stream_families, which also yields its unitarity and
+intertwining diagnostics; sweep_leakage takes them from
+propagation.final_propagators and final_residuals.
 
 Everything is computed on the dimensionless schedule clock s; quantities
 the literature states on the physical clock t = t0 + s*T absorb their
@@ -17,27 +19,22 @@ powers of T at the reporting boundary, never inside the integrators.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BandPartition, pair_gap, virtual_gap
+from .bands import BandPartition, virtual_gap
 from .errors import AnalysisError, ConfigError, CrossingError
 from .propagation import (
     GeneratorVariant,
-    PropagationConfig,
     UnitaryFamily,
     MIDPOINT,
     deviation_from_identity,
-    final_propagator,
     final_propagators,
+    final_residuals,
     kato_state,
-    phase_factors,
-    _exact_transport,
-    _residual_operator,
 )
-from .spectral import EPS_CROSS, HBAR, ContinuumModel
+from .spectral import EPS_CROSS, HBAR, ContinuumModel, pair_gap
 
 # The first-order integrals' composite Gauss-Legendre rule (_pair_rule):
 # nodes per panel, phase swing per panel in rad, and the least panel count.
@@ -45,9 +42,6 @@ _GL_ORDER = 20
 _PHASE_BUDGET = 1.0
 _MIN_PANELS = 64
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
-
-# s-samples behind the pointwise transition-weight estimate.
-_PEAK_SAMPLES = 1001
 
 
 @dataclass(frozen=True)
@@ -97,11 +91,6 @@ class TransitionParts:
     boundary: complex
     tail: complex
     bound: float
-
-
-def coupling(model: ContinuumModel, j0: int, j: int, s: float) -> complex:
-    """Frame coupling <phi_j0(s) | d/ds phi_j(s)>."""
-    return complex(model.frame_coupling_profile(j0, j, float(s))[0])
 
 
 def _mismatch(model: ContinuumModel, j0: int, j: int) -> float:
@@ -185,7 +174,7 @@ def transition_integral_parts(
     """Integration-by-parts rearrangement of transition_integral, on the same nodes.
 
     Valid only when the energy mismatch never vanishes on [0, 1], checked
-    by the pair's exact gap (bands.pair_gap); returns the boundary term,
+    by the pair's exact gap (spectral.pair_gap); returns the boundary term,
     the remaining integral, and the resulting O(hbar/T) magnitude bound.
     Couplings, gaps and their s-derivatives are closed form, evaluated only
     on [0, 1].  Every part is exactly zero where transition_integral is,
@@ -266,32 +255,6 @@ def leakage_first_order(
     return total / HBAR**2
 
 
-def transition_weight_max_estimate(
-    model: ContinuumModel,
-    j0: int,
-    j: int,
-    duration: float | None = None,
-) -> float:
-    """Peak of |hbar * coupling / gap|^2 over _PEAK_SAMPLES uniform s.
-
-    With a duration, the coupling is converted to the physical clock
-    (one factor 1/T), giving the a-priori peak transition probability.
-    """
-    if pair_gap(model, [j0], [j]) <= EPS_CROSS:
-        raise CrossingError(
-            f"energy mismatch of pair ({j0}, {j}) vanishes on [0, 1]; no finite estimate"
-        )
-    s = np.linspace(0.0, 1.0, _PEAK_SAMPLES)
-    de = np.abs(np.asarray(model.energy(j0, s)) - np.asarray(model.energy(j, s)))
-    ratio = HBAR * np.abs(model.frame_coupling_profile(j0, j, s)) / de
-    peak = float(ratio.max()) ** 2
-    if duration is not None:
-        if duration <= 0:
-            raise ConfigError(f"duration must be positive, got {duration}")
-        peak /= duration**2
-    return peak
-
-
 def adiabatic_criterion(
     model: ContinuumModel,
     part: BandPartition,
@@ -302,7 +265,7 @@ def adiabatic_criterion(
     """Max exterior coupling against min exterior gap, flagged by threshold.
 
     The coupling max runs over s_samples uniform s; the gap is exact
-    (bands.pair_gap of j0 against its band's exterior).
+    (spectral.pair_gap of j0 against its band's exterior).
     """
     if s_samples < 2:
         raise ConfigError(f"s_samples must be >= 2, got {s_samples}")
@@ -319,6 +282,34 @@ def adiabatic_criterion(
     return CriterionReport(max_coupling, min_gap, margin, threshold, margin <= threshold)
 
 
+def leakage_reports(
+    model: ContinuumModel,
+    part: BandPartition,
+    j0: int,
+    durations,
+    u1s,
+    w1s,
+) -> list[LeakageReport]:
+    """One LeakageReport per duration, from its U(1) and W(1); the one builder of the leakage row.
+
+    simulate passes its streamed finals and sweep_leakage those of
+    final_propagators and final_residuals, so the two agree bitwise at the
+    same T, steps, scheme and variant.
+    """
+    band = part.band_of(j0)
+    return [
+        LeakageReport(
+            duration,
+            j0,
+            band,
+            leakage_exact(model, u1, part, j0),
+            leakage_first_order(model, part, j0, duration),
+            deviation_from_identity(w1),
+        )
+        for duration, u1, w1 in zip(durations, u1s, w1s)
+    ]
+
+
 def sweep_leakage(
     model: ContinuumModel,
     part: BandPartition,
@@ -329,59 +320,19 @@ def sweep_leakage(
     variant: GeneratorVariant | None = None,
     jobs: int = 1,
 ) -> list[LeakageReport]:
-    """One LeakageReport per duration.
+    """One LeakageReport per distinct duration, ascending.
 
-    `scheme` applies to the propagator.  The midpoint scheme's U(1) at
-    every duration comes from one stacked pass on the calling thread
-    (final_propagators), which shares the duration-free step rotations;
-    each CF4 U(1) is a final_propagator of its own on the `jobs` worker
-    threads.  The transport unitary is duration-free, so its closed form
-    at s=1 is evaluated once and shared read-only.  The rest of each
-    report (leakages and W(1)) runs per duration on the workers.  Every
-    U(1) equals final_propagator at its duration bitwise, so the reports
-    do not depend on `jobs`.  Results are reduced sorted by duration; a
-    failure aborts with the error of the smallest failing duration, so the
-    outcome never depends on scheduling.
+    `scheme` applies to the propagator, and `jobs` threads only a CF4
+    sweep's propagators (final_propagators).  Every U(1) equals
+    final_propagator at its duration bitwise, so the reports do not depend
+    on `jobs`.  A duration the step budget cannot resolve raises before
+    any step, the smallest such one.
     """
-    durations = [float(t) for t in durations]
-    if not durations:
-        raise ConfigError("sweep needs at least one duration")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    durations = sorted({float(t) for t in durations})
     variant = variant if variant is not None else kato_state()
-    band = part.band_of(j0)
-    # the closed form also fills the model's cached eigensystem before fan-out
-    s1 = np.ones(1)
-    a1 = _exact_transport(model, variant, s1, model.frame_matrix(s1))[0]
-    if scheme == MIDPOINT:
-        u1s = dict(zip(durations, final_propagators(model, durations, steps)))
-    else:
-        u1s = None
-
-    def one(duration: float) -> LeakageReport:
-        if u1s is not None:
-            u1 = u1s[duration]
-        else:
-            u1 = final_propagator(model, PropagationConfig(duration, steps, scheme))
-        eta = leakage_exact(model, u1, part, j0)
-        eta_hat = leakage_first_order(model, part, j0, duration)
-        w1 = _residual_operator(u1, a1.conj().T, phase_factors(model, duration, 1.0))
-        return LeakageReport(
-            duration, j0, band, eta, eta_hat, deviation_from_identity(w1)
-        )
-
-    results: dict[float, LeakageReport] = {}
-    failures: dict[float, Exception] = {}
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {t: pool.submit(one, t) for t in durations}
-        for t, fut in futures.items():
-            try:
-                results[t] = fut.result()
-            except Exception as exc:  # reduced deterministically below
-                failures[t] = exc
-    if failures:
-        raise failures[min(failures)]
-    return [results[t] for t in sorted(results)]
+    u1s = final_propagators(model, durations, steps, scheme, jobs)
+    w1s = final_residuals(model, variant, durations, u1s)
+    return leakage_reports(model, part, j0, durations, u1s, w1s)
 
 
 def fit_power_law(durations, values) -> ConvergenceFit:

@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, CrossingError, NoExteriorError, NoFeasibleBandError
-from .spectral import EPS_CROSS, ContinuumModel
+from .spectral import EPS_CROSS, ContinuumModel, pair_gap
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,13 @@ class BandPartition:
         n_full = self.grid_size // self.band_size
         edges = [i * self.band_size for i in range(n_full)] + [self.grid_size]
         return tuple(tuple(range(a, b)) for a, b in zip(edges[:-1], edges[1:]))
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Band index of every grid node, read-only."""
+        labels = np.repeat(np.arange(len(self.bands)), [len(members) for members in self.bands])
+        labels.setflags(write=False)
+        return labels
 
     def __len__(self) -> int:
         return len(self.bands)
@@ -150,22 +157,6 @@ def weyl_packet(model: ContinuumModel, part: BandPartition, band: int, s: float)
     coeff[list(members)] = 1.0 / np.sqrt(len(members))
     vector = model.frame_matrix(s)[:, list(members)].sum(axis=1) / np.sqrt(len(members))
     return WeylPacket(band, float(s), coeff, vector)
-
-
-def pair_gap(model: ContinuumModel, inside, outside) -> float:
-    """Smallest |E_in - E_out| over s in [0, 1] for explicit index sets, exact.
-
-    E_in - E_out = (kappa_in - kappa_out) f(s), so the gap is
-    min |kappa_in - kappa_out| * min |f|, and min |f| = max(lo, -hi, 0)
-    over the profile's exact range [lo, hi]: 0 when f reaches 0.
-    """
-    inside = list(inside)
-    outside = list(outside)
-    if not inside or not outside:
-        raise ConfigError("pair_gap needs nonempty index sets on both sides")
-    kappa = model.dispersion.kappa(model.grid.nodes)
-    lo, hi = model.dispersion.profile_range()
-    return float(np.abs(kappa[inside, None] - kappa[None, outside]).min()) * max(lo, -hi, 0.0)
 
 
 def virtual_gap(model: ContinuumModel, part: BandPartition, band: int) -> float:

@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="experiment file (INI sections)")
         cmd.add_argument("--out", default=None, help="override [output] directory")
-        cmd.add_argument("--jobs", type=int, default=1, help="worker threads for sweeps")
+        cmd.add_argument("--jobs", type=int, default=1, help="worker threads for a CF4 sweep's propagators")
         cmd.add_argument("--steps", type=int, default=None, help="override [run] steps")
         cmd.add_argument(
             "--threshold", type=float, default=None, help="override [analysis] threshold"

@@ -15,7 +15,10 @@ the frame exp(theta(s) G) rotates with one constant generator; the stepped
 schemes stay as its independent check.
 
 The midpoint propagator step is Q(m_k) diag(p_k) Q(m_k)^dag, with m_k the
-step's midpoint and p_k = exp(-i T ds E(m_k) / hbar).  In the frame basis
+step's midpoint and p_k = exp(-i T kappa (F(s_k) - F(s_{k-1})) / hbar), the
+exact phase of E = kappa f(s) over the step (F the profile's closed-form
+integral).  That is ds E(m_k) for an affine profile, and it stays exact on
+a step a tabulated profile's kink falls inside.  In the frame basis
 x_k = Q(m_k)^dag U_k (x_0 = I, as Q(0) = I) it becomes
 x_k = diag(p_k) R_k x_{k-1} with the step rotation R_k = Q(m_k)^dag Q(m_{k-1}).
 With the frame's cached eigensystem iG = V diag(lam) V^dag,
@@ -29,9 +32,9 @@ U_k = Q(m_k) x_k, with Q from frame_matrix, is formed only where a caller
 reads it: a stored family or propagator_nodes forms every node, a final
 only the last.  A frozen frame (theta_max = 0) has the eigensystem (0, I),
 so R_k = I and its steps stay diag(p_k) exactly.  Every caller takes this
-one path: evolve_propagator, final_propagator and propagator_nodes (so
-simulate and verify) with one duration, final_propagators (the midpoint
-sweep) with all of them.  A duration's slice sees the same matmuls in
+one path: evolve_propagator and propagator_nodes (so simulate and verify)
+with one duration, final_propagators (so final_propagator and sweeps)
+with all of them.  A duration's slice sees the same matmuls in
 strict step order whatever shares the pass (a stacked matmul is one GEMM
 per slice, and the chunks do not depend on the durations), so a final
 equals the last node of its family bitwise, and a sweep's U(1) equals
@@ -70,7 +73,9 @@ node of the pass equals the node of the stored family bitwise, because
 no node depends on the chunk it is built in: frame_matrix takes one
 N x N product per node, and stored and streamed W share one helper
 (_residual_operator, Phi^dag as a row scaling by the phases), to which
-wave_operator passes its Phi family's diagonal.  verify's stepped
+wave_operator passes its Phi family's diagonal and final_residuals a
+sweep's final phases.  So a sweep's U(1) and W(1) (final_propagators,
+final_residuals) equal simulate's at the same duration.  verify's stepped
 transport is streamed the same way (transport_residual).
 The stored families (evolve_*, phase_family, wave_operator) stay for
 library use and as the references of the tests.
@@ -79,6 +84,7 @@ library use and as the references of the tests.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,9 +182,7 @@ class GeneratorVariant:
             raise ConfigError(
                 f"variant partition covers {self.partition.grid_size} states, model has {n}"
             )
-        labels = np.empty(n, dtype=int)
-        for b, members in enumerate(self.partition.bands):
-            labels[list(members)] = b
+        labels = self.partition.labels
         return labels[:, None] != labels[None, :]
 
 
@@ -353,20 +357,23 @@ def _midpoint_chunks(model: ContinuumModel, durations, steps: int, every_node: b
     vh = v.conj().T
     n = model.size
     ds = 1.0 / steps
-    rate = (-1j * ds / HBAR) * np.asarray(durations, dtype=float)[:, None, None]
+    rate = (-1j / HBAR) * np.asarray(durations, dtype=float)[:, None, None]
+    kappa = model.dispersion.kappa(model.grid.nodes)
     chunk = _chunk_len(n)
     x = np.empty((len(rate), n, n), dtype=complex)
     x[:] = np.eye(n)  # x_0 = Q(0)^dag U(0) = I
     theta_prev = 0.0
     for lo in range(0, steps, chunk):
-        sm = np.arange(lo, min(lo + chunk, steps)) * ds + 0.5 * ds
+        edges = np.arange(lo, min(lo + chunk, steps) + 1) * ds
+        sm = edges[:-1] + 0.5 * ds
         theta = model.rotation.schedule.angle(sm)
         d = np.exp(1j * np.multiply.outer(np.diff(theta, prepend=theta_prev), lam))
         theta_prev = theta[-1]
         # every R_k = V diag(d_k) V^dag of the chunk from one (chunk*N, N) x (N, N)
         # GEMM, shared by all durations; p_k as (D, N, 1) row factors
         r = ((v * d[:, None, :]).reshape(-1, n) @ vh).reshape(-1, n, n)
-        p = np.exp(model.energies(sm)[:, None, :, None] * rate)
+        df = np.diff(model.dispersion.profile_integral(edges))
+        p = np.exp(np.multiply.outer(df, kappa)[:, None, :, None] * rate)
         xs = np.empty((len(sm) if every_node else 2, *x.shape), dtype=complex)
         for k in range(len(sm)):
             # one stacked matmul over the durations, then the row scaling
@@ -477,8 +484,8 @@ def _expm_chunks(model: ContinuumModel, steps: int, scheme: str, core, scale: fl
 def _propagator_chunks(model: ContinuumModel, config: PropagationConfig):
     """(frame, Z) for consecutive chunks of the nodes s_1..s_steps; U_k = frame(k) @ Z_k.
 
-    The one sequential composition evolve_propagator, final_propagator
-    and propagator_nodes consume: the family multiplies out every node,
+    The one sequential composition evolve_propagator, propagator_nodes
+    and the CF4 finals consume: the family multiplies out every node,
     the final only the last one.  The midpoint scheme runs the stacked
     kernel with the one duration.
     """
@@ -512,26 +519,36 @@ def evolve_propagator(model: ContinuumModel, config: PropagationConfig) -> Unita
 
 
 def final_propagator(model: ContinuumModel, config: PropagationConfig) -> np.ndarray:
-    """U at s=1 only; streaming variant for memory-lean sweeps."""
-    _check_propagator_budget(model, config)
-    return _last(_propagator_chunks(model, config))
+    """U at s=1 only; final_propagators at the one duration."""
+    return final_propagators(model, [config.duration], config.steps, config.scheme)[0]
 
 
-def final_propagators(model: ContinuumModel, durations, steps: int) -> np.ndarray:
-    """U at s=1 of the midpoint scheme at every duration, from one stacked pass; shape (D, N, N).
+def final_propagators(
+    model: ContinuumModel, durations, steps: int, scheme: str = MIDPOINT, jobs: int = 1
+) -> np.ndarray:
+    """U at s=1 at every duration; shape (D, N, N).  The one source of every final U.
 
-    The step rotations R_k are duration-free and built once for all
-    durations; each duration then pays one row scaling and one N x N
-    product per step.  Slice d equals final_propagator at durations[d]
-    bitwise, whichever durations share the pass.  A duration the step
-    budget cannot resolve raises, the smallest such one first.  Memory is
-    O(D N^2) plus one chunk of R_k, flat in steps.
+    The midpoint scheme takes one stacked pass on the calling thread: the
+    step rotations R_k are duration-free and built once for all durations,
+    and each duration pays one row scaling and one N x N product per
+    step; memory is O(D N^2) plus one chunk of R_k, flat in steps.  The
+    CF4 scheme takes one chunked evolution per duration, on `jobs` worker
+    threads.  Slice d does not depend on which durations share the call,
+    in what order, or on `jobs`.  A duration the step budget cannot
+    resolve raises before any step is taken, the smallest such one first.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if len(durations) == 0:
         raise ConfigError("final_propagators needs at least one duration")
-    for duration in sorted(durations):
-        _check_propagator_budget(model, PropagationConfig(duration, steps))
-    return _last(_midpoint_chunks(model, durations, steps, every_node=False))
+    configs = [PropagationConfig(duration, steps, scheme) for duration in durations]
+    for config in sorted(configs, key=lambda c: c.duration):
+        _check_propagator_budget(model, config)
+    if scheme == MIDPOINT:
+        return _last(_midpoint_chunks(model, durations, steps, every_node=False))
+    model.frame_eigensystem  # cached once, before the workers read it
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return np.array(list(pool.map(lambda c: _last(_propagator_chunks(model, c)), configs)))
 
 
 def _stored(chunks, steps: int, n: int) -> np.ndarray:
@@ -654,7 +671,7 @@ def _chunk_residual(part: BandPartition, x: np.ndarray) -> float:
     residuals' relative precision.
     """
     sizes = np.array([len(members) for members in part.bands])
-    labels = np.repeat(np.arange(len(sizes)), sizes)
+    labels = part.labels
     y = np.where(labels[:, None] == labels, 0.0, x)
     offsets = np.arange(sizes.max())
     cols = np.cumsum(sizes)[:, None] - sizes[:, None] + np.minimum(offsets, sizes[:, None] - 1)
@@ -750,6 +767,18 @@ def wave_operator(u: UnitaryFamily, a: UnitaryFamily, phi: UnitaryFamily) -> Uni
         raise ConfigError("families do not share one s-grid")
     p = np.diagonal(phi.matrices, axis1=-2, axis2=-1)
     return UnitaryFamily("W", u.s_nodes.copy(), _residual_operator(u.matrices, a.matrices.conj().swapaxes(-1, -2), p))
+
+
+def final_residuals(model: ContinuumModel, variant: GeneratorVariant, durations, u1s) -> np.ndarray:
+    """W(1) = Phi(1)^dag A(1)^dag U(1) at every duration, from the finals U(1); shape (D, N, N).
+
+    A(1) is the duration-free closed form, formed once; each W(1) equals
+    stream_families' w_final at the same duration, steps and scheme bitwise.
+    """
+    s1 = np.ones(1)
+    a1 = _exact_transport(model, variant, s1, model.frame_matrix(s1))[0]
+    p = phase_factors(model, np.asarray(durations, dtype=float)[:, None], 1.0)
+    return _residual_operator(np.asarray(u1s), a1.conj().T, p)
 
 
 def _residual_operator(u: np.ndarray, a_adj: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -21,8 +21,7 @@ from .analysis import (
     adiabatic_criterion,
     check_gap_margin,
     fit_power_law,
-    leakage_exact,
-    leakage_first_order,
+    leakage_reports,
     planned_substeps,
     sweep_leakage,
 )
@@ -30,7 +29,6 @@ from .bands import band_plan, minimal_time, validate_noncrossing
 from .config import ExperimentConfig
 from .propagation import (
     PropagationConfig,
-    deviation_from_identity,
     literal_window_hermiticity,
     propagator_step_budget,
     stream_families,
@@ -115,9 +113,7 @@ def cmd_simulate(config: ExperimentConfig, jobs: int = 1):
         model, variant, PropagationConfig(duration, config.steps, config.scheme), part
     )
 
-    eta = leakage_exact(model, families.u_final, part, config.j0)
-    eta_hat = leakage_first_order(model, part, config.j0, duration)
-    w_dev = deviation_from_identity(families.w_final)
+    (row,) = leakage_reports(model, part, config.j0, [duration], [families.u_final], [families.w_final])
     crit = adiabatic_criterion(model, part, config.j0, config.s_samples, config.threshold)
     mandated, used = planned_substeps(model, part, config.j0, duration)
     window = literal_window_hermiticity(model, config.band_size, 0.5)
@@ -128,12 +124,12 @@ def cmd_simulate(config: ExperimentConfig, jobs: int = 1):
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "resolved_config": config.resolved,
         "leakage": {
-            "T": duration,
-            "j0": config.j0,
-            "band": part.band_of(config.j0),
-            "eta_exact": eta,
-            "eta_first_order": eta_hat,
-            "w_deviation": w_dev,
+            "T": row.duration,
+            "j0": row.j0,
+            "band": row.band,
+            "eta_exact": row.eta_exact,
+            "eta_first_order": row.eta_first_order,
+            "w_deviation": row.w_deviation,
         },
         "criterion": _criterion_dict(crit),
         "diagnostics": {
@@ -149,10 +145,10 @@ def cmd_simulate(config: ExperimentConfig, jobs: int = 1):
         },
     }
     lines = [
-        f"T = {duration:g}  j0 = {config.j0}  band = {part.band_of(config.j0)}",
-        f"eta_exact       = {eta:.6e}",
-        f"eta_first_order = {eta_hat:.6e}",
-        f"w_deviation     = {w_dev:.6e}",
+        f"T = {row.duration:g}  j0 = {row.j0}  band = {row.band}",
+        f"eta_exact       = {row.eta_exact:.6e}",
+        f"eta_first_order = {row.eta_first_order:.6e}",
+        f"w_deviation     = {row.w_deviation:.6e}",
         f"criterion margin = {crit.margin:.6g} (threshold {crit.threshold:g}, "
         f"{'satisfied' if crit.satisfied else 'not satisfied'})",
     ]

@@ -398,17 +398,31 @@ class ContinuumModel:
         return (q * self.energies(s)) @ q.conj().T
 
 
+def pair_gap(model: ContinuumModel, inside, outside) -> float:
+    """Smallest |E_in - E_out| over s in [0, 1] for explicit index sets, exact.
+
+    E_in - E_out = (kappa_in - kappa_out) f(s), so the gap is
+    min |kappa_in - kappa_out| * min |f|, and min |f| = max(lo, -hi, 0)
+    over the profile's exact range [lo, hi]: 0 when f reaches 0.
+    """
+    inside = list(inside)
+    outside = list(outside)
+    if not inside or not outside:
+        raise ConfigError("pair_gap needs nonempty index sets on both sides")
+    kappa = model.dispersion.kappa(model.grid.nodes)
+    lo, hi = model.dispersion.profile_range()
+    return float(np.abs(kappa[inside, None] - kappa[None, outside]).min()) * max(lo, -hi, 0.0)
+
+
 def build_model(grid: KGrid, dispersion: DispersionSchedule, rotation: FrameRotation) -> ContinuumModel:
     """Validating factory: rejects spectra that degenerate anywhere in s in [0, 1].
 
     The grid energies kappa(k_j) f(s) must stay strictly monotone in k
     (either direction), so kappa must be, and every adjacent pair's exact
-    gap (bands.pair_gap) must exceed EPS_CROSS; with kappa monotone the
+    gap (pair_gap) must exceed EPS_CROSS; with kappa monotone the
     adjacent pairs hold the smallest gap of all.  A profile that reaches 0
     fails the gap, and the error names its first knot interval doing so.
     """
-    from .bands import pair_gap  # bands imports this module
-
     model = ContinuumModel(grid, dispersion, rotation)
     dk = np.diff(dispersion.kappa(grid.nodes))
     gap = min(pair_gap(model, [j], [j + 1]) for j in range(grid.size - 1))

@@ -83,14 +83,20 @@ def taylor_expm(a: np.ndarray, terms: int = 40) -> np.ndarray:
 
 
 def midpoint_loop(model, duration: float, steps: int) -> np.ndarray:
-    """U at all steps+1 nodes from Q(s_m) diag(p) Q(s_m)^dag u, one step at a time."""
+    """U at all steps+1 nodes from Q(s_m) diag(p) Q(s_m)^dag u, one step at a time.
+
+    p is exp(-i T (alpha(s_1) - alpha(s_0))), the exact dynamical phase over
+    the step [s_0, s_1] from the closed-form phases alpha.
+    """
     ds = 1.0 / steps
+    k = model.grid.nodes
     u = np.eye(model.size, dtype=complex)
     out = [u]
     for step in range(steps):
         sm = step * ds + 0.5 * ds
         q = model.frame_matrix(sm)
-        phases = np.exp(-1j * duration * ds * np.asarray(model.energies(sm)))
+        alpha = model.dispersion.phase(k, step * ds), model.dispersion.phase(k, (step + 1) * ds)
+        phases = np.exp(-1j * duration * (alpha[1] - alpha[0]))
         u = q @ (phases[:, None] * (q.conj().T @ u))
         out.append(u)
     return np.array(out)

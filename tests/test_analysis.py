@@ -20,14 +20,13 @@ from adiabatic_continuum import (
     PropagationConfig,
     StepBudgetError,
     adiabatic_criterion,
-    coupling,
     final_propagator,
     fit_power_law,
     kato_state,
     leakage_exact,
     leakage_first_order,
     leakage_wave_form,
-    linear_dispersion,
+    load_config,
     planned_substeps,
     quadratic_dispersion,
     stream_families,
@@ -35,18 +34,12 @@ from adiabatic_continuum import (
     tabulated_dispersion,
     transition_integral,
     transition_integral_parts,
-    transition_weight_max_estimate,
     weyl_band,
 )
 from adiabatic_continuum.analysis import check_gap_margin
+from adiabatic_continuum.runner import cmd_simulate
 
-from conftest import flip_model, make_model
-
-
-@pytest.fixture(scope="module")
-def flat_model():
-    """Frozen dispersion (no s drift): gaps constant, closed forms exact."""
-    return make_model(dispersion=linear_dispersion(1.0, 0.0))
+from conftest import SRC, flip_model, make_model
 
 
 # ---- coupling and substep planning ------------------------------------------
@@ -54,10 +47,13 @@ def flat_model():
 
 def test_coupling_closed_form(default_model):
     # theta'(s) * G[1, 2] with G[1, 2] = +1
-    assert coupling(default_model, 1, 2, 0.5) == pytest.approx(1.2 * 0.25, rel=1e-12)
-    assert coupling(default_model, 2, 1, 0.5) == pytest.approx(-1.2 * 0.25, rel=1e-12)
+    def coupling(j0, j):
+        return complex(default_model.frame_coupling_profile(j0, j, 0.5)[0])
+
+    assert coupling(1, 2) == pytest.approx(1.2 * 0.25, rel=1e-12)
+    assert coupling(2, 1) == pytest.approx(-1.2 * 0.25, rel=1e-12)
     # structurally uncoupled pair: zero up to eigensolver roundoff
-    assert abs(coupling(default_model, 1, 5, 0.5)) < 1e-15
+    assert abs(coupling(1, 5)) < 1e-15
 
 
 def test_planned_substeps_default(default_model, default_part):
@@ -227,47 +223,6 @@ def test_no_exterior_raises(default_model):
         leakage_first_order(default_model, part, 1, 100.0)
 
 
-# ---- a-priori estimate ----------------------------------------------------------
-
-
-def test_estimate_peak_closed_form(default_model):
-    # ratio 1.2 s^2 / (spacing (1+s)) grows in s; at s=1 it is 9
-    est = transition_weight_max_estimate(default_model, 1, 2)
-    assert est == pytest.approx(81.0, rel=1e-9)
-    est_t = transition_weight_max_estimate(default_model, 1, 2, duration=800.0)
-    assert est_t == pytest.approx(81.0 / 800.0**2, rel=1e-9)
-
-
-def test_estimate_peak_at_schedule_midpoint(flat_model):
-    # smoothstep rate peaks at s = 1/2 and the flat dispersion keeps the
-    # gap constant, so the peak ratio is 6*theta_max/4 / spacing = 9
-    model = make_model(kind="smoothstep", dispersion=linear_dispersion(1.0, 0.0))
-    s = np.linspace(0.0, 1.0, 1001)
-    ratios = np.abs(model.frame_coupling_profile(1, 2, s)) * 15.0
-    assert int(np.argmax(ratios)) == 500
-    est = transition_weight_max_estimate(model, 1, 2)
-    assert est == pytest.approx(81.0, rel=1e-9)
-
-
-def test_estimate_quarters_when_duration_doubles(default_model):
-    e1 = transition_weight_max_estimate(default_model, 1, 2, duration=400.0)
-    e2 = transition_weight_max_estimate(default_model, 1, 2, duration=800.0)
-    assert e1 / e2 == pytest.approx(4.0, rel=1e-12)
-
-
-def test_estimate_bounds_transition_weight(default_model, default_part):
-    weight = abs(transition_integral(default_model, kato_state(), 1, 2, 800.0)) ** 2
-    est = transition_weight_max_estimate(default_model, 1, 2, duration=800.0)
-    assert weight <= 4.0 * est
-    assert est <= 4.0 * weight
-
-
-def test_estimate_rejects_crossing():
-    model = flip_model()
-    with pytest.raises(CrossingError):
-        transition_weight_max_estimate(model, 1, 2)
-
-
 # ---- criterion ------------------------------------------------------------------
 
 
@@ -308,15 +263,28 @@ def test_sweep_independent_of_jobs(default_model, default_part):
         assert a == b  # exact float equality, field by field
 
 
+def test_sweep_one_row_per_distinct_duration(default_model, default_part):
+    for scheme in SCHEMES:
+        once = sweep_leakage(default_model, default_part, 1, [20.0, 30.0], 256, scheme)
+        repeated = sweep_leakage(default_model, default_part, 1, [30.0, 20.0, 30.0, 20.0], 256, scheme)
+        assert repeated == once
+        # and a row does not depend on the durations that share its sweep
+        assert [sweep_leakage(default_model, default_part, 1, [t], 256, scheme)[0] for t in (20.0, 30.0)] == once
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("band_variant", [False, True], ids=["kato_state", "weyl_band"])
-def test_sweep_residual_operator_equals_streamed_w_final(monkeypatch, default_model, default_part,
-                                                         scheme, band_variant):
-    # the sweep's W(1) and simulate's streamed W(1) come from one helper, so
-    # they are the same bits at the same model, T, steps and scheme
+def test_sweep_residual_operator_equals_streamed_w_final(monkeypatch, scheme, band_variant):
+    # the sweep's W(1) and simulate's streamed W(1) come from one helper,
+    # and both rows from one builder, so simulate's whole leakage row is the
+    # sweep's at the same model, T, steps, scheme and variant, bit for bit
     from adiabatic_continuum import analysis
 
-    variant = weyl_band(default_part) if band_variant else kato_state()
+    overrides = {("run", "T"): "20.0", ("run", "steps"): "256", ("run", "scheme"): scheme,
+                 ("run", "variant"): "weyl_band" if band_variant else "kato_state"}
+    config = load_config(SRC.parent / "configs" / "default.cfg", overrides)
+    model, part = config.build_model(), config.build_partition()
+    variant = config.build_variant(part)
     seen = []
     original = analysis.deviation_from_identity
 
@@ -325,28 +293,37 @@ def test_sweep_residual_operator_equals_streamed_w_final(monkeypatch, default_mo
         return original(matrix)
 
     monkeypatch.setattr(analysis, "deviation_from_identity", recorder)
-    (report,) = sweep_leakage(default_model, default_part, 1, [20.0], 256, scheme, variant)
-    streamed = stream_families(default_model, variant, PropagationConfig(20.0, 256, scheme))
+    (report,) = sweep_leakage(model, part, config.j0, [20.0], 256, scheme, variant)
+    streamed = stream_families(model, variant, PropagationConfig(20.0, 256, scheme))
     assert np.array_equal(seen[0], streamed.w_final)
     assert report.w_deviation == original(streamed.w_final)
+    _, record, _, _ = cmd_simulate(config)
+    assert record["leakage"] == {
+        "T": report.duration,
+        "j0": report.j0,
+        "band": report.band,
+        "eta_exact": report.eta_exact,
+        "eta_first_order": report.eta_first_order,
+        "w_deviation": report.w_deviation,
+    }
 
 
 def test_midpoint_sweep_runs_one_stacked_pass(monkeypatch, default_model, default_part):
     # whatever jobs says, a midpoint sweep propagates every duration in one
-    # stacked pass; a CF4 sweep takes one final per duration
-    from adiabatic_continuum import analysis
+    # stacked pass; a CF4 sweep takes one chunked evolution per duration
+    from adiabatic_continuum import propagation
 
     calls = []
-    for name in ("final_propagator", "final_propagators"):
-        original = getattr(analysis, name)
+    for name in ("_midpoint_chunks", "_propagator_chunks"):
+        original = getattr(propagation, name)
 
-        def recorder(*args, _original=original, _name=name):
+        def recorder(*args, _original=original, _name=name, **kwargs):
             calls.append(_name)
-            return _original(*args)
+            return _original(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, name, recorder)
-    for scheme, expected in ((MIDPOINT, ["final_propagators"]), (CF4, ["final_propagator"] * 3)):
-        for jobs in (1, 2):
+        monkeypatch.setattr(propagation, name, recorder)
+    for scheme, expected in ((MIDPOINT, ["_midpoint_chunks"]), (CF4, ["_propagator_chunks"] * 3)):
+        for jobs in (1, 2, 3):
             calls.clear()
             sweep_leakage(default_model, default_part, 1, [20.0, 30.0, 40.0], 256, scheme, jobs=jobs)
             assert calls == expected

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 
@@ -256,17 +257,20 @@ def test_record_numbers_equal_library_results(fast_config):
 
 
 def test_verify_by_parts_passes_on_a_kinked_profile():
-    # the tabulated profile has kinks at s = 1/3 and 2/3; the shipped
-    # default switched to it must pass the by-parts check
+    # the tabulated profile has kinks at s = 1/3 and 2/3, inside midpoint
+    # steps at the shipped 4000; the default switched to it must pass the
+    # by-parts check, and the frozen-frame check, whose midpoint phases are
+    # exact increments of the profile's integral even on a step with a kink
     overrides = {
         ("dispersion", "family"): "tabulated",
         ("dispersion", "params"): "1.0, 1.3, 1.9, 2.0",
         ("rotation", "schedule"): "smoothstep",
     }
     cfg = load_config(SRC.parent / "configs" / "default.cfg", overrides)
-    row = dict(_CHECKS)["by_parts"](cfg, cfg.build_model(), cfg.build_partition())
-    assert row["passed"], row
-    assert row["measured"] <= row["tolerance"]
+    for check in ("by_parts", "frozen_frame"):
+        row = dict(_CHECKS)[check](cfg, cfg.build_model(), cfg.build_partition())
+        assert row["passed"], row
+        assert row["measured"] <= row["tolerance"]
 
 
 def test_verify_by_parts_takes_the_longest_duration_of_a_sweep():
@@ -275,3 +279,15 @@ def test_verify_by_parts_takes_the_longest_duration_of_a_sweep():
     row = dict(_CHECKS)["by_parts"](cfg, cfg.build_model(), cfg.build_partition())
     assert row["passed"], row
     assert "at T=800;" in row["detail"]
+
+
+def test_pipeline_modules_import_no_private_sibling_name():
+    # analysis, runner, verify and config reach their sibling modules only
+    # through public names, so a private helper stays its module's own
+    offenders = []
+    for name in ("analysis", "runner", "verify", "config"):
+        tree = ast.parse((SRC / "adiabatic_continuum" / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                offenders += [f"{name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert offenders == []

@@ -413,6 +413,19 @@ def test_stacked_finals_equal_final_propagator_bitwise(name, durations):
         assert np.array_equal(u, final_propagator(model, PropagationConfig(duration, STACKED_STEPS)))
 
 
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_cf4_finals_equal_final_propagator_bitwise(default_model, jobs):
+    # one chunked evolution per duration on the workers: slice d is the
+    # final and the stored family's last node at durations[d], in call order
+    durations = [25.0, 3.0, 40.0, 10.0]
+    stacked = final_propagators(default_model, durations, STACKED_STEPS, CF4, jobs)
+    assert stacked.shape == (len(durations), 16, 16)
+    for duration, u in zip(durations, stacked):
+        config = PropagationConfig(duration, STACKED_STEPS, CF4)
+        assert np.array_equal(u, final_propagator(default_model, config))
+        assert np.array_equal(u, evolve_propagator(default_model, config).final)
+
+
 def test_stacked_frozen_frame_steps_stay_diagonal(frozen_model):
     # every step rotation of a frozen frame is the identity, so each
     # duration's final is the product of its diag(p_k), off-diagonals exactly 0
@@ -430,6 +443,8 @@ def test_stacked_finals_name_the_smallest_unresolved_duration(default_model):
         final_propagators(default_model, [20.0], 0)
     with pytest.raises(ConfigError):
         final_propagators(default_model, [], 256)
+    with pytest.raises(ConfigError):
+        final_propagators(default_model, [20.0], 256, CF4, jobs=0)
 
 
 def test_stacked_finals_memory_stays_within_chunk_budget():
