@@ -5,7 +5,7 @@ crossing and gap-margin checks, and prints one row per duration plus the
 fitted decay exponent.  Useful for quick checks that a model sits in the
 first-order regime before committing to a long sweep.
 
-usage: python3 scripts/run_convergence.py configs/sweep.cfg [--jobs 4]
+usage: python3 scripts/run_convergence.py configs/sweep.cfg
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ def main() -> None:
     _retain_freed_heap()
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("config", help="experiment file with [run] T_list")
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     try:
-        _, record, _, _ = cmd_sweep(load_config(args.config), args.jobs)
+        _, record, _, _ = cmd_sweep(load_config(args.config))
     except (ConfigError, CrossingError, NoExteriorError, AnalysisError) as exc:
         sys.exit(f"{type(exc).__name__}: {exc}")
 

@@ -36,7 +36,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--durations", default="50,100,200,400")
     ap.add_argument("--steps", type=int, default=12000)
-    ap.add_argument("--jobs", type=int, default=4)
     args = ap.parse_args()
 
     last = args.durations.split(",")[-1].strip()
@@ -48,7 +47,7 @@ def main() -> None:
             ("run", "steps"): str(args.steps),
         }
         try:
-            _, record, _, _ = cmd_sweep(load_config(SWEEP_CFG, overrides), args.jobs)
+            _, record, _, _ = cmd_sweep(load_config(SWEEP_CFG, overrides))
         except (ConfigError, CrossingError, NoExteriorError, AnalysisError) as exc:
             sys.exit(f"{type(exc).__name__}: {exc}")
         fit = record["fit"]

@@ -318,19 +318,17 @@ def sweep_leakage(
     steps: int,
     scheme: str = MIDPOINT,
     variant: GeneratorVariant | None = None,
-    jobs: int = 1,
 ) -> list[LeakageReport]:
     """One LeakageReport per distinct duration, ascending.
 
-    `scheme` applies to the propagator, and `jobs` threads only a CF4
-    sweep's propagators (final_propagators).  Every U(1) equals
-    final_propagator at its duration bitwise, so the reports do not depend
-    on `jobs`.  A duration the step budget cannot resolve raises before
-    any step, the smallest such one.
+    `scheme` applies to the propagator.  Every U(1) comes from
+    final_propagators and equals final_propagator at its duration
+    bitwise.  A duration the step budget cannot resolve raises before any
+    step, the smallest such one.
     """
     durations = sorted({float(t) for t in durations})
     variant = variant if variant is not None else kato_state()
-    u1s = final_propagators(model, durations, steps, scheme, jobs)
+    u1s = final_propagators(model, durations, steps, scheme)
     w1s = final_residuals(model, variant, durations, u1s)
     return leakage_reports(model, part, j0, durations, u1s, w1s)
 

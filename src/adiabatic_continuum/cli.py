@@ -18,6 +18,9 @@ it takes the minor page faults of one CLI op from 40,558 to 5,652
 (simulate-n32).  It is glibc-only (a C library without ``mallopt`` is
 left as it is), adds no option, changes no number, and runs only when
 ``main`` does, never at import.
+
+Every command runs on the calling thread; ``--jobs`` is parsed and must be
+>= 1 (0 exits 2) so existing command lines keep working, but has no effect.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="experiment file (INI sections)")
         cmd.add_argument("--out", default=None, help="override [output] directory")
-        cmd.add_argument("--jobs", type=int, default=1, help="worker threads for a CF4 sweep's propagators")
+        cmd.add_argument("--jobs", type=int, default=1, help="no effect (commands run on one thread); must be >= 1")
         cmd.add_argument("--steps", type=int, default=None, help="override [run] steps")
         cmd.add_argument(
             "--threshold", type=float, default=None, help="override [analysis] threshold"
@@ -106,7 +109,7 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         config = load_config(args.config, overrides)
-        code, record, csv_text, lines = COMMANDS[args.command](config, jobs=args.jobs)
+        code, record, csv_text, lines = COMMANDS[args.command](config)
         out = write_outputs(config, record, csv_text)
     except ConfigError as exc:  # includes StepBudgetError
         print(f"config error: {exc}", file=sys.stderr)

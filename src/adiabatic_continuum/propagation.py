@@ -84,7 +84,6 @@ library use and as the references of the tests.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +114,7 @@ _A2 = 0.25 - math.sqrt(3.0) / 6.0
 # within _CHUNK_BYTES (one stage per midpoint step, two per CF4 step), and
 # all _EXPM_TEMPS of a Taylor-exponential chunk together do.
 # Memory is flat in `steps` and O(N^2); larger chunks buy no speed and
-# cost peak RSS when sweeps run in threads.
+# cost peak RSS.
 _CHUNK = 128
 _CHUNK_BYTES = 2 << 20
 
@@ -523,22 +522,18 @@ def final_propagator(model: ContinuumModel, config: PropagationConfig) -> np.nda
     return final_propagators(model, [config.duration], config.steps, config.scheme)[0]
 
 
-def final_propagators(
-    model: ContinuumModel, durations, steps: int, scheme: str = MIDPOINT, jobs: int = 1
-) -> np.ndarray:
+def final_propagators(model: ContinuumModel, durations, steps: int, scheme: str = MIDPOINT) -> np.ndarray:
     """U at s=1 at every duration; shape (D, N, N).  The one source of every final U.
 
-    The midpoint scheme takes one stacked pass on the calling thread: the
-    step rotations R_k are duration-free and built once for all durations,
-    and each duration pays one row scaling and one N x N product per
-    step; memory is O(D N^2) plus one chunk of R_k, flat in steps.  The
-    CF4 scheme takes one chunked evolution per duration, on `jobs` worker
-    threads.  Slice d does not depend on which durations share the call,
-    in what order, or on `jobs`.  A duration the step budget cannot
-    resolve raises before any step is taken, the smallest such one first.
+    The midpoint scheme takes one stacked pass: the step rotations R_k are
+    duration-free and built once for all durations, and each duration pays
+    one row scaling and one N x N product per step; memory is O(D N^2)
+    plus one chunk of R_k, flat in steps.  The CF4 scheme takes one
+    chunked evolution per duration, in turn.  Slice d does not depend on
+    which durations share the call or in what order.  A duration the step
+    budget cannot resolve raises before any step is taken, the smallest
+    such one first.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if len(durations) == 0:
         raise ConfigError("final_propagators needs at least one duration")
     configs = [PropagationConfig(duration, steps, scheme) for duration in durations]
@@ -546,9 +541,7 @@ def final_propagators(
         _check_propagator_budget(model, config)
     if scheme == MIDPOINT:
         return _last(_midpoint_chunks(model, durations, steps, every_node=False))
-    model.frame_eigensystem  # cached once, before the workers read it
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return np.array(list(pool.map(lambda c: _last(_propagator_chunks(model, c)), configs)))
+    return np.array([_last(_propagator_chunks(model, c)) for c in configs])
 
 
 def _stored(chunks, steps: int, n: int) -> np.ndarray:
@@ -702,7 +695,7 @@ def intertwine_residual(a_family: UnitaryFamily, model: ContinuumModel, part: Ba
     1.  The family is read chunk by chunk.
     """
     _check_partition(model, part)
-    return max(_chunk_residual(part, _adjoint_product(model.frame_matrix(s), a)) for s, a in a_family.chunks())
+    return _max_residual(model, part, a_family.chunks())
 
 
 def transport_residual(
@@ -716,7 +709,12 @@ def transport_residual(
     _check_intertwiner(model, variant, steps, scheme)
     _check_partition(model, part)
     nodes = _nodes(_intertwiner_chunks(model, variant, steps, scheme), steps, model.size)
-    return max(_chunk_residual(part, _adjoint_product(model.frame_matrix(s), a)) for s, a in nodes)
+    return _max_residual(model, part, nodes)
+
+
+def _max_residual(model: ContinuumModel, part: BandPartition, chunks) -> float:
+    """The largest _chunk_residual over (s, A) chunks of a transport family."""
+    return max(_chunk_residual(part, _adjoint_product(model.frame_matrix(s), a)) for s, a in chunks)
 
 
 # ---- phases and the wave operator --------------------------------------

@@ -4,8 +4,8 @@ Each command returns (exit code, record, csv text or None, printable
 lines).  Records are plain dicts of Python scalars so the JSON on disk is
 byte-reproducible: keys are sorted, floats keep their shortest repr, and
 only cmd_simulate carries a timestamp.  Sweep outputs are timestamp-free
-on purpose; identical configs must produce identical bytes regardless of
---jobs.
+on purpose; identical configs must produce identical bytes.  Every
+command runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def _criterion_dict(crit) -> dict:
     }
 
 
-def cmd_simulate(config: ExperimentConfig, jobs: int = 1):
+def cmd_simulate(config: ExperimentConfig):
     duration = config.scalar_duration()
     model = config.build_model()
     part = config.build_partition()
@@ -155,7 +155,7 @@ def cmd_simulate(config: ExperimentConfig, jobs: int = 1):
     return 0, record, None, lines
 
 
-def cmd_sweep(config: ExperimentConfig, jobs: int = 1):
+def cmd_sweep(config: ExperimentConfig):
     durations = config.sweep_durations()
     model = config.build_model()
     part = config.build_partition()
@@ -163,9 +163,7 @@ def cmd_sweep(config: ExperimentConfig, jobs: int = 1):
     variant = config.build_variant(part)
 
     check_gap_margin(model, part, config.j0, durations, config.margin)
-    reports = sweep_leakage(
-        model, part, config.j0, durations, config.steps, config.scheme, variant, jobs
-    )
+    reports = sweep_leakage(model, part, config.j0, durations, config.steps, config.scheme, variant)
     fit = fit_power_law([r.duration for r in reports], [r.eta_exact for r in reports])
 
     rows = [
@@ -205,7 +203,7 @@ def cmd_sweep(config: ExperimentConfig, jobs: int = 1):
     return 0, record, csv_text, lines
 
 
-def cmd_criterion(config: ExperimentConfig, jobs: int = 1):
+def cmd_criterion(config: ExperimentConfig):
     model = config.build_model()
     part = config.build_partition()
     crit = adiabatic_criterion(model, part, config.j0, config.s_samples, config.threshold)
@@ -225,7 +223,7 @@ def cmd_criterion(config: ExperimentConfig, jobs: int = 1):
     return (0 if crit.satisfied else 4), record, None, lines
 
 
-def cmd_bands(config: ExperimentConfig, jobs: int = 1):
+def cmd_bands(config: ExperimentConfig):
     model = config.build_model()
     target = config.planning_duration()
     margin = config.margin
@@ -277,7 +275,7 @@ def cmd_bands(config: ExperimentConfig, jobs: int = 1):
     return 0, record, None, lines
 
 
-def cmd_verify(config: ExperimentConfig, jobs: int = 1):
+def cmd_verify(config: ExperimentConfig):
     all_passed, checks, annotations = verify_config(config)
     record = {
         "command": "verify",

@@ -78,8 +78,7 @@ def families(model):
 @pytest.fixture(scope="module")
 def sweep(model, part):
     t0 = time.perf_counter()
-    rows = sweep_leakage(model, part, J0, [50.0, 100.0, 200.0, 400.0, 800.0],
-                         steps=20000, jobs=4)
+    rows = sweep_leakage(model, part, J0, [50.0, 100.0, 200.0, 400.0, 800.0], steps=20000)
     return rows, time.perf_counter() - t0
 
 

@@ -254,15 +254,6 @@ def test_criterion_validation(default_model, default_part):
 # ---- sweeps and fits ---------------------------------------------------------------
 
 
-def test_sweep_independent_of_jobs(default_model, default_part):
-    kwargs = dict(durations=[20.0, 30.0, 40.0], steps=256)
-    serial = sweep_leakage(default_model, default_part, 1, **kwargs, jobs=1)
-    threaded = sweep_leakage(default_model, default_part, 1, **kwargs, jobs=3)
-    assert [r.duration for r in serial] == [20.0, 30.0, 40.0]
-    for a, b in zip(serial, threaded):
-        assert a == b  # exact float equality, field by field
-
-
 def test_sweep_one_row_per_distinct_duration(default_model, default_part):
     for scheme in SCHEMES:
         once = sweep_leakage(default_model, default_part, 1, [20.0, 30.0], 256, scheme)
@@ -309,8 +300,8 @@ def test_sweep_residual_operator_equals_streamed_w_final(monkeypatch, scheme, ba
 
 
 def test_midpoint_sweep_runs_one_stacked_pass(monkeypatch, default_model, default_part):
-    # whatever jobs says, a midpoint sweep propagates every duration in one
-    # stacked pass; a CF4 sweep takes one chunked evolution per duration
+    # a midpoint sweep propagates every duration in one stacked pass; a CF4
+    # sweep takes one chunked evolution per duration
     from adiabatic_continuum import propagation
 
     calls = []
@@ -323,25 +314,21 @@ def test_midpoint_sweep_runs_one_stacked_pass(monkeypatch, default_model, defaul
 
         monkeypatch.setattr(propagation, name, recorder)
     for scheme, expected in ((MIDPOINT, ["_midpoint_chunks"]), (CF4, ["_propagator_chunks"] * 3)):
-        for jobs in (1, 2, 3):
-            calls.clear()
-            sweep_leakage(default_model, default_part, 1, [20.0, 30.0, 40.0], 256, scheme, jobs=jobs)
-            assert calls == expected
+        calls.clear()
+        sweep_leakage(default_model, default_part, 1, [20.0, 30.0, 40.0], 256, scheme)
+        assert calls == expected
 
 
 def test_sweep_failure_reduced_to_smallest_duration(default_model, default_part):
     for scheme in SCHEMES:
-        for jobs in (1, 2):
-            with pytest.raises(StepBudgetError) as err:
-                sweep_leakage(default_model, default_part, 1, [9000.0, 20.0, 5000.0], 256, scheme, jobs=jobs)
-            assert "5000" in str(err.value)
+        with pytest.raises(StepBudgetError) as err:
+            sweep_leakage(default_model, default_part, 1, [9000.0, 20.0, 5000.0], 256, scheme)
+        assert "5000" in str(err.value)
 
 
 def test_sweep_validation(default_model, default_part):
     with pytest.raises(ConfigError):
         sweep_leakage(default_model, default_part, 1, [], steps=100)
-    with pytest.raises(ConfigError):
-        sweep_leakage(default_model, default_part, 1, [10.0], steps=100, jobs=0)
 
 
 def test_fit_power_law_recovers_exact_power():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ctypes
 import json
 import sys
+import threading
 import types
 
 import pytest
@@ -138,8 +139,7 @@ def test_sweep_requires_duration_list(write_config, tmp_path):
 
 
 def test_sweep_outputs_identical_across_jobs(write_config, tmp_path):
-    # the midpoint scheme runs one stacked pass whatever --jobs says, CF4 one
-    # final per duration on the worker threads
+    # --jobs is accepted and has no effect: every value writes the same bytes
     for scheme in ("midpoint_exponential", "fourth_order_commutator_free"):
         cfg = write_config(
             {"run": {"T": None, "T_list": "20, 30, 40", "steps": "256", "scheme": scheme}},
@@ -165,6 +165,19 @@ def test_rejected_jobs_value(write_config, tmp_path):
                      "--jobs", "0")
     assert result.returncode == 2
     assert "--jobs" in result.stderr
+
+
+def test_cf4_sweep_starts_no_thread(monkeypatch, write_config, tmp_path):
+    # every command runs on the calling thread, whatever --jobs says
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    monkeypatch.setattr(cli, "_retain_freed_heap", lambda: None)
+    cfg = write_config({"run": {"T": None, "T_list": "20, 30, 40", "steps": "256",
+                                "scheme": "fourth_order_commutator_free"}})
+    code = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "2"])
+    assert code == 0
+    assert started == []
 
 
 class _Mallopt:

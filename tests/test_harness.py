@@ -57,7 +57,7 @@ def test_simulate_record_shape(fast_config):
 
 def test_sweep_record_is_timestamp_free(fast_config):
     cfg = fast_config({"run": {"T": None, "T_list": "20, 30, 40", "steps": "256"}})
-    code, record, csv_text, lines = cmd_sweep(cfg, jobs=2)
+    code, record, csv_text, lines = cmd_sweep(cfg)
     assert code == 0
     assert "timestamp" not in record
     assert [row["T"] for row in record["rows"]] == [20.0, 30.0, 40.0]

@@ -13,7 +13,7 @@ ROOT = SRC.parent
     "args",
     [
         ("run_convergence.py", "configs/sweep.cfg"),
-        ("schedule_comparison.py", "--durations", "50,100,200", "--steps", "2000", "--jobs", "1"),
+        ("schedule_comparison.py", "--durations", "50,100,200", "--steps", "2000"),
     ],
     ids=["run_convergence", "schedule_comparison"],
 )
@@ -37,7 +37,7 @@ def test_run_convergence_keeps_the_gap_margin_check(tmp_path):
 
 def test_schedule_comparison_keeps_the_gap_margin_check():
     script = str(ROOT / "scripts" / "schedule_comparison.py")
-    result = run_python(script, "--durations", "0,100,200", "--steps", "2000", "--jobs", "1", cwd=ROOT)
+    result = run_python(script, "--durations", "0,100,200", "--steps", "2000", cwd=ROOT)
     assert result.returncode != 0
     assert "duration T=0 violates the gap margin" in result.stderr
     assert "Traceback" not in result.stderr
