@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BandPartition, virtual_gap
-from .errors import AnalysisError, ConfigError, CrossingError
+from .bands import BandPartition
+from .errors import AnalysisError, ConfigError
 from .propagation import (
     GeneratorVariant,
     UnitaryFamily,
@@ -34,7 +34,7 @@ from .propagation import (
     final_residuals,
     kato_state,
 )
-from .spectral import EPS_CROSS, HBAR, ContinuumModel, pair_gap
+from .spectral import HBAR, ContinuumModel, pair_gap
 
 # The first-order integrals' composite Gauss-Legendre rule (_pair_rule):
 # nodes per panel, phase swing per panel in rad, and the least panel count.
@@ -173,20 +173,16 @@ def transition_integral_parts(
 ) -> TransitionParts:
     """Integration-by-parts rearrangement of transition_integral, on the same nodes.
 
-    Valid only when the energy mismatch never vanishes on [0, 1], checked
-    by the pair's exact gap (spectral.pair_gap); returns the boundary term,
-    the remaining integral, and the resulting O(hbar/T) magnitude bound.
-    Couplings, gaps and their s-derivatives are closed form, evaluated only
-    on [0, 1].  Every part is exactly zero where transition_integral is,
-    but the crossing check still runs.
+    Valid because the energy mismatch of two distinct states never
+    vanishes on [0, 1]: ContinuumModel construction rejects every spectrum
+    whose gaps reach EPS_CROSS.  Returns the boundary term, the remaining
+    integral, and the resulting O(hbar/T) magnitude bound.  Couplings,
+    gaps and their s-derivatives are closed form, evaluated only on
+    [0, 1].  Every part is exactly zero where transition_integral is,
+    including j == j0, which both variants mask.
     """
     if duration <= 0.0:
         raise ConfigError("integration by parts needs a positive duration")
-    if pair_gap(model, [j0], [j]) <= EPS_CROSS:
-        raise CrossingError(
-            f"energy mismatch of pair ({j0}, {j}) vanishes on [0, 1]; "
-            "integration by parts is invalid"
-        )
     if not variant.keep_mask(model.size)[j0, j] or model.rotation.generator[j0, j] == 0.0:
         return TransitionParts(0j, 0j, 0j, 0.0)
 
@@ -259,25 +255,21 @@ def adiabatic_criterion(
     model: ContinuumModel,
     part: BandPartition,
     j0: int,
-    s_samples: int = 129,
     threshold: float = 0.1,
 ) -> CriterionReport:
     """Max exterior coupling against min exterior gap, flagged by threshold.
 
-    The coupling max runs over s_samples uniform s; the gap is exact
-    (spectral.pair_gap of j0 against its band's exterior).
+    Both sides are exact.  The coupling theta'(s) G[j0, j] peaks at
+    AngleSchedule.max_rate() * max |G[j0, j]| over the exterior, and the
+    gap is spectral.pair_gap of j0 against its band's exterior, which
+    ContinuumModel construction keeps above EPS_CROSS.
     """
-    if s_samples < 2:
-        raise ConfigError(f"s_samples must be >= 2, got {s_samples}")
     if threshold <= 0:
         raise ConfigError(f"threshold must be positive, got {threshold}")
-    band = part.band_of(j0)
-    exterior = part.exterior(band)
+    exterior = list(part.exterior(part.band_of(j0)))
     min_gap = pair_gap(model, [j0], exterior)
-    if min_gap <= EPS_CROSS:
-        raise CrossingError("criterion undefined: exterior gap reaches zero")
-    s = np.linspace(0.0, 1.0, s_samples)
-    max_coupling = max(float(np.abs(model.frame_coupling_profile(j0, j, s)).max()) for j in exterior)
+    coupled = float(np.abs(model.rotation.generator[j0, exterior]).max())
+    max_coupling = model.rotation.schedule.max_rate() * coupled
     margin = max_coupling / min_gap
     return CriterionReport(max_coupling, min_gap, margin, threshold, margin <= threshold)
 
@@ -371,19 +363,3 @@ def fit_power_law(durations, values) -> ConvergenceFit:
         excluded,
     )
 
-
-def check_gap_margin(
-    model: ContinuumModel, part: BandPartition, j0: int, durations, margin: float
-) -> None:
-    """Raise ConfigError at the smallest duration T with gap*T < margin.
-
-    gap is the virtual gap of j0's band, so the check is the precondition
-    of the adiabatic regime on the physical clock.
-    """
-    gap = virtual_gap(model, part, part.band_of(j0))
-    for t in sorted(durations):
-        if gap * t < margin:
-            raise ConfigError(
-                f"duration T={t:g} violates the gap margin: "
-                f"gap*T = {gap * t:.3g} < {margin:g}"
-            )

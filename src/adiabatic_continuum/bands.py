@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, CrossingError, NoExteriorError, NoFeasibleBandError
-from .spectral import EPS_CROSS, ContinuumModel, pair_gap
+from .spectral import ContinuumModel, pair_gap
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def virtual_gap(model: ContinuumModel, part: BandPartition, band: int) -> float:
 
 
 def minimal_time(gap: float, margin: float) -> float:
-    """Shortest duration T with gap * T >= margin."""
+    """Shortest duration T with gap * T >= margin; band_plan and check_gap_margin accept it."""
     if gap <= 0.0:
         raise CrossingError(f"virtual gap {gap:.3e} is not positive")
     if margin <= 0.0:
@@ -178,12 +178,17 @@ def minimal_time(gap: float, margin: float) -> float:
 FEASIBLE_SLACK = 1e-9
 
 
+def _reaches_margin(ratio: float) -> bool:
+    """The one gap-margin rule: ratio = gap*T/margin is at least 1 - FEASIBLE_SLACK."""
+    return ratio >= 1.0 - FEASIBLE_SLACK
+
+
 def band_plan(model: ContinuumModel, duration: float, margin: float) -> Iterator[tuple]:
     """(m, gap, ratio, feasible) for every band size m = 1..N in order.
 
     gap is the worst virtual gap over the partition's bands and
     ratio = gap * duration / margin; a size is feasible when
-    ratio >= 1 - FEASIBLE_SLACK.  The tail band absorbs the remainder, so
+    _reaches_margin(ratio).  The tail band absorbs the remainder, so
     every m > N/2 is a single band with no exterior to be adiabatic
     against: its gap and ratio are None.
     """
@@ -198,7 +203,7 @@ def band_plan(model: ContinuumModel, duration: float, margin: float) -> Iterator
             continue
         gap = min(virtual_gap(model, part, b) for b in range(len(part)))
         ratio = gap * duration / margin
-        yield m, gap, ratio, ratio >= 1.0 - FEASIBLE_SLACK
+        yield m, gap, ratio, _reaches_margin(ratio)
 
 
 def feasible_band_size(model: ContinuumModel, duration: float, margin: float = 1.0) -> int:
@@ -211,22 +216,33 @@ def feasible_band_size(model: ContinuumModel, duration: float, margin: float = 1
     )
 
 
+def check_gap_margin(
+    model: ContinuumModel, part: BandPartition, j0: int, durations, margin: float
+) -> None:
+    """Raise ConfigError at the smallest duration T whose gap*T misses margin.
+
+    gap is the virtual gap of j0's band, so the check is the precondition
+    of the adiabatic regime on the physical clock.  T passes by band_plan's
+    rule, _reaches_margin(gap * T / margin), so minimal_time always does.
+    """
+    if margin <= 0.0:
+        raise ConfigError(f"margin must be positive, got {margin}")
+    gap = virtual_gap(model, part, part.band_of(j0))
+    for t in sorted(durations):
+        if not _reaches_margin(gap * t / margin):
+            raise ConfigError(
+                f"duration T={t:g} violates the gap margin: "
+                f"gap*T = {gap * t:.3g} < {margin:g}"
+            )
+
+
 def validate_noncrossing(model: ContinuumModel, part: BandPartition) -> float:
     """Smallest in-band to exterior energy separation over s in [0, 1], exact.
 
-    A single band covering the grid is vacuously crossing-free: inf.
-    Raises CrossingError when a band's virtual gap is at most EPS_CROSS;
-    the message names the closest band and the first knot interval on
-    which the profile reaches 0 (all of [0, 1] when it never does).
+    A single band covering the grid is vacuously crossing-free: inf.  The
+    separation always exceeds EPS_CROSS, because ContinuumModel
+    construction rejects every spectrum whose adjacent gap does not.
     """
     if len(part) < 2:
         return np.inf
-    gaps = [virtual_gap(model, part, b) for b in range(len(part))]
-    worst = int(np.argmin(gaps))
-    if gaps[worst] <= EPS_CROSS:
-        lo, hi = model.dispersion.zero_interval() or (0.0, 1.0)
-        raise CrossingError(
-            f"band {worst} approaches or crosses its exterior in s-interval "
-            f"[{lo:.4f}, {hi:.4f}]: min separation {gaps[worst]:.3e} (eps {EPS_CROSS:.1e})"
-        )
-    return gaps[worst]
+    return min(virtual_gap(model, part, b) for b in range(len(part)))

@@ -271,6 +271,9 @@ def _validate(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
     j0 = _parse_int("analysis", "j0", analysis.get("j0", "1"))
     if not 0 <= j0 < n:
         raise ConfigError(f"[analysis] j0 must be in [0, N), got {j0}")
+    # No computation reads s_samples (the criterion's coupling maximum is
+    # exact); it stays accepted and echoed so existing files and their
+    # config_hash do not change.
     s_samples = _parse_int("analysis", "s_samples", analysis.get("s_samples", "129"))
     if s_samples < 2:
         raise ConfigError(f"[analysis] s_samples must be >= 2, got {s_samples}")

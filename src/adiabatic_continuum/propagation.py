@@ -98,9 +98,6 @@ SCHEMES = (MIDPOINT, CF4)
 
 VARIANTS = ("kato_state", "weyl_band")
 
-# s-samples behind generator_norm's max |theta'(s)|, and so the transport step budget.
-_RATE_SAMPLES = 65
-
 # Gauss-Legendre nodes on [0,1] and the commutator-free order-4 weights.
 # First exponential weights the earlier node more (a1 > a2); swapping the
 # weights demotes the scheme to order 2.
@@ -267,14 +264,14 @@ def _masked_generator(model: ContinuumModel, variant: GeneratorVariant) -> np.nd
 
 
 def generator_norm(model: ContinuumModel, variant: GeneratorVariant) -> float:
-    """max over _RATE_SAMPLES uniform nodes of the spectral norm of K(s), closed form.
+    """max over s in [0, 1] of the spectral norm of K(s), exact.
 
     K(s) = Q(s) (i hbar theta'(s) G_masked) Q(s)^dag has the eigenvalues
-    hbar theta'(s) eig(i G_masked).
+    hbar theta'(s) eig(i G_masked), so the norm peaks with |theta'|, at
+    AngleSchedule.max_rate().
     """
-    rate = np.abs(model.rotation.schedule.angle_rate(np.linspace(0.0, 1.0, _RATE_SAMPLES))).max()
     spread = np.abs(np.linalg.eigvalsh(1j * _masked_generator(model, variant))).max()
-    return HBAR * float(rate) * float(spread)
+    return HBAR * model.rotation.schedule.max_rate() * float(spread)
 
 
 def intertwiner_step_budget(model: ContinuumModel, variant: GeneratorVariant) -> int:

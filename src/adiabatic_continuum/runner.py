@@ -19,13 +19,12 @@ import numpy as np
 
 from .analysis import (
     adiabatic_criterion,
-    check_gap_margin,
     fit_power_law,
     leakage_reports,
     planned_substeps,
     sweep_leakage,
 )
-from .bands import band_plan, minimal_time, validate_noncrossing
+from .bands import band_plan, check_gap_margin, minimal_time, validate_noncrossing
 from .config import ExperimentConfig
 from .propagation import (
     PropagationConfig,
@@ -114,7 +113,7 @@ def cmd_simulate(config: ExperimentConfig):
     )
 
     (row,) = leakage_reports(model, part, config.j0, [duration], [families.u_final], [families.w_final])
-    crit = adiabatic_criterion(model, part, config.j0, config.s_samples, config.threshold)
+    crit = adiabatic_criterion(model, part, config.j0, threshold=config.threshold)
     mandated, used = planned_substeps(model, part, config.j0, duration)
     window = literal_window_hermiticity(model, config.band_size, 0.5)
 
@@ -159,7 +158,6 @@ def cmd_sweep(config: ExperimentConfig):
     durations = config.sweep_durations()
     model = config.build_model()
     part = config.build_partition()
-    validate_noncrossing(model, part)
     variant = config.build_variant(part)
 
     check_gap_margin(model, part, config.j0, durations, config.margin)
@@ -206,7 +204,7 @@ def cmd_sweep(config: ExperimentConfig):
 def cmd_criterion(config: ExperimentConfig):
     model = config.build_model()
     part = config.build_partition()
-    crit = adiabatic_criterion(model, part, config.j0, config.s_samples, config.threshold)
+    crit = adiabatic_criterion(model, part, config.j0, threshold=config.threshold)
     record = {
         "command": "criterion",
         "config_hash": config.config_hash,

@@ -236,6 +236,14 @@ class AngleSchedule:
             return 6.0 * self.theta_max * s * (1.0 - s)
         return np.broadcast_to(self.theta_max, s.shape).copy() if s.ndim else self.theta_max
 
+    def max_rate(self) -> float:
+        """max |theta'(s)| over s in [0, 1], exact: |theta'(1/2)| for smoothstep, else |theta'(1)|.
+
+        |theta'| grows monotonically on [0, 1] for every ramp and peaks
+        mid-sweep for smoothstep, so one evaluation is the maximum.
+        """
+        return float(abs(self.angle_rate(0.5 if self.kind == "smoothstep" else 1.0)))
+
     def angle_accel(self, s):
         """theta''(s), closed form; never probes outside the given s."""
         s = np.asarray(s, dtype=float)
@@ -304,7 +312,7 @@ def random_banded_rotation(n: int, width: int, seed: int, schedule: AngleSchedul
     return FrameRotation(g, schedule, builder="random_banded")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ContinuumModel:
     """Grid + dispersion + rotating frame, with cached spectral machinery.
 
@@ -312,6 +320,11 @@ class ContinuumModel:
     evaluated through iG = V diag(lam) V^dag, exact up to roundoff and
     exactly unitary, and a node with theta(s) == 0 is set to the identity so
     phi_j(0) = e_j holds bitwise.
+
+    Construction rejects a spectrum that degenerates anywhere in s in
+    [0, 1] with DegenerateSpectrumError, naming the first knot interval on
+    which the profile reaches 0.  The model is frozen, so no later
+    assignment can bypass that check.
     """
 
     grid: KGrid
@@ -323,6 +336,17 @@ class ContinuumModel:
             raise ConfigError(
                 f"rotation generator is {self.rotation.generator.shape[0]}x... "
                 f"but the grid has {self.grid.size} nodes"
+            )
+        # kappa strictly monotone (either direction) and every adjacent gap
+        # above EPS_CROSS: the adjacent pairs then hold the smallest gap, so
+        # every pair_gap of disjoint index sets exceeds EPS_CROSS too.
+        dk = np.diff(self.dispersion.kappa(self.grid.nodes))
+        gap = min(pair_gap(self, [j], [j + 1]) for j in range(self.size - 1))
+        if gap <= EPS_CROSS or not (np.all(dk > 0) or np.all(dk < 0)):
+            lo, hi = self.dispersion.zero_interval() or (0.0, 1.0)
+            raise DegenerateSpectrumError(
+                f"grid energies are not strictly monotone in k in s-interval [{lo:.4f}, {hi:.4f}]: "
+                f"min adjacent separation {gap:.3e}"
             )
 
     @property
@@ -415,21 +439,5 @@ def pair_gap(model: ContinuumModel, inside, outside) -> float:
 
 
 def build_model(grid: KGrid, dispersion: DispersionSchedule, rotation: FrameRotation) -> ContinuumModel:
-    """Validating factory: rejects spectra that degenerate anywhere in s in [0, 1].
-
-    The grid energies kappa(k_j) f(s) must stay strictly monotone in k
-    (either direction), so kappa must be, and every adjacent pair's exact
-    gap (pair_gap) must exceed EPS_CROSS; with kappa monotone the
-    adjacent pairs hold the smallest gap of all.  A profile that reaches 0
-    fails the gap, and the error names its first knot interval doing so.
-    """
-    model = ContinuumModel(grid, dispersion, rotation)
-    dk = np.diff(dispersion.kappa(grid.nodes))
-    gap = min(pair_gap(model, [j], [j + 1]) for j in range(grid.size - 1))
-    if gap <= EPS_CROSS or not (np.all(dk > 0) or np.all(dk < 0)):
-        lo, hi = dispersion.zero_interval() or (0.0, 1.0)
-        raise DegenerateSpectrumError(
-            f"grid energies are not strictly monotone in k in s-interval [{lo:.4f}, {hi:.4f}]: "
-            f"min adjacent separation {gap:.3e}"
-        )
-    return model
+    """The model of a grid, dispersion and rotation; construction does the validation."""
+    return ContinuumModel(grid, dispersion, rotation)

@@ -28,7 +28,6 @@ from adiabatic_continuum import (
     CF4,
     AngleSchedule,
     BandPartition,
-    ContinuumModel,
     KGrid,
     build_model,
     evolve_propagator,
@@ -36,7 +35,6 @@ from adiabatic_continuum import (
     linear_dispersion,
     nearest_neighbor_rotation,
     phase_family,
-    tabulated_dispersion,
     wave_operator,
 )
 from adiabatic_continuum.propagation import UnitaryFamily, _exact_transport
@@ -172,17 +170,6 @@ def make_model(theta_max: float = THETA_MAX, kind: str = "cubic_ramp", n: int = 
     schedule = AngleSchedule(kind, theta_max)
     dispersion = dispersion if dispersion is not None else linear_dispersion()
     return build_model(grid, dispersion, nearest_neighbor_rotation(n, schedule))
-
-
-def flip_model():
-    """Default model on a profile that dips below 0 between s = 0 and 0.125.
-
-    Every pair's energy mismatch vanishes twice there.  Built bare, since
-    build_model would reject it, so each function's own crossing check runs.
-    """
-    dispersion = tabulated_dispersion([1.0, -0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    schedule = AngleSchedule("cubic_ramp", THETA_MAX)
-    return ContinuumModel(KGrid(1.0, 2.0, N), dispersion, nearest_neighbor_rotation(N, schedule))
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -36,10 +37,10 @@ from adiabatic_continuum import (
     transition_integral_parts,
     weyl_band,
 )
-from adiabatic_continuum.analysis import check_gap_margin
+from adiabatic_continuum.bands import check_gap_margin, minimal_time, virtual_gap
 from adiabatic_continuum.runner import cmd_simulate
 
-from conftest import SRC, flip_model, make_model
+from conftest import SRC, make_model
 
 
 # ---- coupling and substep planning ------------------------------------------
@@ -132,13 +133,15 @@ def test_by_parts_validation(default_model):
         transition_integral_parts(default_model, kato_state(), 1, 2, 0.0)
 
 
-def test_by_parts_rejects_vanishing_gap():
-    # profile crosses zero between samples: every pair's mismatch flips sign
-    model = flip_model()
+def test_by_parts_rejects_vanishing_gap(default_model):
+    # profile crosses zero between samples: every pair's mismatch flips sign.
+    # Swapping it into a built model re-runs the construction check, so no
+    # model with a vanishing gap reaches the by-parts rule.
+    flip = tabulated_dispersion([1.0, -0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     with pytest.raises(CrossingError):
-        transition_integral_parts(model, kato_state(), 1, 2, 100.0)
-    with pytest.raises(CrossingError):  # an uncoupled pair is still checked
-        transition_integral_parts(model, kato_state(), 1, 5, 100.0)
+        dataclasses.replace(default_model, dispersion=flip)
+    for j in (2, 5):  # a coupled and an uncoupled pair of the valid model
+        assert np.isfinite(transition_integral_parts(default_model, kato_state(), 1, j, 100.0).bound)
 
 
 # A smooth linear, a smooth quadratic and a kinked tabulated profile, each
@@ -245,8 +248,6 @@ def test_criterion_trivial_when_frozen(frozen_model, default_part):
 def test_criterion_validation(default_model, default_part):
     with pytest.raises(NoExteriorError):
         adiabatic_criterion(default_model, BandPartition(16, 16), 1)
-    with pytest.raises(ConfigError):
-        adiabatic_criterion(default_model, default_part, 1, s_samples=1)
     with pytest.raises(ConfigError):
         adiabatic_criterion(default_model, default_part, 1, threshold=0.0)
 
@@ -364,6 +365,22 @@ def test_check_gap_margin_names_the_smallest_violating_duration(default_model, d
     with pytest.raises(ConfigError, match="T=50 violates the gap margin"):
         check_gap_margin(default_model, default_part, 1, [200.0, 50.0, 100.0], 100.0)
     check_gap_margin(default_model, default_part, 1, [50.0, 100.0, 200.0], 1.0)
+
+
+def test_check_gap_margin_accepts_minimal_time(default_model):
+    # minimal_time's T meets its margin by the one rule band_plan uses,
+    # however the rounding of margin / gap falls
+    for m in (1, 2, 3, 4):
+        part = BandPartition(16, m)
+        for j0 in range(16):
+            gap = virtual_gap(default_model, part, part.band_of(j0))
+            for margin in np.linspace(0.01, 40.0, 400):
+                check_gap_margin(default_model, part, j0, [minimal_time(gap, margin)], margin)
+
+
+def test_check_gap_margin_validation(default_model, default_part):
+    with pytest.raises(ConfigError, match="margin must be positive"):
+        check_gap_margin(default_model, default_part, 1, [100.0], 0.0)
 
 
 def test_first_order_tracks_exact_leakage(default_model, default_part):

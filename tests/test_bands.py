@@ -28,7 +28,7 @@ from adiabatic_continuum import (
     weyl_packet,
 )
 
-from conftest import flip_model, make_model
+from conftest import make_model
 
 
 # ---- partitions ------------------------------------------------------------
@@ -198,12 +198,11 @@ def test_validate_noncrossing_single_band_vacuous(default_model):
 
 
 def test_crossing_detected_between_samples():
-    # profile dips negative between screen samples: every inter-band pair
-    # swaps order twice, without any sample landing near the touch point
-    model = flip_model()
-    part = BandPartition(16, 2)
+    # profile dips negative between uniform samples: every inter-band pair
+    # swaps order twice, without any sample landing near the touch point.
+    # build_model rejects it, so validate_noncrossing never sees such a model.
+    flip = tabulated_dispersion([1.0, -0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     with pytest.raises(CrossingError) as err:
-        validate_noncrossing(model, part)
+        make_model(dispersion=flip)
     lo, hi = map(float, re.search(r"s-interval \[([0-9.]+), ([0-9.]+)\]", str(err.value)).groups())
     assert 0.0 <= lo < hi <= 0.25
-

@@ -87,6 +87,31 @@ def test_criterion_exit_codes(fast_config):
     assert record_ok["criterion"]["satisfied"] is True
 
 
+def test_criterion_coupling_maximum_ignores_s_samples():
+    # smoothstep's theta' vanishes at s = 0 and 1 and peaks at s = 1/2: two
+    # uniform samples would see a zero coupling, the exact maximum is
+    # 1.5 * theta_max, and s_samples changes nothing but the resolved config
+    records = []
+    for s_samples in ("2", "129"):
+        overrides = {("rotation", "schedule"): "smoothstep", ("analysis", "s_samples"): s_samples}
+        code, record, _, _ = cmd_criterion(load_config(SRC.parent / "configs" / "default.cfg", overrides))
+        assert code == 4
+        assert record["criterion"]["max_coupling"] == 0.6000000000000001
+        assert record.pop("resolved_config")["analysis"]["s_samples"] == int(s_samples)
+        record.pop("config_hash")
+        records.append(record)
+    assert records[0] == records[1]
+
+
+def test_sweep_accepts_the_exact_gap_margin():
+    # gap*T = 1 = margin at T = 15: the sweep takes the duration that
+    # bands reports as minimal_T, under the same rule
+    overrides = {("run", "T_list"): "15, 30, 60"}
+    code, record, _, _ = cmd_sweep(load_config(SRC.parent / "configs" / "sweep.cfg", overrides))
+    assert code == 0
+    assert [row["T"] for row in record["rows"]] == [15.0, 30.0, 60.0]
+
+
 def test_bands_plan_selects_smallest_feasible(fast_config):
     cfg = fast_config({"run": {"T": "1500.0"}, "analysis": {"margin": "100.0"}})
     code, record, _, lines = cmd_bands(cfg)

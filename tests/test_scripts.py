@@ -1,6 +1,8 @@
-"""Smoke runs of the example scripts against this checkout's package."""
+"""Smoke runs of the example scripts and README's library example against this checkout's package."""
 
 from __future__ import annotations
+
+import re
 
 import pytest
 
@@ -41,3 +43,12 @@ def test_schedule_comparison_keeps_the_gap_margin_check():
     assert result.returncode != 0
     assert "duration T=0 violates the gap margin" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_readme_library_example_runs_as_printed():
+    # the "Library use" block verbatim, so the example cannot drift from the code
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"## Library use\n\n```python\n(.*?)```", readme, flags=re.S)
+    result = run_python("-c", block, cwd=ROOT)
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) == pytest.approx(8.0e-3, rel=0.01)

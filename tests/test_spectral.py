@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from adiabatic_continuum import (
     ROTATION_BUILDERS,
     AngleSchedule,
     ConfigError,
+    ContinuumModel,
     DegenerateSpectrumError,
     FrameRotation,
     KGrid,
@@ -150,6 +153,19 @@ def test_smoothstep_kills_both_boundary_rates():
     sched = AngleSchedule("smoothstep", 0.4)
     assert sched.angle_rate(0.0) == 0.0
     assert sched.angle_rate(1.0) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("theta_max", [0.4, -0.3, 0.0])
+@pytest.mark.parametrize("kind", ANGLE_SCHEDULES)
+def test_max_rate_is_the_exact_maximum(kind, theta_max):
+    # the uniform scans of 65 and 129 points hold the peak node (1/2 or 1),
+    # so they agree bitwise; a finer scan can only approach it from below
+    sched = AngleSchedule(kind, theta_max)
+    peak = sched.max_rate()
+    assert isinstance(peak, float)
+    for n in (65, 129):
+        assert peak == np.abs(sched.angle_rate(np.linspace(0.0, 1.0, n))).max()
+    assert peak >= np.abs(sched.angle_rate(np.linspace(0.0, 1.0, 10001))).max()
 
 
 def test_schedule_rejects_unknown_kind():
@@ -311,6 +327,19 @@ def test_build_model_rejects_degenerate_spectrum():
     flip = tabulated_dispersion([1.0, -0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     with pytest.raises(DegenerateSpectrumError, match=r"s-interval \[0\.0000, 0\.1250\]"):
         make_model(dispersion=flip)
+
+
+def test_bare_model_rejects_crossing_between_knots():
+    # the profile dips below 0 between the knots s = 0 and 0.125, off every
+    # uniform sample grid: every pair's mismatch vanishes twice there, so the
+    # model cannot be built, with or without build_model, nor a built one
+    # switched to it
+    flip = tabulated_dispersion([1.0, -0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    rotation = nearest_neighbor_rotation(16, AngleSchedule("cubic_ramp", 0.4))
+    with pytest.raises(DegenerateSpectrumError, match=r"s-interval \[0\.0000, 0\.1250\]"):
+        ContinuumModel(KGrid(1.0, 2.0, 16), flip, rotation)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        make_model().dispersion = flip
 
 
 def test_max_energy_exact_on_kinked_table():
