@@ -6,10 +6,8 @@ the coupling/gap validity criterion, and log-log convergence fits over a
 sweep of durations.
 
 One builder makes the leakage row of a duration (leakage_reports) from
-its U(1) and W(1).  simulate takes those finals from the streamed pass
-propagation.stream_families, which also yields its unitarity and
-intertwining diagnostics; sweep_leakage takes them from
-propagation.final_propagators and final_residuals.
+its U(1) and W(1).  simulate and sweep_leakage both take those finals
+from propagation.final_propagators and final_residuals.
 
 Everything is computed on the dimensionless schedule clock s; quantities
 the literature states on the physical clock t = t0 + s*T absorb their
@@ -284,9 +282,9 @@ def leakage_reports(
 ) -> list[LeakageReport]:
     """One LeakageReport per duration, from its U(1) and W(1); the one builder of the leakage row.
 
-    simulate passes its streamed finals and sweep_leakage those of
-    final_propagators and final_residuals, so the two agree bitwise at the
-    same T, steps, scheme and variant.
+    simulate and sweep_leakage both pass the finals of final_propagators
+    and final_residuals, so the two agree bitwise at the same T, steps,
+    scheme and variant.
     """
     band = part.band_of(j0)
     return [

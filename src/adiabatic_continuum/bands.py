@@ -232,7 +232,7 @@ def check_gap_margin(
         if not _reaches_margin(gap * t / margin):
             raise ConfigError(
                 f"duration T={t:g} violates the gap margin: "
-                f"gap*T = {gap * t:.3g} < {margin:g}"
+                f"gap*T = {gap * t!r} < {margin!r}"
             )
 
 

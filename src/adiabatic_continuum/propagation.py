@@ -60,22 +60,22 @@ C, formed by matmul, instead of its diagonal in exact arithmetic (hbar
 diag(lam) for kato_state): with the diagonal, the stepped transport would
 be the closed form by construction and would no longer check it.
 
-simulate and verify do not store the families.  stream_families makes
-one pass over the propagator's chunks (propagator_nodes): per chunk it
-builds the frame Q = frame_matrix(s) once, forms A from the closed form
-on it, Phi from one vectorised phase call and W = Phi^dag (A^dag U),
-updates running maxima of the four unitarity defects and of the
-intertwining residual (read against the same Q; for kato_state, whose
-closed-form A is Q itself, its Q^dag A is the A^dag A of the A defect),
-and keeps only U(1) and W(1), so memory is one chunk, O(chunk N^2), at
-any step count.  Every
-node of the pass equals the node of the stored family bitwise, because
-no node depends on the chunk it is built in: frame_matrix takes one
-N x N product per node, and stored and streamed W share one helper
-(_residual_operator, Phi^dag as a row scaling by the phases), to which
-wave_operator passes its Phi family's diagonal and final_residuals a
-sweep's final phases.  So a sweep's U(1) and W(1) (final_propagators,
-final_residuals) equal simulate's at the same duration.  verify's stepped
+No command stores the families.  simulate reads U(1) from
+final_propagators and W(1) from final_residuals, as sweeps do, and the
+four unitarity defects and the intertwining residual at s=1
+(final_diagnostics): U and W are products of unitary steps, so any
+step's defect carries to s=1, and A, Phi and the residual are closed
+forms at every node.  verify's all-node unitarity check streams
+(stream_families): per chunk of propagator_nodes one helper
+(_diagnostics, also final_diagnostics' body) builds the frame
+Q = frame_matrix(s) once, A from the closed form on it, Phi from one
+vectorised phase call and W = Phi^dag (A^dag U), so memory is one chunk,
+O(chunk N^2), at any step count.  Every node of the pass equals the node
+of the stored family bitwise, because no node depends on the chunk it is
+built in: frame_matrix takes one N x N product per node, and stored and
+streamed W share one helper (_residual_operator, Phi^dag as a row
+scaling by the phases), to which wave_operator passes its Phi family's
+diagonal and final_residuals the final phases.  verify's stepped
 transport is streamed the same way (transport_residual).
 The stored families (evolve_*, phase_family, wave_operator) stay for
 library use and as the references of the tests.
@@ -768,7 +768,8 @@ def final_residuals(model: ContinuumModel, variant: GeneratorVariant, durations,
     """W(1) = Phi(1)^dag A(1)^dag U(1) at every duration, from the finals U(1); shape (D, N, N).
 
     A(1) is the duration-free closed form, formed once; each W(1) equals
-    stream_families' w_final at the same duration, steps and scheme bitwise.
+    the last node of wave_operator's family at the same duration, steps and
+    scheme bitwise.
     """
     s1 = np.ones(1)
     a1 = _exact_transport(model, variant, s1, model.frame_matrix(s1))[0]
@@ -791,53 +792,55 @@ def deviation_from_identity(matrix: np.ndarray) -> float:
 # ---- the streamed pass -------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class FamilyDiagnostics:
-    """What the four families U, A, Phi, W are read for, from one streamed pass.
+def _diagnostics(model: ContinuumModel, variant: GeneratorVariant, duration: float, s, u, part=None):
+    """The unitarity defects of U, the closed-form A, Phi and W at the nodes s of U, and given part A's residual.
 
-    unitarity maps each kind to the max over nodes of its unitarity
-    defect; intertwine_residual is that of A (None without a partition).
+    One frame Q = frame_matrix(s), A from the closed form on it, Phi from
+    one vectorised phase call and W = Phi^dag (A^dag U); the residual is
+    read against the same Q (for kato_state, whose closed-form A is Q
+    itself, its Q^dag A is the A^dag A of the A defect).  Every node's A
+    and W equal those of the stored families bitwise, so their defects do
+    too; Phi's defect is taken elementwise, as | |exp(-i T alpha)|^2 - 1 |,
+    since Phi is diagonal.
     """
+    q = model.frame_matrix(s)
+    a = _exact_transport(model, variant, s, q)
+    p = phase_factors(model, duration, s)
+    a_adj = a.conj().swapaxes(-1, -2)  # once, for A^dag U and A^dag A
+    w = _residual_operator(u, a_adj, p)
+    aa = np.matmul(a_adj, a)
+    residual = None if part is None else _chunk_residual(part, aa if a is q else _adjoint_product(q, a))
+    defects = {
+        "U": _unitarity_defect(u),
+        "A": _identity_defect(aa),
+        "Phi": float(np.abs(p.conj() * p - 1.0).max()),
+        "W": _unitarity_defect(w),
+    }
+    return defects, residual
 
-    u_final: np.ndarray
-    w_final: np.ndarray
-    unitarity: dict[str, float]
-    intertwine_residual: float | None
 
+def final_diagnostics(
+    model: ContinuumModel, variant: GeneratorVariant, part: BandPartition, duration: float, u1: np.ndarray
+) -> tuple[dict[str, float], float]:
+    """The unitarity defects of U, A, Phi and W and A's intertwining residual at s=1, from the final U(1).
 
-def stream_families(
-    model: ContinuumModel,
-    variant: GeneratorVariant,
-    config: PropagationConfig,
-    part: BandPartition | None = None,
-) -> FamilyDiagnostics:
-    """U, the closed-form A, Phi and W over all steps+1 nodes, one chunk of nodes at a time.
-
-    Per chunk of propagator_nodes: one frame Q, A from the closed form on
-    it, Phi from one vectorised phase call, W = Phi^dag (A^dag U), then
-    running maxima of the defects and, given part, of the intertwining
-    residual against the same Q.  Only U(1) and W(1) are kept, so memory
-    is O(chunk N^2) at any steps.  Every node's U, A and W equal those of
-    the stored families bitwise, so the U, A and W defects do too; Phi's
-    defect is taken elementwise, as | |exp(-i T alpha)|^2 - 1 |, since Phi
-    is diagonal.
+    U and W are products of unitary steps, so a defect any step adds
+    carries to s=1; A, Phi and the residual are closed forms at every
+    node.  stream_families keeps the defects' maxima over all nodes.
     """
-    if part is not None:
-        _check_partition(model, part)
+    _check_partition(model, part)
+    return _diagnostics(model, variant, duration, np.ones(1), u1[None], part)
+
+
+def stream_families(model: ContinuumModel, variant: GeneratorVariant, config: PropagationConfig) -> dict[str, float]:
+    """Max over all steps+1 nodes of the unitarity defects of U, the closed-form A, Phi and W.
+
+    One pass over the chunks of propagator_nodes, so memory is
+    O(chunk N^2) at any steps; each chunk's defects come from
+    final_diagnostics' body (_diagnostics).
+    """
     defects = dict.fromkeys(("U", "A", "Phi", "W"), 0.0)
-    residual = 0.0
     for s, u in propagator_nodes(model, config):
-        q = model.frame_matrix(s)
-        a = _exact_transport(model, variant, s, q)
-        p = phase_factors(model, config.duration, s)
-        a_adj = a.conj().swapaxes(-1, -2)  # once, for A^dag U and A^dag A
-        w = _residual_operator(u, a_adj, p)
-        aa = np.matmul(a_adj, a)
-        if part is not None:
-            # the closed form of kato_state is the frame itself, and then Q^dag A is A^dag A
-            residual = max(residual, _chunk_residual(part, aa if a is q else _adjoint_product(q, a)))
-        defects["U"] = max(defects["U"], _unitarity_defect(u))
-        defects["A"] = max(defects["A"], _identity_defect(aa))
-        defects["W"] = max(defects["W"], _unitarity_defect(w))
-        defects["Phi"] = max(defects["Phi"], float(np.abs(p.conj() * p - 1.0).max()))
-    return FamilyDiagnostics(u[-1], w[-1], defects, residual if part is not None else None)
+        chunk, _ = _diagnostics(model, variant, config.duration, s, u)
+        defects = {kind: max(worst, chunk[kind]) for kind, worst in defects.items()}
+    return defects

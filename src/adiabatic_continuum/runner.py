@@ -27,10 +27,11 @@ from .analysis import (
 from .bands import band_plan, check_gap_margin, minimal_time, validate_noncrossing
 from .config import ExperimentConfig
 from .propagation import (
-    PropagationConfig,
+    final_diagnostics,
+    final_propagators,
+    final_residuals,
     literal_window_hermiticity,
     propagator_step_budget,
-    stream_families,
 )
 from .verify import verify_config
 
@@ -108,11 +109,9 @@ def cmd_simulate(config: ExperimentConfig):
     min_separation = validate_noncrossing(model, part)
     variant = config.build_variant(part)
 
-    families = stream_families(
-        model, variant, PropagationConfig(duration, config.steps, config.scheme), part
-    )
-
-    (row,) = leakage_reports(model, part, config.j0, [duration], [families.u_final], [families.w_final])
+    u1 = final_propagators(model, [duration], config.steps, config.scheme)
+    (row,) = leakage_reports(model, part, config.j0, [duration], u1, final_residuals(model, variant, [duration], u1))
+    unitarity, residual = final_diagnostics(model, variant, part, duration, u1[0])
     crit = adiabatic_criterion(model, part, config.j0, threshold=config.threshold)
     mandated, used = planned_substeps(model, part, config.j0, duration)
     window = literal_window_hermiticity(model, config.band_size, 0.5)
@@ -132,8 +131,8 @@ def cmd_simulate(config: ExperimentConfig):
         },
         "criterion": _criterion_dict(crit),
         "diagnostics": {
-            "unitarity": families.unitarity,
-            "intertwine_residual": families.intertwine_residual,
+            "unitarity": unitarity,
+            "intertwine_residual": residual,
             "propagator_steps": {
                 "used": config.steps,
                 "required": propagator_step_budget(model, duration),

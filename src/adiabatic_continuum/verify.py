@@ -80,7 +80,7 @@ def _check_projector_algebra(config, model, part) -> dict:
 def _check_unitarity(config, model, part) -> dict:
     t_ref = _reference_duration(config)
     prop = PropagationConfig(t_ref, config.steps, config.scheme)
-    defects = stream_families(model, config.build_variant(part), prop).unitarity
+    defects = stream_families(model, config.build_variant(part), prop)
     worst = max(defects.values())
     return {
         "passed": worst <= 1e-9,

@@ -30,7 +30,8 @@ from adiabatic_continuum import (
     load_config,
     planned_substeps,
     quadratic_dispersion,
-    stream_families,
+    UnitaryFamily,
+    intertwine_residual,
     sweep_leakage,
     tabulated_dispersion,
     transition_integral,
@@ -38,9 +39,10 @@ from adiabatic_continuum import (
     weyl_band,
 )
 from adiabatic_continuum.bands import check_gap_margin, minimal_time, virtual_gap
+from adiabatic_continuum.propagation import _unitarity_defect
 from adiabatic_continuum.runner import cmd_simulate
 
-from conftest import SRC, make_model
+from conftest import SRC, make_model, stored_families
 
 
 # ---- coupling and substep planning ------------------------------------------
@@ -264,17 +266,22 @@ def test_sweep_one_row_per_distinct_duration(default_model, default_part):
         assert [sweep_leakage(default_model, default_part, 1, [t], 256, scheme)[0] for t in (20.0, 30.0)] == once
 
 
+def _simulate_config(scheme, band_variant):
+    overrides = {("run", "T"): "20.0", ("run", "steps"): "256", ("run", "scheme"): scheme,
+                 ("run", "variant"): "weyl_band" if band_variant else "kato_state"}
+    return load_config(SRC.parent / "configs" / "default.cfg", overrides)
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("band_variant", [False, True], ids=["kato_state", "weyl_band"])
 def test_sweep_residual_operator_equals_streamed_w_final(monkeypatch, scheme, band_variant):
-    # the sweep's W(1) and simulate's streamed W(1) come from one helper,
-    # and both rows from one builder, so simulate's whole leakage row is the
-    # sweep's at the same model, T, steps, scheme and variant, bit for bit
+    # simulate and the sweep take W(1) from final_residuals, the stored
+    # family's last node, and both rows from one builder, so simulate's
+    # whole leakage row is the sweep's at the same model, T, steps, scheme
+    # and variant, bit for bit
     from adiabatic_continuum import analysis
 
-    overrides = {("run", "T"): "20.0", ("run", "steps"): "256", ("run", "scheme"): scheme,
-                 ("run", "variant"): "weyl_band" if band_variant else "kato_state"}
-    config = load_config(SRC.parent / "configs" / "default.cfg", overrides)
+    config = _simulate_config(scheme, band_variant)
     model, part = config.build_model(), config.build_partition()
     variant = config.build_variant(part)
     seen = []
@@ -286,9 +293,9 @@ def test_sweep_residual_operator_equals_streamed_w_final(monkeypatch, scheme, ba
 
     monkeypatch.setattr(analysis, "deviation_from_identity", recorder)
     (report,) = sweep_leakage(model, part, config.j0, [20.0], 256, scheme, variant)
-    streamed = stream_families(model, variant, PropagationConfig(20.0, 256, scheme))
-    assert np.array_equal(seen[0], streamed.w_final)
-    assert report.w_deviation == original(streamed.w_final)
+    w = stored_families(model, variant, PropagationConfig(20.0, 256, scheme))[3]
+    assert np.array_equal(seen[0], w.final)
+    assert report.w_deviation == original(w.final)
     _, record, _, _ = cmd_simulate(config)
     assert record["leakage"] == {
         "T": report.duration,
@@ -298,6 +305,24 @@ def test_sweep_residual_operator_equals_streamed_w_final(monkeypatch, scheme, ba
         "eta_first_order": report.eta_first_order,
         "w_deviation": report.w_deviation,
     }
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("band_variant", [False, True], ids=["kato_state", "weyl_band"])
+def test_simulate_diagnostics_are_the_stored_families_at_s1(scheme, band_variant):
+    # simulate reports the unitarity defects and the residual at s=1, the
+    # node every reported number is read from
+    config = _simulate_config(scheme, band_variant)
+    model, part = config.build_model(), config.build_partition()
+    families = stored_families(model, config.build_variant(part), PropagationConfig(20.0, 256, scheme))
+    a = families[1]
+    last = UnitaryFamily("A", a.s_nodes[-1:], a.matrices[-1:])
+    _, record, _, _ = cmd_simulate(config)
+    unitarity = dict(record["diagnostics"]["unitarity"])
+    # Phi's defect is elementwise in simulate and a matmul on the stored family
+    assert abs(unitarity.pop("Phi") - _unitarity_defect(families[2].matrices[-1:])) <= 1e-15
+    assert unitarity == {fam.kind: _unitarity_defect(fam.matrices[-1:]) for fam in families if fam.kind != "Phi"}
+    assert record["diagnostics"]["intertwine_residual"] == intertwine_residual(last, model, part)
 
 
 def test_midpoint_sweep_runs_one_stacked_pass(monkeypatch, default_model, default_part):
@@ -365,6 +390,19 @@ def test_check_gap_margin_names_the_smallest_violating_duration(default_model, d
     with pytest.raises(ConfigError, match="T=50 violates the gap margin"):
         check_gap_margin(default_model, default_part, 1, [200.0, 50.0, 100.0], 100.0)
     check_gap_margin(default_model, default_part, 1, [50.0, 100.0, 200.0], 1.0)
+
+
+def test_check_gap_margin_message_states_a_true_inequality(default_model):
+    # gap 1/15: T = 14.999 misses margin 1 by less than 1e-4, so both sides
+    # must print in full for the printed inequality to hold
+    part = BandPartition(16, 2)
+    gap = virtual_gap(default_model, part, part.band_of(1))
+    with pytest.raises(ConfigError) as info:
+        check_gap_margin(default_model, part, 1, [14.999], 1.0)
+    message = str(info.value)
+    assert message == f"duration T=14.999 violates the gap margin: gap*T = {gap * 14.999!r} < 1.0"
+    lhs, rhs = message.split("gap*T = ")[1].split(" < ")
+    assert float(lhs) < float(rhs)
 
 
 def test_check_gap_margin_accepts_minimal_time(default_model):

@@ -62,6 +62,15 @@ def test_simulate_steps_override_lands_in_record(write_config, tmp_path):
     assert report["resolved_config"]["run"]["steps"] == 640
 
 
+def test_simulate_below_the_step_budget_exits_2_without_outputs(write_config, tmp_path):
+    cfg = write_config({"run": {"T": "100.0"}})
+    out = tmp_path / "sim"
+    result = run_cli("simulate", "--config", str(cfg), "--out", str(out), "--steps", "100")
+    assert result.returncode == 2
+    assert "config error: steps=100 cannot resolve duration T=100.0 (required >= 510)" in result.stderr
+    assert not (out / "report.json").exists()
+
+
 def test_criterion_exit_reflects_threshold(write_config, tmp_path):
     cfg = write_config({})
     assert run_cli("criterion", "--config", str(cfg), "--out", str(tmp_path / "a")).returncode == 4

@@ -35,6 +35,7 @@ from adiabatic_continuum import (
     final_intertwiner,
     final_propagator,
     final_propagators,
+    final_residuals,
     generator,
     generator_norm,
     intertwine_residual,
@@ -758,25 +759,28 @@ def test_stream_families_matches_stored_families(name, steps, band_variant, sche
     variant = weyl_band(part) if band_variant else kato_state()
     config = PropagationConfig(0.1 * steps, steps, scheme)
     u, a, phi, w = stored_families(model, variant, config)
-    streamed = stream_families(model, variant, config, part)
-    assert np.array_equal(streamed.u_final, u.final)
-    assert np.array_equal(streamed.w_final, w.final)
+    u1s = final_propagators(model, [config.duration], steps, scheme)
+    assert np.array_equal(u1s[0], u.final)
+    assert np.array_equal(final_residuals(model, variant, [config.duration], u1s)[0], w.final)
+    last_a = UnitaryFamily("A", a.s_nodes[-1:], a.matrices[-1:])
+    _, residual = propagation.final_diagnostics(model, variant, part, config.duration, u1s[0])
+    assert residual == intertwine_residual(last_a, model, part)
+    streamed = stream_families(model, variant, config)
     for fam in (u, a, w):
-        assert streamed.unitarity[fam.kind] == fam.unitarity_defect()
+        assert streamed[fam.kind] == fam.unitarity_defect()
     # Phi's defect is elementwise in the pass and a matmul on the stored family
-    assert abs(streamed.unitarity["Phi"] - phi.unitarity_defect()) <= 1e-15
-    assert streamed.intertwine_residual == intertwine_residual(a, model, part)
+    assert abs(streamed["Phi"] - phi.unitarity_defect()) <= 1e-15
 
 
 def test_stream_families_without_partition_skips_the_residual(default_model):
     config = PropagationConfig(2.0, 64)
-    streamed = stream_families(default_model, kato_state(), config)
-    assert streamed.intertwine_residual is None
-    assert list(streamed.unitarity) == ["U", "A", "Phi", "W"]
+    assert list(stream_families(default_model, kato_state(), config)) == ["U", "A", "Phi", "W"]
     with pytest.raises(StepBudgetError):
         stream_families(default_model, kato_state(), PropagationConfig(100.0, 64))
+    # the residual is read at s=1 only, against the model's own partition
+    u1 = final_propagator(default_model, config)
     with pytest.raises(ConfigError):
-        stream_families(default_model, kato_state(), config, BandPartition(8, 2))
+        propagation.final_diagnostics(default_model, kato_state(), BandPartition(8, 2), 2.0, u1)
 
 
 @pytest.mark.parametrize(
@@ -809,7 +813,7 @@ def test_stream_families_builds_one_frame_per_chunk(monkeypatch, default_model, 
 
     monkeypatch.setattr(ContinuumModel, "frame_matrix", recorder)
     variant = weyl_band(default_part) if band_variant else kato_state()
-    stream_families(default_model, variant, config, default_part)
+    stream_families(default_model, variant, config)
     # the diagnostics build one frame per chunk of nodes; each chunk of
     # steps past s=0 also forms its nodes from one frame at its midpoints
     assert sizes == [chunks[0]] + [c for c in chunks[1:] for _ in range(2)]
@@ -845,13 +849,12 @@ def test_stream_families_memory_is_flat_in_steps():
     # the four stored families would take 4 (steps+1) N^2 16 bytes: 35 MB at
     # 32 steps and 68 MB at 64
     model = make_model(n=128)
-    part = BandPartition(128, 2)
     model.frame_eigensystem  # cached before measuring
     peaks = []
     for steps in (32, 64):
         tracemalloc.start()
         try:
-            stream_families(model, kato_state(), PropagationConfig(1.0, steps), part)
+            stream_families(model, kato_state(), PropagationConfig(1.0, steps))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
