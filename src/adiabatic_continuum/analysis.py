@@ -106,15 +106,15 @@ def _pair_rule(model: ContinuumModel, j0: int, j: int, duration: float, s0: floa
 
     `required` panels keep each one's phase swing T max|E_j0 - E_j| width / hbar
     (exact max over [s0, s1]) within _PHASE_BUDGET.  The uniform
-    panels used are at least _MIN_PANELS and a multiple of the tabulated
-    profile's segments, so none straddles a kink when s0 and s1 lie on the
-    table's grid, as 0 and 1 do; nodes and weights run panel by panel.
+    panels used are at least _MIN_PANELS and a multiple of the profile's
+    knot intervals, so none straddles a kink when s0 and s1 lie on
+    knots, as 0 and 1 do; nodes and weights run panel by panel.
     """
     disp = model.dispersion
     lo, hi = disp.profile_range(s0, s1)
     de = abs(_mismatch(model, j0, j)) * max(-lo, hi)
     required = max(1, math.ceil(abs(duration) * de * (s1 - s0) / (HBAR * _PHASE_BUDGET)))
-    segments = len(disp.params) - 1 if disp.family == "tabulated" else 1
+    segments = len(disp.knots) - 1
     panels = -(-max(_MIN_PANELS, required) // segments) * segments
     edges = np.linspace(s0, s1, panels + 1)
     half = 0.5 * np.diff(edges)[:, None]

@@ -1,7 +1,13 @@
 """Declarative experiment configuration.
 
 Sectioned INI files describe the model, band plan, run parameters, and
-output policy.  Parsing is strict: unknown sections or keys are rejected,
+output policy.  Each key is declared once, on its `ExperimentConfig`
+field: section, key name, default text (None for a key present only when
+set) and parser.  That declaration drives the known-section and
+unknown-key checks, the default-and-parse pass and the `resolved` echo.
+Rules that tie fields together (ranges, params per family, T versus
+T_list, the builder-specific width and seed) follow the parse in
+`_validate`.  Parsing is strict: unknown sections or keys are rejected,
 every default is materialized into a resolved dictionary, and the sha256
 of that canonical dictionary identifies the experiment.
 """
@@ -11,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from configparser import ConfigParser, Error as ParserError
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,18 +38,6 @@ from .spectral import (
     nearest_neighbor_rotation,
     random_banded_rotation,
 )
-
-_SECTIONS = ("grid", "dispersion", "rotation", "bands", "run", "analysis", "output")
-
-_KNOWN_KEYS = {
-    "grid": {"k_min", "k_max", "N"},
-    "dispersion": {"family", "params"},
-    "rotation": {"builder", "theta_max", "schedule", "width", "seed"},
-    "bands": {"m"},
-    "run": {"T", "T_list", "steps", "scheme", "variant"},
-    "analysis": {"j0", "s_samples", "margin", "threshold"},
-    "output": {"directory", "formats"},
-}
 
 _FORMATS = ("json", "csv")
 
@@ -72,79 +66,80 @@ def _parse_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
     return tuple(_parse_float(section, key, p) for p in items)
 
 
-def _parse_tag(section: str, key: str, raw: str, allowed) -> str:
-    if raw not in allowed:
-        raise ConfigError(
-            f"[{section}] {key} = {raw!r} is not one of {', '.join(allowed)}"
-        )
-    return raw
+def _tag(allowed):
+    """Parser of a value that must be one of `allowed`."""
+
+    def parse(section: str, key: str, raw: str) -> str:
+        if raw not in allowed:
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not one of {', '.join(allowed)}")
+        return raw
+
+    return parse
+
+
+def _parse_directory(section: str, key: str, raw: str) -> str:
+    value = raw.strip()
+    if not value:
+        raise ConfigError(f"[{section}] {key} must be nonempty")
+    return value
+
+
+def _parse_formats(section: str, key: str, raw: str) -> tuple[str, ...]:
+    formats = tuple(dict.fromkeys(p.strip() for p in raw.split(",") if p.strip()))
+    if not formats:
+        raise ConfigError(f"[{section}] {key} must name at least one of json, csv")
+    for fmt in formats:
+        if fmt not in _FORMATS:
+            raise ConfigError(f"[{section}] unknown format {fmt!r}; pick from {_FORMATS}")
+    return formats
+
+
+def _key(section: str, key: str, parse, default: str | None = None):
+    """A field's INI declaration: `parse(section, key, raw)` reads the raw text,
+    which is `default` when the key is absent (None: the field stays None)."""
+    return field(metadata={"section": section, "key": key, "parse": parse, "default": default})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully validated experiment description with all defaults applied."""
 
-    k_min: float
-    k_max: float
-    grid_size: int
-    dispersion_family: str
-    dispersion_params: tuple[float, ...]
-    rotation_builder: str
-    theta_max: float
-    schedule_kind: str
-    width: int | None
-    seed: int | None
-    band_size: int
-    duration: float | None
-    duration_list: tuple[float, ...] | None
-    steps: int
-    scheme: str
-    variant_kind: str
-    j0: int
-    s_samples: int
-    margin: float
-    threshold: float
-    out_dir: str
-    formats: tuple[str, ...]
+    k_min: float = _key("grid", "k_min", _parse_float, "1.0")
+    k_max: float = _key("grid", "k_max", _parse_float, "2.0")
+    grid_size: int = _key("grid", "N", _parse_int, "16")
+    dispersion_family: str = _key("dispersion", "family", _tag(DISPERSION_FAMILIES), "linear")
+    dispersion_params: tuple[float, ...] = _key("dispersion", "params", _parse_float_list, "1.0, 1.0")
+    rotation_builder: str = _key("rotation", "builder", _tag(ROTATION_BUILDERS), "nearest_neighbor")
+    theta_max: float = _key("rotation", "theta_max", _parse_float, "0.4")
+    schedule_kind: str = _key("rotation", "schedule", _tag(ANGLE_SCHEDULES), "cubic_ramp")
+    width: int | None = _key("rotation", "width", _parse_int)
+    seed: int | None = _key("rotation", "seed", _parse_int)
+    band_size: int = _key("bands", "m", _parse_int, "2")
+    duration: float | None = _key("run", "T", _parse_float)
+    duration_list: tuple[float, ...] | None = _key("run", "T_list", _parse_float_list)
+    steps: int = _key("run", "steps", _parse_int, "4000")
+    scheme: str = _key("run", "scheme", _tag(SCHEMES), SCHEMES[0])
+    variant_kind: str = _key("run", "variant", _tag(VARIANTS), VARIANTS[0])
+    j0: int = _key("analysis", "j0", _parse_int, "1")
+    # No computation reads s_samples (the criterion's coupling maximum is
+    # exact); it stays accepted and echoed so existing files and their
+    # config_hash do not change.
+    s_samples: int = _key("analysis", "s_samples", _parse_int, "129")
+    margin: float = _key("analysis", "margin", _parse_float, "100.0")
+    threshold: float = _key("analysis", "threshold", _parse_float, "0.1")
+    out_dir: str = _key("output", "directory", _parse_directory, "out")
+    formats: tuple[str, ...] = _key("output", "formats", _parse_formats, "json,csv")
 
     @property
     def resolved(self) -> dict:
         """Canonical nested dictionary with every default materialized."""
-        rotation: dict = {
-            "builder": self.rotation_builder,
-            "theta_max": self.theta_max,
-            "schedule": self.schedule_kind,
-        }
-        if self.width is not None:
-            rotation["width"] = self.width
-        if self.seed is not None:
-            rotation["seed"] = self.seed
-        run: dict = {
-            "steps": self.steps,
-            "scheme": self.scheme,
-            "variant": self.variant_kind,
-        }
-        if self.duration is not None:
-            run["T"] = self.duration
-        else:
-            run["T_list"] = list(self.duration_list)
-        return {
-            "grid": {"k_min": self.k_min, "k_max": self.k_max, "N": self.grid_size},
-            "dispersion": {
-                "family": self.dispersion_family,
-                "params": list(self.dispersion_params),
-            },
-            "rotation": rotation,
-            "bands": {"m": self.band_size},
-            "run": run,
-            "analysis": {
-                "j0": self.j0,
-                "s_samples": self.s_samples,
-                "margin": self.margin,
-                "threshold": self.threshold,
-            },
-            "output": {"directory": self.out_dir, "formats": list(self.formats)},
-        }
+        out: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                section = out.setdefault(f.metadata["section"], {})
+                section[f.metadata["key"]] = list(value) if isinstance(value, tuple) else value
+        return out
 
     @property
     def config_hash(self) -> str:
@@ -194,133 +189,79 @@ class ExperimentConfig:
         return min(self.duration_list)
 
 
+# section -> {key: field}, in declaration order
+_DECLARED: dict[str, dict] = {}
+for _f in fields(ExperimentConfig):
+    _DECLARED.setdefault(_f.metadata["section"], {})[_f.metadata["key"]] = _f
+
+
 def _validate(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
-    for name in _SECTIONS:
-        if name not in sections:
-            raise ConfigError(f"missing section [{name}]")
+    """Check every name, parse every declared key, then apply the cross-field rules."""
     for name, keys in sections.items():
-        if name not in _KNOWN_KEYS:
+        if name not in _DECLARED:
             raise ConfigError(f"unknown section [{name}]")
         for key in keys:
-            if key not in _KNOWN_KEYS[name]:
+            if key not in _DECLARED[name]:
                 raise ConfigError(f"unknown key {key!r} in section [{name}]")
+    v = {}  # field name -> parsed value, None for an absent key without default
+    for name, declared in _DECLARED.items():
+        for key, f in declared.items():
+            raw = sections[name].get(key, f.metadata["default"])
+            v[f.name] = None if raw is None else f.metadata["parse"](name, key, raw)
 
-    grid = sections["grid"]
-    k_min = _parse_float("grid", "k_min", grid.get("k_min", "1.0"))
-    k_max = _parse_float("grid", "k_max", grid.get("k_max", "2.0"))
-    n = _parse_int("grid", "N", grid.get("N", "16"))
+    n, k_min, k_max = v["grid_size"], v["k_min"], v["k_max"]
     if n < 2:
         raise ConfigError(f"[grid] N >= 2 is required, got {n}")
     if not k_max > k_min:
         raise ConfigError(f"[grid] needs k_max > k_min, got [{k_min}, {k_max}]")
 
-    disp = sections["dispersion"]
-    family = _parse_tag("dispersion", "family", disp.get("family", "linear"), DISPERSION_FAMILIES)
-    params = _parse_float_list("dispersion", "params", disp.get("params", "1.0, 1.0"))
+    family, params = v["dispersion_family"], v["dispersion_params"]
     if family in ("linear", "quadratic") and len(params) != 2:
         raise ConfigError(f"[dispersion] {family} family takes 2 params, got {len(params)}")
     if family == "tabulated" and len(params) < 2:
         raise ConfigError("[dispersion] tabulated family needs at least 2 params")
 
-    rot = sections["rotation"]
-    builder = _parse_tag("rotation", "builder", rot.get("builder", "nearest_neighbor"), ROTATION_BUILDERS)
-    theta_max = _parse_float("rotation", "theta_max", rot.get("theta_max", "0.4"))
-    schedule = _parse_tag("rotation", "schedule", rot.get("schedule", "cubic_ramp"), ANGLE_SCHEDULES)
-    width: int | None = None
+    builder = v["rotation_builder"]
     if builder in ("banded", "random_banded"):
-        width = _parse_int("rotation", "width", rot.get("width", "1"))
-        if not 1 <= width < n:
-            raise ConfigError(f"[rotation] width must be in [1, N-1], got {width}")
-    elif "width" in rot:
+        if v["width"] is None:
+            v["width"] = 1
+        if not 1 <= v["width"] < n:
+            raise ConfigError(f"[rotation] width must be in [1, N-1], got {v['width']}")
+    elif v["width"] is not None:
         raise ConfigError("[rotation] width only applies to the banded builders")
-    seed: int | None = None
     if builder == "random_banded":
-        if "seed" not in rot:
+        if v["seed"] is None:
             raise ConfigError("[rotation] random_banded builder needs a seed")
-        seed = _parse_int("rotation", "seed", rot["seed"])
-    elif "seed" in rot:
+    elif v["seed"] is not None:
         raise ConfigError("[rotation] seed only applies to the random_banded builder")
 
-    bands = sections["bands"]
-    m = _parse_int("bands", "m", bands.get("m", "2"))
-    if not 1 <= m <= n:
-        raise ConfigError(f"[bands] m must be in [1, N], got {m}")
+    if not 1 <= v["band_size"] <= n:
+        raise ConfigError(f"[bands] m must be in [1, N], got {v['band_size']}")
 
-    run = sections["run"]
-    if "T" in run and "T_list" in run:
+    if v["duration"] is not None and v["duration_list"] is not None:
         raise ConfigError("[run] set either T or T_list, not both")
-    duration: float | None = None
-    duration_list: tuple[float, ...] | None = None
-    if "T_list" in run:
-        duration_list = _parse_float_list("run", "T_list", run["T_list"])
-        if any(t < 0 for t in duration_list):
+    if v["duration_list"] is not None:
+        if any(t < 0 for t in v["duration_list"]):
             raise ConfigError("[run] T_list entries must be >= 0")
-        if len(set(duration_list)) != len(duration_list):
+        if len(set(v["duration_list"])) != len(v["duration_list"]):
             raise ConfigError("[run] T_list entries must be distinct")
     else:
-        duration = _parse_float("run", "T", run.get("T", "100.0"))
-        if duration < 0:
-            raise ConfigError(f"[run] T must be >= 0, got {duration}")
-    steps = _parse_int("run", "steps", run.get("steps", "4000"))
-    if steps < 1:
-        raise ConfigError(f"[run] steps must be >= 1, got {steps}")
-    scheme = _parse_tag("run", "scheme", run.get("scheme", SCHEMES[0]), SCHEMES)
-    variant = _parse_tag("run", "variant", run.get("variant", VARIANTS[0]), VARIANTS)
+        if v["duration"] is None:
+            v["duration"] = 100.0
+        if v["duration"] < 0:
+            raise ConfigError(f"[run] T must be >= 0, got {v['duration']}")
+    if v["steps"] < 1:
+        raise ConfigError(f"[run] steps must be >= 1, got {v['steps']}")
 
-    analysis = sections["analysis"]
-    j0 = _parse_int("analysis", "j0", analysis.get("j0", "1"))
-    if not 0 <= j0 < n:
-        raise ConfigError(f"[analysis] j0 must be in [0, N), got {j0}")
-    # No computation reads s_samples (the criterion's coupling maximum is
-    # exact); it stays accepted and echoed so existing files and their
-    # config_hash do not change.
-    s_samples = _parse_int("analysis", "s_samples", analysis.get("s_samples", "129"))
-    if s_samples < 2:
-        raise ConfigError(f"[analysis] s_samples must be >= 2, got {s_samples}")
-    margin = _parse_float("analysis", "margin", analysis.get("margin", "100.0"))
-    if margin <= 0:
-        raise ConfigError(f"[analysis] margin must be positive, got {margin}")
-    threshold = _parse_float("analysis", "threshold", analysis.get("threshold", "0.1"))
-    if threshold <= 0:
-        raise ConfigError(f"[analysis] threshold must be positive, got {threshold}")
-
-    output = sections["output"]
-    out_dir = output.get("directory", "out").strip()
-    if not out_dir:
-        raise ConfigError("[output] directory must be nonempty")
-    formats = tuple(
-        dict.fromkeys(p.strip() for p in output.get("formats", "json,csv").split(",") if p.strip())
-    )
-    if not formats:
-        raise ConfigError("[output] formats must name at least one of json, csv")
-    for fmt in formats:
-        if fmt not in _FORMATS:
-            raise ConfigError(f"[output] unknown format {fmt!r}; pick from {_FORMATS}")
-
-    return ExperimentConfig(
-        k_min=k_min,
-        k_max=k_max,
-        grid_size=n,
-        dispersion_family=family,
-        dispersion_params=params,
-        rotation_builder=builder,
-        theta_max=theta_max,
-        schedule_kind=schedule,
-        width=width,
-        seed=seed,
-        band_size=m,
-        duration=duration,
-        duration_list=duration_list,
-        steps=steps,
-        scheme=scheme,
-        variant_kind=variant,
-        j0=j0,
-        s_samples=s_samples,
-        margin=margin,
-        threshold=threshold,
-        out_dir=out_dir,
-        formats=formats,
-    )
+    if not 0 <= v["j0"] < n:
+        raise ConfigError(f"[analysis] j0 must be in [0, N), got {v['j0']}")
+    if v["s_samples"] < 2:
+        raise ConfigError(f"[analysis] s_samples must be >= 2, got {v['s_samples']}")
+    if v["margin"] <= 0:
+        raise ConfigError(f"[analysis] margin must be positive, got {v['margin']}")
+    if v["threshold"] <= 0:
+        raise ConfigError(f"[analysis] threshold must be positive, got {v['threshold']}")
+    return ExperimentConfig(**v)
 
 
 def load_config(path, overrides: dict[tuple[str, str], str] | None = None) -> ExperimentConfig:
@@ -328,7 +269,9 @@ def load_config(path, overrides: dict[tuple[str, str], str] | None = None) -> Ex
 
     `overrides` maps (section, key) to raw string values; the CLI routes
     --steps, --threshold, and --out through here so the resolved config
-    embedded in outputs always reflects the values actually used.
+    embedded in outputs always reflects the values actually used.  The
+    file itself must hold every section: an override does not stand in
+    for a missing one.
     """
     path = Path(path)
     if not path.is_file():
@@ -341,6 +284,9 @@ def load_config(path, overrides: dict[tuple[str, str], str] | None = None) -> Ex
     except ParserError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     sections = {name: dict(parser[name]) for name in parser.sections()}
+    for name in _DECLARED:
+        if name not in sections:
+            raise ConfigError(f"missing section [{name}]")
     for (section, key), raw in (overrides or {}).items():
         sections.setdefault(section, {})[key] = raw
     return _validate(sections)

@@ -110,7 +110,7 @@ class DispersionSchedule:
     def profile(self, s):
         """Scalar factor f(s) multiplying kappa(k)."""
         if self.family == "tabulated":
-            return np.interp(s, self._table_s, self._table_f)
+            return np.interp(s, self.knots, self._table_f)
         a, b = self.params
         return a + b * np.asarray(s, dtype=float)
 
@@ -139,19 +139,19 @@ class DispersionSchedule:
 
     def profile_range(self, s0: float = 0.0, s1: float = 1.0) -> tuple[float, float]:
         """(min, max) of the profile on [s0, s1], exact: its ends and the knots inside."""
-        knots = self._table_s[(self._table_s > s0) & (self._table_s < s1)]
+        knots = self.knots[(self.knots > s0) & (self.knots < s1)]
         f = self.profile(np.concatenate(([s0], knots, [s1])))
         return float(f.min()), float(f.max())
 
     def zero_interval(self) -> tuple[float, float] | None:
         """First knot interval of [0, 1] on which the profile reaches 0, or None."""
-        f = self.profile(self._table_s)
+        f = self.profile(self.knots)
         hits = np.flatnonzero(f[:-1] * f[1:] <= 0.0)
-        return (float(self._table_s[hits[0]]), float(self._table_s[hits[0] + 1])) if hits.size else None
+        return (float(self.knots[hits[0]]), float(self.knots[hits[0] + 1])) if hits.size else None
 
     @cached_property
-    def _table_s(self) -> np.ndarray:
-        # the profile's knots; an affine family's two params give [0, 1]
+    def knots(self) -> np.ndarray:
+        """The profile's knots on [0, 1]: a table's sample points, or [0, 1] for an affine family."""
         return np.linspace(0.0, 1.0, len(self.params))
 
     @cached_property

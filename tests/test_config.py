@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adiabatic_continuum import ConfigError, load_config
 
-from conftest import DEFAULT_CFG_TEXT
+from conftest import DEFAULT_CFG_TEXT, SRC, run_cli
 
 
 EXPECTED_RESOLVED = {
@@ -61,6 +62,25 @@ def test_missing_section_named(write_config):
             load_config(write_config({section: None}))
 
 
+@pytest.mark.parametrize(
+    "section, override",
+    [
+        ("run", {("run", "steps"): "100"}),
+        ("analysis", {("analysis", "threshold"): "0.2"}),
+        ("output", {("output", "directory"): "elsewhere"}),
+    ],
+)
+def test_override_does_not_stand_in_for_a_missing_section(write_config, section, override):
+    with pytest.raises(ConfigError, match=rf"missing section \[{section}\]"):
+        load_config(write_config({section: None}), override)
+
+
+def test_cli_override_into_a_missing_section_exits_2(write_config):
+    proc = run_cli("simulate", "--config", str(write_config({"run": None})), "--steps", "100")
+    assert proc.returncode == 2
+    assert "missing section [run]" in proc.stderr
+
+
 def test_unknown_section_and_key_rejected(write_config):
     with pytest.raises(ConfigError, match="extra"):
         load_config(write_config({"extra": {"x": 1}}))
@@ -93,6 +113,13 @@ def test_unknown_section_and_key_rejected(write_config):
         ({"analysis": {"threshold": "-0.1"}}, "threshold"),
         ({"output": {"formats": "yaml"}}, "yaml"),
         ({"output": {"directory": ""}}, "directory"),
+        ({"rotation": {"builder": "banded", "width": "16"}}, "width must be in"),
+        ({"run": {"T": None, "T_list": "50, -1, 100"}}, ">= 0"),
+        ({"dispersion": {"params": ""}}, "empty list"),
+        ({"output": {"formats": ","}}, "at least one"),
+        ({"dispersion": {"family": "tabulated", "params": "1.0"}}, "at least 2"),
+        ({"rotation": {"builder": "random_banded", "seed": "x"}}, "integer"),
+        ({"rotation": {"theta_max": "inf"}}, "finite"),
     ],
 )
 def test_validation_messages_name_the_constraint(write_config, overrides, needle):
@@ -171,3 +198,35 @@ def test_resolved_is_json_stable(write_config):
     text1 = json.dumps(cfg.resolved, sort_keys=True)
     text2 = json.dumps(load_config(write_config()).resolved, sort_keys=True)
     assert text1 == text2
+
+
+def _ini_text(resolved: dict) -> str:
+    """`resolved` written back as an experiment file; lists become comma lists."""
+    lines = []
+    for section, keys in resolved.items():
+        lines.append(f"[{section}]")
+        for key, value in keys.items():
+            text = ", ".join(map(str, value)) if isinstance(value, list) else str(value)
+            lines.append(f"{key} = {text}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        SRC.parent / "configs" / "default.cfg",
+        SRC.parent / "configs" / "sweep.cfg",
+        {
+            "rotation": {"builder": "random_banded", "width": "3", "seed": "11"},
+            "dispersion": {"family": "tabulated", "params": "1.0, 1.25, 0.75, 1.5"},
+        },
+    ],
+    ids=["default", "sweep", "random_banded_tabulated"],
+)
+def test_resolved_round_trips_through_an_experiment_file(write_config, tmp_path, source):
+    cfg = load_config(source if isinstance(source, Path) else write_config(source))
+    echo = tmp_path / "echo.cfg"
+    echo.write_text(_ini_text(cfg.resolved))
+    again = load_config(echo)
+    assert again.config_hash == cfg.config_hash
+    assert again == cfg
