@@ -5,11 +5,12 @@ output policy.  Each key is declared once, on its `ExperimentConfig`
 field: section, key name, default text (None for a key present only when
 set) and parser.  That declaration drives the known-section and
 unknown-key checks, the default-and-parse pass and the `resolved` echo.
-Rules that tie fields together (ranges, params per family, T versus
-T_list, the builder-specific width and seed) follow the parse in
-`_validate`.  Parsing is strict: unknown sections or keys are rejected,
-every default is materialized into a resolved dictionary, and the sha256
-of that canonical dictionary identifies the experiment.
+Rules that tie fields together (ranges, T versus T_list, the params
+count and the builder-specific width and seed, which read the family and
+builder declarations in `spectral`) follow the parse in `_validate`.
+Parsing is strict: unknown sections or keys are rejected, every default
+is materialized into a resolved dictionary, and the sha256 of that
+canonical dictionary identifies the experiment.
 """
 
 from __future__ import annotations
@@ -27,16 +28,14 @@ from .errors import ConfigError
 from .propagation import SCHEMES, VARIANTS, GeneratorVariant, kato_state, weyl_band
 from .spectral import (
     ANGLE_SCHEDULES,
-    DISPERSION_FAMILIES,
-    ROTATION_BUILDERS,
+    BUILDERS,
+    FAMILIES,
     AngleSchedule,
     ContinuumModel,
     DispersionSchedule,
     KGrid,
-    banded_rotation,
     build_model,
-    nearest_neighbor_rotation,
-    random_banded_rotation,
+    width_fault,
 )
 
 _FORMATS = ("json", "csv")
@@ -67,7 +66,7 @@ def _parse_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
 
 
 def _tag(allowed):
-    """Parser of a value that must be one of `allowed`."""
+    """Parser of a value that must be one of `allowed` (a tuple, or a dict's keys)."""
 
     def parse(section: str, key: str, raw: str) -> str:
         if raw not in allowed:
@@ -107,9 +106,9 @@ class ExperimentConfig:
     k_min: float = _key("grid", "k_min", _parse_float, "1.0")
     k_max: float = _key("grid", "k_max", _parse_float, "2.0")
     grid_size: int = _key("grid", "N", _parse_int, "16")
-    dispersion_family: str = _key("dispersion", "family", _tag(DISPERSION_FAMILIES), "linear")
+    dispersion_family: str = _key("dispersion", "family", _tag(FAMILIES), "linear")
     dispersion_params: tuple[float, ...] = _key("dispersion", "params", _parse_float_list, "1.0, 1.0")
-    rotation_builder: str = _key("rotation", "builder", _tag(ROTATION_BUILDERS), "nearest_neighbor")
+    rotation_builder: str = _key("rotation", "builder", _tag(BUILDERS), "nearest_neighbor")
     theta_max: float = _key("rotation", "theta_max", _parse_float, "0.4")
     schedule_kind: str = _key("rotation", "schedule", _tag(ANGLE_SCHEDULES), "cubic_ramp")
     width: int | None = _key("rotation", "width", _parse_int)
@@ -152,12 +151,8 @@ class ExperimentConfig:
         grid = KGrid(self.k_min, self.k_max, self.grid_size)
         dispersion = DispersionSchedule(self.dispersion_family, self.dispersion_params)
         schedule = AngleSchedule(self.schedule_kind, self.theta_max)
-        if self.rotation_builder == "nearest_neighbor":
-            rotation = nearest_neighbor_rotation(self.grid_size, schedule)
-        elif self.rotation_builder == "banded":
-            rotation = banded_rotation(self.grid_size, self.width, schedule)
-        else:
-            rotation = random_banded_rotation(self.grid_size, self.width, self.seed, schedule)
+        build, options = BUILDERS[self.rotation_builder]
+        rotation = build(self.grid_size, *(getattr(self, name) for name in options), schedule)
         return build_model(grid, dispersion, rotation)
 
     def build_partition(self) -> BandPartition:
@@ -215,23 +210,22 @@ def _validate(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
     if not k_max > k_min:
         raise ConfigError(f"[grid] needs k_max > k_min, got [{k_min}, {k_max}]")
 
-    family, params = v["dispersion_family"], v["dispersion_params"]
-    if family in ("linear", "quadratic") and len(params) != 2:
-        raise ConfigError(f"[dispersion] {family} family takes 2 params, got {len(params)}")
-    if family == "tabulated" and len(params) < 2:
-        raise ConfigError("[dispersion] tabulated family needs at least 2 params")
+    family = v["dispersion_family"]
+    if fault := FAMILIES[family].params_fault(len(v["dispersion_params"])):
+        raise ConfigError(f"[dispersion] {family} family {fault}")
 
     builder = v["rotation_builder"]
-    if builder in ("banded", "random_banded"):
+    _, options = BUILDERS[builder]
+    if "width" in options:
         if v["width"] is None:
             v["width"] = 1
-        if not 1 <= v["width"] < n:
-            raise ConfigError(f"[rotation] width must be in [1, N-1], got {v['width']}")
+        if fault := width_fault(n, v["width"]):
+            raise ConfigError(f"[rotation] {fault}")
     elif v["width"] is not None:
         raise ConfigError("[rotation] width only applies to the banded builders")
-    if builder == "random_banded":
+    if "seed" in options:
         if v["seed"] is None:
-            raise ConfigError("[rotation] random_banded builder needs a seed")
+            raise ConfigError(f"[rotation] {builder} builder needs a seed")
     elif v["seed"] is not None:
         raise ConfigError("[rotation] seed only applies to the random_banded builder")
 

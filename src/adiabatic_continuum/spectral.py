@@ -9,13 +9,16 @@ transport exact.
 
 All matrix exponentials go through the Hermitian eigendecomposition of iG,
 so frames stay unitary to roundoff for any angle.
+
+Each dispersion family, angle schedule and rotation builder is declared
+once, in FAMILIES, _SCHEDULES and BUILDERS; every behaviour reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -27,11 +30,6 @@ HBAR = 1.0
 
 # Two energies closer than this anywhere in s in [0, 1] count as degenerate.
 EPS_CROSS = 1e-9
-
-DISPERSION_FAMILIES = ("linear", "quadratic", "tabulated")
-ANGLE_SCHEDULES = ("cubic_ramp", "quadratic_ramp", "smoothstep", "linear_ramp")
-ROTATION_BUILDERS = ("nearest_neighbor", "banded", "random_banded")
-
 
 def _splitmix64(seed: int) -> Iterator[float]:
     """SplitMix64 stream mapped to floats in [0, 1).
@@ -61,8 +59,8 @@ class KGrid:
     def __post_init__(self):
         if self.size < 2:
             raise ConfigError(f"grid needs at least 2 nodes, got size={self.size}")
-        if not self.k_max > self.k_min:
-            raise ConfigError(f"grid needs k_max > k_min, got [{self.k_min}, {self.k_max}]")
+        if not (np.isfinite(self.k_min) and np.isfinite(self.k_max) and self.k_max > self.k_min):
+            raise ConfigError(f"grid needs finite k_min < k_max, got [{self.k_min}, {self.k_max}]")
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -75,67 +73,91 @@ class KGrid:
         return (self.k_max - self.k_min) / (self.size - 1)
 
 
+class DispersionFamily(NamedTuple):
+    """One dispersion family: kappa(k), its profile table and its params count.
+
+    table(params) gives f at uniform knots on [0, 1] and each segment's
+    slope; fixed_params is the exact count, or None for a table of at
+    least 2 samples.
+    """
+
+    kappa: Callable
+    table: Callable
+    fixed_params: int | None
+
+    def params_fault(self, count: int) -> str | None:
+        """What is wrong with `count` params, or None."""
+        if self.fixed_params is not None and count != self.fixed_params:
+            return f"takes {self.fixed_params} params, got {count}"
+        return "needs at least 2 params" if count < 2 else None
+
+
+def _affine_table(params):
+    # one segment from a to a + b, with the declared slope b, not the rounded (a + b) - a
+    a, b = params
+    return np.array([a, a + b]), np.array([b])
+
+
+def _sampled_table(params):
+    return np.asarray(params, dtype=float), np.diff(params) * (len(params) - 1)
+
+
+# linear: E = k*(a + b*s), quadratic: E = k^2*(a + b*s), params = (a, b);
+# tabulated: E = k*f(s), f piecewise linear through params
+FAMILIES = {
+    "linear": DispersionFamily(lambda k: k, _affine_table, 2),
+    "quadratic": DispersionFamily(lambda k: k * k, _affine_table, 2),
+    "tabulated": DispersionFamily(lambda k: k, _sampled_table, None),
+}
+DISPERSION_FAMILIES = tuple(FAMILIES)
+
+
 @dataclass(frozen=True)
 class DispersionSchedule:
-    """Dispersion E(k, s) with its profile's s-derivative and exact s-antiderivative.
+    """Dispersion E(k, s) = kappa(k) * f(s) with f's s-derivative and exact s-antiderivative.
 
-    Families
-    --------
-    linear:     E = k * (a + b*s),   params = (a, b)
-    quadratic:  E = k^2 * (a + b*s), params = (a, b)
-    tabulated:  E = k * f(s) with f piecewise-linear through params sampled
-                uniformly on s in [0, 1]
-
-    Every family is separable, E(k, s) = kappa(k) * profile(s).  The
-    accumulated phase integral(0..s) E ds' is closed form in every family
-    (polynomial or piecewise quadratic), so dynamical phases carry no
-    quadrature error.  The profile is linear between knots (the table's
-    sample points, or just 0 and 1 for the affine families), so its range
-    on any interval is exact from the ends and the knots inside.
+    The family's declaration in FAMILIES gives kappa and turns params into
+    the one table every method reads: f at uniform knots on [0, 1] and each
+    segment's slope.  f is linear between knots, so the phase
+    integral(0..s) E ds' is closed form and f's range on an interval is
+    exact from its ends and the knots inside.
     """
 
     family: str
     params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.family not in DISPERSION_FAMILIES:
+        if self.family not in FAMILIES:
             raise ConfigError(f"unknown dispersion family {self.family!r}")
-        if self.family in ("linear", "quadratic") and len(self.params) != 2:
-            raise ConfigError(f"{self.family} dispersion takes 2 params, got {len(self.params)}")
-        if self.family == "tabulated" and len(self.params) < 2:
-            raise ConfigError("tabulated dispersion needs at least 2 samples")
+        if fault := FAMILIES[self.family].params_fault(len(self.params)):
+            raise ConfigError(f"{self.family} family {fault}")
         if not all(np.isfinite(self.params)):
             raise ConfigError("dispersion params must be finite")
 
     def profile(self, s):
-        """Scalar factor f(s) multiplying kappa(k)."""
-        if self.family == "tabulated":
-            return np.interp(s, self.knots, self._table_f)
-        a, b = self.params
-        return a + b * np.asarray(s, dtype=float)
+        """Scalar factor f(s) multiplying kappa(k); exactly the table's value at a knot."""
+        s = np.asarray(s, dtype=float)
+        values, slopes, _ = self._table
+        # the segment starting at or below s; past the last knot, slope 0
+        seg = np.clip(np.searchsorted(self.knots, s, side="right") - 1, 0, len(values) - 1)
+        return values[seg] + np.append(slopes, 0.0)[seg] * (s - self.knots[seg])
 
     def profile_rate(self, s):
         """f'(s) (one-sided at tabulated kinks)."""
-        if self.family == "tabulated":
-            s = np.asarray(s, dtype=float)
-            seg = np.clip((s * (len(self.params) - 1)).astype(int), 0, len(self.params) - 2)
-            return self._table_slopes[seg]
-        return np.broadcast_to(float(self.params[1]), np.shape(s)).copy() if np.ndim(s) else float(self.params[1])
+        return self._table[1][self._segment(s)[0]]
 
     def profile_integral(self, s):
         """integral(0..s) of the profile; exact for each family."""
-        s = np.asarray(s, dtype=float)
-        if self.family != "tabulated":
-            a, b = self.params
-            return a * s + 0.5 * b * s * s
-        n_seg = len(self.params) - 1
-        x = s * n_seg
-        seg = np.clip(x.astype(int), 0, n_seg - 1)
-        frac = x - seg
-        f0 = self._table_f[seg]
-        slope = self._table_slopes[seg] / n_seg  # slope per unit frac
-        partial = (f0 * frac + 0.5 * slope * frac * frac) / n_seg
-        return self._cumulative[seg] + partial
+        values, slopes, before = self._table
+        seg, frac = self._segment(s)
+        n_seg = len(slopes)
+        return before[seg] + (values[seg] * frac + 0.5 * (slopes[seg] / n_seg) * frac * frac) / n_seg
+
+    def _segment(self, s):
+        """(segment index, position within it in [0, 1]) of each s."""
+        x = np.asarray(s, dtype=float) * len(self._table[1])
+        seg = np.clip(x.astype(int), 0, len(self._table[1]) - 1)
+        return seg, x - seg
 
     def profile_range(self, s0: float = 0.0, s1: float = 1.0) -> tuple[float, float]:
         """(min, max) of the profile on [s0, s1], exact: its ends and the knots inside."""
@@ -145,33 +167,25 @@ class DispersionSchedule:
 
     def zero_interval(self) -> tuple[float, float] | None:
         """First knot interval of [0, 1] on which the profile reaches 0, or None."""
-        f = self.profile(self.knots)
+        f = self._table[0]
         hits = np.flatnonzero(f[:-1] * f[1:] <= 0.0)
         return (float(self.knots[hits[0]]), float(self.knots[hits[0] + 1])) if hits.size else None
 
     @cached_property
     def knots(self) -> np.ndarray:
         """The profile's knots on [0, 1]: a table's sample points, or [0, 1] for an affine family."""
-        return np.linspace(0.0, 1.0, len(self.params))
+        return np.linspace(0.0, 1.0, len(self._table[0]))
 
     @cached_property
-    def _table_f(self) -> np.ndarray:
-        return np.asarray(self.params, dtype=float)
-
-    @cached_property
-    def _table_slopes(self) -> np.ndarray:
-        return np.diff(self._table_f) * (len(self.params) - 1)
-
-    @cached_property
-    def _cumulative(self) -> np.ndarray:
-        # integral of f over whole segments, prepended with 0
-        seg_areas = 0.5 * (self._table_f[:-1] + self._table_f[1:]) / (len(self.params) - 1)
-        return np.concatenate([[0.0], np.cumsum(seg_areas)])[:-1]
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(values at the knots, slope of each segment, integral of f before each segment)."""
+        values, slopes = FAMILIES[self.family].table(self.params)
+        areas = 0.5 * (values[:-1] + values[1:]) / len(slopes)
+        return values, slopes, np.concatenate([[0.0], np.cumsum(areas)])[:-1]
 
     def kappa(self, k):
-        """Label factor: k, or k^2 for the quadratic family."""
-        k = np.asarray(k, dtype=float)
-        return k * k if self.family == "quadratic" else k
+        """Label factor kappa(k) of the family."""
+        return FAMILIES[self.family].kappa(np.asarray(k, dtype=float))
 
     def energy(self, k, s):
         """E(k, s); broadcasts over k and s."""
@@ -194,65 +208,64 @@ def tabulated_dispersion(values) -> DispersionSchedule:
     return DispersionSchedule("tabulated", tuple(float(v) for v in values))
 
 
+class _Schedule(NamedTuple):
+    """theta, theta' and theta'' as functions of (theta_max, s), and the s where |theta'| peaks."""
+
+    angle: Callable
+    rate: Callable
+    accel: Callable
+    peak_s: float
+
+
+# theta(0) = 0 and theta(1) = theta_max for each; a constant derivative is
+# written with s ** 0, so it takes s's shape like the others
+_SCHEDULES = {
+    # theta_max s^3, the default: theta' = 0 only at s = 0, giving a
+    # single-endpoint 1/T transition asymptote
+    "cubic_ramp": _Schedule(
+        lambda t, s: t * s ** 3, lambda t, s: 3.0 * t * s ** 2, lambda t, s: 6.0 * t * s, 1.0
+    ),
+    "quadratic_ramp": _Schedule(
+        lambda t, s: t * s ** 2, lambda t, s: 2.0 * t * s, lambda t, s: 2.0 * t * s ** 0, 1.0
+    ),
+    # theta_max s^2 (3 - 2s): theta' = 0 at both ends, peaking mid-sweep
+    "smoothstep": _Schedule(
+        lambda t, s: t * s * s * (3.0 - 2.0 * s),
+        lambda t, s: 6.0 * t * s * (1.0 - s),
+        lambda t, s: 6.0 * t * (1.0 - 2.0 * s),
+        0.5,
+    ),
+    "linear_ramp": _Schedule(lambda t, s: t * s, lambda t, s: t * s ** 0, lambda t, s: 0.0 * s, 1.0),
+}
+ANGLE_SCHEDULES = tuple(_SCHEDULES)
+
+
 @dataclass(frozen=True)
 class AngleSchedule:
-    """Rotation angle theta(s) with theta(0) = 0 and derivative theta'(s).
-
-    Kinds
-    -----
-    cubic_ramp:     theta_max * s^3          (default; theta' = 0 only at s=0,
-                    giving a single-endpoint 1/T transition asymptote)
-    quadratic_ramp: theta_max * s^2
-    smoothstep:     theta_max * s^2 (3-2s)   (theta' = 0 at both ends)
-    linear_ramp:    theta_max * s
-    """
+    """Rotation angle theta(s) and its derivatives, read from the kind's declaration in _SCHEDULES."""
 
     kind: str
     theta_max: float
 
     def __post_init__(self):
-        if self.kind not in ANGLE_SCHEDULES:
+        if self.kind not in _SCHEDULES:
             raise ConfigError(f"unknown angle schedule {self.kind!r}")
         if not np.isfinite(self.theta_max):
             raise ConfigError("theta_max must be finite")
 
     def angle(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.kind == "cubic_ramp":
-            return self.theta_max * s ** 3
-        if self.kind == "quadratic_ramp":
-            return self.theta_max * s ** 2
-        if self.kind == "smoothstep":
-            return self.theta_max * s * s * (3.0 - 2.0 * s)
-        return self.theta_max * s
+        return _SCHEDULES[self.kind].angle(self.theta_max, np.asarray(s, dtype=float))
 
     def angle_rate(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.kind == "cubic_ramp":
-            return 3.0 * self.theta_max * s ** 2
-        if self.kind == "quadratic_ramp":
-            return 2.0 * self.theta_max * s
-        if self.kind == "smoothstep":
-            return 6.0 * self.theta_max * s * (1.0 - s)
-        return np.broadcast_to(self.theta_max, s.shape).copy() if s.ndim else self.theta_max
+        return _SCHEDULES[self.kind].rate(self.theta_max, np.asarray(s, dtype=float))
 
     def max_rate(self) -> float:
-        """max |theta'(s)| over s in [0, 1], exact: |theta'(1/2)| for smoothstep, else |theta'(1)|.
-
-        |theta'| grows monotonically on [0, 1] for every ramp and peaks
-        mid-sweep for smoothstep, so one evaluation is the maximum.
-        """
-        return float(abs(self.angle_rate(0.5 if self.kind == "smoothstep" else 1.0)))
+        """max |theta'(s)| over s in [0, 1], exact: one evaluation at the schedule's declared peak."""
+        return float(abs(self.angle_rate(_SCHEDULES[self.kind].peak_s)))
 
     def angle_accel(self, s):
         """theta''(s), closed form; never probes outside the given s."""
-        s = np.asarray(s, dtype=float)
-        if self.kind == "cubic_ramp":
-            return 6.0 * self.theta_max * s
-        if self.kind == "smoothstep":
-            return 6.0 * self.theta_max * (1.0 - 2.0 * s)
-        accel = 2.0 * self.theta_max if self.kind == "quadratic_ramp" else 0.0
-        return np.full(s.shape, accel) if s.ndim else accel
+        return _SCHEDULES[self.kind].accel(self.theta_max, np.asarray(s, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -261,12 +274,13 @@ class FrameRotation:
 
     generator: np.ndarray
     schedule: AngleSchedule
-    builder: str = "custom"
 
     def __post_init__(self):
         g = np.asarray(self.generator, dtype=complex)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ConfigError(f"rotation generator must be square, got shape {g.shape}")
+        if not np.isfinite(g).all():
+            raise ConfigError("rotation generator entries must be finite")
         if np.abs(g + g.conj().T).max() > 1e-14:
             raise ConfigError("rotation generator must be anti-Hermitian (|G + G^dag| <= 1e-14)")
         if np.abs(np.diag(g)).max() != 0.0:
@@ -276,40 +290,50 @@ class FrameRotation:
         object.__setattr__(self, "generator", g)
 
 
-def nearest_neighbor_rotation(n: int, schedule: AngleSchedule) -> FrameRotation:
-    """Adjacent-plane rotation generator: G[j, j+1] = 1 = -G[j+1, j]."""
+def width_fault(n: int, width: int) -> str | None:
+    """What is wrong with a band width for an n x n generator, or None."""
+    return None if 1 <= width < n else f"width must be in [1, N-1], got {width}"
+
+
+def _band_rotation(n: int, width: int, schedule: AngleSchedule, draw) -> FrameRotation:
+    """G[j, j+w] = draw(n - w) on each offset w = 1..width, and G[j+w, j] = -conj(G[j, j+w])."""
+    if fault := width_fault(n, width):
+        raise ConfigError(f"band {fault}")
     g = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n - 1)
-    g[idx, idx + 1] = 1.0
-    g[idx + 1, idx] = -1.0
-    return FrameRotation(g, schedule, builder="nearest_neighbor")
+    for w in range(1, width + 1):
+        idx = np.arange(n - w)
+        g[idx, idx + w] = draw(n - w)
+        g[idx + w, idx] = -g[idx, idx + w].conj()
+    return FrameRotation(g, schedule)
+
+
+def nearest_neighbor_rotation(n: int, schedule: AngleSchedule) -> FrameRotation:
+    """Adjacent-plane rotation generator G[j, j+1] = 1 = -G[j+1, j]: the band of width 1."""
+    return banded_rotation(n, 1, schedule)
 
 
 def banded_rotation(n: int, width: int, schedule: AngleSchedule) -> FrameRotation:
     """Unit couplings on all offsets 1..width."""
-    if width < 1 or width >= n:
-        raise ConfigError(f"band width must be in [1, n-1], got {width}")
-    g = np.zeros((n, n), dtype=complex)
-    for w in range(1, width + 1):
-        idx = np.arange(n - w)
-        g[idx, idx + w] = 1.0
-        g[idx + w, idx] = -1.0
-    return FrameRotation(g, schedule, builder="banded")
+    return _band_rotation(n, width, schedule, lambda count: 1.0)
 
 
 def random_banded_rotation(n: int, width: int, seed: int, schedule: AngleSchedule) -> FrameRotation:
-    """Seeded complex banded generator; entries from a SplitMix64 stream."""
-    if width < 1 or width >= n:
-        raise ConfigError(f"band width must be in [1, n-1], got {width}")
+    """Seeded complex banded generator; entries from a SplitMix64 stream, real part first."""
     stream = _splitmix64(int(seed))
-    g = np.zeros((n, n), dtype=complex)
-    for w in range(1, width + 1):
-        for j in range(n - w):
-            re = 2.0 * next(stream) - 1.0
-            im = 2.0 * next(stream) - 1.0
-            g[j, j + w] = re + 1j * im
-            g[j + w, j] = -(re - 1j * im)
-    return FrameRotation(g, schedule, builder="random_banded")
+
+    def draw(count):
+        return [complex(2.0 * next(stream) - 1.0, 2.0 * next(stream) - 1.0) for _ in range(count)]
+
+    return _band_rotation(n, width, schedule, draw)
+
+
+# name -> (build, options): build(n, *options, schedule) takes the named options in order
+BUILDERS = {
+    "nearest_neighbor": (nearest_neighbor_rotation, ()),
+    "banded": (banded_rotation, ("width",)),
+    "random_banded": (random_banded_rotation, ("width", "seed")),
+}
+ROTATION_BUILDERS = tuple(BUILDERS)
 
 
 @dataclass(eq=False, frozen=True)

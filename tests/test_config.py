@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,10 @@ def test_unknown_section_and_key_rejected(write_config):
         load_config(write_config({"grid": {"spacing": 0.1}}))
 
 
+def _exactly(message: str) -> str:
+    return f"^{re.escape(message)}$"
+
+
 @pytest.mark.parametrize(
     "overrides, needle",
     [
@@ -120,6 +125,21 @@ def test_unknown_section_and_key_rejected(write_config):
         ({"dispersion": {"family": "tabulated", "params": "1.0"}}, "at least 2"),
         ({"rotation": {"builder": "random_banded", "seed": "x"}}, "integer"),
         ({"rotation": {"theta_max": "inf"}}, "finite"),
+        # the messages read from the family and builder declarations, in full
+        ({"dispersion": {"params": "1.0"}}, _exactly("[dispersion] linear family takes 2 params, got 1")),
+        ({"dispersion": {"family": "tabulated", "params": "1.0"}},
+         _exactly("[dispersion] tabulated family needs at least 2 params")),
+        ({"rotation": {"builder": "banded", "width": "16"}},
+         _exactly("[rotation] width must be in [1, N-1], got 16")),
+        ({"rotation": {"width": "1"}}, _exactly("[rotation] width only applies to the banded builders")),
+        ({"rotation": {"builder": "random_banded"}}, _exactly("[rotation] random_banded builder needs a seed")),
+        ({"rotation": {"seed": "7"}}, _exactly("[rotation] seed only applies to the random_banded builder")),
+        ({"dispersion": {"family": "cubic"}},
+         _exactly("[dispersion] family = 'cubic' is not one of linear, quadratic, tabulated")),
+        ({"rotation": {"builder": "dense"}},
+         _exactly("[rotation] builder = 'dense' is not one of nearest_neighbor, banded, random_banded")),
+        ({"rotation": {"schedule": "quartic"}},
+         _exactly("[rotation] schedule = 'quartic' is not one of cubic_ramp, quadratic_ramp, smoothstep, linear_ramp")),
     ],
 )
 def test_validation_messages_name_the_constraint(write_config, overrides, needle):

@@ -8,7 +8,13 @@ import json
 
 import pytest
 
-from adiabatic_continuum import ConfigError, load_config
+from adiabatic_continuum import (
+    ANGLE_SCHEDULES,
+    DISPERSION_FAMILIES,
+    ROTATION_BUILDERS,
+    ConfigError,
+    load_config,
+)
 from adiabatic_continuum.runner import (
     cmd_bands,
     cmd_criterion,
@@ -315,4 +321,22 @@ def test_pipeline_modules_import_no_private_sibling_name():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 offenders += [f"{name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert offenders == []
+
+
+def test_no_module_compares_against_a_declared_name():
+    # each angle schedule, dispersion family and rotation builder is declared
+    # once in spectral; code reads that declaration instead of testing the name
+    names = {*ANGLE_SCHEDULES, *DISPERSION_FAMILIES, *ROTATION_BUILDERS}
+    offenders = []
+    for path in sorted((SRC / "adiabatic_continuum").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            if not any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops):
+                continue
+            operands = [node.left, *node.comparators]
+            items = [e for o in operands for e in (o.elts if isinstance(o, (ast.Tuple, ast.List, ast.Set)) else [o])]
+            if any(isinstance(e, ast.Constant) and e.value in names for e in items):
+                offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []

@@ -50,6 +50,9 @@ def test_grid_validation():
         KGrid(2.0, 1.0, 8)
     with pytest.raises(ConfigError):
         KGrid(1.0, 1.0, 8)
+    for k_min, k_max in [(1.0, np.inf), (-np.inf, 1.0), (-np.inf, np.inf)]:
+        with pytest.raises(ConfigError, match="finite"):
+            KGrid(k_min, k_max, 16)
 
 
 # ---- dispersion families ---------------------------------------------------
@@ -112,6 +115,22 @@ def test_tabulated_phase_matches_trapezoid():
 def test_linear_phase_closed_form(a, b, s):
     disp = linear_dispersion(a, b)
     assert disp.phase(1.0, s) == pytest.approx(a * s + b * s * s / 2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("make", [linear_dispersion, quadratic_dispersion], ids=["linear", "quadratic"])
+def test_affine_profiles_keep_their_closed_forms(make):
+    # a one-segment table with the declared slope b reproduces a + b*s, its
+    # integral a*s + b*s^2/2 and its rate b bitwise, not only to roundoff
+    s = np.concatenate([np.linspace(0.0, 1.0, 101), [1e-300, 0.3, 1.0 - 2.0**-53]])
+    params = [(1.0, 1.0), (1.0, 0.5), (1.0, 1e-10), (1.0, 0.3), (0.7, 1.9), (2.0, -1.5)]
+    params += [tuple(p) for p in np.random.default_rng(7).uniform(-3.0, 3.0, (20, 2))]
+    for a, b in params:
+        disp = make(a, b)
+        assert np.array_equal(disp.profile(s), a + b * s)
+        assert np.array_equal(disp.profile_integral(s), a * s + 0.5 * b * s * s)
+        assert np.array_equal(disp.profile_rate(s), np.full(s.shape, b))
+        assert [disp.profile(x) for x in (0.0, 0.3, 1.0)] == [a, a + b * 0.3, a + b]
+        assert disp.profile_rate(0.3) == b
 
 
 def test_dispersion_rejects_unknown_family():
@@ -204,6 +223,16 @@ def test_random_banded_rotation_deterministic():
     assert not np.array_equal(g1, g3)
     assert np.allclose(g1, -g1.conj().T)
     assert np.all(np.diag(g1) == 0.0)
+    # the stated stream order: offsets outward, rows down, real part first
+    stream = _splitmix64(1234)
+    ref = np.zeros((8, 8), dtype=complex)
+    for w in (1, 2):
+        for j in range(8 - w):
+            re = 2.0 * next(stream) - 1.0
+            im = 2.0 * next(stream) - 1.0
+            ref[j, j + w] = re + 1j * im
+            ref[j + w, j] = -(re - 1j * im)
+    assert np.array_equal(g1, ref)
 
 
 def test_splitmix_stream_is_stable():
@@ -222,6 +251,10 @@ def test_frame_rotation_rejects_bad_generators():
     diag = np.array([[1.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(ConfigError):
         FrameRotation(diag, sched)
+    # |G + G^dag| of a NaN entry is NaN, which no tolerance comparison rejects
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            FrameRotation(np.array([[0.0, bad], [-bad, 0.0]]), sched)
 
 
 # ---- frame bundle ----------------------------------------------------------
