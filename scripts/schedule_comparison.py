@@ -38,22 +38,29 @@ def main() -> None:
     ap.add_argument("--steps", type=int, default=12000)
     args = ap.parse_args()
 
-    last = args.durations.split(",")[-1].strip()
-    print(f"{'schedule':>16}  {'slope':>8}  {'r^2':>8}  eta at T={float(last):g}")
-    for kind in ANGLE_SCHEDULES:
-        overrides = {
-            ("rotation", "schedule"): kind,
-            ("run", "T_list"): args.durations,
-            ("run", "steps"): str(args.steps),
-        }
-        try:
-            _, record, _, _ = cmd_sweep(load_config(SWEEP_CFG, overrides))
-        except (ConfigError, CrossingError, NoExteriorError, AnalysisError) as exc:
-            sys.exit(f"{type(exc).__name__}: {exc}")
-        fit = record["fit"]
-        print(
-            f"{kind:>16}  {fit['slope']:8.3f}  {fit['r_squared']:8.5f}  {record['rows'][-1]['eta_exact']:.4e}"
-        )
+    try:
+        # every schedule's config is loaded before the first sweep, so a
+        # malformed list stops the script before any output
+        configs = [
+            load_config(
+                SWEEP_CFG,
+                {
+                    ("rotation", "schedule"): kind,
+                    ("run", "T_list"): args.durations,
+                    ("run", "steps"): str(args.steps),
+                },
+            )
+            for kind in ANGLE_SCHEDULES
+        ]
+        print(f"{'schedule':>16}  {'slope':>8}  {'r^2':>8}  eta at T={configs[0].duration_list[-1]:g}")
+        for kind, config in zip(ANGLE_SCHEDULES, configs):
+            _, record, _, _ = cmd_sweep(config)
+            fit = record["fit"]
+            print(
+                f"{kind:>16}  {fit['slope']:8.3f}  {fit['r_squared']:8.5f}  {record['rows'][-1]['eta_exact']:.4e}"
+            )
+    except (ConfigError, CrossingError, NoExteriorError, AnalysisError) as exc:
+        sys.exit(f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -58,11 +58,18 @@ def _parse_int(section: str, key: str, raw: str) -> int:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from None
 
 
+def _list_items(section: str, key: str, raw: str, empty: str) -> list[str]:
+    """The stripped comma-separated entries of raw; no entry (message `empty`) or a blank one among others is an error."""
+    items = [p.strip() for p in raw.split(",")]
+    if not any(items):
+        raise ConfigError(f"[{section}] {key} {empty}")
+    if not all(items):
+        raise ConfigError(f"[{section}] {key} = {raw!r} has an empty entry")
+    return items
+
+
 def _parse_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
-    items = [p.strip() for p in raw.split(",") if p.strip()]
-    if not items:
-        raise ConfigError(f"[{section}] {key} is an empty list")
-    return tuple(_parse_float(section, key, p) for p in items)
+    return tuple(_parse_float(section, key, p) for p in _list_items(section, key, raw, "is an empty list"))
 
 
 def _tag(allowed):
@@ -84,9 +91,7 @@ def _parse_directory(section: str, key: str, raw: str) -> str:
 
 
 def _parse_formats(section: str, key: str, raw: str) -> tuple[str, ...]:
-    formats = tuple(dict.fromkeys(p.strip() for p in raw.split(",") if p.strip()))
-    if not formats:
-        raise ConfigError(f"[{section}] {key} must name at least one of json, csv")
+    formats = tuple(dict.fromkeys(_list_items(section, key, raw, "must name at least one of json, csv")))
     for fmt in formats:
         if fmt not in _FORMATS:
             raise ConfigError(f"[{section}] unknown format {fmt!r}; pick from {_FORMATS}")

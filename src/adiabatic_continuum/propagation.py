@@ -43,22 +43,24 @@ faster for finals alone, but it rounds differently from the sequential
 path and would fork the two.
 
 The CF4 propagator and both stepped transports share one kernel in the
-same basis.  There V^dag H(s) V = E(theta) B(s) E(theta)^dag with
-B(s) = V^dag diag(E(s)) V, and V^dag K(s) V = theta'(s) E(theta) C E(theta)^dag
-with the constant core C = V^dag (i hbar G_masked) V.  A chunk builds the
-stage matrices at all its Gauss nodes (two per CF4 step, one per midpoint
-step) with E(theta) as an elementwise phase and exponentiates the whole
-stack at once with a truncated Taylor series (_expm): the degree (at
-most 16, evaluated by Paterson-Stockmeyer in at most six matrix
-products) and the number of squarings follow from the chunk's largest
-1-norm and the double-precision backward-error thresholds of Al-Mohy
-and Higham.  It composes the steps in order with one N x N matmul each,
-again with no frame rebuild.  A zero stage gives the identity and a
-diagonal one a diagonal step, exactly, so a frozen frame keeps its exact
-transport and diagonal propagator.  The transport keeps the generic core
-C, formed by matmul, instead of its diagonal in exact arithmetic (hbar
-diag(lam) for kato_state): with the diagonal, the stepped transport would
-be the closed form by construction and would no longer check it.
+same basis and one stage form, a scalar rate times a constant core:
+every dispersion family is separable, E(k, s) = kappa(k) f(s), so
+V^dag H(s) V = f(s) E(theta) B E(theta)^dag with B = V^dag diag(kappa) V, and
+V^dag K(s) V = theta'(s) E(theta) C E(theta)^dag with C = V^dag (i hbar G_masked) V,
+each core formed once per evolution.  A chunk builds the stage matrices
+at all its Gauss nodes (two per CF4 step, one per midpoint step) with
+E(theta) as an elementwise phase and exponentiates the whole stack at
+once with a truncated Taylor series (_expm): the degree (at most 16,
+evaluated by Paterson-Stockmeyer in at most six matrix products) and the
+number of squarings follow from the chunk's largest 1-norm and the
+double-precision backward-error thresholds of Al-Mohy and Higham.  It
+composes the steps in order with one N x N matmul each, again with no
+frame rebuild.  A zero stage gives the identity and a diagonal one a
+diagonal step, exactly, so a frozen frame keeps its exact transport and
+diagonal propagator.  The transport keeps the generic core C instead of
+its diagonal in exact arithmetic (hbar diag(lam) for kato_state): with
+the diagonal, the stepped transport would be the closed form by
+construction and would no longer check it.
 
 No command stores the families.  simulate reads U(1) from
 final_propagators and W(1) from final_residuals, as sweeps do, and the
@@ -379,15 +381,15 @@ def _midpoint_chunks(model: ContinuumModel, durations, steps: int, every_node: b
         yield (lambda i, sm=sm: model.frame_matrix(sm[i])), (xs if every_node else x[None])
 
 
-def _stages(model: ContinuumModel, s: np.ndarray, scheme: str, core) -> np.ndarray:
+def _stages(model: ContinuumModel, s: np.ndarray, scheme: str, rate, core: np.ndarray) -> np.ndarray:
     """The Hermitian stage matrices of the steps whose Gauss nodes are s, in the frame eigenbasis.
 
-    Each node contributes E(theta) X(s) E(theta)^dag with X = core(s); a
-    CF4 step mixes its two nodes with the commutator-free weights.
+    Each node contributes rate(s) E(theta) core E(theta)^dag; a CF4 step
+    mixes its two nodes with the commutator-free weights.
     """
     lam = model.frame_eigensystem[0]
     e = np.exp(-1j * np.multiply.outer(model.rotation.schedule.angle(s), lam))
-    h = core(s)
+    h = np.multiply.outer(rate(s), core)
     h *= e[:, :, None]
     h *= e.conj()[:, None, :]
     if scheme == MIDPOINT:
@@ -450,13 +452,13 @@ def _add_block(x: np.ndarray, powers: list, lo: int, top: int):
     x[..., d, d] += 1.0 / math.factorial(lo)
 
 
-def _expm_chunks(model: ContinuumModel, steps: int, scheme: str, core, scale: float):
+def _expm_chunks(model: ContinuumModel, steps: int, scheme: str, rate, core: np.ndarray, scale: float):
     """Yield (frame, Z) for consecutive chunks of the nodes s_1..s_steps of i dY/ds = scale H(s) Y.
 
-    H is the Hamiltonian or the transport generator.  In the frame
-    eigenbasis V^dag H(s) V = E(theta) X(s) E(theta)^dag, and core(s) stacks
-    the X(s) over an array of s.  Z stacks the V^dag Y_k, from Y_0 = I, and
-    frame(i) is V at every node, so Y_k = frame(k) @ Z_k.
+    H is the Hamiltonian or the transport generator, V^dag H(s) V =
+    rate(s) E(theta) core E(theta)^dag, with rate taking an array of s.  Z
+    stacks the V^dag Y_k, from Y_0 = I, and frame(i) is V at every node, so
+    Y_k = frame(k) @ Z_k.
     """
     v = model.frame_eigensystem[1]
     n = model.size
@@ -466,7 +468,7 @@ def _expm_chunks(model: ContinuumModel, steps: int, scheme: str, core, scale: fl
     z = v.conj().T.copy()
     for lo in range(0, steps, chunk):
         s = np.add.outer(np.arange(lo, min(lo + chunk, steps)) * ds, nodes).ravel()
-        h = _stages(model, s, scheme, core)
+        h = _stages(model, s, scheme, rate, core)
         h *= -1j * scale * ds
         x = _expm(h)
         if scheme == CF4:
@@ -488,14 +490,9 @@ def _propagator_chunks(model: ContinuumModel, config: PropagationConfig):
     if config.scheme == MIDPOINT:
         return ((f, x[:, 0]) for f, x in _midpoint_chunks(model, [config.duration], config.steps))
     v = model.frame_eigensystem[1]
-    vh = v.conj().T
-    n = model.size
-
-    def core(s):
-        # every B = V^dag diag(E(s)) V of the chunk from one (nodes*N, N) x (N, N) GEMM
-        return ((vh * model.energies(s)[:, None, :]).reshape(-1, n) @ v).reshape(-1, n, n)
-
-    return _expm_chunks(model, config.steps, config.scheme, core, config.duration / HBAR)
+    # the constant core B = V^dag diag(kappa) V, so V^dag H(s) V = f E B E^dag
+    b = (v.conj().T * model.dispersion.kappa(model.grid.nodes)) @ v
+    return _expm_chunks(model, config.steps, config.scheme, model.dispersion.profile, b, config.duration / HBAR)
 
 
 def _check_propagator_budget(model: ContinuumModel, config: PropagationConfig):
@@ -584,11 +581,7 @@ def _intertwiner_chunks(model: ContinuumModel, variant: GeneratorVariant, steps:
     v = model.frame_eigensystem[1]
     # the constant core C = V^dag (i hbar G_masked) V, so V^dag K(s) V = theta' E C E^dag
     c = v.conj().T @ (1j * HBAR * _masked_generator(model, variant)) @ v
-
-    def core(s):
-        return np.multiply.outer(model.rotation.schedule.angle_rate(s), c)
-
-    return _expm_chunks(model, steps, scheme, core, 1.0 / HBAR)
+    return _expm_chunks(model, steps, scheme, model.rotation.schedule.angle_rate, c, 1.0 / HBAR)
 
 
 def _check_intertwiner(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str):

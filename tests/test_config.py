@@ -140,6 +140,12 @@ def _exactly(message: str) -> str:
          _exactly("[rotation] builder = 'dense' is not one of nearest_neighbor, banded, random_banded")),
         ({"rotation": {"schedule": "quartic"}},
          _exactly("[rotation] schedule = 'quartic' is not one of cubic_ramp, quadratic_ramp, smoothstep, linear_ramp")),
+        # an empty entry next to non-empty ones is a fault, not skipped
+        ({"dispersion": {"params": "1.0,,1.3, 2.0"}},
+         _exactly("[dispersion] params = '1.0,,1.3, 2.0' has an empty entry")),
+        ({"run": {"T": None, "T_list": "50, , 100, 200,"}},
+         _exactly("[run] T_list = '50, , 100, 200,' has an empty entry")),
+        ({"output": {"formats": "json,,csv"}}, _exactly("[output] formats = 'json,,csv' has an empty entry")),
     ],
 )
 def test_validation_messages_name_the_constraint(write_config, overrides, needle):

@@ -304,6 +304,23 @@ def test_verify_by_parts_passes_on_a_kinked_profile():
         assert row["measured"] <= row["tolerance"]
 
 
+@pytest.mark.xfail(strict=True, reason="CF4 stages read the profile at the Gauss nodes, across its kinks")
+def test_verify_frozen_frame_passes_on_a_kinked_profile_with_cf4():
+    # the kinks at s = 1/3 and 2/3 fall inside CF4 steps at the shipped
+    # 4000 steps; today max|U - Phi| reads 6.13e-08 against 1e-10.  The
+    # mend must hold at this step count, so remove the marker with it
+    overrides = {
+        ("dispersion", "family"): "tabulated",
+        ("dispersion", "params"): "1.0, 1.3, 1.9, 2.0",
+        ("rotation", "schedule"): "smoothstep",
+        ("run", "scheme"): "fourth_order_commutator_free",
+        ("run", "steps"): "4000",
+    }
+    cfg = load_config(SRC.parent / "configs" / "default.cfg", overrides)
+    row = dict(_CHECKS)["frozen_frame"](cfg, cfg.build_model(), cfg.build_partition())
+    assert row["passed"], row
+
+
 def test_verify_by_parts_takes_the_longest_duration_of_a_sweep():
     # as unitarity and frozen_frame do: the largest T has the fastest phases
     cfg = load_config(SRC.parent / "configs" / "sweep.cfg")

@@ -46,6 +46,7 @@ from adiabatic_continuum import (
     phase_family,
     phase_operator,
     propagator_step_budget,
+    quadratic_dispersion,
     random_banded_rotation,
     stream_families,
     tabulated_dispersion,
@@ -231,12 +232,13 @@ def _kernel_models():
         "tabulated": make_model(
             kind="smoothstep", dispersion=tabulated_dispersion([1.0, 1.6, 0.7, 1.2])
         ),
+        "quadratic": make_model(dispersion=quadratic_dispersion()),
         "frozen": make_model(theta_max=0.0),
     }
 
 
 KERNEL_STEPS = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
-KERNEL_MODELS = ["nearest_neighbor", "random_banded", "tabulated", "frozen"]
+KERNEL_MODELS = ["nearest_neighbor", "random_banded", "tabulated", "quadratic", "frozen"]
 
 
 @pytest.mark.parametrize("steps", KERNEL_STEPS)
@@ -317,19 +319,20 @@ def test_final_intertwiner_is_last_node_bitwise(default_model, default_part, sch
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_stepped_families_rebuild_no_frame_per_step(monkeypatch, default_part, scheme):
-    # the stepped kernels take the frame from its cached eigensystem and
-    # their step exponentials from Taylor polynomials, so the frame,
-    # Hamiltonian and generator builds and the eigh calls they make do not
-    # grow with steps; the one eigh left is the frame's eigensystem
-    calls = {"frame_matrix": 0, "hamiltonian": 0, "generator": 0, "eigh": 0}
-    for cls, name in ((ContinuumModel, "frame_matrix"), (ContinuumModel, "hamiltonian")):
-        original = getattr(cls, name)
+    # the stepped kernels take the frame from its cached eigensystem, their
+    # stages from one constant core and their step exponentials from Taylor
+    # polynomials, so the frame, Hamiltonian and generator builds and the
+    # eigh calls they make do not grow with steps; the one eigh left is the
+    # frame's eigensystem, and no per-node energy matrix is built
+    calls = {"frame_matrix": 0, "hamiltonian": 0, "energies": 0, "generator": 0, "eigh": 0}
+    for name in ("frame_matrix", "hamiltonian", "energies"):
+        original = getattr(ContinuumModel, name)
 
         def recorder(self, s, _original=original, _name=name):
             calls[_name] += 1
             return _original(self, s)
 
-        monkeypatch.setattr(cls, name, recorder)
+        monkeypatch.setattr(ContinuumModel, name, recorder)
     original_generator = propagation.generator
 
     def generator_recorder(*args, **kwargs):
@@ -354,6 +357,7 @@ def test_stepped_families_rebuild_no_frame_per_step(monkeypatch, default_part, s
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert counts[0]["eigh"] == 1
+    assert counts[0]["energies"] == 0
 
 
 def test_midpoint_kernel_shrinks_chunks_on_large_grids():

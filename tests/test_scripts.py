@@ -45,6 +45,18 @@ def test_schedule_comparison_keeps_the_gap_margin_check():
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("durations", ["50,100,200,", "50,x,200"])
+def test_schedule_comparison_reports_a_malformed_duration_list(durations):
+    # the header's T comes from the loaded config, so a malformed list
+    # stops on the config error before any output, not in a traceback
+    script = str(ROOT / "scripts" / "schedule_comparison.py")
+    result = run_python(script, "--durations", durations, "--steps", "2000", cwd=ROOT)
+    assert result.returncode != 0
+    assert result.stderr.startswith("ConfigError: [run] T_list = ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 def test_readme_library_example_runs_as_printed():
     # the "Library use" block verbatim, so the example cannot drift from the code
     readme = (ROOT / "README.md").read_text()
