@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from adiabatic_continuum import AnalysisError, ConfigError, CrossingError, NoExteriorError, load_config
+from adiabatic_continuum import load_config
 from adiabatic_continuum.cli import _retain_freed_heap
+from adiabatic_continuum.errors import HarnessError
 from adiabatic_continuum.runner import cmd_sweep
 
 
@@ -26,7 +27,7 @@ def main() -> None:
 
     try:
         _, record, _, _ = cmd_sweep(load_config(args.config))
-    except (ConfigError, CrossingError, NoExteriorError, AnalysisError) as exc:
+    except HarnessError as exc:
         sys.exit(f"{type(exc).__name__}: {exc}")
 
     print(f"{'T':>8}  {'eta_exact':>12}  {'eta_first':>12}  {'ratio':>8}  {'w_dev*T':>10}")

@@ -17,15 +17,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from adiabatic_continuum import (
-    ANGLE_SCHEDULES,
-    AnalysisError,
-    ConfigError,
-    CrossingError,
-    NoExteriorError,
-    load_config,
-)
+from adiabatic_continuum import ANGLE_SCHEDULES, load_config
 from adiabatic_continuum.cli import _retain_freed_heap
+from adiabatic_continuum.errors import HarnessError
 from adiabatic_continuum.runner import cmd_sweep
 
 SWEEP_CFG = Path(__file__).resolve().parents[1] / "configs" / "sweep.cfg"
@@ -59,7 +53,7 @@ def main() -> None:
             print(
                 f"{kind:>16}  {fit['slope']:8.3f}  {fit['r_squared']:8.5f}  {record['rows'][-1]['eta_exact']:.4e}"
             )
-    except (ConfigError, CrossingError, NoExteriorError, AnalysisError) as exc:
+    except HarnessError as exc:
         sys.exit(f"{type(exc).__name__}: {exc}")
 
 

@@ -284,8 +284,12 @@ def leakage_reports(
 
     simulate and sweep_leakage both pass the finals of final_propagators
     and final_residuals, so the two agree bitwise at the same T, steps,
-    scheme and variant.
+    scheme and variant.  The three sequences must pair one to one.
     """
+    if not len(durations) == len(u1s) == len(w1s):
+        raise ConfigError(
+            f"leakage_reports got {len(durations)} durations, {len(u1s)} finals U(1) and {len(w1s)} W(1)"
+        )
     band = part.band_of(j0)
     return [
         LeakageReport(

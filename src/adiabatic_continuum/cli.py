@@ -3,11 +3,18 @@
 Exit codes:
   0  success
   1  a verification invariant failed
-  2  configuration or step-budget error
+  2  configuration or step-budget error, unusable output directory, or
+     leakages the sweep cannot fit
   3  band crossing or degenerate spectrum
   4  adiabatic criterion not satisfied
   5  no exterior states (band covers the whole grid)
   6  no feasible band size for the requested duration and margin
+
+A command returns 0, 1 (verify), 4 (criterion) or 6 (bands) as its own
+verdict, after its outputs are written.  Every other code comes from the
+``errors.HarnessError`` the run raised, whose class carries the code and
+the stderr label.  The subcommands are the entries of ``runner.COMMANDS``,
+in order, each helped by its function's docstring.
 
 Allocator policy: ``main`` first raises glibc's mmap and trim thresholds
 (``_retain_freed_heap``), so the 0.25-2 MiB temporaries each propagator
@@ -30,13 +37,7 @@ import ctypes
 import sys
 
 from .config import load_config
-from .errors import (
-    AnalysisError,
-    ConfigError,
-    CrossingError,
-    NoExteriorError,
-    NoFeasibleBandError,
-)
+from .errors import ConfigError, HarnessError
 from .propagation import _CHUNK_BYTES
 from .runner import COMMANDS, output_files, write_outputs
 
@@ -56,23 +57,14 @@ _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_BYTES = 16 * _CHUNK_BYTES
 _TRIM_THRESHOLD_BYTES = 32 * _CHUNK_BYTES
 
-_COMMAND_HELP = {
-    "simulate": "run one duration and report leakage, criterion, and diagnostics",
-    "sweep": "run a duration sweep, fit the leakage decay, and write sweep.csv",
-    "criterion": "evaluate the coupling/gap validity criterion",
-    "bands": "plan the smallest feasible band size for the configured duration",
-    "verify": "run the six-invariant self-check battery",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adiabatic-continuum",
         description="band transport and leakage experiments on discretized continua",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in _COMMAND_HELP.items():
-        cmd = sub.add_parser(name, help=text)
+    for name, fn in COMMANDS.items():
+        cmd = sub.add_parser(name, help=fn.__doc__)
         cmd.add_argument("--config", required=True, help="experiment file (INI sections)")
         cmd.add_argument("--out", default=None, help="override [output] directory")
         cmd.add_argument("--jobs", type=int, default=1, help="no effect (commands run on one thread); must be >= 1")
@@ -111,21 +103,9 @@ def main(argv=None) -> int:
         config = load_config(args.config, overrides)
         code, record, csv_text, lines = COMMANDS[args.command](config)
         out = write_outputs(config, record, csv_text)
-    except ConfigError as exc:  # includes StepBudgetError
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except CrossingError as exc:  # includes DegenerateSpectrumError
-        print(f"crossing: {exc}", file=sys.stderr)
-        return 3
-    except NoExteriorError as exc:
-        print(f"no exterior: {exc}", file=sys.stderr)
-        return 5
-    except NoFeasibleBandError as exc:
-        print(f"no feasible band: {exc}", file=sys.stderr)
-        return 6
-    except AnalysisError as exc:
-        print(f"analysis error: {exc}", file=sys.stderr)
-        return 2
+    except HarnessError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     for line in lines:
         print(line)
     written = output_files(config, csv_text)

@@ -1,15 +1,25 @@
 """Exception classes shared across the package.
 
-Each class maps to one CLI exit code (see the exit-code table in the
-docstring of the cli module); keeping them distinct lets the harness report
-failures without string matching.
+Every class derives from HarnessError and carries its CLI exit code and
+stderr label (the codes are tabled in the docstring of the cli module), so
+``cli.main`` reports any of them with one clause and the scripts catch
+them by one name, without string matching.
 """
 
 from __future__ import annotations
 
 
-class ConfigError(ValueError):
+class HarnessError(ValueError):
+    """A failure a command reports as `label: message` on stderr, exiting with exit_code."""
+
+    exit_code: int
+    label: str
+
+
+class ConfigError(HarnessError):
     """Invalid or incomplete experiment configuration."""
+
+    exit_code, label = 2, "config error"
 
 
 class StepBudgetError(ConfigError):
@@ -23,21 +33,29 @@ class StepBudgetError(ConfigError):
         self.required = required
 
 
-class CrossingError(ValueError):
+class CrossingError(HarnessError):
     """In-band and exterior energies touch or cross somewhere in s."""
+
+    exit_code, label = 3, "crossing"
 
 
 class DegenerateSpectrumError(CrossingError):
     """Grid energies touch, or leave strict order in k, somewhere in s; the model is rejected."""
 
 
-class NoExteriorError(ValueError):
+class NoExteriorError(HarnessError):
     """A band covers the whole grid, so no exterior states exist."""
 
+    exit_code, label = 5, "no exterior"
 
-class NoFeasibleBandError(ValueError):
+
+class NoFeasibleBandError(HarnessError):
     """No band size satisfies the gap-times-duration margin."""
 
+    exit_code, label = 6, "no feasible band"
 
-class AnalysisError(ValueError):
+
+class AnalysisError(HarnessError):
     """A study cannot produce a meaningful result (e.g. all leakages zero)."""
+
+    exit_code, label = 2, "analysis error"

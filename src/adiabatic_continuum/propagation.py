@@ -762,12 +762,16 @@ def final_residuals(model: ContinuumModel, variant: GeneratorVariant, durations,
 
     A(1) is the duration-free closed form, formed once; each W(1) equals
     the last node of wave_operator's family at the same duration, steps and
-    scheme bitwise.
+    scheme bitwise.  Durations and finals must pair one to one.
     """
+    durations = np.asarray(durations, dtype=float)
+    u1s = np.asarray(u1s)
+    if len(durations) != len(u1s):
+        raise ConfigError(f"final_residuals got {len(durations)} durations for {len(u1s)} finals U(1)")
     s1 = np.ones(1)
     a1 = _exact_transport(model, variant, s1, model.frame_matrix(s1))[0]
-    p = phase_factors(model, np.asarray(durations, dtype=float)[:, None], 1.0)
-    return _residual_operator(np.asarray(u1s), a1.conj().T, p)
+    p = phase_factors(model, durations[:, None], 1.0)
+    return _residual_operator(u1s, a1.conj().T, p)
 
 
 def _residual_operator(u: np.ndarray, a_adj: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -1,21 +1,24 @@
 """Command implementations behind the CLI.
 
 Each command returns (exit code, record, csv text or None, printable
-lines).  Records are plain dicts of Python scalars so the JSON on disk is
+lines); its docstring is its CLI help.  Every record is one envelope
+(_record: command, config_hash, resolved_config) around the command's
+blocks, built from plain dicts, lists and scalars so the JSON on disk is
 byte-reproducible: keys are sorted, floats keep their shortest repr, and
 only cmd_simulate carries a timestamp.  Sweep outputs are timestamp-free
-on purpose; identical configs must produce identical bytes.  Every
-command runs on the calling thread.
+on purpose; identical configs must produce identical bytes.  The leakage
+columns are declared once, in LEAKAGE_COLUMNS, for sweep.csv, the sweep's
+rows and simulate's leakage block.  Every command runs on the calling
+thread.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from .analysis import (
     adiabatic_criterion,
@@ -26,6 +29,7 @@ from .analysis import (
 )
 from .bands import band_plan, check_gap_margin, minimal_time, validate_noncrossing
 from .config import ExperimentConfig
+from .errors import ConfigError
 from .propagation import (
     final_diagnostics,
     final_propagators,
@@ -35,25 +39,17 @@ from .propagation import (
 )
 from .verify import verify_config
 
-CSV_HEADER = "T,eta_exact,eta_first_order,w_deviation"
-
-
-def _pyify(obj):
-    if isinstance(obj, dict):
-        return {k: _pyify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pyify(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
+# leakage column -> LeakageReport field, in sweep.csv order
+LEAKAGE_COLUMNS = {
+    "T": "duration",
+    "eta_exact": "eta_exact",
+    "eta_first_order": "eta_first_order",
+    "w_deviation": "w_deviation",
+}
 
 
 def _json_text(payload) -> str:
-    return json.dumps(_pyify(payload), indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -75,16 +71,22 @@ def output_files(config: ExperimentConfig, csv_text: str | None = None) -> list[
 
 
 def write_outputs(config: ExperimentConfig, record: dict, csv_text: str | None = None) -> Path:
-    """Persist the output_files into the output directory; returns it."""
+    """Persist the output_files into the output directory; returns it.
+
+    A directory that cannot be made or written raises ConfigError naming it.
+    """
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     texts = {
         "report.json": _json_text(record),
         "resolved_config.json": _json_text(config.resolved),
         "sweep.csv": csv_text,
     }
-    for name in output_files(config, csv_text):
-        _write_text(out / name, texts[name])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name in output_files(config, csv_text):
+            _write_text(out / name, texts[name])
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs to {out}: {exc.strerror}") from exc
     return out
 
 
@@ -92,17 +94,17 @@ def _cell(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _criterion_dict(crit) -> dict:
-    return {
-        "max_coupling": crit.max_coupling,
-        "min_gap": crit.min_gap,
-        "margin": crit.margin,
-        "threshold": crit.threshold,
-        "satisfied": crit.satisfied,
-    }
+def _leakage_row(report) -> dict:
+    return {column: getattr(report, name) for column, name in LEAKAGE_COLUMNS.items()}
+
+
+def _record(command: str, config: ExperimentConfig, **blocks) -> dict:
+    """The record envelope every command writes, around its own blocks."""
+    return {"command": command, "config_hash": config.config_hash, "resolved_config": config.resolved, **blocks}
 
 
 def cmd_simulate(config: ExperimentConfig):
+    """run one duration and report leakage, criterion, and diagnostics"""
     duration = config.scalar_duration()
     model = config.build_model()
     part = config.build_partition()
@@ -116,21 +118,13 @@ def cmd_simulate(config: ExperimentConfig):
     mandated, used = planned_substeps(model, part, config.j0, duration)
     window = literal_window_hermiticity(model, config.band_size, 0.5)
 
-    record = {
-        "command": "simulate",
-        "config_hash": config.config_hash,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "resolved_config": config.resolved,
-        "leakage": {
-            "T": row.duration,
-            "j0": row.j0,
-            "band": row.band,
-            "eta_exact": row.eta_exact,
-            "eta_first_order": row.eta_first_order,
-            "w_deviation": row.w_deviation,
-        },
-        "criterion": _criterion_dict(crit),
-        "diagnostics": {
+    record = _record(
+        "simulate",
+        config,
+        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        leakage={**_leakage_row(row), "j0": row.j0, "band": row.band},
+        criterion=dataclasses.asdict(crit),
+        diagnostics={
             "unitarity": unitarity,
             "intertwine_residual": residual,
             "propagator_steps": {
@@ -141,7 +135,7 @@ def cmd_simulate(config: ExperimentConfig):
             "min_band_separation": min_separation,
             "literal_window_relative_defect": window.relative_defect,
         },
-    }
+    )
     lines = [
         f"T = {row.duration:g}  j0 = {row.j0}  band = {row.band}",
         f"eta_exact       = {row.eta_exact:.6e}",
@@ -154,6 +148,7 @@ def cmd_simulate(config: ExperimentConfig):
 
 
 def cmd_sweep(config: ExperimentConfig):
+    """run a duration sweep, fit the leakage decay, and write sweep.csv"""
     durations = config.sweep_durations()
     model = config.build_model()
     part = config.build_partition()
@@ -163,34 +158,21 @@ def cmd_sweep(config: ExperimentConfig):
     reports = sweep_leakage(model, part, config.j0, durations, config.steps, config.scheme, variant)
     fit = fit_power_law([r.duration for r in reports], [r.eta_exact for r in reports])
 
-    rows = [
-        {
-            "T": r.duration,
-            "eta_exact": r.eta_exact,
-            "eta_first_order": r.eta_first_order,
-            "w_deviation": r.w_deviation,
-        }
-        for r in reports
-    ]
-    csv_lines = [CSV_HEADER]
-    for r in reports:
-        csv_lines.append(
-            ",".join(_cell(v) for v in (r.duration, r.eta_exact, r.eta_first_order, r.w_deviation))
-        )
+    rows = [_leakage_row(r) for r in reports]
+    csv_lines = [",".join(LEAKAGE_COLUMNS)] + [",".join(_cell(v) for v in row.values()) for row in rows]
     csv_text = "\n".join(csv_lines) + "\n"
 
-    record = {
-        "command": "sweep",
-        "config_hash": config.config_hash,
-        "resolved_config": config.resolved,
-        "fit": {
+    record = _record(
+        "sweep",
+        config,
+        fit={
             "slope": fit.slope,
             "intercept": fit.intercept,
             "r_squared": fit.r_squared,
             "excluded": list(fit.excluded),
         },
-        "rows": rows,
-    }
+        rows=rows,
+    )
     lines = [
         f"{len(reports)} durations: " + ", ".join(f"{r.duration:g}" for r in reports),
         f"fit: slope = {fit.slope:.4f}, r^2 = {fit.r_squared:.5f}",
@@ -201,15 +183,11 @@ def cmd_sweep(config: ExperimentConfig):
 
 
 def cmd_criterion(config: ExperimentConfig):
+    """evaluate the coupling/gap validity criterion"""
     model = config.build_model()
     part = config.build_partition()
     crit = adiabatic_criterion(model, part, config.j0, threshold=config.threshold)
-    record = {
-        "command": "criterion",
-        "config_hash": config.config_hash,
-        "resolved_config": config.resolved,
-        "criterion": _criterion_dict(crit),
-    }
+    record = _record("criterion", config, criterion=dataclasses.asdict(crit))
     lines = [
         f"max coupling = {crit.max_coupling:.6g}",
         f"min gap      = {crit.min_gap:.6g}",
@@ -221,6 +199,7 @@ def cmd_criterion(config: ExperimentConfig):
 
 
 def cmd_bands(config: ExperimentConfig):
+    """plan the smallest feasible band size for the configured duration"""
     model = config.build_model()
     target = config.planning_duration()
     margin = config.margin
@@ -242,18 +221,17 @@ def cmd_bands(config: ExperimentConfig):
         if feasible and selected is None:
             selected = m
 
-    record = {
-        "command": "bands",
-        "config_hash": config.config_hash,
-        "resolved_config": config.resolved,
-        "plan": {
+    record = _record(
+        "bands",
+        config,
+        plan={
             "target_T": target,
             "margin": margin,
             "candidates": candidates,
             "selected_m": selected,
             "best_margin_ratio": best_ratio,
         },
-    }
+    )
     lines = [f"target T = {target:g}, margin = {margin:g}", "m  virtual_gap  minimal_T  feasible"]
     for c in candidates:
         if c["virtual_gap"] is None:
@@ -273,15 +251,9 @@ def cmd_bands(config: ExperimentConfig):
 
 
 def cmd_verify(config: ExperimentConfig):
+    """run the six-invariant self-check battery"""
     all_passed, checks, annotations = verify_config(config)
-    record = {
-        "command": "verify",
-        "config_hash": config.config_hash,
-        "resolved_config": config.resolved,
-        "checks": checks,
-        "all_passed": all_passed,
-        "annotations": annotations,
-    }
+    record = _record("verify", config, checks=checks, all_passed=all_passed, annotations=annotations)
     lines = []
     for row in checks:
         status = "PASS" if row["passed"] else "FAIL"

@@ -5,7 +5,8 @@ projector algebra, unitarity of all four operator families, the frozen
 frame limit, degeneracy of the two generator variants at band size one,
 agreement of the transition integral with its integration-by-parts twin,
 and the transport intertwining property.  Each check is isolated so a
-single failure (or crash) is reported under its own name.
+single failure (or crash) is reported under its own name.  Every check
+returns its verdict through _row, and verify_config adds its name.
 """
 
 from __future__ import annotations
@@ -31,14 +32,6 @@ from .propagation import (
     transport_residual,
     weyl_band,
 )
-CHECK_NAMES = (
-    "projector_algebra",
-    "unitarity",
-    "frozen_frame",
-    "variant_degeneracy",
-    "by_parts",
-    "intertwining",
-)
 
 # Schedule points at which the frozen-frame and variant-degeneracy checks
 # compare generators: both ends and the quarter points of s in [0, 1].
@@ -47,6 +40,11 @@ SCHEDULE_POINTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 def _max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
+
+
+def _row(passed: bool, measured: float | None, tolerance: float | None, detail: str) -> dict:
+    """One check's verdict, as verify writes it (verify_config adds the name)."""
+    return {"passed": passed, "measured": measured, "tolerance": tolerance, "detail": detail}
 
 
 def _reference_duration(config: ExperimentConfig) -> float:
@@ -69,12 +67,12 @@ def _check_projector_algebra(config, model, part) -> dict:
             total += p
         worst["resolution"] = max(worst["resolution"], _max_abs(total - np.eye(n)))
     binding = max(worst, key=lambda k: worst[k] / tols[k])
-    return {
-        "passed": all(worst[k] <= tols[k] for k in worst),
-        "measured": worst[binding],
-        "tolerance": tols[binding],
-        "detail": "; ".join(f"{k} {worst[k]:.3e} (tol {tols[k]:.0e})" for k in worst),
-    }
+    return _row(
+        all(worst[k] <= tols[k] for k in worst),
+        worst[binding],
+        tols[binding],
+        "; ".join(f"{k} {worst[k]:.3e} (tol {tols[k]:.0e})" for k in worst),
+    )
 
 
 def _check_unitarity(config, model, part) -> dict:
@@ -82,12 +80,12 @@ def _check_unitarity(config, model, part) -> dict:
     prop = PropagationConfig(t_ref, config.steps, config.scheme)
     defects = stream_families(model, config.build_variant(part), prop)
     worst = max(defects.values())
-    return {
-        "passed": worst <= 1e-9,
-        "measured": worst,
-        "tolerance": 1e-9,
-        "detail": "; ".join(f"{k} {v:.3e}" for k, v in defects.items()) + f" at T={t_ref:g}",
-    }
+    return _row(
+        worst <= 1e-9,
+        worst,
+        1e-9,
+        "; ".join(f"{k} {v:.3e}" for k, v in defects.items()) + f" at T={t_ref:g}",
+    )
 
 
 def _check_frozen_frame(config, model, part) -> dict:
@@ -108,15 +106,13 @@ def _check_frozen_frame(config, model, part) -> dict:
     eta = leakage_exact(fmodel, u[-1], fpart, config.j0)
 
     passed = k_max <= 1e-15 and a_dev <= 1e-12 and u_phi <= 1e-10 and eta <= 1e-12
-    return {
-        "passed": passed,
-        "measured": u_phi,
-        "tolerance": 1e-10,
-        "detail": (
-            f"max|K| {k_max:.3e} (tol 1e-15); |A-1| {a_dev:.3e} (tol 1e-12); "
-            f"max|U-Phi| {u_phi:.3e} (tol 1e-10); leakage {eta:.3e} (tol 1e-12)"
-        ),
-    }
+    return _row(
+        passed,
+        u_phi,
+        1e-10,
+        f"max|K| {k_max:.3e} (tol 1e-15); |A-1| {a_dev:.3e} (tol 1e-12); "
+        f"max|U-Phi| {u_phi:.3e} (tol 1e-10); leakage {eta:.3e} (tol 1e-12)",
+    )
 
 
 def _check_variant_degeneracy(config, model, part) -> dict:
@@ -127,33 +123,18 @@ def _check_variant_degeneracy(config, model, part) -> dict:
         _max_abs(generator(model, wb, s) - generator(model, ks, s))
         for s in SCHEDULE_POINTS
     )
-    return {
-        "passed": diff <= 1e-14,
-        "measured": diff,
-        "tolerance": 1e-14,
-        "detail": "band size 1 generator vs state-wise generator, 5 schedule points",
-    }
+    return _row(diff <= 1e-14, diff, 1e-14, "band size 1 generator vs state-wise generator, 5 schedule points")
 
 
 def _check_by_parts(config, model, part) -> dict:
     t_ref = _reference_duration(config)
     if t_ref <= 0.0:
-        return {
-            "passed": True,
-            "measured": 0.0,
-            "tolerance": 1e-8,
-            "detail": "T = 0: transition integrals are identically zero",
-        }
+        return _row(True, 0.0, 1e-8, "T = 0: transition integrals are identically zero")
     band = part.band_of(config.j0)
     try:
         exterior = part.exterior(band)
     except NoExteriorError:
-        return {
-            "passed": True,
-            "measured": 0.0,
-            "tolerance": 1e-8,
-            "detail": "single band covers the grid; no exterior pairs to compare",
-        }
+        return _row(True, 0.0, 1e-8, "single band covers the grid; no exterior pairs to compare")
     variant = config.build_variant(part)
     pairs = sorted(exterior, key=lambda j: (abs(j - config.j0), j))[:10]
     worst_diff = 0.0
@@ -168,25 +149,18 @@ def _check_by_parts(config, model, part) -> dict:
         if diff > worst_diff:
             worst_diff = diff
             worst_pair = j
-    return {
-        "passed": passed,
-        "measured": worst_diff,
-        "tolerance": 1e-8,
-        "detail": (
-            f"{len(pairs)} exterior pairs at T={t_ref:g}; worst pair "
-            f"({config.j0}, {worst_pair}); tol per pair max(1e-8, 1e-6*|F|)"
-        ),
-    }
+    return _row(
+        passed,
+        worst_diff,
+        1e-8,
+        f"{len(pairs)} exterior pairs at T={t_ref:g}; worst pair "
+        f"({config.j0}, {worst_pair}); tol per pair max(1e-8, 1e-6*|F|)",
+    )
 
 
 def _check_intertwining(config, model, part) -> dict:
     residual = transport_residual(model, kato_state(), part, config.steps, config.scheme)
-    return {
-        "passed": residual <= 1e-6,
-        "measured": residual,
-        "tolerance": 1e-6,
-        "detail": f"state-wise transport at {config.steps} steps ({config.scheme})",
-    }
+    return _row(residual <= 1e-6, residual, 1e-6, f"state-wise transport at {config.steps} steps ({config.scheme})")
 
 
 _CHECKS: tuple[tuple[str, Callable], ...] = (
@@ -197,6 +171,7 @@ _CHECKS: tuple[tuple[str, Callable], ...] = (
     ("by_parts", _check_by_parts),
     ("intertwining", _check_intertwining),
 )
+CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
 def verify_config(config: ExperimentConfig) -> tuple[bool, list[dict], list[str]]:
@@ -209,14 +184,8 @@ def verify_config(config: ExperimentConfig) -> tuple[bool, list[dict], list[str]
         try:
             row = fn(config, model, part)
         except Exception as exc:  # a crashed check is a failed check, named
-            row = {
-                "passed": False,
-                "measured": None,
-                "tolerance": None,
-                "detail": f"check raised {type(exc).__name__}: {exc}",
-            }
-        row["name"] = name
-        checks.append(row)
+            row = _row(False, None, None, f"check raised {type(exc).__name__}: {exc}")
+        checks.append({**row, "name": name})
 
     annotations: list[str] = []
     if config.theta_max == 0.0:

@@ -22,6 +22,8 @@ from adiabatic_continuum import (
     StepBudgetError,
     adiabatic_criterion,
     final_propagator,
+    final_propagators,
+    final_residuals,
     fit_power_law,
     kato_state,
     leakage_exact,
@@ -38,6 +40,7 @@ from adiabatic_continuum import (
     transition_integral_parts,
     weyl_band,
 )
+from adiabatic_continuum.analysis import leakage_reports
 from adiabatic_continuum.bands import check_gap_margin, minimal_time, virtual_gap
 from adiabatic_continuum.propagation import _unitarity_defect
 from adiabatic_continuum.runner import cmd_simulate
@@ -264,6 +267,18 @@ def test_sweep_one_row_per_distinct_duration(default_model, default_part):
         assert repeated == once
         # and a row does not depend on the durations that share its sweep
         assert [sweep_leakage(default_model, default_part, 1, [t], 256, scheme)[0] for t in (20.0, 30.0)] == once
+
+
+def test_leakage_reports_rejects_unpaired_sequences(default_model, default_part):
+    # a zip would drop the rows past the shortest sequence without a word
+    durations = [20.0, 30.0]
+    u1s = final_propagators(default_model, durations, 256)
+    w1s = final_residuals(default_model, kato_state(), durations, u1s)
+    assert len(leakage_reports(default_model, default_part, 1, durations, u1s, w1s)) == 2
+    with pytest.raises(ConfigError, match=r"2 durations, 1 finals U\(1\) and 2 W\(1\)"):
+        leakage_reports(default_model, default_part, 1, durations, u1s[:1], w1s)
+    with pytest.raises(ConfigError, match=r"1 durations, 2 finals U\(1\) and 1 W\(1\)"):
+        leakage_reports(default_model, default_part, 1, durations[:1], u1s, w1s[:1])
 
 
 def _simulate_config(scheme, band_variant):

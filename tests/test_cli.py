@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ctypes
 import json
 import sys
@@ -11,6 +12,7 @@ import types
 import pytest
 
 from adiabatic_continuum import cli
+from adiabatic_continuum.runner import COMMANDS
 from conftest import SRC, run_cli, run_python
 
 FLIP_PROFILE = "1.0, -0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0"
@@ -21,6 +23,14 @@ def test_help_exits_zero():
     assert result.returncode == 0
     assert "simulate" in result.stdout
     assert "verify" in result.stdout
+
+
+def test_parser_lists_the_command_table():
+    # the subcommands are runner.COMMANDS, in order, each helped by its docstring
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(COMMANDS)
+    assert [(a.dest, a.help) for a in sub._choices_actions] == [(name, fn.__doc__) for name, fn in COMMANDS.items()]
+    assert all(fn.__doc__ for fn in COMMANDS.values())
 
 
 def test_missing_config_flag_is_usage_error():
@@ -69,6 +79,20 @@ def test_simulate_below_the_step_budget_exits_2_without_outputs(write_config, tm
     assert result.returncode == 2
     assert "config error: steps=100 cannot resolve duration T=100.0 (required >= 510)" in result.stderr
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "under_file"])
+def test_unusable_output_path_is_a_config_error(write_config, tmp_path, nested):
+    # an --out that is a file, or lies under one, cannot hold the outputs
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if nested else blocker
+    result = run_cli("criterion", "--config", str(write_config({})), "--out", str(out))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"config error: cannot write outputs to {out}: ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_criterion_exit_reflects_threshold(write_config, tmp_path):

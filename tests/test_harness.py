@@ -16,6 +16,7 @@ from adiabatic_continuum import (
     load_config,
 )
 from adiabatic_continuum.runner import (
+    COMMANDS,
     cmd_bands,
     cmd_criterion,
     cmd_simulate,
@@ -40,6 +41,37 @@ def fast_config(write_config, tmp_path):
         return load_config(write_config(merged))
 
     return _load
+
+
+def _plain(value) -> bool:
+    """True when value is built only from dict, list, str, int, float, bool and None."""
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and _plain(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(_plain(v) for v in value)
+    return value is None or type(value) in (str, int, float, bool)
+
+
+@pytest.mark.parametrize(
+    "command, run",
+    [
+        ("simulate", {"T": "20.0", "steps": "512"}),
+        ("sweep", {"T": None, "T_list": "20, 30, 40", "steps": "256"}),
+        ("criterion", {}),
+        ("bands", {}),
+        ("verify", {"steps": "10"}),  # a failing battery: its rows carry both verdicts
+    ],
+)
+def test_every_record_is_plain_json(fast_config, command, run):
+    # records go to json.dumps as they are: no numpy scalar, tuple or other type may hide in them
+    cfg = fast_config({"run": run})
+    _, record, _, _ = COMMANDS[command](cfg)
+    assert _plain(record)
+    assert json.loads(json.dumps(record)) == record
+    assert (record["command"], record["config_hash"], record["resolved_config"]) == (
+        command, cfg.config_hash, cfg.resolved
+    )
+    assert ("timestamp" in record) == (command == "simulate")
 
 
 def test_simulate_record_shape(fast_config):

@@ -864,3 +864,13 @@ def test_stream_families_memory_is_flat_in_steps():
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
     assert peaks[1] < 16 * _CHUNK_BYTES
+
+
+def test_final_residuals_rejects_unpaired_durations(default_model):
+    # broadcasting one duration's phases over two finals would give two W(1)
+    # at T = 50; the counts must match instead
+    u1s = final_propagators(default_model, [50.0, 60.0], 512)
+    with pytest.raises(ConfigError, match="1 durations for 2 finals"):
+        final_residuals(default_model, kato_state(), [50.0], u1s)
+    with pytest.raises(ConfigError, match="3 durations for 2 finals"):
+        final_residuals(default_model, kato_state(), [50.0, 60.0, 70.0], u1s)
