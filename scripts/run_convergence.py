@@ -1,9 +1,9 @@
 """Leakage decay versus duration for a configured experiment.
 
 Runs the CLI's sweep in-process (no files written), with the same
-crossing and gap-margin checks, and prints one row per duration plus the
-fitted decay exponent.  Useful for quick checks that a model sits in the
-first-order regime before committing to a long sweep.
+crossing and gap-margin checks and exit codes, and prints one row per
+duration plus the fitted decay exponent.  Useful for quick checks that a
+model sits in the first-order regime before committing to a long sweep.
 
 usage: python3 scripts/run_convergence.py configs/sweep.cfg
 """
@@ -28,7 +28,8 @@ def main() -> None:
     try:
         _, record, _, _ = cmd_sweep(load_config(args.config))
     except HarnessError as exc:
-        sys.exit(f"{type(exc).__name__}: {exc}")
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.exit(exc.exit_code)
 
     print(f"{'T':>8}  {'eta_exact':>12}  {'eta_first':>12}  {'ratio':>8}  {'w_dev*T':>10}")
     for r in record["rows"]:

@@ -5,8 +5,9 @@ eta(T) ~ T^p.  Ramps with a nonzero rate at s=1 put the whole boundary
 term of the integration by parts in play and decay like T^-2; smoothstep
 kills the rate at both ends, so its leading term cancels and the decay
 steepens.  Each sweep runs the CLI's sweep in-process (no files written),
-with its crossing and gap-margin checks, and the script exits non-zero
-with the error's message when one fails.
+with its crossing and gap-margin checks; when one fails, the script
+prints the error's class and message to stderr and exits with the CLI's
+code for it.
 
 usage: python3 scripts/schedule_comparison.py [--durations 50,100,200,400] [--steps 12000]
 """
@@ -54,7 +55,8 @@ def main() -> None:
                 f"{kind:>16}  {fit['slope']:8.3f}  {fit['r_squared']:8.5f}  {record['rows'][-1]['eta_exact']:.4e}"
             )
     except HarnessError as exc:
-        sys.exit(f"{type(exc).__name__}: {exc}")
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.exit(exc.exit_code)
 
 
 if __name__ == "__main__":

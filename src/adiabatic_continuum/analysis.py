@@ -5,9 +5,11 @@ one composite Gauss-Legendre rule, exact and first-order band leakage,
 the coupling/gap validity criterion, and log-log convergence fits over a
 sweep of durations.
 
+Every first-order number reads one list of coupled pairs, each keyed by
+its mismatch (_coupled_pairs), and the rule that mismatch sets (_pair_rule).
 One builder makes the leakage row of a duration (leakage_reports) from
-its U(1) and W(1).  simulate and sweep_leakage both take those finals
-from propagation.final_propagators and final_residuals.
+its U(1) and W(1), which simulate and sweep_leakage both take from
+propagation.final_propagators and the s=1 stage final_stage.
 
 Everything is computed on the dimensionless schedule clock s; quantities
 the literature states on the physical clock t = t0 + s*T absorb their
@@ -29,7 +31,7 @@ from .propagation import (
     MIDPOINT,
     deviation_from_identity,
     final_propagators,
-    final_residuals,
+    final_stage,
     kato_state,
 )
 from .spectral import HBAR, ContinuumModel, pair_gap
@@ -91,32 +93,33 @@ class TransitionParts:
     bound: float
 
 
-def _mismatch(model: ContinuumModel, j0: int, j: int) -> float:
-    """dk = kappa_j0 - kappa_j of the separable E(k, s) = kappa(k) f(s).
+def _coupled_pairs(model: ContinuumModel, variant: GeneratorVariant, j0: int, states) -> list[tuple[int, float]]:
+    """(j, dk) for the states j whose pair with j0 the variant keeps and G couples, dk = kappa_j0 - kappa_j.
 
-    E_j0 - E_j = dk f(s) and alpha_j0 - alpha_j = dk F(s), with F = integral
-    of f, so no two large energies or phases are subtracted.
+    With the separable E(k, s) = kappa(k) f(s), E_j0 - E_j = dk f(s) and
+    alpha_j0 - alpha_j = dk F(s), so no two large energies or phases are subtracted.
     """
+    kept = variant.keep_mask(model.size)[j0] & (model.rotation.generator[j0] != 0.0)
     kappa = model.dispersion.kappa(model.grid.nodes)
-    return float(kappa[j0] - kappa[j])
+    return [(j, float(kappa[j0] - kappa[j])) for j in states if kept[j]]
 
 
-def _pair_rule(model: ContinuumModel, j0: int, j: int, duration: float, s0: float = 0.0, s1: float = 1.0):
-    """Composite Gauss-Legendre rule for pair (j0, j) on [s0, s1]: (required panels, edges, nodes, weights).
+def _pair_rule(model: ContinuumModel, dk: float, duration: float):
+    """Composite Gauss-Legendre rule on [0, 1] for a pair of mismatch dk: (required panels, edges, nodes, weights).
 
     `required` panels keep each one's phase swing T max|E_j0 - E_j| width / hbar
-    (exact max over [s0, s1]) within _PHASE_BUDGET.  The uniform
-    panels used are at least _MIN_PANELS and a multiple of the profile's
-    knot intervals, so none straddles a kink when s0 and s1 lie on
-    knots, as 0 and 1 do; nodes and weights run panel by panel.
+    (exact max over [0, 1]) within _PHASE_BUDGET.  The uniform panels
+    used are at least _MIN_PANELS and a multiple of the profile's knot
+    intervals, so none straddles a kink; nodes and weights run panel by
+    panel.
     """
     disp = model.dispersion
-    lo, hi = disp.profile_range(s0, s1)
-    de = abs(_mismatch(model, j0, j)) * max(-lo, hi)
-    required = max(1, math.ceil(abs(duration) * de * (s1 - s0) / (HBAR * _PHASE_BUDGET)))
+    lo, hi = disp.profile_range(0.0, 1.0)
+    de = abs(dk) * max(-lo, hi)
+    required = max(1, math.ceil(abs(duration) * de / (HBAR * _PHASE_BUDGET)))
     segments = len(disp.knots) - 1
     panels = -(-max(_MIN_PANELS, required) // segments) * segments
-    edges = np.linspace(s0, s1, panels + 1)
+    edges = np.linspace(0.0, 1.0, panels + 1)
     half = 0.5 * np.diff(edges)[:, None]
     return required, edges, (edges[:-1, None] + half * (1.0 + _GL_X)).ravel(), (half * _GL_W).ravel()
 
@@ -132,11 +135,19 @@ def planned_substeps(
     The max runs over the exterior pairs leakage_first_order integrates,
     those with G[j0, j] != 0; (0, 0) when there are none.
     """
-    coupled = model.rotation.generator[j0]
-    plans = [_pair_rule(model, j0, j, duration)[:2] for j in part.exterior(part.band_of(j0)) if coupled[j] != 0.0]
+    pairs = _coupled_pairs(model, kato_state(), j0, part.exterior(part.band_of(j0)))
+    plans = [_pair_rule(model, dk, duration)[:2] for _, dk in pairs]
     if not plans:
         return 0, 0
     return _GL_ORDER * max(r for r, _ in plans), _GL_ORDER * (max(e.size for _, e in plans) - 1)
+
+
+def _transition(model: ContinuumModel, j0: int, j: int, dk: float, duration: float) -> complex:
+    """transition_integral of a coupled pair of mismatch dk."""
+    _, _, s, w = _pair_rule(model, dk, duration)
+    omega = duration * dk / HBAR
+    weight = np.exp(1j * omega * model.dispersion.profile_integral(s))
+    return complex(np.sum(w * weight * (1j * HBAR * model.frame_coupling_profile(j0, j, s))))
 
 
 def transition_integral(
@@ -154,12 +165,8 @@ def transition_integral(
     and for pairs the generator does not couple (the coupling is
     theta' * G[j0, j]).
     """
-    if not variant.keep_mask(model.size)[j0, j] or model.rotation.generator[j0, j] == 0.0:
-        return 0.0 + 0.0j
-    _, _, s, w = _pair_rule(model, j0, j, duration)
-    omega = duration * _mismatch(model, j0, j) / HBAR
-    weight = np.exp(1j * omega * model.dispersion.profile_integral(s))
-    return complex(np.sum(w * weight * (1j * HBAR * model.frame_coupling_profile(j0, j, s))))
+    pairs = _coupled_pairs(model, variant, j0, [j])
+    return _transition(model, j0, *pairs[0], duration) if pairs else 0.0 + 0.0j
 
 
 def transition_integral_parts(
@@ -181,13 +188,14 @@ def transition_integral_parts(
     """
     if duration <= 0.0:
         raise ConfigError("integration by parts needs a positive duration")
-    if not variant.keep_mask(model.size)[j0, j] or model.rotation.generator[j0, j] == 0.0:
+    pairs = _coupled_pairs(model, variant, j0, [j])
+    if not pairs:
         return TransitionParts(0j, 0j, 0j, 0.0)
 
-    _, edges, s, w = _pair_rule(model, j0, j, duration)
+    ((_, dk),) = pairs
+    _, edges, s, w = _pair_rule(model, dk, duration)
     grid = np.sort(np.concatenate((edges, s)))
     disp = model.dispersion
-    dk = _mismatch(model, j0, j)
     de = dk * disp.profile(grid)
     g = 1j * HBAR * model.frame_coupling_profile(j0, j, grid) / de
     # d/ds (coupling/gap) by the quotient rule, at the nodes only, where
@@ -240,13 +248,8 @@ def leakage_first_order(
     duration: float,
 ) -> float:
     """First-order leakage: summed |transition integral|^2 over the exterior."""
-    band = part.band_of(j0)
-    variant = kato_state()
-    total = 0.0
-    for j in part.exterior(band):
-        f = transition_integral(model, variant, j0, j, duration)
-        total += abs(f) ** 2
-    return total / HBAR**2
+    pairs = _coupled_pairs(model, kato_state(), j0, part.exterior(part.band_of(j0)))
+    return sum(abs(_transition(model, j0, j, dk, duration)) ** 2 for j, dk in pairs) / HBAR**2
 
 
 def adiabatic_criterion(
@@ -283,7 +286,7 @@ def leakage_reports(
     """One LeakageReport per duration, from its U(1) and W(1); the one builder of the leakage row.
 
     simulate and sweep_leakage both pass the finals of final_propagators
-    and final_residuals, so the two agree bitwise at the same T, steps,
+    and final_stage, so the two agree bitwise at the same T, steps,
     scheme and variant.  The three sequences must pair one to one.
     """
     if not len(durations) == len(u1s) == len(w1s):
@@ -323,7 +326,7 @@ def sweep_leakage(
     durations = sorted({float(t) for t in durations})
     variant = variant if variant is not None else kato_state()
     u1s = final_propagators(model, durations, steps, scheme)
-    w1s = final_residuals(model, variant, durations, u1s)
+    w1s, _, _ = final_stage(model, variant, part, durations, u1s)
     return leakage_reports(model, part, j0, durations, u1s, w1s)
 
 

@@ -32,8 +32,8 @@ U_k = Q(m_k) x_k, with Q from frame_matrix, is formed only where a caller
 reads it: a stored family or propagator_nodes forms every node, a final
 only the last.  A frozen frame (theta_max = 0) has the eigensystem (0, I),
 so R_k = I and its steps stay diag(p_k) exactly.  Every caller takes this
-one path: evolve_propagator and propagator_nodes (so simulate and verify)
-with one duration, final_propagators (so final_propagator and sweeps)
+one path: evolve_propagator and propagator_nodes (so verify) with one
+duration, final_propagators (so final_propagator, simulate and sweeps)
 with all of them.  A duration's slice sees the same matmuls in
 strict step order whatever shares the pass (a stacked matmul is one GEMM
 per slice, and the chunks do not depend on the durations), so a final
@@ -62,22 +62,22 @@ its diagonal in exact arithmetic (hbar diag(lam) for kato_state): with
 the diagonal, the stepped transport would be the closed form by
 construction and would no longer check it.
 
-No command stores the families.  simulate reads U(1) from
-final_propagators and W(1) from final_residuals, as sweeps do, and the
-four unitarity defects and the intertwining residual at s=1
-(final_diagnostics): U and W are products of unitary steps, so any
-step's defect carries to s=1, and A, Phi and the residual are closed
-forms at every node.  verify's all-node unitarity check streams
-(stream_families): per chunk of propagator_nodes one helper
-(_diagnostics, also final_diagnostics' body) builds the frame
-Q = frame_matrix(s) once, A from the closed form on it, Phi from one
-vectorised phase call and W = Phi^dag (A^dag U), so memory is one chunk,
+No command stores the families.  simulate and sweeps read U(1) from
+final_propagators, and W(1), the four unitarity defects and the
+intertwining residual at s=1 from one stage (final_stage), which builds
+Q(1), the closed-form A(1) and Phi(1) once for all durations: U and W are
+products of unitary steps, so any step's defect carries to s=1, and A,
+Phi and the residual are closed forms at every node.  verify's all-node
+unitarity check streams (stream_families): per chunk of propagator_nodes
+the stage's helper (_diagnostics) builds the frame Q = frame_matrix(s)
+once, A from the closed form on it and W = Phi^dag (A^dag U) from the
+chunk's phases (one vectorised phase call), so memory is one chunk,
 O(chunk N^2), at any step count.  Every node of the pass equals the node
 of the stored family bitwise, because no node depends on the chunk it is
 built in: frame_matrix takes one N x N product per node, and stored and
 streamed W share one helper (_residual_operator, Phi^dag as a row
 scaling by the phases), to which wave_operator passes its Phi family's
-diagonal and final_residuals the final phases.  verify's stepped
+diagonal and _diagnostics the phases it is given.  verify's stepped
 transport is streamed the same way (transport_residual).
 The stored families (evolve_*, phase_family, wave_operator) stay for
 library use and as the references of the tests.
@@ -146,10 +146,15 @@ class PropagationConfig:
     def __post_init__(self):
         if not math.isfinite(self.duration) or self.duration < 0:
             raise ConfigError(f"duration must be finite and >= 0, got {self.duration}")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
+        _check_run(self.steps, self.scheme)
+
+
+def _check_run(steps: int, scheme: str = MIDPOINT):
+    """The steps and scheme checks of every evolution."""
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
 
 
 @dataclass(frozen=True)
@@ -254,10 +259,19 @@ def _unitarity_defect(mats: np.ndarray) -> float:
 # ---- step budgets ------------------------------------------------------
 
 
+def _phase_budget(scale: float) -> int:
+    """Minimum steps keeping each step's phase swing scale / steps <= pi/4."""
+    return max(1, math.ceil(scale * 4.0 / math.pi))
+
+
+def _check_budget(steps: int, required: int, what: str):
+    if steps < required:
+        raise StepBudgetError(f"steps={steps} cannot resolve {what}", required)
+
+
 def propagator_step_budget(model: ContinuumModel, duration: float) -> int:
     """Minimum steps keeping each propagator step's phase swing <= pi/4."""
-    scale = abs(duration) * model.max_energy() / HBAR
-    return max(1, math.ceil(scale * 4.0 / math.pi))
+    return _phase_budget(abs(duration) * model.max_energy() / HBAR)
 
 
 def _masked_generator(model: ContinuumModel, variant: GeneratorVariant) -> np.ndarray:
@@ -278,8 +292,7 @@ def generator_norm(model: ContinuumModel, variant: GeneratorVariant) -> float:
 
 def intertwiner_step_budget(model: ContinuumModel, variant: GeneratorVariant) -> int:
     """Step budget for the transport unitary (duration-free)."""
-    scale = generator_norm(model, variant) / HBAR
-    return max(1, math.ceil(scale * 4.0 / math.pi))
+    return _phase_budget(generator_norm(model, variant) / HBAR)
 
 
 # ---- generators --------------------------------------------------------
@@ -496,12 +509,7 @@ def _propagator_chunks(model: ContinuumModel, config: PropagationConfig):
 
 
 def _check_propagator_budget(model: ContinuumModel, config: PropagationConfig):
-    required = propagator_step_budget(model, config.duration)
-    if config.steps < required:
-        raise StepBudgetError(
-            f"steps={config.steps} cannot resolve duration T={config.duration}",
-            required,
-        )
+    _check_budget(config.steps, propagator_step_budget(model, config.duration), f"duration T={config.duration}")
 
 
 def evolve_propagator(model: ContinuumModel, config: PropagationConfig) -> UnitaryFamily:
@@ -585,15 +593,8 @@ def _intertwiner_chunks(model: ContinuumModel, variant: GeneratorVariant, steps:
 
 
 def _check_intertwiner(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str):
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
-    required = intertwiner_step_budget(model, variant)
-    if steps < required:
-        raise StepBudgetError(
-            f"steps={steps} cannot resolve the transport generator", required
-        )
+    _check_run(steps, scheme)
+    _check_budget(steps, intertwiner_step_budget(model, variant), "the transport generator")
 
 
 def _exact_transport(
@@ -738,8 +739,7 @@ def phase_operator(model: ContinuumModel, duration: float, s: float) -> np.ndarr
 
 
 def phase_family(model: ContinuumModel, duration: float, steps: int) -> UnitaryFamily:
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
+    _check_run(steps)
     s_nodes = np.linspace(0.0, 1.0, steps + 1)
     return UnitaryFamily("Phi", s_nodes, _diagonals(phase_factors(model, duration, s_nodes)))
 
@@ -757,23 +757,6 @@ def wave_operator(u: UnitaryFamily, a: UnitaryFamily, phi: UnitaryFamily) -> Uni
     return UnitaryFamily("W", u.s_nodes.copy(), _residual_operator(u.matrices, a.matrices.conj().swapaxes(-1, -2), p))
 
 
-def final_residuals(model: ContinuumModel, variant: GeneratorVariant, durations, u1s) -> np.ndarray:
-    """W(1) = Phi(1)^dag A(1)^dag U(1) at every duration, from the finals U(1); shape (D, N, N).
-
-    A(1) is the duration-free closed form, formed once; each W(1) equals
-    the last node of wave_operator's family at the same duration, steps and
-    scheme bitwise.  Durations and finals must pair one to one.
-    """
-    durations = np.asarray(durations, dtype=float)
-    u1s = np.asarray(u1s)
-    if len(durations) != len(u1s):
-        raise ConfigError(f"final_residuals got {len(durations)} durations for {len(u1s)} finals U(1)")
-    s1 = np.ones(1)
-    a1 = _exact_transport(model, variant, s1, model.frame_matrix(s1))[0]
-    p = phase_factors(model, durations[:, None], 1.0)
-    return _residual_operator(u1s, a1.conj().T, p)
-
-
 def _residual_operator(u: np.ndarray, a_adj: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Phi^dag (A^dag U), stacked, from A^dag; Phi^dag is an in-place row scaling by the conjugated phases p."""
     w = np.matmul(a_adj, u)
@@ -789,20 +772,19 @@ def deviation_from_identity(matrix: np.ndarray) -> float:
 # ---- the streamed pass -------------------------------------------------
 
 
-def _diagnostics(model: ContinuumModel, variant: GeneratorVariant, duration: float, s, u, part=None):
-    """The unitarity defects of U, the closed-form A, Phi and W at the nodes s of U, and given part A's residual.
+def _diagnostics(model: ContinuumModel, variant: GeneratorVariant, s, u, p, part=None):
+    """W, the max unitarity defects of U, the closed-form A, Phi and W, and given part A's residual, at the nodes s.
 
-    One frame Q = frame_matrix(s), A from the closed form on it, Phi from
-    one vectorised phase call and W = Phi^dag (A^dag U); the residual is
-    read against the same Q (for kato_state, whose closed-form A is Q
-    itself, its Q^dag A is the A^dag A of the A defect).  Every node's A
-    and W equal those of the stored families bitwise, so their defects do
-    too; Phi's defect is taken elementwise, as | |exp(-i T alpha)|^2 - 1 |,
-    since Phi is diagonal.
+    u and the phases p of Phi run over the nodes s, or over durations at
+    one node.  One frame Q = frame_matrix(s), A from the closed form on it
+    and W = Phi^dag (A^dag U); the residual is read against the same Q (for
+    kato_state, whose closed-form A is Q itself, its Q^dag A is the A^dag A
+    of the A defect).  Every node's A and W equal those of the stored
+    families bitwise, so their defects do too; Phi's defect is taken
+    elementwise, as | |exp(-i T alpha)|^2 - 1 |, since Phi is diagonal.
     """
     q = model.frame_matrix(s)
     a = _exact_transport(model, variant, s, q)
-    p = phase_factors(model, duration, s)
     a_adj = a.conj().swapaxes(-1, -2)  # once, for A^dag U and A^dag A
     w = _residual_operator(u, a_adj, p)
     aa = np.matmul(a_adj, a)
@@ -813,31 +795,38 @@ def _diagnostics(model: ContinuumModel, variant: GeneratorVariant, duration: flo
         "Phi": float(np.abs(p.conj() * p - 1.0).max()),
         "W": _unitarity_defect(w),
     }
-    return defects, residual
+    return w, defects, residual
 
 
-def final_diagnostics(
-    model: ContinuumModel, variant: GeneratorVariant, part: BandPartition, duration: float, u1: np.ndarray
-) -> tuple[dict[str, float], float]:
-    """The unitarity defects of U, A, Phi and W and A's intertwining residual at s=1, from the final U(1).
+def final_stage(
+    model: ContinuumModel, variant: GeneratorVariant, part: BandPartition, durations, u1s
+) -> tuple[np.ndarray, dict[str, float], float]:
+    """The s=1 stage of a run from its finals U(1): W(1) at every duration, the defects and A's residual.
 
-    U and W are products of unitary steps, so a defect any step adds
-    carries to s=1; A, Phi and the residual are closed forms at every
-    node.  stream_families keeps the defects' maxima over all nodes.
+    W(1) = Phi(1)^dag A(1)^dag U(1), shape (D, N, N), equals the last node
+    of wave_operator's family bitwise.  The unitarity defects of U, A, Phi
+    and W are maxima over the durations; U and W are products of unitary
+    steps, so a defect any step adds carries to s=1, and A (the closed
+    form, built once), Phi and the residual are closed forms at every
+    node.  Durations and finals must pair one to one.
     """
+    durations = np.asarray(durations, dtype=float)
+    u1s = np.asarray(u1s)
+    if len(durations) != len(u1s):
+        raise ConfigError(f"final_stage got {len(durations)} durations for {len(u1s)} finals U(1)")
     _check_partition(model, part)
-    return _diagnostics(model, variant, duration, np.ones(1), u1[None], part)
+    return _diagnostics(model, variant, np.ones(1), u1s, phase_factors(model, durations[:, None], 1.0), part)
 
 
 def stream_families(model: ContinuumModel, variant: GeneratorVariant, config: PropagationConfig) -> dict[str, float]:
     """Max over all steps+1 nodes of the unitarity defects of U, the closed-form A, Phi and W.
 
     One pass over the chunks of propagator_nodes, so memory is
-    O(chunk N^2) at any steps; each chunk's defects come from
-    final_diagnostics' body (_diagnostics).
+    O(chunk N^2) at any steps; each chunk's defects come from the helper
+    of final_stage (_diagnostics).
     """
     defects = dict.fromkeys(("U", "A", "Phi", "W"), 0.0)
     for s, u in propagator_nodes(model, config):
-        chunk, _ = _diagnostics(model, variant, config.duration, s, u)
+        _, chunk, _ = _diagnostics(model, variant, s, u, phase_factors(model, config.duration, s))
         defects = {kind: max(worst, chunk[kind]) for kind, worst in defects.items()}
     return defects

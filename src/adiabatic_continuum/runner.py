@@ -31,9 +31,8 @@ from .bands import band_plan, check_gap_margin, minimal_time, validate_noncrossi
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .propagation import (
-    final_diagnostics,
     final_propagators,
-    final_residuals,
+    final_stage,
     literal_window_hermiticity,
     propagator_step_budget,
 )
@@ -112,8 +111,8 @@ def cmd_simulate(config: ExperimentConfig):
     variant = config.build_variant(part)
 
     u1 = final_propagators(model, [duration], config.steps, config.scheme)
-    (row,) = leakage_reports(model, part, config.j0, [duration], u1, final_residuals(model, variant, [duration], u1))
-    unitarity, residual = final_diagnostics(model, variant, part, duration, u1[0])
+    w1, unitarity, residual = final_stage(model, variant, part, [duration], u1)
+    (row,) = leakage_reports(model, part, config.j0, [duration], u1, w1)
     crit = adiabatic_criterion(model, part, config.j0, threshold=config.threshold)
     mandated, used = planned_substeps(model, part, config.j0, duration)
     window = literal_window_hermiticity(model, config.band_size, 0.5)

@@ -16,6 +16,7 @@ from adiabatic_continuum import (
     BandPartition,
     ConfigError,
     CrossingError,
+    HBAR,
     NoExteriorError,
     SCHEMES,
     PropagationConfig,
@@ -23,7 +24,7 @@ from adiabatic_continuum import (
     adiabatic_criterion,
     final_propagator,
     final_propagators,
-    final_residuals,
+    final_stage,
     fit_power_law,
     kato_state,
     leakage_exact,
@@ -225,6 +226,31 @@ def test_first_order_leakage_is_sum_of_weights(default_model, default_part):
     assert total == pytest.approx(8.0058e-3, rel=1e-3)
 
 
+def test_first_order_on_several_coupled_pairs():
+    # default.cfg with a quadratic family and a random width-3 generator:
+    # j0 = 4, in the band {3, 4, 5}, couples to the exterior states 1, 2, 6
+    # and 7, with four distinct mismatches kappa_4 - kappa_j
+    overrides = {("dispersion", "family"): "quadratic", ("rotation", "builder"): "random_banded",
+                 ("rotation", "width"): "3", ("rotation", "seed"): "11", ("run", "variant"): "weyl_band",
+                 ("bands", "m"): "3", ("analysis", "j0"): "4"}
+    config = load_config(SRC.parent / "configs" / "default.cfg", overrides)
+    model, part = config.build_model(), config.build_partition()
+    exterior = list(part.exterior(part.band_of(4)))
+    amplitudes = {j: transition_integral(model, kato_state(), 4, j, 100.0) for j in exterior}
+    coupled = [j for j, f in amplitudes.items() if f != 0.0]
+    assert coupled == [1, 2, 6, 7]
+    kappa = model.dispersion.kappa(model.grid.nodes)
+    assert len({kappa[4] - kappa[j] for j in coupled}) == 4
+    total = leakage_first_order(model, part, 4, 100.0)
+    assert total == sum(abs(f) ** 2 for f in amplitudes.values()) / HBAR**2
+    assert total == 0.00046141782137028124
+    assert planned_substeps(model, part, 4, 100.0) == (2200, 2200)
+    for j in coupled:
+        parts = transition_integral_parts(model, kato_state(), 4, j, 100.0)
+        assert abs(amplitudes[j] - parts.total) <= 1e-12 * abs(amplitudes[j]) + 8 * np.finfo(float).eps
+        assert parts.bound >= abs(parts.total)
+
+
 def test_no_exterior_raises(default_model):
     part = BandPartition(16, 16)
     with pytest.raises(NoExteriorError):
@@ -273,7 +299,7 @@ def test_leakage_reports_rejects_unpaired_sequences(default_model, default_part)
     # a zip would drop the rows past the shortest sequence without a word
     durations = [20.0, 30.0]
     u1s = final_propagators(default_model, durations, 256)
-    w1s = final_residuals(default_model, kato_state(), durations, u1s)
+    w1s, _, _ = final_stage(default_model, kato_state(), default_part, durations, u1s)
     assert len(leakage_reports(default_model, default_part, 1, durations, u1s, w1s)) == 2
     with pytest.raises(ConfigError, match=r"2 durations, 1 finals U\(1\) and 2 W\(1\)"):
         leakage_reports(default_model, default_part, 1, durations, u1s[:1], w1s)
@@ -290,7 +316,7 @@ def _simulate_config(scheme, band_variant):
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("band_variant", [False, True], ids=["kato_state", "weyl_band"])
 def test_sweep_residual_operator_equals_streamed_w_final(monkeypatch, scheme, band_variant):
-    # simulate and the sweep take W(1) from final_residuals, the stored
+    # simulate and the sweep take W(1) from final_stage, the stored
     # family's last node, and both rows from one builder, so simulate's
     # whole leakage row is the sweep's at the same model, T, steps, scheme
     # and variant, bit for bit
@@ -338,6 +364,24 @@ def test_simulate_diagnostics_are_the_stored_families_at_s1(scheme, band_variant
     assert abs(unitarity.pop("Phi") - _unitarity_defect(families[2].matrices[-1:])) <= 1e-15
     assert unitarity == {fam.kind: _unitarity_defect(fam.matrices[-1:]) for fam in families if fam.kind != "Phi"}
     assert record["diagnostics"]["intertwine_residual"] == intertwine_residual(last, model, part)
+
+
+def test_simulate_builds_the_s1_stage_once(monkeypatch):
+    # W(1), the unitarity defects and the residual come from one s=1 stage,
+    # so simulate builds the closed-form A(1) once
+    from adiabatic_continuum import propagation
+
+    nodes = []
+    original = propagation._exact_transport
+
+    def recorder(model, variant, s, q):
+        nodes.append(s)
+        return original(model, variant, s, q)
+
+    monkeypatch.setattr(propagation, "_exact_transport", recorder)
+    cmd_simulate(load_config(SRC.parent / "configs" / "default.cfg"))
+    assert len(nodes) == 1
+    assert np.array_equal(nodes[0], np.ones(1))
 
 
 def test_midpoint_sweep_runs_one_stacked_pass(monkeypatch, default_model, default_part):

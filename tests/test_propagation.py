@@ -35,7 +35,7 @@ from adiabatic_continuum import (
     final_intertwiner,
     final_propagator,
     final_propagators,
-    final_residuals,
+    final_stage,
     generator,
     generator_norm,
     intertwine_residual,
@@ -179,6 +179,34 @@ def test_budget_enforced(default_model):
 def test_intertwiner_budget(default_model, default_part):
     assert intertwiner_step_budget(default_model, kato_state()) == 4
     assert generator_norm(default_model, kato_state()) == pytest.approx(2.36, abs=0.05)
+
+
+def test_budget_and_run_check_messages_in_full(default_model, default_part):
+    # the propagator and the transport share one budget check and one
+    # steps/scheme check; their messages are pinned byte for byte
+    with pytest.raises(StepBudgetError) as err:
+        final_propagator(default_model, PropagationConfig(100.0, 100))
+    assert str(err.value) == "steps=100 cannot resolve duration T=100.0 (required >= 510)"
+    assert err.value.required == 510
+    transports = (
+        lambda steps, scheme: final_intertwiner(default_model, kato_state(), steps, scheme),
+        lambda steps, scheme: evolve_intertwiner(default_model, kato_state(), steps, scheme),
+        lambda steps, scheme: propagation.transport_residual(default_model, kato_state(), default_part, steps, scheme),
+    )
+    for transport in transports:
+        with pytest.raises(StepBudgetError) as err:
+            transport(3, MIDPOINT)
+        assert str(err.value) == "steps=3 cannot resolve the transport generator (required >= 4)"
+        assert err.value.required == 4
+    for check in (*transports, lambda steps, scheme: PropagationConfig(1.0, steps, scheme)):
+        with pytest.raises(ConfigError) as err:
+            check(16, "exact")
+        assert str(err.value) == (
+            "unknown scheme 'exact'; pick one of ('midpoint_exponential', 'fourth_order_commutator_free')"
+        )
+        with pytest.raises(ConfigError) as err:
+            check(0, MIDPOINT)
+        assert str(err.value) == "steps must be >= 1, got 0"
 
 
 # ---- propagator ---------------------------------------------------------------
@@ -765,9 +793,9 @@ def test_stream_families_matches_stored_families(name, steps, band_variant, sche
     u, a, phi, w = stored_families(model, variant, config)
     u1s = final_propagators(model, [config.duration], steps, scheme)
     assert np.array_equal(u1s[0], u.final)
-    assert np.array_equal(final_residuals(model, variant, [config.duration], u1s)[0], w.final)
+    w1s, _, residual = final_stage(model, variant, part, [config.duration], u1s)
+    assert np.array_equal(w1s[0], w.final)
     last_a = UnitaryFamily("A", a.s_nodes[-1:], a.matrices[-1:])
-    _, residual = propagation.final_diagnostics(model, variant, part, config.duration, u1s[0])
     assert residual == intertwine_residual(last_a, model, part)
     streamed = stream_families(model, variant, config)
     for fam in (u, a, w):
@@ -784,7 +812,7 @@ def test_stream_families_without_partition_skips_the_residual(default_model):
     # the residual is read at s=1 only, against the model's own partition
     u1 = final_propagator(default_model, config)
     with pytest.raises(ConfigError):
-        propagation.final_diagnostics(default_model, kato_state(), BandPartition(8, 2), 2.0, u1)
+        final_stage(default_model, kato_state(), BandPartition(8, 2), [2.0], u1[None])
 
 
 @pytest.mark.parametrize(
@@ -866,11 +894,11 @@ def test_stream_families_memory_is_flat_in_steps():
     assert peaks[1] < 16 * _CHUNK_BYTES
 
 
-def test_final_residuals_rejects_unpaired_durations(default_model):
+def test_final_stage_rejects_unpaired_durations(default_model, default_part):
     # broadcasting one duration's phases over two finals would give two W(1)
     # at T = 50; the counts must match instead
     u1s = final_propagators(default_model, [50.0, 60.0], 512)
     with pytest.raises(ConfigError, match="1 durations for 2 finals"):
-        final_residuals(default_model, kato_state(), [50.0], u1s)
+        final_stage(default_model, kato_state(), default_part, [50.0], u1s)
     with pytest.raises(ConfigError, match="3 durations for 2 finals"):
-        final_residuals(default_model, kato_state(), [50.0, 60.0, 70.0], u1s)
+        final_stage(default_model, kato_state(), default_part, [50.0, 60.0, 70.0], u1s)

@@ -33,14 +33,22 @@ def test_run_convergence_keeps_the_gap_margin_check(tmp_path):
     path = tmp_path / "t0.cfg"
     path.write_text(cfg)
     result = run_python(str(ROOT / "scripts" / "run_convergence.py"), str(path), cwd=ROOT)
-    assert result.returncode != 0
+    assert result.returncode == 2
     assert "duration T=0 violates the gap margin" in result.stderr
+
+
+def test_run_convergence_exits_with_the_cli_code_without_a_duration_list():
+    # sweep exits 2 on a file without T_list; the script keeps that code
+    result = run_python(str(ROOT / "scripts" / "run_convergence.py"), "configs/default.cfg", cwd=ROOT)
+    assert result.returncode == 2
+    assert result.stderr == "ConfigError: a sweep needs [run] T_list with at least 3 entries\n"
+    assert result.stdout == ""
 
 
 def test_schedule_comparison_keeps_the_gap_margin_check():
     script = str(ROOT / "scripts" / "schedule_comparison.py")
     result = run_python(script, "--durations", "0,100,200", "--steps", "2000", cwd=ROOT)
-    assert result.returncode != 0
+    assert result.returncode == 2
     assert "duration T=0 violates the gap margin" in result.stderr
     assert "Traceback" not in result.stderr
 
@@ -51,7 +59,7 @@ def test_schedule_comparison_reports_a_malformed_duration_list(durations):
     # stops on the config error before any output, not in a traceback
     script = str(ROOT / "scripts" / "schedule_comparison.py")
     result = run_python(script, "--durations", durations, "--steps", "2000", cwd=ROOT)
-    assert result.returncode != 0
+    assert result.returncode == 2
     assert result.stderr.startswith("ConfigError: [run] T_list = ")
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
