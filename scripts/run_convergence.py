@@ -15,7 +15,7 @@ import sys
 
 from adiabatic_continuum import load_config
 from adiabatic_continuum.cli import _retain_freed_heap
-from adiabatic_continuum.errors import HarnessError
+from adiabatic_continuum.errors import HarnessError, reportable
 from adiabatic_continuum.runner import cmd_sweep
 
 
@@ -27,7 +27,8 @@ def main() -> None:
 
     try:
         _, record, _, _ = cmd_sweep(load_config(args.config))
-    except HarnessError as exc:
+    except (HarnessError, MemoryError) as exc:
+        exc = reportable(exc)
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         sys.exit(exc.exit_code)
 

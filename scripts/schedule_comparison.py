@@ -20,7 +20,7 @@ from pathlib import Path
 
 from adiabatic_continuum import ANGLE_SCHEDULES, load_config
 from adiabatic_continuum.cli import _retain_freed_heap
-from adiabatic_continuum.errors import HarnessError
+from adiabatic_continuum.errors import HarnessError, reportable
 from adiabatic_continuum.runner import cmd_sweep
 
 SWEEP_CFG = Path(__file__).resolve().parents[1] / "configs" / "sweep.cfg"
@@ -54,7 +54,8 @@ def main() -> None:
             print(
                 f"{kind:>16}  {fit['slope']:8.3f}  {fit['r_squared']:8.5f}  {record['rows'][-1]['eta_exact']:.4e}"
             )
-    except HarnessError as exc:
+    except (HarnessError, MemoryError) as exc:
+        exc = reportable(exc)
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         sys.exit(exc.exit_code)
 

@@ -27,7 +27,6 @@ from .bands import BandPartition
 from .errors import AnalysisError, ConfigError
 from .propagation import (
     GeneratorVariant,
-    UnitaryFamily,
     MIDPOINT,
     deviation_from_identity,
     final_propagators,
@@ -212,32 +211,28 @@ def transition_integral_parts(
     return TransitionParts(complex(boundary + tail), complex(boundary), complex(tail), bound)
 
 
-def leakage_exact(
-    model: ContinuumModel,
-    u: UnitaryFamily | np.ndarray,
-    part: BandPartition,
-    j0: int,
-) -> float:
-    """Probability that the evolved j0 state left its band by s=1."""
-    u1 = u.final if isinstance(u, UnitaryFamily) else np.asarray(u)
+def _final_column(matrix, j0: int) -> np.ndarray:
+    """Column j0 of one N x N matrix at s=1; a stack of nodes would index the nodes instead, so it is refused."""
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2:
+        raise ConfigError(f"expected the N x N matrix at s=1, got an array of shape {matrix.shape}")
+    return matrix[:, j0]
+
+
+def leakage_exact(model: ContinuumModel, u: np.ndarray, part: BandPartition, j0: int) -> float:
+    """Probability that the evolved j0 state left its band by s=1, from the s=1 propagator u = U(1)."""
     members = list(part.members(part.band_of(j0)))
-    v = u1[:, j0]
+    v = _final_column(u, j0)
     c = model.frame_matrix(1.0)[:, members].conj().T @ v
     eta = 1.0 - float(np.sum(np.abs(c) ** 2))
     # Exact leakage is nonnegative; roundoff may land a hair below zero.
     return max(eta, 0.0)
 
 
-def leakage_wave_form(
-    model: ContinuumModel,
-    w: UnitaryFamily | np.ndarray,
-    part: BandPartition,
-    j0: int,
-) -> float:
-    """Leakage through the residual operator: weight outside the initial band."""
-    w1 = w.final if isinstance(w, UnitaryFamily) else np.asarray(w)
+def leakage_wave_form(model: ContinuumModel, w: np.ndarray, part: BandPartition, j0: int) -> float:
+    """Leakage through the s=1 residual operator w = W(1): weight outside the initial band."""
     exterior = list(part.exterior(part.band_of(j0)))
-    v = w1[:, j0]
+    v = _final_column(w, j0)
     return float(np.sum(np.abs(v[exterior]) ** 2))
 
 

@@ -3,8 +3,8 @@
 Exit codes:
   0  success
   1  a verification invariant failed
-  2  configuration or step-budget error, unusable output directory, or
-     leakages the sweep cannot fit
+  2  configuration or step-budget error, a request that does not fit in
+     memory, unusable output directory, or leakages the sweep cannot fit
   3  band crossing or degenerate spectrum
   4  adiabatic criterion not satisfied
   5  no exterior states (band covers the whole grid)
@@ -13,8 +13,9 @@ Exit codes:
 A command returns 0, 1 (verify), 4 (criterion) or 6 (bands) as its own
 verdict, after its outputs are written.  Every other code comes from the
 ``errors.HarnessError`` the run raised, whose class carries the code and
-the stderr label.  The subcommands are the entries of ``runner.COMMANDS``,
-in order, each helped by its function's docstring.
+the stderr label; a MemoryError is reported as a config error
+(``errors.reportable``).  The subcommands are the entries of
+``runner.COMMANDS``, in order, each helped by its function's docstring.
 
 Allocator policy: ``main`` first raises glibc's mmap and trim thresholds
 (``_retain_freed_heap``), so the 0.25-2 MiB temporaries each propagator
@@ -37,7 +38,7 @@ import ctypes
 import sys
 
 from .config import load_config
-from .errors import ConfigError, HarnessError
+from .errors import ConfigError, HarnessError, reportable
 from .propagation import _CHUNK_BYTES
 from .runner import COMMANDS, output_files, write_outputs
 
@@ -103,7 +104,8 @@ def main(argv=None) -> int:
         config = load_config(args.config, overrides)
         code, record, csv_text, lines = COMMANDS[args.command](config)
         out = write_outputs(config, record, csv_text)
-    except HarnessError as exc:
+    except (HarnessError, MemoryError) as exc:
+        exc = reportable(exc)
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
     for line in lines:

@@ -3,7 +3,9 @@
 Every class derives from HarnessError and carries its CLI exit code and
 stderr label (the codes are tabled in the docstring of the cli module), so
 ``cli.main`` reports any of them with one clause and the scripts catch
-them by one name, without string matching.
+them by one name, without string matching.  A MemoryError joins them
+through ``reportable``: a request the machine cannot allocate is a
+configuration the machine cannot run.
 """
 
 from __future__ import annotations
@@ -59,3 +61,10 @@ class AnalysisError(HarnessError):
     """A study cannot produce a meaningful result (e.g. all leakages zero)."""
 
     exit_code, label = 2, "analysis error"
+
+
+def reportable(exc: HarnessError | MemoryError) -> HarnessError:
+    """exc itself, or for a MemoryError a ConfigError naming the refused request (numpy's message)."""
+    if isinstance(exc, MemoryError):
+        return ConfigError(f"out of memory: {exc}" if str(exc) else "out of memory")
+    return exc

@@ -79,8 +79,13 @@ streamed W share one helper (_residual_operator, Phi^dag as a row
 scaling by the phases), to which wave_operator passes its Phi family's
 diagonal and _diagnostics the phases it is given.  verify's stepped
 transport is streamed the same way (transport_residual).
-The stored families (evolve_*, phase_family, wave_operator) stay for
-library use and as the references of the tests.
+
+The stored families (UnitaryFamily, from evolve_propagator,
+evolve_intertwiner, phase_family and wave_operator, with phase_operator
+and intertwine_residual beside them) stay only as the references of the
+tests and the names the benchmark's span hooks wrap; no other module of
+the package reads them.  A stored family holds (steps + 1) N^2 complex
+numbers, so it is for small grids; every command streams instead.
 """
 
 from __future__ import annotations
@@ -217,16 +222,6 @@ class UnitaryFamily:
     @property
     def final(self) -> np.ndarray:
         return self.matrices[-1]
-
-    def index_of(self, s: float) -> int:
-        i = int(round(s * (len(self.s_nodes) - 1)))
-        i = min(max(i, 0), len(self.s_nodes) - 1)
-        if abs(self.s_nodes[i] - s) > 1e-12:
-            raise ConfigError(f"s={s} is not a node of this family's grid")
-        return i
-
-    def at(self, s: float) -> np.ndarray:
-        return self.matrices[self.index_of(s)]
 
     def chunks(self):
         """(s, matrices) views over consecutive chunks of the nodes."""
@@ -721,14 +716,6 @@ def phase_factors(model: ContinuumModel, duration: float, s) -> np.ndarray:
     return np.exp(-1j * duration * alphas / HBAR)
 
 
-def _diagonals(d: np.ndarray) -> np.ndarray:
-    """Stack of diagonal matrices with the rows of d on their diagonals."""
-    n = d.shape[-1]
-    out = np.zeros((*d.shape, n), dtype=d.dtype)
-    out[..., np.arange(n), np.arange(n)] = d
-    return out
-
-
 def phase_operator(model: ContinuumModel, duration: float, s: float) -> np.ndarray:
     """Dynamical-phase unitary at s, diagonal in the initial frame.
 
@@ -741,7 +728,8 @@ def phase_operator(model: ContinuumModel, duration: float, s: float) -> np.ndarr
 def phase_family(model: ContinuumModel, duration: float, steps: int) -> UnitaryFamily:
     _check_run(steps)
     s_nodes = np.linspace(0.0, 1.0, steps + 1)
-    return UnitaryFamily("Phi", s_nodes, _diagonals(phase_factors(model, duration, s_nodes)))
+    diagonal = np.eye(model.size, dtype=bool)  # where, not a product with I: off-diagonal zeros stay +0
+    return UnitaryFamily("Phi", s_nodes, np.where(diagonal, phase_factors(model, duration, s_nodes)[:, None, :], 0.0))
 
 
 def wave_operator(u: UnitaryFamily, a: UnitaryFamily, phi: UnitaryFamily) -> UnitaryFamily:

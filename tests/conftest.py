@@ -11,7 +11,9 @@ eigh_expm at every stage, kept as the references for the package's
 chunked eigenbasis kernels.  stored_families and
 projector_residual_loop are the stored-family path and the per-band
 residual formula that the streamed pass and its off-block residual
-replaced, kept as their references.
+replaced, kept as their references.  exact_final_propagator and
+exact_final_residual are closed forms of U(1) and W(1) on the
+constant-rate model (constant_rate_model), exact at any T and N.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ import pytest
 
 from adiabatic_continuum import (
     CF4,
+    HBAR,
     AngleSchedule,
     BandPartition,
+    DispersionSchedule,
     KGrid,
     build_model,
     evolve_propagator,
@@ -170,6 +174,48 @@ def make_model(theta_max: float = THETA_MAX, kind: str = "cubic_ramp", n: int = 
     schedule = AngleSchedule(kind, theta_max)
     dispersion = dispersion if dispersion is not None else linear_dispersion()
     return build_model(grid, dispersion, nearest_neighbor_rotation(n, schedule))
+
+
+def constant_rate_model(family: str = "linear", n: int = N, a: float = 1.5):
+    """linear_ramp at THETA_MAX and E = kappa(k) * a: both rates of the Q-frame equation are constant."""
+    return make_model(kind="linear_ramp", n=n, dispersion=DispersionSchedule(family, (a, 0.0)))
+
+
+def _constant_rates(model):
+    """(theta_max, a) of a constant_rate_model."""
+    schedule, (a, b) = model.rotation.schedule, model.dispersion.params
+    assert schedule.kind == "linear_ramp" and b == 0.0, "not the constant-rate model"
+    return schedule.theta_max, a
+
+
+def exact_final_propagator(model, duration: float) -> np.ndarray:
+    """U(1) = Q(1) exp(M) of the constant-rate model, M = -theta_max G - i (T a / hbar) diag kappa.
+
+    In the frame basis x = Q^dag U the equation is
+    x' = -(theta'(s) G + i (T f(s) / hbar) diag kappa) x, and with theta' =
+    theta_max and f = a both rates are constant, so x(1) = exp(M).  M is
+    anti-Hermitian: one eigh of iM gives exp(M), one of iG gives
+    Q(1) = exp(theta_max G).
+    """
+    theta_max, a = _constant_rates(model)
+    g = model.rotation.generator
+    kappa = model.dispersion.kappa(model.grid.nodes)
+    im = -1j * theta_max * g + np.diag(duration * a / HBAR * kappa)
+    return eigh_expm(1j * g, theta_max) @ eigh_expm(im, 1.0)
+
+
+def exact_final_residual(model, variant, duration: float) -> np.ndarray:
+    """W(1) = Phi(1)^dag A(1)^dag U(1) of the constant-rate model, every factor closed form.
+
+    A(1) = exp(theta_max G) exp(-theta_max G_in), with G_in the couplings
+    the variant removes, from one eigh each; Phi(1) = diag exp(-i T a kappa / hbar).
+    """
+    theta_max, a = _constant_rates(model)
+    g = model.rotation.generator
+    g_in = np.where(variant.keep_mask(model.size), 0.0, g)
+    a1 = eigh_expm(1j * g, theta_max) @ eigh_expm(1j * g_in, -theta_max)
+    phases = np.exp(-1j * duration * a * model.dispersion.kappa(model.grid.nodes) / HBAR)
+    return phases.conj()[:, None] * (a1.conj().T @ exact_final_propagator(model, duration))
 
 
 @pytest.fixture(scope="session")

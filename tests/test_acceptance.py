@@ -98,7 +98,7 @@ def test_01_frozen_frame_is_trivial(capsys):
         u = evolve_propagator(frozen, PropagationConfig(duration, steps))
         phi = phase_family(frozen, duration, steps)
         u_phi_worst = max(u_phi_worst, float(np.abs(u.matrices - phi.matrices).max()))
-        eta_worst = max(eta_worst, leakage_exact(frozen, u, fpart, J0))
+        eta_worst = max(eta_worst, leakage_exact(frozen, u.final, fpart, J0))
     elapsed = time.perf_counter() - t0
     ok = (eta_worst <= 1e-12 and k_max <= 1e-15 and a_dev <= 1e-12
           and u_phi_worst <= 1e-10 and elapsed < 1.0)
@@ -201,8 +201,8 @@ def test_08_first_order_tracks_exact_leakage(capsys, sweep):
 
 
 def test_09_wave_form_equals_projector_form(capsys, model, part, families):
-    eta_u = leakage_exact(model, families["u"], part, J0)
-    eta_w = leakage_wave_form(model, families["w_cf4"], part, J0)
+    eta_u = leakage_exact(model, families["u"].final, part, J0)
+    eta_w = leakage_wave_form(model, families["w_cf4"].final, part, J0)
     gap = abs(eta_w - eta_u)
     ok = gap <= 1e-10
     verdict(capsys, 9, "residual-operator and projector leakage agree", ok,

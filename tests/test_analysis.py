@@ -46,7 +46,7 @@ from adiabatic_continuum.bands import check_gap_margin, minimal_time, virtual_ga
 from adiabatic_continuum.propagation import _unitarity_defect
 from adiabatic_continuum.runner import cmd_simulate
 
-from conftest import SRC, make_model, stored_families
+from conftest import J0, SRC, THETA_MAX, constant_rate_model, make_model, stored_families
 
 
 # ---- coupling and substep planning ------------------------------------------
@@ -88,6 +88,19 @@ def test_masked_and_silent_pairs_are_exactly_zero(default_model, default_part):
     for variant, j in ((wb, 0), (kato_state(), 5)):
         parts = transition_integral_parts(default_model, variant, 1, j, 200.0)
         assert (parts.total, parts.boundary, parts.tail, parts.bound) == (0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("duration", [100.0, 800.0])
+@pytest.mark.parametrize("j", [J0 - 1, J0 + 1])
+def test_transition_integral_matches_the_constant_rate_closed_form(j, duration):
+    # theta' = theta_max and alpha_j0 - alpha_j = (kappa_j0 - kappa_j) a s, so the
+    # integral is i hbar theta_max G[j0, j] (e^{i omega a} - 1) / (i omega a)
+    a = 1.5
+    model = constant_rate_model(a=a)
+    kappa = model.dispersion.kappa(model.grid.nodes)
+    omega = duration * (kappa[J0] - kappa[j]) / HBAR
+    exact = 1j * HBAR * THETA_MAX * model.rotation.generator[J0, j] * (np.exp(1j * omega * a) - 1) / (1j * omega * a)
+    assert abs(transition_integral(model, kato_state(), J0, j, duration) - exact) <= 1e-13 * abs(exact)
 
 
 def test_transition_integral_leading_order(default_model):
@@ -214,6 +227,17 @@ def test_leakage_wave_form_counts_exterior_weight(default_model, default_part):
     w[5, 1] = 0.6  # exterior
     w[0, 1] = 0.8  # same band
     assert leakage_wave_form(default_model, w, default_part, 1) == pytest.approx(0.36)
+
+
+def test_leakages_take_the_final_matrix_only(default_model, default_part):
+    # a stack of nodes would make [:, j0] pick a row of every node and
+    # leakage_wave_form sum over nodes; a family object is no matrix at all
+    fam = UnitaryFamily("W", np.linspace(0.0, 1.0, 3), np.stack([np.eye(16, dtype=complex)] * 3))
+    for leakage in (leakage_exact, leakage_wave_form):
+        for bad in (fam, fam.matrices):
+            with pytest.raises(ConfigError, match="N x N matrix at s=1"):
+                leakage(default_model, bad, default_part, 1)
+    assert leakage_wave_form(default_model, fam.final, default_part, 1) == 0.0
 
 
 def test_first_order_leakage_is_sum_of_weights(default_model, default_part):

@@ -12,6 +12,7 @@ import types
 import pytest
 
 from adiabatic_continuum import cli
+from adiabatic_continuum.errors import NoExteriorError, reportable
 from adiabatic_continuum.runner import COMMANDS
 from conftest import SRC, run_cli, run_python
 
@@ -93,6 +94,28 @@ def test_unusable_output_path_is_a_config_error(write_config, tmp_path, nested):
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
     assert blocker.read_text() == "not a directory\n"
+
+
+def test_out_of_memory_grid_is_a_config_error(write_config, tmp_path):
+    # the N x N generator of N = 10^7 is a 1.42 PiB request, which numpy
+    # refuses before allocating anything; a grid that fits the address
+    # space but not RAM may instead be killed by the OS, and is not tested
+    cfg = write_config({"grid": {"N": "10000000"}})
+    out = tmp_path / "big"
+    result = run_cli("criterion", "--config", str(cfg), "--out", str(out))
+    assert result.returncode == 2
+    assert result.stderr.startswith("config error: out of memory: Unable to allocate 1.42 PiB")
+    assert result.stderr.count("\n") == 1
+    assert "(10000000, 10000000)" in result.stderr
+    assert result.stdout == ""
+    assert not out.exists()
+
+
+def test_reportable_maps_only_memory_errors():
+    # a bare MemoryError (Python's own allocator) carries no message
+    assert (str(reportable(MemoryError())), reportable(MemoryError()).exit_code) == ("out of memory", 2)
+    error = NoExteriorError("band covers the grid")
+    assert reportable(error) is error
 
 
 def test_criterion_exit_reflects_threshold(write_config, tmp_path):

@@ -389,3 +389,23 @@ def test_no_module_compares_against_a_declared_name():
             if any(isinstance(e, ast.Constant) and e.value in names for e in items):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_only_propagation_names_the_stored_families():
+    # the stored node families serve the tests and the benchmark's span hooks;
+    # every other module reads the streamed or s=1 forms, so deleting the
+    # family layer touches propagation and the package's re-export alone
+    names = {
+        "UnitaryFamily", "evolve_propagator", "evolve_intertwiner", "phase_family",
+        "phase_operator", "wave_operator", "intertwine_residual",
+    }
+    offenders = []
+    for path in sorted((SRC / "adiabatic_continuum").glob("*.py")):
+        if path.name in ("propagation.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            # a Name's id, an Attribute's attr, an import alias's or a def's name
+            found = {getattr(node, key, None) for key in ("id", "attr", "name")} & names
+            offenders += [f"{path.name}: {name}" for name in sorted(found)]
+    assert offenders == []

@@ -57,9 +57,13 @@ from adiabatic_continuum import propagation
 from adiabatic_continuum.propagation import _CHUNK, _CHUNK_BYTES
 
 from conftest import (
+    M,
     cf4_loop,
     closed_form_family,
+    constant_rate_model,
     eigh_expm,
+    exact_final_propagator,
+    exact_final_residual,
     intertwiner_loop,
     make_model,
     midpoint_loop,
@@ -231,10 +235,7 @@ def test_propagator_family_structure(default_model):
     fam = evolve_propagator(default_model, PropagationConfig(2.0, 64))
     assert fam.kind == "U"
     assert len(fam) == 65
-    assert np.array_equal(fam.at(0.0), np.eye(16))
-    assert fam.index_of(0.5) == 32
-    with pytest.raises(ConfigError):
-        fam.at(0.012345)
+    assert np.array_equal(fam.matrices[0], np.eye(16))
     assert fam.unitarity_defect() < 1e-12
     # the final is the family's last node bitwise, also across a chunk boundary
     for scheme in SCHEMES:
@@ -412,6 +413,44 @@ def test_midpoint_final_memory_stays_within_chunk_budget():
     finally:
         tracemalloc.stop()
     assert peak < 8 * _CHUNK_BYTES
+
+
+# ---- exact U(1): the constant-rate model ---------------------------------------
+
+# (kappa family, N, T); each runs at _oracle_steps
+ORACLE_CASES = [("linear", 16, 100.0), ("linear", 16, 800.0), ("quadratic", 16, 100.0), ("quadratic", 16, 800.0)]
+
+
+def _oracle_steps(model, duration: float) -> int:
+    """4000, or the smallest multiple of 1000 at or above the step budget."""
+    return max(4000, -(-propagator_step_budget(model, duration) // 1000) * 1000)
+
+
+def _oracle_errors(model, duration: float, steps: int, scheme: str) -> np.ndarray:
+    """max|U(1) - exact| and max|W(1) - exact| for kato_state and weyl_band."""
+    part = BandPartition(model.size, M)
+    u1s = final_propagators(model, [duration], steps, scheme)
+    errors = [np.abs(u1s[0] - exact_final_propagator(model, duration)).max()]
+    for variant in (kato_state(), weyl_band(part)):
+        w1 = final_stage(model, variant, part, [duration], u1s)[0][0]
+        errors.append(np.abs(w1 - exact_final_residual(model, variant, duration)).max())
+    return np.array(errors)
+
+
+@pytest.mark.parametrize("family, n, duration", [*ORACLE_CASES, ("linear", 64, 800.0)])
+def test_midpoint_final_converges_to_the_exact_one_at_order_two(family, n, duration):
+    # four times the steps must cut every error by 15 to 17 (16 at order two)
+    model = constant_rate_model(family, n)
+    steps = _oracle_steps(model, duration)
+    ratios = _oracle_errors(model, duration, steps, MIDPOINT) / _oracle_errors(model, duration, 4 * steps, MIDPOINT)
+    assert np.all((ratios >= 15.0) & (ratios <= 17.0)), ratios
+
+
+@pytest.mark.parametrize("family, n, duration", ORACLE_CASES)
+def test_cf4_final_meets_the_exact_one(family, n, duration):
+    model = constant_rate_model(family, n)
+    errors = _oracle_errors(model, duration, _oracle_steps(model, duration), CF4)
+    assert errors.max() < 1e-11, errors
 
 
 # ---- the stacked midpoint pass ---------------------------------------------------
@@ -650,7 +689,8 @@ def test_cf4_transport_matches_exact_solution(default_model):
     oracle = taylor_expm(0.4 * default_model.rotation.generator)
     assert np.abs(fam.final - oracle).max() < 1e-13
     mid = taylor_expm(default_model.rotation.schedule.angle(0.5) * default_model.rotation.generator)
-    assert np.abs(fam.at(0.5) - mid).max() < 1e-13
+    assert fam.s_nodes[8] == 0.5
+    assert np.abs(fam.matrices[8] - mid).max() < 1e-13
 
 
 def test_midpoint_transport_is_order_two(default_model):
@@ -749,7 +789,8 @@ def test_phase_family_nodes(default_model):
     per_state = np.stack([default_model.phase(j, fam.s_nodes) for j in range(16)], axis=1)
     assert np.array_equal(np.diagonal(fam.matrices, axis1=1, axis2=2), np.exp(-1j * 100.0 * per_state))
     assert not fam.matrices[:, ~np.eye(16, dtype=bool)].any()
-    assert np.abs(fam.at(0.5) - phase_operator(default_model, 100.0, 0.5)).max() < 1e-14
+    assert fam.s_nodes[25] == 0.5
+    assert np.abs(fam.matrices[25] - phase_operator(default_model, 100.0, 0.5)).max() < 1e-14
     assert fam.unitarity_defect() < 1e-12
 
 
@@ -760,7 +801,7 @@ def test_wave_operator_structure(default_model):
     phi = phase_family(default_model, 100.0, steps)
     w = wave_operator(u, a, phi)
     assert w.kind == "W"
-    assert np.abs(w.at(0.0) - np.eye(16)).max() < 1e-14
+    assert np.abs(w.matrices[0] - np.eye(16)).max() < 1e-14
     # residual evolution stays within O(1/T) of the identity
     dev = deviation_from_identity(w.final)
     assert 0.1 < dev * 100.0 < 25.0

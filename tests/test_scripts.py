@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import re
+import sys
 
 import pytest
 
@@ -63,6 +65,35 @@ def test_schedule_comparison_reports_a_malformed_duration_list(durations):
     assert result.stderr.startswith("ConfigError: [run] T_list = ")
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+def test_run_convergence_exits_2_on_an_out_of_memory_grid(tmp_path):
+    # as the CLI: numpy refuses the N x N generator of N = 10^7 outright
+    path = tmp_path / "big.cfg"
+    path.write_text((ROOT / "configs" / "sweep.cfg").read_text().replace("N = 16", "N = 10000000"))
+    result = run_python(str(ROOT / "scripts" / "run_convergence.py"), str(path), cwd=ROOT)
+    assert result.returncode == 2
+    assert result.stderr.startswith("ConfigError: out of memory: Unable to allocate 1.42 PiB")
+    assert result.stderr.count("\n") == 1
+    assert result.stdout == ""
+
+
+def test_schedule_comparison_exits_2_when_a_sweep_runs_out_of_memory(monkeypatch, capsys):
+    # its model is configs/sweep.cfg's, so the refusal is injected in process
+    spec = importlib.util.spec_from_file_location("schedule_comparison", ROOT / "scripts" / "schedule_comparison.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def refused(config):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr(script, "cmd_sweep", refused)
+    monkeypatch.setattr(sys, "argv", ["schedule_comparison.py", "--durations", "50,100,200"])
+    monkeypatch.setattr(script, "_retain_freed_heap", lambda: None)
+    with pytest.raises(SystemExit) as stop:
+        script.main()
+    assert stop.value.code == 2
+    assert capsys.readouterr().err == "ConfigError: out of memory: Unable to allocate 8.00 EiB for an array\n"
 
 
 def test_readme_library_example_runs_as_printed():
