@@ -5,9 +5,9 @@ eta(T) ~ T^p.  Ramps with a nonzero rate at s=1 put the whole boundary
 term of the integration by parts in play and decay like T^-2; smoothstep
 kills the rate at both ends, so its leading term cancels and the decay
 steepens.  Each sweep runs the CLI's sweep in-process (no files written),
-with its crossing and gap-margin checks; when one fails, the script
-prints the error's class and message to stderr and exits with the CLI's
-code for it.
+with its crossing and gap-margin checks, and all of them run before the
+table prints; when one fails, the script prints only the error's class
+and message, to stderr, and exits with the CLI's code for it.
 
 usage: python3 scripts/schedule_comparison.py [--durations 50,100,200,400] [--steps 12000]
 """
@@ -34,8 +34,6 @@ def main() -> None:
     args = ap.parse_args()
 
     try:
-        # every schedule's config is loaded before the first sweep, so a
-        # malformed list stops the script before any output
         configs = [
             load_config(
                 SWEEP_CFG,
@@ -47,17 +45,17 @@ def main() -> None:
             )
             for kind in ANGLE_SCHEDULES
         ]
-        print(f"{'schedule':>16}  {'slope':>8}  {'r^2':>8}  eta at T={configs[0].duration_list[-1]:g}")
-        for kind, config in zip(ANGLE_SCHEDULES, configs):
-            _, record, _, _ = cmd_sweep(config)
-            fit = record["fit"]
-            print(
-                f"{kind:>16}  {fit['slope']:8.3f}  {fit['r_squared']:8.5f}  {record['rows'][-1]['eta_exact']:.4e}"
-            )
+        # every config loads and every sweep runs before the table prints,
+        # so a failure leaves stdout empty
+        records = [cmd_sweep(config)[1] for config in configs]
     except (HarnessError, MemoryError) as exc:
         exc = reportable(exc)
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         sys.exit(exc.exit_code)
+    print(f"{'schedule':>16}  {'slope':>8}  {'r^2':>8}  eta at T={configs[0].duration_list[-1]:g}")
+    for kind, record in zip(ANGLE_SCHEDULES, records):
+        fit = record["fit"]
+        print(f"{kind:>16}  {fit['slope']:8.3f}  {fit['r_squared']:8.5f}  {record['rows'][-1]['eta_exact']:.4e}")
 
 
 if __name__ == "__main__":

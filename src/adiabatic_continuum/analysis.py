@@ -8,8 +8,8 @@ sweep of durations.
 Every first-order number reads one list of coupled pairs, each keyed by
 its mismatch (_coupled_pairs), and the rule that mismatch sets (_pair_rule).
 One builder makes the leakage row of a duration (leakage_reports) from
-its U(1) and W(1), which simulate and sweep_leakage both take from
-propagation.final_propagators and the s=1 stage final_stage.
+the W(1) of the s=1 stage propagation.final_stage, which simulate and
+sweep_leakage share; eta_exact is W(1)'s exterior weight (leakage_wave_form).
 
 Everything is computed on the dimensionless schedule clock s; quantities
 the literature states on the physical clock t = t0 + s*T absorb their
@@ -220,7 +220,11 @@ def _final_column(matrix, j0: int) -> np.ndarray:
 
 
 def leakage_exact(model: ContinuumModel, u: np.ndarray, part: BandPartition, j0: int) -> float:
-    """Probability that the evolved j0 state left its band by s=1, from the s=1 propagator u = U(1)."""
+    """Probability that the evolved j0 state left its band by s=1, from the s=1 propagator u = U(1).
+
+    1 - sum_in |<phi_j(1)|u|j0>|^2, clamped at 0: the projector-form reference for leakage_wave_form,
+    never reported, as a difference from 1 carries U's norm drift and reads nothing below about 1e-15.
+    """
     members = list(part.members(part.band_of(j0)))
     v = _final_column(u, j0)
     c = model.frame_matrix(1.0)[:, members].conj().T @ v
@@ -230,7 +234,7 @@ def leakage_exact(model: ContinuumModel, u: np.ndarray, part: BandPartition, j0:
 
 
 def leakage_wave_form(model: ContinuumModel, w: np.ndarray, part: BandPartition, j0: int) -> float:
-    """Leakage through the s=1 residual operator w = W(1): weight outside the initial band."""
+    """Weight outside the initial band, summed directly from w = W(1): the eta_exact every command reports."""
     exterior = list(part.exterior(part.band_of(j0)))
     v = _final_column(w, j0)
     return float(np.sum(np.abs(v[exterior]) ** 2))
@@ -270,35 +274,22 @@ def adiabatic_criterion(
     return CriterionReport(max_coupling, min_gap, margin, threshold, margin <= threshold)
 
 
-def leakage_reports(
-    model: ContinuumModel,
-    part: BandPartition,
-    j0: int,
-    durations,
-    u1s,
-    w1s,
-) -> list[LeakageReport]:
-    """One LeakageReport per duration, from its U(1) and W(1); the one builder of the leakage row.
+def leakage_reports(model: ContinuumModel, part: BandPartition, j0: int, durations, w1s) -> list[LeakageReport]:
+    """One LeakageReport per duration, from its W(1); the one builder of the leakage row.
 
-    simulate and sweep_leakage both pass the finals of final_propagators
-    and final_stage, so the two agree bitwise at the same T, steps,
-    scheme and variant.  The three sequences must pair one to one.
+    simulate and sweep_leakage both pass the W(1) of final_stage, so the
+    two agree bitwise at the same T, steps, scheme and variant.  The two
+    sequences must pair one to one.
     """
-    if not len(durations) == len(u1s) == len(w1s):
-        raise ConfigError(
-            f"leakage_reports got {len(durations)} durations, {len(u1s)} finals U(1) and {len(w1s)} W(1)"
-        )
+    if len(durations) != len(w1s):
+        raise ConfigError(f"leakage_reports got {len(durations)} durations and {len(w1s)} W(1)")
     band = part.band_of(j0)
     return [
         LeakageReport(
-            duration,
-            j0,
-            band,
-            leakage_exact(model, u1, part, j0),
-            leakage_first_order(model, part, j0, duration),
-            deviation_from_identity(w1),
+            t, j0, band, leakage_wave_form(model, w1, part, j0),
+            leakage_first_order(model, part, j0, t), deviation_from_identity(w1),
         )
-        for duration, u1, w1 in zip(durations, u1s, w1s)
+        for t, w1 in zip(durations, w1s)
     ]
 
 
@@ -322,7 +313,7 @@ def sweep_leakage(
     variant = variant if variant is not None else kato_state()
     u1s = final_propagators(model, durations, steps, scheme)
     w1s, _, _ = final_stage(model, variant, part, durations, u1s)
-    return leakage_reports(model, part, j0, durations, u1s, w1s)
+    return leakage_reports(model, part, j0, durations, w1s)
 
 
 def fit_power_law(durations, values) -> ConvergenceFit:

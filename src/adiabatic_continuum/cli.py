@@ -3,8 +3,8 @@
 Exit codes:
   0  success
   1  a verification invariant failed
-  2  configuration or step-budget error, a request that does not fit in
-     memory, unusable output directory, or leakages the sweep cannot fit
+  2  configuration or step-budget error, a request that does not fit in memory,
+     unusable output directory, or sweep leakages with < 3 nonzero (a frozen frame's)
   3  band crossing or degenerate spectrum
   4  adiabatic criterion not satisfied
   5  no exterior states (band covers the whole grid)

@@ -112,7 +112,7 @@ def cmd_simulate(config: ExperimentConfig):
 
     u1 = final_propagators(model, [duration], config.steps, config.scheme)
     w1, unitarity, residual = final_stage(model, variant, part, [duration], u1)
-    (row,) = leakage_reports(model, part, config.j0, [duration], u1, w1)
+    (row,) = leakage_reports(model, part, config.j0, [duration], w1)
     crit = adiabatic_criterion(model, part, config.j0, threshold=config.threshold)
     mandated, used = planned_substeps(model, part, config.j0, duration)
     window = literal_window_hermiticity(model, config.band_size, 0.5)

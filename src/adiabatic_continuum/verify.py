@@ -1,12 +1,14 @@
 """Self-check battery for a configured experiment.
 
-Six named invariants run against the exact setup a config describes:
-projector algebra, unitarity of all four operator families, the frozen
-frame limit, degeneracy of the two generator variants at band size one,
-agreement of the transition integral with its integration-by-parts twin,
-and the transport intertwining property.  Each check is isolated so a
-single failure (or crash) is reported under its own name.  Every check
-returns its verdict through _row, and verify_config adds its name.
+Six named invariants run against the exact setup a config describes: projector
+algebra, unitarity of all four operator families, the frozen frame limit,
+degeneracy of the two generator variants at band size one, agreement of the
+transition integral with its integration-by-parts twin, and the transport
+intertwining property.  Each check is isolated so a single failure (or crash)
+is reported under its own name.  Every check returns its verdict through _row,
+and verify_config adds its name.  The frozen-frame leakage is W(1)'s exterior
+weight, as every command reports it.  The stepped transports run CF4 at
+intertwiner_step_budget, not [run] steps: kato_state's stages all commute.
 """
 
 from __future__ import annotations
@@ -16,14 +18,17 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import leakage_exact, transition_integral, transition_integral_parts
+from .analysis import leakage_wave_form, transition_integral, transition_integral_parts
 from .bands import BandPartition, band_projector
 from .config import ExperimentConfig
 from .errors import NoExteriorError
 from .propagation import (
+    CF4,
     PropagationConfig,
     final_intertwiner,
+    final_stage,
     generator,
+    intertwiner_step_budget,
     kato_state,
     literal_window_hermiticity,
     phase_factors,
@@ -96,14 +101,17 @@ def _check_frozen_frame(config, model, part) -> dict:
     t_ref = _reference_duration(config)
 
     k_max = max(_max_abs(generator(fmodel, variant, s)) for s in SCHEDULE_POINTS)
-    a_dev = _max_abs(final_intertwiner(fmodel, variant, 16) - np.eye(fmodel.size))
+    steps = intertwiner_step_budget(fmodel, variant)
+    a_dev = _max_abs(final_intertwiner(fmodel, variant, steps=steps, scheme=CF4) - np.eye(fmodel.size))
     u_phi = 0.0
     idx = np.arange(fmodel.size)
     for s, u in propagator_nodes(fmodel, PropagationConfig(t_ref, config.steps, config.scheme)):
         diff = u.copy()
         diff[:, idx, idx] -= phase_factors(fmodel, t_ref, s)
         u_phi = max(u_phi, _max_abs(diff))
-    eta = leakage_exact(fmodel, u[-1], fpart, config.j0)
+    w1, _, _ = final_stage(fmodel, variant, fpart, [t_ref], u[-1:])
+    # a band that covers the grid has no exterior, so nothing can leave it
+    eta = leakage_wave_form(fmodel, w1[0], fpart, config.j0) if len(fpart) > 1 else 0.0
 
     passed = k_max <= 1e-15 and a_dev <= 1e-12 and u_phi <= 1e-10 and eta <= 1e-12
     return _row(
@@ -159,8 +167,9 @@ def _check_by_parts(config, model, part) -> dict:
 
 
 def _check_intertwining(config, model, part) -> dict:
-    residual = transport_residual(model, kato_state(), part, config.steps, config.scheme)
-    return _row(residual <= 1e-6, residual, 1e-6, f"state-wise transport at {config.steps} steps ({config.scheme})")
+    steps = intertwiner_step_budget(model, kato_state())
+    residual = transport_residual(model, kato_state(), part, steps=steps, scheme=CF4)
+    return _row(residual <= 1e-6, residual, 1e-6, f"state-wise transport, {CF4} at its step budget of {steps}")
 
 
 _CHECKS: tuple[tuple[str, Callable], ...] = (

@@ -44,7 +44,7 @@ from adiabatic_continuum import (
 from adiabatic_continuum.analysis import leakage_reports
 from adiabatic_continuum.bands import check_gap_margin, minimal_time, virtual_gap
 from adiabatic_continuum.propagation import _unitarity_defect
-from adiabatic_continuum.runner import cmd_simulate
+from adiabatic_continuum.runner import cmd_simulate, cmd_sweep
 
 from conftest import J0, SRC, THETA_MAX, constant_rate_model, make_model, stored_families
 
@@ -324,11 +324,45 @@ def test_leakage_reports_rejects_unpaired_sequences(default_model, default_part)
     durations = [20.0, 30.0]
     u1s = final_propagators(default_model, durations, 256)
     w1s, _, _ = final_stage(default_model, kato_state(), default_part, durations, u1s)
-    assert len(leakage_reports(default_model, default_part, 1, durations, u1s, w1s)) == 2
-    with pytest.raises(ConfigError, match=r"2 durations, 1 finals U\(1\) and 2 W\(1\)"):
-        leakage_reports(default_model, default_part, 1, durations, u1s[:1], w1s)
-    with pytest.raises(ConfigError, match=r"1 durations, 2 finals U\(1\) and 1 W\(1\)"):
-        leakage_reports(default_model, default_part, 1, durations[:1], u1s, w1s[:1])
+    assert len(leakage_reports(default_model, default_part, 1, durations, w1s)) == 2
+    with pytest.raises(ConfigError, match=r"2 durations and 1 W\(1\)"):
+        leakage_reports(default_model, default_part, 1, durations, w1s[:1])
+    with pytest.raises(ConfigError, match=r"1 durations and 2 W\(1\)"):
+        leakage_reports(default_model, default_part, 1, durations[:1], w1s)
+
+
+def test_sweep_resolves_leakages_below_the_projector_forms_floor():
+    # at N = 64 the band-centre state leaks 3e-17 to 1e-26 (ROADMAP item 7);
+    # 1 minus the in-band weight read exact zeros there, and the sweep exited
+    # "trivially adiabatic"; the exterior weight of W(1) reads every one
+    overrides = {
+        ("grid", "N"): "64",
+        ("bands", "m"): "16",
+        ("analysis", "j0"): "8",
+        ("run", "T_list"): "100, 200, 400",
+        ("run", "steps"): "4000",
+    }
+    code, record, _, _ = cmd_sweep(load_config(SRC.parent / "configs" / "sweep.cfg", overrides))
+    assert code == 0
+    assert all(row["eta_exact"] > 0.0 for row in record["rows"])
+    assert record["fit"]["excluded"] == []
+
+
+@pytest.mark.parametrize(
+    "scheme, steps",
+    # CF4 at the shipped 20000 steps takes 5 s; 4100 covers T = 800's budget of 4075
+    [(MIDPOINT, "20000"), (CF4, "4100")],
+    ids=["midpoint", "cf4"],
+)
+def test_frozen_sweep_is_trivially_adiabatic(scheme, steps):
+    # theta_max = 0: nothing can leave the band, and W(1) is diagonal, so
+    # every leakage is exactly zero and fit_power_law refuses the sweep
+    # instead of fitting the propagator's roundoff
+    overrides = {("rotation", "theta_max"): "0.0", ("run", "scheme"): scheme, ("run", "steps"): steps}
+    config = load_config(SRC.parent / "configs" / "sweep.cfg", overrides)
+    with pytest.raises(AnalysisError, match="trivially adiabatic") as err:
+        cmd_sweep(config)
+    assert err.value.exit_code == 2
 
 
 def _simulate_config(scheme, band_variant):
@@ -361,6 +395,7 @@ def test_sweep_residual_operator_equals_streamed_w_final(monkeypatch, scheme, ba
     w = stored_families(model, variant, PropagationConfig(20.0, 256, scheme))[3]
     assert np.array_equal(seen[0], w.final)
     assert report.w_deviation == original(w.final)
+    assert report.eta_exact == leakage_wave_form(model, w.final, part, config.j0)
     _, record, _, _ = cmd_simulate(config)
     assert record["leakage"] == {
         "T": report.duration,
@@ -406,6 +441,23 @@ def test_simulate_builds_the_s1_stage_once(monkeypatch):
     cmd_simulate(load_config(SRC.parent / "configs" / "default.cfg"))
     assert len(nodes) == 1
     assert np.array_equal(nodes[0], np.ones(1))
+
+
+@pytest.mark.parametrize("command, name", [(cmd_simulate, "default.cfg"), (cmd_sweep, "sweep.cfg")])
+def test_commands_build_the_frame_at_s1_once(monkeypatch, command, name):
+    # the leakage row reads the stage's W(1), so no duration rebuilds Q(1)
+    from adiabatic_continuum.spectral import ContinuumModel
+
+    at_end = []
+    original = ContinuumModel.frame_matrix
+
+    def recorder(model, s):
+        at_end.append(bool(np.all(np.asarray(s) == 1.0)))
+        return original(model, s)
+
+    monkeypatch.setattr(ContinuumModel, "frame_matrix", recorder)
+    command(load_config(SRC.parent / "configs" / name))
+    assert at_end.count(True) == 1
 
 
 def test_midpoint_sweep_runs_one_stacked_pass(monkeypatch, default_model, default_part):

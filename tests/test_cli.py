@@ -175,11 +175,14 @@ def test_unknown_key_is_rejected(write_config, tmp_path):
 
 
 def test_verify_fails_on_sabotaged_steps(write_config, tmp_path):
+    # 10 steps cannot resolve the propagator; the transport checks step at
+    # their own budget, so intertwining still passes
     cfg = write_config({})
     result = run_cli("verify", "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--steps", "10")
     assert result.returncode == 1
-    assert "[FAIL] intertwining" in result.stdout
+    assert "[FAIL] unitarity" in result.stdout
+    assert "[PASS] intertwining" in result.stdout
 
 
 def test_sweep_requires_duration_list(write_config, tmp_path):

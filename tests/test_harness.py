@@ -15,6 +15,7 @@ from adiabatic_continuum import (
     ConfigError,
     load_config,
 )
+from adiabatic_continuum.propagation import transport_residual
 from adiabatic_continuum.runner import (
     COMMANDS,
     cmd_bands,
@@ -201,8 +202,16 @@ def test_verify_passes_with_the_cf4_scheme(fast_config):
     assert rows["unitarity"]["measured"] < 1e-13
 
 
-def test_verify_sabotage_names_intertwining(fast_config):
-    cfg = fast_config({"run": {"steps": "10"}})
+def test_verify_sabotage_names_intertwining(fast_config, monkeypatch):
+    # the check steps the transport at its own budget, so the sabotage is
+    # the old one injected: the midpoint transport at 10 steps
+    from adiabatic_continuum import verify
+
+    def sabotaged(model, variant, part, steps, scheme):
+        return transport_residual(model, variant, part, 10)
+
+    monkeypatch.setattr(verify, "transport_residual", sabotaged)
+    cfg = fast_config({"run": {"steps": "1024"}})
     code, record, _, lines = cmd_verify(cfg)
     assert code == 1
     failed = {row["name"] for row in record["checks"] if not row["passed"]}
@@ -235,6 +244,9 @@ def test_verify_single_band_annotation(fast_config, m, single):
     _, record, _, _ = cmd_verify(cfg)
     notes = record["annotations"]
     assert any("single band covers the grid" in note for note in notes) == single
+    # a band with no exterior leaks nothing; its frozen-frame leakage reads 0
+    (frozen,) = [row for row in record["checks"] if row["name"] == "frozen_frame"]
+    assert frozen["passed"], frozen
 
 
 def test_simulate_and_verify_store_no_family(fast_config, monkeypatch):
@@ -258,14 +270,17 @@ def test_simulate_and_verify_store_no_family(fast_config, monkeypatch):
 
 def test_verify_streamed_checks_equal_stored_families(fast_config):
     # the frozen-frame and intertwining checks stream their families; they
-    # must measure what the stored families give
+    # must measure what the stored families give, the intertwining one at
+    # the transport's own CF4 step budget, whatever [run] steps says
     import numpy as np
 
     from adiabatic_continuum import (
+        CF4,
         PropagationConfig,
         evolve_intertwiner,
         evolve_propagator,
         intertwine_residual,
+        intertwiner_step_budget,
         kato_state,
         phase_family,
     )
@@ -276,9 +291,12 @@ def test_verify_streamed_checks_equal_stored_families(fast_config):
     u = evolve_propagator(fmodel, PropagationConfig(cfg.duration, 1024))
     phi = phase_family(fmodel, cfg.duration, 1024)
     assert rows["frozen_frame"]["measured"] == float(np.abs(u.matrices - phi.matrices).max())
-    a = evolve_intertwiner(cfg.build_model(), kato_state(), 1024)
-    expected = intertwine_residual(a, cfg.build_model(), cfg.build_partition())
+    model = cfg.build_model()
+    steps = intertwiner_step_budget(model, kato_state())
+    a = evolve_intertwiner(model, kato_state(), steps, CF4)
+    expected = intertwine_residual(a, model, cfg.build_partition())
     assert rows["intertwining"]["measured"] == expected
+    assert rows["intertwining"]["detail"].endswith(f"step budget of {steps}")
 
 
 def test_write_outputs_respects_formats(fast_config, tmp_path):
@@ -307,7 +325,9 @@ def test_record_numbers_equal_library_results(fast_config):
         BandPartition,
         PropagationConfig,
         final_propagator,
-        leakage_exact,
+        final_stage,
+        kato_state,
+        leakage_wave_form,
     )
 
     cfg = fast_config({"run": {"T": "20.0", "steps": "512"}})
@@ -315,7 +335,8 @@ def test_record_numbers_equal_library_results(fast_config):
     model = cfg.build_model()
     part = BandPartition(16, 2)
     u1 = final_propagator(model, PropagationConfig(20.0, 512))
-    eta = leakage_exact(model, u1, part, 1)
+    w1, _, _ = final_stage(model, kato_state(), part, [20.0], u1[None])
+    eta = leakage_wave_form(model, w1[0], part, 1)
     assert record["leakage"]["eta_exact"] == eta
 
 
@@ -391,6 +412,21 @@ def test_no_module_compares_against_a_declared_name():
     assert offenders == []
 
 
+def _modules_naming(names, allowed) -> list[str]:
+    """'module: name' for each of `names` a src module outside `allowed` names.
+
+    A Name's id, an Attribute's attr, an import alias's or a def's name.
+    """
+    offenders = []
+    for path in sorted((SRC / "adiabatic_continuum").glob("*.py")):
+        if path.name in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            found = {getattr(node, key, None) for key in ("id", "attr", "name")} & set(names)
+            offenders += [f"{path.name}: {name}" for name in sorted(found)]
+    return offenders
+
+
 def test_only_propagation_names_the_stored_families():
     # the stored node families serve the tests and the benchmark's span hooks;
     # every other module reads the streamed or s=1 forms, so deleting the
@@ -399,13 +435,10 @@ def test_only_propagation_names_the_stored_families():
         "UnitaryFamily", "evolve_propagator", "evolve_intertwiner", "phase_family",
         "phase_operator", "wave_operator", "intertwine_residual",
     }
-    offenders = []
-    for path in sorted((SRC / "adiabatic_continuum").glob("*.py")):
-        if path.name in ("propagation.py", "__init__.py"):
-            continue
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            # a Name's id, an Attribute's attr, an import alias's or a def's name
-            found = {getattr(node, key, None) for key in ("id", "attr", "name")} & names
-            offenders += [f"{path.name}: {name}" for name in sorted(found)]
-    assert offenders == []
+    assert _modules_naming(names, ("propagation.py", "__init__.py")) == []
+
+
+def test_no_command_reads_the_projector_form_leakage():
+    # every reported leakage is the exterior weight of the run's W(1);
+    # leakage_exact stays in analysis as the reference it is checked against
+    assert _modules_naming({"leakage_exact"}, ("analysis.py", "__init__.py")) == []

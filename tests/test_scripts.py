@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import re
 import sys
 
@@ -53,6 +54,7 @@ def test_schedule_comparison_keeps_the_gap_margin_check():
     assert result.returncode == 2
     assert "duration T=0 violates the gap margin" in result.stderr
     assert "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("durations", ["50,100,200,", "50,x,200"])
@@ -103,3 +105,36 @@ def test_readme_library_example_runs_as_printed():
     result = run_python("-c", block, cwd=ROOT)
     assert result.returncode == 0, result.stderr
     assert float(result.stdout) == pytest.approx(8.0e-3, rel=0.01)
+
+
+def test_output_diff_reports_each_moved_number(tmp_path):
+    # two runs' output directories: identical (0), one moved value with its
+    # sizes (1), a file in one directory only (2)
+    script = str(ROOT / "scripts" / "output_diff.py")
+    report = {"command": "sweep", "timestamp": "then", "rows": [{"T": 50.0, "eta_exact": 0.25}]}
+    csv_text = "T,eta_exact\n50,0.25\n"
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "report.json").write_text(json.dumps(report))
+        (tmp_path / name / "resolved_config.json").write_text("{}")
+        (tmp_path / name / "sweep.csv").write_text(csv_text)
+        report = {**report, "timestamp": "now"}
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    result = run_python(script, a, b, cwd=ROOT)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "identical\n", "")
+
+    (tmp_path / "b" / "report.json").write_text(json.dumps({**report, "rows": [{"T": 50.0, "eta_exact": 0.5}]}))
+    (tmp_path / "b" / "sweep.csv").write_text("T,eta_exact\n50.0,0.5\n")
+    result = run_python(script, a, b, cwd=ROOT)
+    assert result.returncode == 1
+    assert result.stdout.splitlines() == [
+        "report.json rows[0].eta_exact: 0.25 -> 0.5  abs 2.500e-01  rel 1.000e+00",
+        "sweep.csv [0].eta_exact: '0.25' -> '0.5'  abs 2.500e-01  rel 1.000e+00",
+        "2 values moved",
+    ]
+
+    (tmp_path / "b" / "sweep.csv").unlink()
+    result = run_python(script, a, b, cwd=ROOT)
+    assert result.returncode == 2
+    assert result.stderr.startswith("unreadable: sweep.csv is in only one of")
+    assert result.stdout == ""
