@@ -3,12 +3,18 @@
 Reads report.json (its timestamp masked), resolved_config.json and
 sweep.csv from each directory and prints every value that moved: its
 path in the file, both values and, for numbers, the absolute and
-relative size of the move.  A file that neither directory holds is
-skipped, as simulate writes no sweep.csv.
+relative size of the move.  The exit_code.txt, stdout.txt and stderr.txt
+that the output corpus (tests/corpus, scripts/regenerate_corpus.py)
+stores beside them are compared line by line as text.  A file that
+neither directory holds is skipped, as simulate writes no sweep.csv.
+
+Each directory may also be a tree of runs, such as the corpus: every
+subdirectory that holds one of these files is compared with its twin
+under the other root, and its lines are prefixed with its relative path.
 
 Exit codes: 0 when the files are identical, 1 when anything moved, 2
-when a file is in one directory only, cannot be read, or neither
-directory holds any of the three.
+when a file or run is in one tree only, cannot be read, or neither
+tree holds any of the files.
 
 usage: python3 scripts/output_diff.py DIR_A DIR_B
 """
@@ -18,11 +24,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from pathlib import Path
 
 FILES = ("report.json", "resolved_config.json", "sweep.csv")
+TEXTS = ("exit_code.txt", "stdout.txt", "stderr.txt")
 MASKED = {"report.json": ("timestamp",)}
+# a number inside a line of text, as the CLI prints them
+_NUMERIC = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 class Unreadable(Exception):
@@ -42,9 +52,11 @@ def _number(value):
 
 
 def _load(path: Path, name: str):
-    """The file's contents as plain data: JSON as parsed, csv as a list of row dicts."""
+    """The file's contents as plain data: JSON as parsed, csv as a list of row dicts, text as its lines."""
     try:
         text = path.read_text(encoding="utf-8")
+        if name in TEXTS:
+            return text.splitlines()
         if name.endswith(".csv"):
             return list(csv.DictReader(text.splitlines()))
         data = json.loads(text)
@@ -56,17 +68,31 @@ def _load(path: Path, name: str):
     return data
 
 
-def moves(a, b, path: str = ""):
-    """(path, a, b) for every leaf where a and b differ; a missing side is None."""
+def _close(x: float, y: float, rel_tol: float) -> bool:
+    return x == y or abs(x - y) <= rel_tol * max(abs(x), abs(y))
+
+
+def _same_text(a: str, b: str, rel_tol: float) -> bool:
+    """Two lines with the same words around numbers that agree within rel_tol."""
+    if _NUMERIC.split(a) != _NUMERIC.split(b):
+        return False
+    return all(_close(float(x), float(y), rel_tol) for x, y in zip(_NUMERIC.findall(a), _NUMERIC.findall(b)))
+
+
+def moves(a, b, path: str = "", rel_tol: float = 0.0):
+    """(path, a, b) for every leaf where a and b differ by more than rel_tol; a missing side is None."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
-            yield from moves(a.get(key), b.get(key), f"{path}.{key}" if path else str(key))
+            yield from moves(a.get(key), b.get(key), f"{path}.{key}" if path else str(key), rel_tol)
     elif isinstance(a, list) and isinstance(b, list):
         for i in range(max(len(a), len(b))):
-            yield from moves(a[i] if i < len(a) else None, b[i] if i < len(b) else None, f"{path}[{i}]")
+            yield from moves(a[i] if i < len(a) else None, b[i] if i < len(b) else None, f"{path}[{i}]", rel_tol)
     elif a != b:
         x, y = _number(a), _number(b)
-        if x is None or y is None or x != y:
+        if x is not None and y is not None:
+            if not _close(x, y, rel_tol):
+                yield path, a, b
+        elif not (rel_tol and isinstance(a, str) and isinstance(b, str) and _same_text(a, b, rel_tol)):
             yield path, a, b
 
 
@@ -79,19 +105,36 @@ def describe(name: str, path: str, a, b) -> str:
     return line
 
 
-def compare(dir_a: Path, dir_b: Path) -> list[str]:
-    """One line per moved value; raises Unreadable on a missing or broken file."""
+def compare(dir_a: Path, dir_b: Path, rel_tol: float = 0.0) -> list[str]:
+    """One line per value moved by more than rel_tol; raises Unreadable on a missing or broken file."""
     lines, compared = [], 0
-    for name in FILES:
+    for name in FILES + TEXTS:
         pa, pb = dir_a / name, dir_b / name
         if not pa.exists() and not pb.exists():
             continue
         if not (pa.is_file() and pb.is_file()):
             raise Unreadable(f"{name} is in only one of {dir_a} and {dir_b}")
         compared += 1
-        lines += [describe(name, *move) for move in moves(_load(pa, name), _load(pb, name))]
+        lines += [describe(name, *move) for move in moves(_load(pa, name), _load(pb, name), rel_tol=rel_tol)]
     if not compared:
-        raise Unreadable(f"neither {dir_a} nor {dir_b} holds any of {', '.join(FILES)}")
+        raise Unreadable(f"neither {dir_a} nor {dir_b} holds any of {', '.join(FILES + TEXTS)}")
+    return lines
+
+
+def _runs(root: Path) -> set[Path]:
+    """Every directory under root (root itself included) that holds a file compare reads, relative to root."""
+    return {path.parent.relative_to(root) for name in FILES + TEXTS for path in root.rglob(name)}
+
+
+def compare_tree(root_a: Path, root_b: Path, rel_tol: float = 0.0) -> list[str]:
+    """compare over every run of two trees, each line prefixed with its run's relative path."""
+    runs = sorted(_runs(root_a) | _runs(root_b))
+    if not runs:
+        raise Unreadable(f"neither {root_a} nor {root_b} holds any of {', '.join(FILES + TEXTS)}")
+    lines = []
+    for run in runs:
+        prefix = "" if run == Path(".") else f"{run.as_posix()}/"
+        lines += [prefix + line for line in compare(root_a / run, root_b / run, rel_tol)]
     return lines
 
 
@@ -101,7 +144,7 @@ def main() -> None:
     ap.add_argument("dir_b", type=Path)
     args = ap.parse_args()
     try:
-        lines = compare(args.dir_a, args.dir_b)
+        lines = compare_tree(args.dir_a, args.dir_b)
     except Unreadable as exc:
         print(f"unreadable: {exc}", file=sys.stderr)
         sys.exit(2)

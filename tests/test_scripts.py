@@ -138,3 +138,56 @@ def test_output_diff_reports_each_moved_number(tmp_path):
     assert result.returncode == 2
     assert result.stderr.startswith("unreadable: sweep.csv is in only one of")
     assert result.stdout == ""
+
+
+def test_output_diff_compares_a_corpus_tree_and_its_text_files(tmp_path):
+    # two trees of runs, as tests/corpus holds: exit code, stdout and stderr
+    # compare as text line by line, each line prefixed with its run's path
+    script = str(ROOT / "scripts" / "output_diff.py")
+    for name in ("a", "b"):
+        run = tmp_path / name / "default" / "verify"
+        run.mkdir(parents=True)
+        (run / "exit_code.txt").write_text("0\n")
+        (run / "stdout.txt").write_text("[PASS] by_parts: measured 1.511e-16 (tol 1e-08)\n       10 exterior pairs\n")
+        (run / "stderr.txt").write_text("")
+        (run / "report.json").write_text(json.dumps({"checks": [{"measured": 1.5e-16}]}))
+        (tmp_path / name / "default" / "input.ini").write_text("[grid]\n")
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    result = run_python(script, a, b, cwd=ROOT)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "identical\n", "")
+
+    run = tmp_path / "b" / "default" / "verify"
+    (run / "exit_code.txt").write_text("1\n")
+    (run / "stdout.txt").write_text("[PASS] by_parts: measured 1.511e-16 (tol 1e-08)\n       1 coupled exterior pair\n")
+    result = run_python(script, a, b, cwd=ROOT)
+    assert result.returncode == 1
+    assert result.stdout.splitlines() == [
+        "default/verify/exit_code.txt [0]: '0' -> '1'  abs 1.000e+00  rel inf",
+        "default/verify/stdout.txt [1]: '       10 exterior pairs' -> '       1 coupled exterior pair'",
+        "2 values moved",
+    ]
+
+    (run / "stderr.txt").unlink()
+    result = run_python(script, a, b, cwd=ROOT)
+    assert result.returncode == 2
+    assert result.stderr.startswith("unreadable: stderr.txt is in only one of")
+
+
+def test_output_diff_compare_takes_a_relative_tolerance(tmp_path):
+    # a move within rel_tol is no move, in JSON numbers and inside text lines
+    spec = importlib.util.spec_from_file_location("output_diff", ROOT / "scripts" / "output_diff.py")
+    output_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(output_diff)
+    values = {"a": (2.530619424688032e-15, "residual 2.530619424688032e-15 at T=100"),
+              "b": (2.5306194246880313e-15, "residual 2.5306194246880313e-15 at T=100")}
+    for name, (number, line) in values.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "report.json").write_text(json.dumps({"measured": number}))
+        (tmp_path / name / "stdout.txt").write_text(line + "\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert len(output_diff.compare(a, b)) == 2
+    assert output_diff.compare(a, b, rel_tol=1e-12) == []
+    (b / "stdout.txt").write_text("residual 2.5306194246880313e-15 at T=200\n")
+    assert output_diff.compare(a, b, rel_tol=1e-12) == [
+        "stdout.txt [0]: 'residual 2.530619424688032e-15 at T=100' -> 'residual 2.5306194246880313e-15 at T=200'"
+    ]
