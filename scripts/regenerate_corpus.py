@@ -8,20 +8,19 @@ resolved_config.json and, for a sweep, sweep.csv).  Each run goes
 through cli.main in this process, with the working directory set to a
 fresh temporary directory and ``--out out``, so no machine path enters
 an output.  environment.json records the numpy version, its BLAS, the
-usable CPUs and the BLAS thread variables the corpus was made under.
+CPU's SIMD set (which picks the BLAS kernels), the usable CPUs and the
+BLAS thread variables the corpus was made under.
 
 tests/test_corpus.py replays every run through the same function (replay)
 and compares it with the stored files.  A regeneration changes check
-data: diff the old corpus against the new one with
-``python3 scripts/output_diff.py OLD/INPUT/COMMAND NEW/INPUT/COMMAND``
-(or ``--corpus OLD NEW``) and record every moved value.
+data: copy the corpus first, then record every value that
+``python3 scripts/output_diff.py OLD_COPY tests/corpus`` lists as moved.
 
-usage: python3 scripts/regenerate_corpus.py [--corpus DIR]
+usage: python3 scripts/regenerate_corpus.py
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
@@ -55,9 +54,9 @@ def environment() -> dict:
     }
 
 
-def inputs(corpus: Path = CORPUS) -> list[Path]:
+def inputs() -> list[Path]:
     """The corpus's input directories, by name."""
-    return sorted(p.parent for p in corpus.glob(f"*/{INPUT}"))
+    return sorted(p.parent for p in CORPUS.glob(f"*/{INPUT}"))
 
 
 def replay(ini: Path, command: str, dest: Path) -> None:
@@ -85,21 +84,14 @@ def replay(ini: Path, command: str, dest: Path) -> None:
     (dest / "stderr.txt").write_text(stderr.getvalue(), encoding="utf-8")
 
 
-def regenerate(corpus: Path = CORPUS) -> None:
+def main() -> None:
     """Replace every command's stored run with a fresh one, and the environment record."""
-    for case in inputs(corpus):
+    for case in inputs():
         for command in COMMANDS:
             shutil.rmtree(case / command, ignore_errors=True)
             replay(case / INPUT, command, case / command)
-    (corpus / ENVIRONMENT).write_text(json.dumps(environment(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--corpus", type=Path, default=CORPUS, help="corpus directory (default: tests/corpus)")
-    args = ap.parse_args()
-    regenerate(args.corpus)
-    print(f"regenerated {len(inputs(args.corpus))} inputs x {len(COMMANDS)} commands in {args.corpus}")
+    (CORPUS / ENVIRONMENT).write_text(json.dumps(environment(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"regenerated {len(inputs())} inputs x {len(COMMANDS)} commands in {CORPUS}")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ the coupling/gap validity criterion, and log-log convergence fits over a
 sweep of durations.
 
 Every first-order number reads one list of coupled pairs, each keyed by
-its mismatch (_coupled_pairs), and the rule that mismatch sets (_pair_rule).
+its mismatch (coupled_pairs), and the rule that mismatch sets (_pair_rule);
+verify's by-parts check compares the two integrals on that same list.
 One builder makes the leakage row of a duration (leakage_reports) from
 the W(1) of the s=1 stage propagation.final_stage, which simulate and
 sweep_leakage share; eta_exact is W(1)'s exterior weight (leakage_wave_form).
@@ -92,7 +93,7 @@ class TransitionParts:
     bound: float
 
 
-def _coupled_pairs(model: ContinuumModel, variant: GeneratorVariant, j0: int, states) -> list[tuple[int, float]]:
+def coupled_pairs(model: ContinuumModel, variant: GeneratorVariant, j0: int, states) -> list[tuple[int, float]]:
     """(j, dk) for the states j whose pair with j0 the variant keeps and G couples, dk = kappa_j0 - kappa_j.
 
     With the separable E(k, s) = kappa(k) f(s), E_j0 - E_j = dk f(s) and
@@ -113,7 +114,7 @@ def _pair_rule(model: ContinuumModel, dk: float, duration: float):
     panel.
     """
     disp = model.dispersion
-    lo, hi = disp.profile_range(0.0, 1.0)
+    lo, hi = disp.profile_range()
     de = abs(dk) * max(-lo, hi)
     required = max(1, math.ceil(abs(duration) * de / (HBAR * _PHASE_BUDGET)))
     segments = len(disp.knots) - 1
@@ -134,7 +135,7 @@ def planned_substeps(
     The max runs over the exterior pairs leakage_first_order integrates,
     those with G[j0, j] != 0; (0, 0) when there are none.
     """
-    pairs = _coupled_pairs(model, kato_state(), j0, part.exterior(part.band_of(j0)))
+    pairs = coupled_pairs(model, kato_state(), j0, part.exterior(part.band_of(j0)))
     plans = [_pair_rule(model, dk, duration)[:2] for _, dk in pairs]
     if not plans:
         return 0, 0
@@ -164,7 +165,7 @@ def transition_integral(
     and for pairs the generator does not couple (the coupling is
     theta' * G[j0, j]).
     """
-    pairs = _coupled_pairs(model, variant, j0, [j])
+    pairs = coupled_pairs(model, variant, j0, [j])
     return _transition(model, j0, *pairs[0], duration) if pairs else 0.0 + 0.0j
 
 
@@ -187,7 +188,7 @@ def transition_integral_parts(
     """
     if duration <= 0.0:
         raise ConfigError("integration by parts needs a positive duration")
-    pairs = _coupled_pairs(model, variant, j0, [j])
+    pairs = coupled_pairs(model, variant, j0, [j])
     if not pairs:
         return TransitionParts(0j, 0j, 0j, 0.0)
 
@@ -247,7 +248,7 @@ def leakage_first_order(
     duration: float,
 ) -> float:
     """First-order leakage: summed |transition integral|^2 over the exterior."""
-    pairs = _coupled_pairs(model, kato_state(), j0, part.exterior(part.band_of(j0)))
+    pairs = coupled_pairs(model, kato_state(), j0, part.exterior(part.band_of(j0)))
     return sum(abs(_transition(model, j0, j, dk, duration)) ** 2 for j, dk in pairs) / HBAR**2
 
 

@@ -54,10 +54,10 @@ class BandPartition:
         return len(self.bands)
 
     def band_of(self, j: int) -> int:
-        """Index of the band containing grid node j."""
+        """Index of the band containing grid node j: its label."""
         if not 0 <= j < self.grid_size:
             raise ConfigError(f"grid index {j} outside [0, {self.grid_size})")
-        return min(j // self.band_size, len(self.bands) - 1)
+        return int(self.labels[j])
 
     def members(self, band: int) -> tuple[int, ...]:
         if not 0 <= band < len(self.bands):
@@ -186,11 +186,11 @@ def _reaches_margin(ratio: float) -> bool:
 def band_plan(model: ContinuumModel, duration: float, margin: float) -> Iterator[tuple]:
     """(m, gap, ratio, feasible) for every band size m = 1..N in order.
 
-    gap is the worst virtual gap over the partition's bands and
-    ratio = gap * duration / margin; a size is feasible when
-    _reaches_margin(ratio).  The tail band absorbs the remainder, so
-    every m > N/2 is a single band with no exterior to be adiabatic
-    against: its gap and ratio are None.
+    gap is the worst virtual gap over the partition's bands
+    (validate_noncrossing) and ratio = gap * duration / margin; a size
+    is feasible when _reaches_margin(ratio).  The tail band absorbs the
+    remainder, so every m > N/2 is a single band with no exterior to be
+    adiabatic against: its gap and ratio are None.
     """
     if duration <= 0.0:
         raise ConfigError(f"duration must be positive, got {duration}")
@@ -201,7 +201,7 @@ def band_plan(model: ContinuumModel, duration: float, margin: float) -> Iterator
         if len(part) < 2:
             yield m, None, None, False
             continue
-        gap = min(virtual_gap(model, part, b) for b in range(len(part)))
+        gap = validate_noncrossing(model, part)
         ratio = gap * duration / margin
         yield m, gap, ratio, _reaches_margin(ratio)
 

@@ -164,42 +164,36 @@ def _check_run(steps: int, scheme: str = MIDPOINT):
 
 @dataclass(frozen=True)
 class GeneratorVariant:
-    """Which couplings the transport generator keeps.
+    """Which couplings the transport generator keeps: those between two bands.
 
-    kato_state zeroes only the per-state diagonal (rank-1 windows);
-    weyl_band zeroes every same-band block of a fixed partition, which is
-    the symmetric reading that keeps the generator Hermitian.
+    The mask zeroes every same-band block of the partition, the symmetric
+    reading that keeps the generator Hermitian (weyl_band).  Without a
+    partition every state is its own band (kato_state): Kato's state-wise
+    generator is the band generator of one state per band, and only the
+    diagonal goes.
     """
 
-    kind: str
     partition: BandPartition | None = None
 
-    def __post_init__(self):
-        if self.kind not in VARIANTS:
-            raise ConfigError(f"unknown generator variant {self.kind!r}")
-        if self.kind == "weyl_band" and self.partition is None:
-            raise ConfigError("weyl_band variant needs a band partition")
-        if self.kind == "kato_state" and self.partition is not None:
-            raise ConfigError("kato_state variant takes no partition")
-
     def keep_mask(self, n: int) -> np.ndarray:
-        """Boolean matrix: True where the coupling survives the mask."""
-        if self.kind == "kato_state":
-            return ~np.eye(n, dtype=bool)
-        if self.partition.grid_size != n:
+        """Boolean matrix: True where row and column lie in different bands."""
+        if self.partition is None:
+            labels = np.arange(n)
+        elif self.partition.grid_size != n:
             raise ConfigError(
                 f"variant partition covers {self.partition.grid_size} states, model has {n}"
             )
-        labels = self.partition.labels
+        else:
+            labels = self.partition.labels
         return labels[:, None] != labels[None, :]
 
 
 def kato_state() -> GeneratorVariant:
-    return GeneratorVariant("kato_state")
+    return GeneratorVariant()
 
 
 def weyl_band(part: BandPartition) -> GeneratorVariant:
-    return GeneratorVariant("weyl_band", part)
+    return GeneratorVariant(part)
 
 
 @dataclass(eq=False)
@@ -305,8 +299,9 @@ def generator_in_frame(model: ContinuumModel, variant: GeneratorVariant, s: floa
 def generator(model: ContinuumModel, variant: GeneratorVariant, s: float) -> np.ndarray:
     """Transport generator K(s), Hermitian by the symmetric masking.
 
-    Equals i*hbar * sum_j (I - P_win(j)) |dphi_j><phi_j| with rank-1
-    windows (kato_state) or fixed-partition bands (weyl_band).
+    Equals i*hbar * sum_j (I - P_win(j)) |dphi_j><phi_j| with P_win(j) the
+    projector onto j's band: the partition's (weyl_band), or j alone
+    (kato_state, the one-state bands).
     """
     q = model.frame_matrix(s)
     masked = generator_in_frame(model, variant, s)
@@ -642,21 +637,19 @@ def final_intertwiner(
 def _chunk_residual(part: BandPartition, x: np.ndarray) -> float:
     """max over bands and a chunk's nodes of sigma_max(X[ext(b), b]), for the stack X = Q^dag A.
 
-    sigma_max^2 is the top eigenvalue of the off-block's Gram, band b's
-    diagonal block of Y^dag Y with Y = X zeroed where row and column share
-    a band (a shorter last band's block padded with zeros): one stacked
-    matmul and eigvalsh per chunk, slice by slice, so a node's residual
-    does not depend on its chunk.  Not subtracted from 1, it keeps small
-    residuals' relative precision.
+    Band by band, with the band's rows and columns read from part.labels,
+    sigma_max^2 is the top eigenvalue of the off-block's own Gram matrix
+    X[ext(b), b]^dag X[ext(b), b]: one stacked matmul and eigvalsh per
+    band, slice by slice, so a node's residual does not depend on its
+    chunk.  Not subtracted from 1, it keeps small residuals' relative
+    precision.
     """
-    sizes = np.array([len(members) for members in part.bands])
-    labels = part.labels
-    y = np.where(labels[:, None] == labels, 0.0, x)
-    offsets = np.arange(sizes.max())
-    cols = np.cumsum(sizes)[:, None] - sizes[:, None] + np.minimum(offsets, sizes[:, None] - 1)
-    keep = offsets < sizes[:, None]
-    blocks = _adjoint_product(y, y)[:, cols[:, :, None], cols[:, None, :]] * (keep[:, :, None] & keep[:, None, :])
-    return math.sqrt(max(float(np.linalg.eigvalsh(blocks)[..., -1].max()), 0.0))
+    top = 0.0
+    for band in range(len(part)):
+        inside = part.labels == band
+        off = x[:, ~inside][..., inside]
+        top = max(top, float(np.linalg.eigvalsh(_adjoint_product(off, off))[..., -1].max()))
+    return math.sqrt(max(top, 0.0))
 
 
 def _check_partition(model: ContinuumModel, part: BandPartition):
@@ -674,8 +667,9 @@ def intertwine_residual(a_family: UnitaryFamily, model: ContinuumModel, part: Ba
     A_b − Q_b Q_b^dag A_b = Q_ext Q_ext^dag A_b, where Q_ext holds the frame
     columns outside the band.  Q_ext has orthonormal columns, so that
     singular value is exactly the largest one of the (N−m) x m off-block
-    Q_ext^dag A_b = (Q^dag A)[ext, band], which is what is computed, from the
-    off-block's Gram matrix (_chunk_residual).  The cosine form
+    Q_ext^dag A_b = (Q^dag A)[ext, band], which is what is computed, band by
+    band from the partition's labels, from each off-block's own Gram matrix
+    (_chunk_residual).  The cosine form
     1 − sigma_min(Q_b^dag A_b)^2 is not used: it subtracts from 1, so
     residuals below about 1e-8 drown in the roundoff of the cosines near
     1.  The family is read chunk by chunk.

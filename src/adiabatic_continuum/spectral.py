@@ -119,8 +119,8 @@ class DispersionSchedule:
     The family's declaration in FAMILIES gives kappa and turns params into
     the one table every method reads: f at uniform knots on [0, 1] and each
     segment's slope.  f is linear between knots, so the phase
-    integral(0..s) E ds' is closed form and f's range on an interval is
-    exact from its ends and the knots inside.
+    integral(0..s) E ds' is closed form and f's range on [0, 1] is the
+    range of its knot values.
     """
 
     family: str
@@ -159,11 +159,10 @@ class DispersionSchedule:
         seg = np.clip(x.astype(int), 0, len(self._table[1]) - 1)
         return seg, x - seg
 
-    def profile_range(self, s0: float = 0.0, s1: float = 1.0) -> tuple[float, float]:
-        """(min, max) of the profile on [s0, s1], exact: its ends and the knots inside."""
-        knots = self.knots[(self.knots > s0) & (self.knots < s1)]
-        f = self.profile(np.concatenate(([s0], knots, [s1])))
-        return float(f.min()), float(f.max())
+    def profile_range(self) -> tuple[float, float]:
+        """(min, max) of the profile on [0, 1], exact: f is linear between knots, so its knot values bound it."""
+        values = self._table[0]
+        return float(values.min()), float(values.max())
 
     def zero_interval(self) -> tuple[float, float] | None:
         """First knot interval of [0, 1] on which the profile reaches 0, or None."""

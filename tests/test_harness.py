@@ -15,7 +15,9 @@ from adiabatic_continuum import (
     ConfigError,
     load_config,
 )
-from adiabatic_continuum.propagation import transport_residual
+from adiabatic_continuum import verify
+from adiabatic_continuum.analysis import coupled_pairs, transition_integral
+from adiabatic_continuum.propagation import kato_state, transport_residual
 from adiabatic_continuum.runner import (
     COMMANDS,
     cmd_bands,
@@ -380,6 +382,37 @@ def test_verify_by_parts_takes_the_longest_duration_of_a_sweep():
     row = dict(_CHECKS)["by_parts"](cfg, cfg.build_model(), cfg.build_partition())
     assert row["passed"], row
     assert "at T=800;" in row["detail"]
+
+
+def test_verify_by_parts_compares_every_coupled_exterior_pair(monkeypatch):
+    # width 14 couples j0 = 1 to 14 exterior states; the check must compare
+    # the very pairs leakage_first_order sums, (1, 12) to (1, 15) among them
+    overrides = {("rotation", "builder"): "random_banded", ("rotation", "width"): "14", ("rotation", "seed"): "11"}
+    cfg = load_config(SRC.parent / "configs" / "default.cfg", overrides)
+    model, part = cfg.build_model(), cfg.build_partition()
+    compared = []
+
+    def recorder(model, variant, j0, j, duration):
+        compared.append((j0, j))
+        return transition_integral(model, variant, j0, j, duration)
+
+    monkeypatch.setattr(verify, "transition_integral", recorder)
+    row = dict(_CHECKS)["by_parts"](cfg, model, part)
+    assert row["passed"], row
+    assert row["detail"].startswith("14 coupled exterior pairs at T=100; ")
+    pairs = coupled_pairs(model, kato_state(), 1, part.exterior(part.band_of(1)))
+    assert compared == [(1, j) for j, _ in pairs]
+    assert len(compared) == 14
+    assert {(1, 12), (1, 13), (1, 14), (1, 15)} <= set(compared)
+
+
+def test_verify_by_parts_passes_without_a_coupled_exterior_pair():
+    # j0 = 1 inside a band of four nearest-neighbour states: both neighbours
+    # are in the band, so no exterior pair is coupled and nothing is compared
+    cfg = load_config(SRC.parent / "configs" / "default.cfg", {("bands", "m"): "4"})
+    row = dict(_CHECKS)["by_parts"](cfg, cfg.build_model(), cfg.build_partition())
+    assert (row["passed"], row["measured"], row["tolerance"]) == (True, 0.0, 1e-8)
+    assert row["detail"] == "no exterior state is coupled to j0 = 1; no pairs to compare"
 
 
 def test_pipeline_modules_import_no_private_sibling_name():

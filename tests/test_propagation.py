@@ -124,12 +124,38 @@ def test_variant_masks(default_part):
     wmask = wb.keep_mask(16)
     assert not wmask[0, 1] and not wmask[1, 0]
     assert wmask[1, 2] and wmask[2, 1]
-    with pytest.raises(ConfigError):
-        GeneratorVariant("weyl_band")
-    with pytest.raises(ConfigError):
-        GeneratorVariant("kato_state", default_part)
+    # a variant is its partition alone: none is the state-wise one
+    assert GeneratorVariant() == kato_state()
+    assert GeneratorVariant(default_part) == wb
     with pytest.raises(ConfigError):
         wb.keep_mask(8)
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_state_wise_variant_is_the_one_state_band(n):
+    # Kato's state-wise generator is the band generator with one state per
+    # band: the same mask, so the same generators, closed-form transports
+    # and s=1 stage, bitwise
+    model = make_model(n=n)
+    state, band = GeneratorVariant(), weyl_band(BandPartition(n, 1))
+    assert state == kato_state()
+    assert np.array_equal(state.keep_mask(n), band.keep_mask(n))
+    assert np.array_equal(state.keep_mask(n), ~np.eye(n, dtype=bool))
+    s = np.linspace(0.0, 1.0, 9)
+    for x in s:
+        assert np.array_equal(generator(model, state, x), generator(model, band, x))
+    q = model.frame_matrix(s)
+    assert np.array_equal(
+        propagation._exact_transport(model, state, s, q), propagation._exact_transport(model, band, s, q)
+    )
+    part = BandPartition(n, min(2, n - 1))
+    durations = [20.0, 40.0]
+    u1s = final_propagators(model, durations, 512)
+    w_state, defects_state, residual_state = final_stage(model, state, part, durations, u1s)
+    w_band, defects_band, residual_band = final_stage(model, band, part, durations, u1s)
+    assert np.array_equal(w_state, w_band)
+    assert defects_state == defects_band
+    assert residual_state == residual_band
 
 
 def test_generator_hermitian_and_masked(default_model, default_part):
@@ -909,6 +935,25 @@ def test_off_block_residual_matches_projector_formula(default_model, scheme, ste
     if scheme is not None:
         streamed = propagation.transport_residual(default_model, variant, part, steps, scheme)
         assert streamed == residual
+
+
+@pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3_uneven"])
+@pytest.mark.parametrize("band_variant", [False, True], ids=["kato_state", "weyl_band"])
+def test_chunk_residual_equals_a_per_node_svd_of_each_off_block(default_model, m, band_variant):
+    # sigma_max(X[ext(b), b]) of X = Q^dag A at every node of a stored CF4
+    # transport, by one SVD per node and band; at m = 3 the last band has
+    # four states
+    part = BandPartition(16, m)
+    variant = weyl_band(part) if band_variant else kato_state()
+    fam = evolve_intertwiner(default_model, variant, 200, CF4)
+    x = np.matmul(default_model.frame_matrix(fam.s_nodes).conj().swapaxes(-1, -2), fam.matrices)
+    worst = 0.0
+    for node in x:
+        for members in part.bands:
+            ext = [j for j in range(16) if j not in members]
+            worst = max(worst, float(np.linalg.svd(node[np.ix_(ext, members)], compute_uv=False)[0]))
+    assert worst > 0.0
+    assert abs(propagation._chunk_residual(part, x) - worst) <= 1e-15 * worst
 
 
 def test_transport_residual_validation(default_model, default_part):

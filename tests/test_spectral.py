@@ -133,6 +133,22 @@ def test_affine_profiles_keep_their_closed_forms(make):
         assert disp.profile_rate(0.3) == b
 
 
+@pytest.mark.parametrize(
+    "disp",
+    [linear_dispersion(1.0, 1.0), linear_dispersion(2.0, -1.5), quadratic_dispersion(0.7, 1.9),
+     tabulated_dispersion([1.0, 1.3, 1.9, 2.0]), tabulated_dispersion([1.0, 1.7, 1.2, 2.2, 1.9]),
+     tabulated_dispersion([-0.5, 0.8, -1.1])],
+    ids=["linear", "linear_falling", "quadratic", "tabulated_kinked", "tabulated_wavy", "tabulated_signed"],
+)
+def test_profile_range_bounds_a_dense_scan(disp):
+    # f is linear between its knots, so its range on [0, 1] is the range of
+    # the knot values: a dense scan through every knot reaches both ends
+    # exactly and never leaves them
+    f = disp.profile(np.concatenate([np.linspace(0.0, 1.0, 100001), disp.knots]))
+    lo, hi = disp.profile_range()
+    assert (lo, hi) == (f.min(), f.max())
+
+
 def test_dispersion_rejects_unknown_family():
     with pytest.raises(ConfigError):
         from adiabatic_continuum import DispersionSchedule
