@@ -5,8 +5,9 @@ sweep.csv from each directory and prints every value that moved: its
 path in the file, both values and, for numbers, the absolute and
 relative size of the move.  The exit_code.txt, stdout.txt and stderr.txt
 that the output corpus (tests/corpus, scripts/regenerate_corpus.py)
-stores beside them are compared line by line as text.  A file that
-neither directory holds is skipped, as simulate writes no sweep.csv.
+stores beside them are compared line by line as text, and any other
+file byte for byte.  A file that neither directory holds is skipped, as
+simulate writes no sweep.csv; a file in one directory only is an error.
 
 Each directory may also be a tree of runs, such as the corpus: every
 subdirectory that holds one of these files is compared with its twin
@@ -68,31 +69,33 @@ def _load(path: Path, name: str):
     return data
 
 
-def _close(x: float, y: float, rel_tol: float) -> bool:
-    return x == y or abs(x - y) <= rel_tol * max(abs(x), abs(y))
+def _close(x: float, y: float, rel_tol: float, floor: float) -> bool:
+    """x and y agree within rel_tol, or are both at most floor in size."""
+    size = max(abs(x), abs(y))
+    return x == y or size <= floor or abs(x - y) <= rel_tol * size
 
 
-def _same_text(a: str, b: str, rel_tol: float) -> bool:
-    """Two lines with the same words around numbers that agree within rel_tol."""
-    if _NUMERIC.split(a) != _NUMERIC.split(b):
+def _same_text(a: str, b: str, rel_tol: float, floor: float) -> bool:
+    """Two lines with the same words around numbers that are close under nonzero tolerances."""
+    if not (rel_tol or floor) or _NUMERIC.split(a) != _NUMERIC.split(b):
         return False
-    return all(_close(float(x), float(y), rel_tol) for x, y in zip(_NUMERIC.findall(a), _NUMERIC.findall(b)))
+    return all(_close(float(x), float(y), rel_tol, floor) for x, y in zip(_NUMERIC.findall(a), _NUMERIC.findall(b)))
 
 
-def moves(a, b, path: str = "", rel_tol: float = 0.0):
-    """(path, a, b) for every leaf where a and b differ by more than rel_tol; a missing side is None."""
+def moves(a, b, path: str = "", rel_tol: float = 0.0, floor: float = 0.0):
+    """(path, a, b) for every leaf where a and b are not close; a missing side is None."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
-            yield from moves(a.get(key), b.get(key), f"{path}.{key}" if path else str(key), rel_tol)
+            yield from moves(a.get(key), b.get(key), f"{path}.{key}" if path else str(key), rel_tol, floor)
     elif isinstance(a, list) and isinstance(b, list):
         for i in range(max(len(a), len(b))):
-            yield from moves(a[i] if i < len(a) else None, b[i] if i < len(b) else None, f"{path}[{i}]", rel_tol)
+            yield from moves(a[i] if i < len(a) else None, b[i] if i < len(b) else None, f"{path}[{i}]", rel_tol, floor)
     elif a != b:
         x, y = _number(a), _number(b)
         if x is not None and y is not None:
-            if not _close(x, y, rel_tol):
+            if not _close(x, y, rel_tol, floor):
                 yield path, a, b
-        elif not (rel_tol and isinstance(a, str) and isinstance(b, str) and _same_text(a, b, rel_tol)):
+        elif not (isinstance(a, str) and isinstance(b, str) and _same_text(a, b, rel_tol, floor)):
             yield path, a, b
 
 
@@ -105,19 +108,33 @@ def describe(name: str, path: str, a, b) -> str:
     return line
 
 
-def compare(dir_a: Path, dir_b: Path, rel_tol: float = 0.0) -> list[str]:
-    """One line per value moved by more than rel_tol; raises Unreadable on a missing or broken file."""
-    lines, compared = [], 0
-    for name in FILES + TEXTS:
-        pa, pb = dir_a / name, dir_b / name
-        if not pa.exists() and not pb.exists():
-            continue
-        if not (pa.is_file() and pb.is_file()):
-            raise Unreadable(f"{name} is in only one of {dir_a} and {dir_b}")
-        compared += 1
-        lines += [describe(name, *move) for move in moves(_load(pa, name), _load(pb, name), rel_tol=rel_tol)]
-    if not compared:
+def _names(directory: Path) -> set[str]:
+    try:
+        return {path.name for path in directory.iterdir() if path.is_file()}
+    except OSError as exc:
+        raise Unreadable(f"{directory}: {exc}") from exc
+
+
+def compare(dir_a: Path, dir_b: Path, rel_tol: float = 0.0, floor: float = 0.0) -> list[str]:
+    """One line per moved value, and per other file whose bytes differ.
+
+    Two numbers are close when they agree within rel_tol relative, or are
+    both at most floor in size (roundoff residuals); both are 0 by default.
+    Raises Unreadable on a file in one directory only, or one that does not parse.
+    """
+    names, names_b = _names(dir_a), _names(dir_b)
+    if names != names_b:
+        raise Unreadable(f"{', '.join(sorted(names ^ names_b))} is in only one of {dir_a} and {dir_b}")
+    parsed = [name for name in FILES + TEXTS if name in names]
+    if not parsed:
         raise Unreadable(f"neither {dir_a} nor {dir_b} holds any of {', '.join(FILES + TEXTS)}")
+    lines = []
+    for name in parsed:
+        data_a, data_b = _load(dir_a / name, name), _load(dir_b / name, name)
+        lines += [describe(name, *move) for move in moves(data_a, data_b, rel_tol=rel_tol, floor=floor)]
+    for name in sorted(names - set(parsed)):
+        if (dir_a / name).read_bytes() != (dir_b / name).read_bytes():
+            lines.append(f"{name}: bytes differ")
     return lines
 
 
@@ -126,7 +143,7 @@ def _runs(root: Path) -> set[Path]:
     return {path.parent.relative_to(root) for name in FILES + TEXTS for path in root.rglob(name)}
 
 
-def compare_tree(root_a: Path, root_b: Path, rel_tol: float = 0.0) -> list[str]:
+def compare_tree(root_a: Path, root_b: Path) -> list[str]:
     """compare over every run of two trees, each line prefixed with its run's relative path."""
     runs = sorted(_runs(root_a) | _runs(root_b))
     if not runs:
@@ -134,7 +151,7 @@ def compare_tree(root_a: Path, root_b: Path, rel_tol: float = 0.0) -> list[str]:
     lines = []
     for run in runs:
         prefix = "" if run == Path(".") else f"{run.as_posix()}/"
-        lines += [prefix + line for line in compare(root_a / run, root_b / run, rel_tol)]
+        lines += [prefix + line for line in compare(root_a / run, root_b / run)]
     return lines
 
 

@@ -7,9 +7,10 @@ files it writes (report.json with its timestamp masked,
 resolved_config.json and, for a sweep, sweep.csv).  Each run goes
 through cli.main in this process, with the working directory set to a
 fresh temporary directory and ``--out out``, so no machine path enters
-an output.  environment.json records the numpy version, its BLAS, the
-CPU's SIMD set (which picks the BLAS kernels), the usable CPUs and the
-BLAS thread variables the corpus was made under.
+an output.  environment.json records what the corpus's rounding depends
+on: the numpy version, its BLAS, the CPU's SIMD set, the C library (its
+libm), the usable CPUs and the variables that set the BLAS threads and
+kernels.
 
 tests/test_corpus.py replays every run through the same function (replay)
 and compares it with the stored files.  A regeneration changes check
@@ -25,6 +26,7 @@ import contextlib
 import io
 import json
 import os
+import platform
 import shutil
 import tempfile
 from pathlib import Path
@@ -38,19 +40,20 @@ CORPUS = Path(__file__).resolve().parents[1] / "tests" / "corpus"
 INPUT = "input.ini"
 ENVIRONMENT = "environment.json"
 MASK = "masked"
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "OPENBLAS_CORETYPE")
 
 
 def environment() -> dict:
-    """What decides the corpus's rounding: numpy, its BLAS, the usable CPUs, the BLAS threads."""
+    """What decides the corpus's rounding: numpy, its BLAS and SIMD set, libm, the usable CPUs, the BLAS variables."""
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
         "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
         "cpu_simd": config["SIMD Extensions"]["found"],
+        "libc": " ".join(platform.libc_ver()).strip(),
         "nproc": len(os.sched_getaffinity(0)),
-        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+        "blas_variables": {name: os.environ.get(name) for name in BLAS_VARIABLES},
     }
 
 

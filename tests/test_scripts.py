@@ -173,21 +173,47 @@ def test_output_diff_compares_a_corpus_tree_and_its_text_files(tmp_path):
     assert result.stderr.startswith("unreadable: stderr.txt is in only one of")
 
 
-def test_output_diff_compare_takes_a_relative_tolerance(tmp_path):
-    # a move within rel_tol is no move, in JSON numbers and inside text lines
+def test_output_diff_compare_takes_a_relative_tolerance_and_a_floor(tmp_path):
+    # a 1-ulp move passes rel_tol; a roundoff residual that moved by order
+    # one passes the floor; a physical value that moved by 1e-9 relative, or
+    # a residual that grew past the floor, passes neither
     spec = importlib.util.spec_from_file_location("output_diff", ROOT / "scripts" / "output_diff.py")
     output_diff = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(output_diff)
-    values = {"a": (2.530619424688032e-15, "residual 2.530619424688032e-15 at T=100"),
-              "b": (2.5306194246880313e-15, "residual 2.5306194246880313e-15 at T=100")}
-    for name, (number, line) in values.items():
+    values = {"a": (2.530619424688032e-15, 1.82e-14, "residual 2.530619424688032e-15; U 1.821e-14 at T=100"),
+              "b": (2.5306194246880313e-15, 3.73e-14, "residual 2.5306194246880313e-15; U 3.730e-14 at T=100")}
+    for name, (residual, defect, line) in values.items():
         (tmp_path / name).mkdir()
-        (tmp_path / name / "report.json").write_text(json.dumps({"measured": number}))
+        (tmp_path / name / "report.json").write_text(json.dumps({"measured": residual, "U": defect, "eta": 0.008}))
         (tmp_path / name / "stdout.txt").write_text(line + "\n")
     a, b = tmp_path / "a", tmp_path / "b"
-    assert len(output_diff.compare(a, b)) == 2
-    assert output_diff.compare(a, b, rel_tol=1e-12) == []
-    (b / "stdout.txt").write_text("residual 2.5306194246880313e-15 at T=200\n")
-    assert output_diff.compare(a, b, rel_tol=1e-12) == [
-        "stdout.txt [0]: 'residual 2.530619424688032e-15 at T=100' -> 'residual 2.5306194246880313e-15 at T=200'"
+    assert len(output_diff.compare(a, b)) == 3
+    assert len(output_diff.compare(a, b, rel_tol=1e-12)) == 2
+    assert output_diff.compare(a, b, rel_tol=1e-12, floor=1e-9) == []
+    (b / "report.json").write_text(json.dumps({"measured": 2.5306194246880313e-15, "U": 2e-9, "eta": 0.008000000008}))
+    (b / "stdout.txt").write_text("residual 2.5306194246880313e-15; U 3.730e-14 at T=200\n")
+    assert output_diff.compare(a, b, rel_tol=1e-10, floor=1e-9) == [
+        "report.json U: 1.82e-14 -> 2e-09  abs 2.000e-09  rel 1.099e+05",
+        "report.json eta: 0.008 -> 0.008000000008  abs 8.000e-12  rel 1.000e-09",
+        "stdout.txt [0]: 'residual 2.530619424688032e-15; U 1.821e-14 at T=100'"
+        " -> 'residual 2.5306194246880313e-15; U 3.730e-14 at T=200'",
     ]
+
+
+def test_output_diff_compare_checks_the_file_names_and_other_files_bytes(tmp_path):
+    # a file that one run leaves and the other does not is reported by name,
+    # and a file compare does not parse is compared byte for byte
+    spec = importlib.util.spec_from_file_location("output_diff", ROOT / "scripts" / "output_diff.py")
+    output_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(output_diff)
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "exit_code.txt").write_text("0\n")
+        (tmp_path / name / "notes.txt").write_text(f"written by {name}\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert output_diff.compare(a, b) == ["notes.txt: bytes differ"]
+    assert output_diff.compare(a, b, rel_tol=1e-10, floor=1e-9) == ["notes.txt: bytes differ"]
+    (b / "plot.png").write_bytes(b"")
+    (a / "notes.txt").unlink()
+    with pytest.raises(output_diff.Unreadable, match="notes.txt, plot.png is in only one of"):
+        output_diff.compare(a, b, rel_tol=1e-10, floor=1e-9)
