@@ -27,7 +27,12 @@ R_k = V diag(exp(i (theta_k - theta_{k-1}) lam)) V^dag, theta_k = theta(m_k).
 Only p_k depends on T, so the kernel (_midpoint_chunks) carries a
 durations axis: one GEMM per chunk of steps builds every R_k once for all
 durations, and each step is one stacked matmul over the durations
-followed by the row scaling by p_k, with no frame rebuild.  The node
+followed by the row scaling by p_k, with no frame rebuild.  The
+nearest_neighbor and banded generators are real, and a real G makes
+R_k = exp(-(theta_k - theta_{k-1}) G) real orthogonal: the chunk's GEMM builds R_k in real arithmetic, and each
+step is one real GEMM on the (re, im) float view of x, R_k Re(x) and
+R_k Im(x) at half the multiplies of a complex product.  A complex G keeps
+the complex products.  The node
 U_k = Q(m_k) x_k, with Q from frame_matrix, is formed only where a caller
 reads it: a stored family or propagator_nodes forms every node, a final
 only the last.  A frozen frame (theta_max = 0) has the eigensystem (0, I),
@@ -353,9 +358,19 @@ def _midpoint_chunks(model: ContinuumModel, durations, steps: int, every_node: b
     is Q(m_i) at the chunk's midpoints m, so U_k = frame(k) @ X[k].
     Without every_node, X holds only the chunk's last step, so that the
     memory is O(D N^2) rather than one (chunk, N, N) stack per duration.
+
+    A real G makes every R_k = exp(-(theta_k - theta_{k-1}) G) real
+    orthogonal, so both products run in real arithmetic, at half the
+    multiplies: the chunk's stack Re(V diag(d_k) V^dag) is one real GEMM of
+    the (re, im) float views of V diag(d_k) and of V, and each step is one
+    real GEMM of R_k on the float view of x, whose rows interleave
+    (Re x, Im x), giving R_k Re(x) and R_k Im(x).  A complex G keeps the
+    complex products.
     """
     lam, v = model.frame_eigensystem
-    vh = v.conj().T
+    real = not model.rotation.generator.imag.any()
+    # R_k = (V d_k) @ vh: V^dag, or for a real G the transposed float view of V
+    vh = v.view(float).T if real else v.conj().T
     n = model.size
     ds = 1.0 / steps
     rate = (-1j / HBAR) * np.asarray(durations, dtype=float)[:, None, None]
@@ -371,14 +386,18 @@ def _midpoint_chunks(model: ContinuumModel, durations, steps: int, every_node: b
         d = np.exp(1j * np.multiply.outer(np.diff(theta, prepend=theta_prev), lam))
         theta_prev = theta[-1]
         # every R_k = V diag(d_k) V^dag of the chunk from one (chunk*N, N) x (N, N)
-        # GEMM, shared by all durations; p_k as (D, N, 1) row factors
-        r = ((v * d[:, None, :]).reshape(-1, n) @ vh).reshape(-1, n, n)
+        # GEMM in vh's dtype (real: (chunk*N, 2N) x (2N, N)), shared by all
+        # durations; p_k as (D, N, 1) row factors
+        r = ((v * d[:, None, :]).reshape(-1, n).view(vh.dtype) @ vh).reshape(-1, n, n)
         df = np.diff(model.dispersion.profile_integral(edges))
         p = np.exp(np.multiply.outer(df, kappa)[:, None, :, None] * rate)
         xs = np.empty((len(sm) if every_node else 2, *x.shape), dtype=complex)
         for k in range(len(sm)):
-            # one stacked matmul over the durations, then the row scaling
-            x = np.matmul(r[k], x, out=xs[k if every_node else k % 2])
+            # one stacked matmul over the durations, in R's dtype (a real R
+            # takes x's (re, im) float view), then the row scaling
+            out = xs[k if every_node else k % 2]
+            np.matmul(r[k], x.view(r.dtype), out=out.view(r.dtype))
+            x = out
             x *= p[k]
         del r, p  # only X is held while the consumer reads the chunk
         yield (lambda i, sm=sm: model.frame_matrix(sm[i])), (xs if every_node else x[None])

@@ -39,6 +39,7 @@ from adiabatic_continuum import (
     linear_dispersion,
     nearest_neighbor_rotation,
     phase_family,
+    random_banded_rotation,
     wave_operator,
 )
 from adiabatic_continuum.propagation import UnitaryFamily, _exact_transport
@@ -168,17 +169,26 @@ def projector_residual_loop(a_family, model, part) -> float:
     return worst
 
 
+# name -> build(n, schedule): the real nearest-neighbour generator, and a
+# complex one on the same couplings (random_banded of width 1, seed 11), so
+# the midpoint kernel's real and complex branches both run
+ROTATIONS = {
+    "nearest_neighbor": nearest_neighbor_rotation,
+    "random_banded": lambda n, schedule: random_banded_rotation(n, 1, 11, schedule),
+}
+
+
 def make_model(theta_max: float = THETA_MAX, kind: str = "cubic_ramp", n: int = N,
-               dispersion=None):
+               dispersion=None, rotation: str = "nearest_neighbor"):
     grid = KGrid(1.0, 2.0, n)
     schedule = AngleSchedule(kind, theta_max)
     dispersion = dispersion if dispersion is not None else linear_dispersion()
-    return build_model(grid, dispersion, nearest_neighbor_rotation(n, schedule))
+    return build_model(grid, dispersion, ROTATIONS[rotation](n, schedule))
 
 
-def constant_rate_model(family: str = "linear", n: int = N, a: float = 1.5):
+def constant_rate_model(family: str = "linear", n: int = N, a: float = 1.5, rotation: str = "nearest_neighbor"):
     """linear_ramp at THETA_MAX and E = kappa(k) * a: both rates of the Q-frame equation are constant."""
-    return make_model(kind="linear_ramp", n=n, dispersion=DispersionSchedule(family, (a, 0.0)))
+    return make_model(kind="linear_ramp", n=n, dispersion=DispersionSchedule(family, (a, 0.0)), rotation=rotation)
 
 
 def _constant_rates(model):

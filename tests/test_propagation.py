@@ -23,6 +23,7 @@ from adiabatic_continuum import (
     BandPartition,
     ConfigError,
     ContinuumModel,
+    FrameRotation,
     GeneratorVariant,
     KGrid,
     PropagationConfig,
@@ -443,8 +444,22 @@ def test_midpoint_final_memory_stays_within_chunk_budget():
 
 # ---- exact U(1): the constant-rate model ---------------------------------------
 
-# (kappa family, N, T); each runs at _oracle_steps
-ORACLE_CASES = [("linear", 16, 100.0), ("linear", 16, 800.0), ("quadratic", 16, 100.0), ("quadratic", 16, 800.0)]
+# (kappa family, N, T, rotation); each runs at _oracle_steps.  The
+# random_banded cases (a complex G) take the kernel's complex products, the
+# others its real ones.
+ORACLE_CASES = [
+    ("linear", 16, 100.0, "nearest_neighbor"),
+    ("linear", 16, 800.0, "nearest_neighbor"),
+    ("quadratic", 16, 100.0, "nearest_neighbor"),
+    ("quadratic", 16, 800.0, "nearest_neighbor"),
+    ("linear", 16, 100.0, "random_banded"),
+    ("linear", 16, 800.0, "random_banded"),
+]
+
+
+def _oracle_ids(cases) -> list[str]:
+    """family-N-T, with the rotation appended unless it is nearest_neighbor."""
+    return ["-".join(map(str, case if case[-1] != "nearest_neighbor" else case[:-1])) for case in cases]
 
 
 def _oracle_steps(model, duration: float) -> int:
@@ -463,18 +478,21 @@ def _oracle_errors(model, duration: float, steps: int, scheme: str) -> np.ndarra
     return np.array(errors)
 
 
-@pytest.mark.parametrize("family, n, duration", [*ORACLE_CASES, ("linear", 64, 800.0)])
-def test_midpoint_final_converges_to_the_exact_one_at_order_two(family, n, duration):
+MIDPOINT_ORACLE_CASES = [*ORACLE_CASES, ("linear", 64, 800.0, "nearest_neighbor")]
+
+
+@pytest.mark.parametrize("family, n, duration, rotation", MIDPOINT_ORACLE_CASES, ids=_oracle_ids(MIDPOINT_ORACLE_CASES))
+def test_midpoint_final_converges_to_the_exact_one_at_order_two(family, n, duration, rotation):
     # four times the steps must cut every error by 15 to 17 (16 at order two)
-    model = constant_rate_model(family, n)
+    model = constant_rate_model(family, n, rotation=rotation)
     steps = _oracle_steps(model, duration)
     ratios = _oracle_errors(model, duration, steps, MIDPOINT) / _oracle_errors(model, duration, 4 * steps, MIDPOINT)
     assert np.all((ratios >= 15.0) & (ratios <= 17.0)), ratios
 
 
-@pytest.mark.parametrize("family, n, duration", ORACLE_CASES)
-def test_cf4_final_meets_the_exact_one(family, n, duration):
-    model = constant_rate_model(family, n)
+@pytest.mark.parametrize("family, n, duration, rotation", ORACLE_CASES, ids=_oracle_ids(ORACLE_CASES))
+def test_cf4_final_meets_the_exact_one(family, n, duration, rotation):
+    model = constant_rate_model(family, n, rotation=rotation)
     errors = _oracle_errors(model, duration, _oracle_steps(model, duration), CF4)
     assert errors.max() < 1e-11, errors
 
@@ -532,6 +550,27 @@ def test_stacked_frozen_frame_steps_stay_diagonal(frozen_model):
     stacked = final_propagators(frozen_model, STACKED_DURATIONS, STACKED_STEPS)
     assert not stacked[:, ~np.eye(16, dtype=bool)].any()
     assert (stacked[0] == np.eye(16)).all()
+
+
+def test_real_and_complex_kernels_agree_on_gauge_twins():
+    # the complex chain G and its real twin G' = D^dag G D, D = diag(e^{i phi})
+    # with G'[j, j+1] = |G[j, j+1]|, give D^dag U D = U' since D commutes
+    # with the diagonal energies; U runs the kernel's complex products and
+    # U' its real ones.  The roundoff of the frame eigenvectors (V^dag V - I
+    # about 1e-15) grows with the step count, to about 2e-11 at 20000 steps.
+    model = make_model(rotation="random_banded")
+    g = model.rotation.generator
+    upper = np.diagonal(g, 1)
+    phi = np.concatenate(([0.0], -np.cumsum(np.angle(upper))))
+    d = np.exp(1j * phi)
+    twin = d.conj()[:, None] * g * d[None, :]
+    assert np.abs(twin.imag).max() < 1e-15 and np.allclose(np.diagonal(twin, 1), np.abs(upper), rtol=0, atol=1e-15)
+    twin_model = build_model(model.grid, model.dispersion, FrameRotation(twin.real, model.rotation.schedule))
+    assert g.imag.any() and not twin_model.rotation.generator.imag.any()
+    durations, steps = [50.0, 100.0, 800.0], 20000
+    u = final_propagators(model, durations, steps)
+    u_twin = final_propagators(twin_model, durations, steps)
+    assert np.abs(d.conj()[:, None] * u * d[None, :] - u_twin).max() < 1e-10
 
 
 def test_stacked_finals_name_the_smallest_unresolved_duration(default_model):
