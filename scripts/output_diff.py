@@ -3,11 +3,18 @@
 Reads report.json (its timestamp masked), resolved_config.json and
 sweep.csv from each directory and prints every value that moved: its
 path in the file, both values and, for numbers, the absolute and
-relative size of the move.  The exit_code.txt, stdout.txt and stderr.txt
-that the output corpus (tests/corpus, scripts/regenerate_corpus.py)
-stores beside them are compared line by line as text, and any other
-file byte for byte.  A file that neither directory holds is skipped, as
-simulate writes no sweep.csv; a file in one directory only is an error.
+relative size of the move.  List items that all carry a distinct "name"
+(verify's check rows) are paired by that name, other list items by
+index, so a row that one side lacks is reported once, with None on the
+other side.  The exit_code.txt, stdout.txt and stderr.txt that the
+output corpus (tests/corpus, scripts/regenerate_corpus.py) stores
+beside them are compared line by line as text, the lines aligned by
+difflib on their words around numbers, so a removed or added line is
+reported once and the lines after it pair with their twins; a line
+that pairs at another index has the path [index in A->index in B].  Any
+other file is compared byte for byte.  A file that neither directory
+holds is skipped, as simulate writes no sweep.csv; a file in one
+directory only is an error.
 
 Each directory may also be a tree of runs, such as the corpus: every
 subdirectory that holds one of these files is compared with its twin
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import json
 import re
 import sys
@@ -88,8 +96,15 @@ def moves(a, b, path: str = "", rel_tol: float = 0.0, floor: float = 0.0):
         for key in sorted(set(a) | set(b)):
             yield from moves(a.get(key), b.get(key), f"{path}.{key}" if path else str(key), rel_tol, floor)
     elif isinstance(a, list) and isinstance(b, list):
-        for i in range(max(len(a), len(b))):
-            yield from moves(a[i] if i < len(a) else None, b[i] if i < len(b) else None, f"{path}[{i}]", rel_tol, floor)
+        names_a, names_b = _names_of(a), _names_of(b)
+        if names_a is None or names_b is None:
+            pairs = [(i, a[i] if i < len(a) else None, b[i] if i < len(b) else None) for i in range(max(len(a), len(b)))]
+        else:
+            named_b = dict(zip(names_b, b))
+            pairs = [(name, item, named_b.get(name)) for name, item in zip(names_a, a)]
+            pairs += [(name, None, item) for name, item in zip(names_b, b) if name not in names_a]
+        for key, x, y in pairs:
+            yield from moves(x, y, f"{path}[{key}]", rel_tol, floor)
     elif a != b:
         x, y = _number(a), _number(b)
         if x is not None and y is not None:
@@ -97,6 +112,35 @@ def moves(a, b, path: str = "", rel_tol: float = 0.0, floor: float = 0.0):
                 yield path, a, b
         elif not (isinstance(a, str) and isinstance(b, str) and _same_text(a, b, rel_tol, floor)):
             yield path, a, b
+
+
+def _names_of(items: list):
+    """The items' "name" values when every item is a dict with a distinct str name, else None."""
+    names = [item.get("name") if isinstance(item, dict) else None for item in items]
+    if all(isinstance(name, str) for name in names) and len(set(names)) == len(names):
+        return names
+    return None
+
+
+def line_moves(a: list[str], b: list[str], rel_tol: float = 0.0, floor: float = 0.0):
+    """(path, a, b) for every moved line of two texts, a removed or added line once, with None on its missing side.
+
+    difflib aligns the lines by their words with every number masked, so a
+    line whose numbers moved pairs with its twin; the lines of a block that
+    was replaced pair in order.
+    """
+    masked = ([_NUMERIC.sub("#", line) for line in lines] for lines in (a, b))
+    for _, i1, i2, j1, j2 in difflib.SequenceMatcher(None, *masked, autojunk=False).get_opcodes():
+        for k in range(max(i2 - i1, j2 - j1)):
+            i, j = i1 + k, j1 + k
+            x, y = (a[i] if i < i2 else None), (b[j] if j < j2 else None)
+            if x is None:  # an added line, at its index in b
+                key = j
+            elif y is None or i == j:
+                key = i
+            else:
+                key = f"{i}->{j}"
+            yield from moves(x, y, f"[{key}]", rel_tol, floor)
 
 
 def describe(name: str, path: str, a, b) -> str:
@@ -131,7 +175,8 @@ def compare(dir_a: Path, dir_b: Path, rel_tol: float = 0.0, floor: float = 0.0) 
     lines = []
     for name in parsed:
         data_a, data_b = _load(dir_a / name, name), _load(dir_b / name, name)
-        lines += [describe(name, *move) for move in moves(data_a, data_b, rel_tol=rel_tol, floor=floor)]
+        diff = line_moves if name in TEXTS else moves
+        lines += [describe(name, *move) for move in diff(data_a, data_b, rel_tol=rel_tol, floor=floor)]
     for name in sorted(names - set(parsed)):
         if (dir_a / name).read_bytes() != (dir_b / name).read_bytes():
             lines.append(f"{name}: bytes differ")

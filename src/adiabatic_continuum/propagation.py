@@ -37,15 +37,16 @@ U_k = Q(m_k) x_k, with Q from frame_matrix, is formed only where a caller
 reads it: a stored family or propagator_nodes forms every node, a final
 only the last.  A frozen frame (theta_max = 0) has the eigensystem (0, I),
 so R_k = I and its steps stay diag(p_k) exactly.  Every caller takes this
-one path: evolve_propagator and propagator_nodes (so verify) with one
-duration, final_propagators (so final_propagator, simulate and sweeps)
-with all of them.  A duration's slice sees the same matmuls in
-strict step order whatever shares the pass (a stacked matmul is one GEMM
-per slice, and the chunks do not depend on the durations), so a final
-equals the last node of its family bitwise, and a sweep's U(1) equals
-final_propagator at its duration.  A pairwise tree reduction would be
-faster for finals alone, but it rounds differently from the sequential
-path and would fork the two.
+one path: evolve_propagator and propagator_nodes (so verify's frozen-frame
+check) with one duration, final_propagators (so final_propagator,
+simulate, sweeps and verify's unitarity check) with all of them.  A
+duration's slice sees the same matmuls in strict step order whatever
+shares the pass (a stacked matmul is one GEMM per slice, and the chunks
+do not depend on the durations), so a final equals the last node of its
+family bitwise, and a sweep's U(1) equals final_propagator at its
+duration.  A pairwise tree reduction would be faster for finals alone,
+but it rounds differently from the sequential path and would fork the
+two.
 
 The CF4 propagator and both stepped transports share one kernel in the
 same basis and one stage form, a scalar rate times a constant core:
@@ -67,23 +68,21 @@ its diagonal in exact arithmetic (hbar diag(lam) for kato_state): with
 the diagonal, the stepped transport would be the closed form by
 construction and would no longer check it.
 
-No command stores the families.  simulate and sweeps read U(1) from
-final_propagators, and W(1), the four unitarity defects and the
-intertwining residual at s=1 from one stage (final_stage), which builds
-Q(1), the closed-form A(1) and Phi(1) once for all durations: U and W are
-products of unitary steps, so any step's defect carries to s=1, and A,
-Phi and the residual are closed forms at every node.  verify's all-node
-unitarity check streams (stream_families): per chunk of propagator_nodes
-the stage's helper (_diagnostics) builds the frame Q = frame_matrix(s)
-once, A from the closed form on it and W = Phi^dag (A^dag U) from the
-chunk's phases (one vectorised phase call), so memory is one chunk,
-O(chunk N^2), at any step count.  Every node of the pass equals the node
-of the stored family bitwise, because no node depends on the chunk it is
-built in: frame_matrix takes one N x N product per node, and stored and
-streamed W share one helper (_residual_operator, Phi^dag as a row
-scaling by the phases), to which wave_operator passes its Phi family's
-diagonal and _diagnostics the phases it is given.  verify's stepped
-transport is streamed the same way (transport_residual).
+No command stores the families.  simulate, sweeps and verify's unitarity
+check read U(1) from final_propagators, and W(1), the four unitarity
+defects and the intertwining residual at s=1 from one stage
+(final_stage), which builds Q(1), the closed-form A(1) and Phi(1) once
+for all durations: U and W are products of unitary steps, so any step's
+defect carries to s=1, and A, Phi and the residual are closed forms at
+every node.  Stored and staged W share one helper (_residual_operator,
+Phi^dag as a row scaling by the phases), to which wave_operator passes
+its Phi family's diagonal and final_stage the phases at s=1.  verify's
+frozen-frame check streams every node of the propagator
+(propagator_nodes), one chunk at a time, so memory is O(chunk N^2) at any
+step count; each node equals the node of the stored family bitwise,
+because no node depends on the chunk it is built in (frame_matrix takes
+one N x N product per node).  verify's stepped transport is streamed the
+same way (transport_residual).
 
 The stored families (UnitaryFamily, from evolve_propagator,
 evolve_intertwiner, phase_family and wave_operator, with phase_operator
@@ -770,33 +769,7 @@ def deviation_from_identity(matrix: np.ndarray) -> float:
     return float(np.linalg.svd(matrix - np.eye(n), compute_uv=False)[0])
 
 
-# ---- the streamed pass -------------------------------------------------
-
-
-def _diagnostics(model: ContinuumModel, variant: GeneratorVariant, s, u, p, part=None):
-    """W, the max unitarity defects of U, the closed-form A, Phi and W, and given part A's residual, at the nodes s.
-
-    u and the phases p of Phi run over the nodes s, or over durations at
-    one node.  One frame Q = frame_matrix(s), A from the closed form on it
-    and W = Phi^dag (A^dag U); the residual is read against the same Q (for
-    kato_state, whose closed-form A is Q itself, its Q^dag A is the A^dag A
-    of the A defect).  Every node's A and W equal those of the stored
-    families bitwise, so their defects do too; Phi's defect is taken
-    elementwise, as | |exp(-i T alpha)|^2 - 1 |, since Phi is diagonal.
-    """
-    q = model.frame_matrix(s)
-    a = _exact_transport(model, variant, s, q)
-    a_adj = a.conj().swapaxes(-1, -2)  # once, for A^dag U and A^dag A
-    w = _residual_operator(u, a_adj, p)
-    aa = np.matmul(a_adj, a)
-    residual = None if part is None else _chunk_residual(part, aa if a is q else _adjoint_product(q, a))
-    defects = {
-        "U": _unitarity_defect(u),
-        "A": _identity_defect(aa),
-        "Phi": float(np.abs(p.conj() * p - 1.0).max()),
-        "W": _unitarity_defect(w),
-    }
-    return w, defects, residual
+# ---- the s=1 stage ----------------------------------------------------
 
 
 def final_stage(
@@ -804,30 +777,34 @@ def final_stage(
 ) -> tuple[np.ndarray, dict[str, float], float]:
     """The s=1 stage of a run from its finals U(1): W(1) at every duration, the defects and A's residual.
 
-    W(1) = Phi(1)^dag A(1)^dag U(1), shape (D, N, N), equals the last node
-    of wave_operator's family bitwise.  The unitarity defects of U, A, Phi
-    and W are maxima over the durations; U and W are products of unitary
-    steps, so a defect any step adds carries to s=1, and A (the closed
-    form, built once), Phi and the residual are closed forms at every
-    node.  Durations and finals must pair one to one.
+    One frame Q(1) = frame_matrix(1), A(1) from the closed form on it and
+    W(1) = Phi(1)^dag (A(1)^dag U(1)), shape (D, N, N), which equals the
+    last node of wave_operator's family bitwise; A's residual is read
+    against the same Q (for kato_state, whose closed-form A is Q itself,
+    its Q^dag A is the A^dag A of the A defect).  The unitarity defects of
+    U, A, Phi and W are maxima over the durations, Phi's taken elementwise
+    as | |exp(-i T alpha)|^2 - 1 |, since Phi is diagonal.  U and W are
+    products of unitary steps, so a defect any step adds carries to s=1,
+    and A, Phi and the residual are closed forms at every node.  Durations
+    and finals must pair one to one.
     """
     durations = np.asarray(durations, dtype=float)
     u1s = np.asarray(u1s)
     if len(durations) != len(u1s):
         raise ConfigError(f"final_stage got {len(durations)} durations for {len(u1s)} finals U(1)")
     _check_partition(model, part)
-    return _diagnostics(model, variant, np.ones(1), u1s, phase_factors(model, durations[:, None], 1.0), part)
-
-
-def stream_families(model: ContinuumModel, variant: GeneratorVariant, config: PropagationConfig) -> dict[str, float]:
-    """Max over all steps+1 nodes of the unitarity defects of U, the closed-form A, Phi and W.
-
-    One pass over the chunks of propagator_nodes, so memory is
-    O(chunk N^2) at any steps; each chunk's defects come from the helper
-    of final_stage (_diagnostics).
-    """
-    defects = dict.fromkeys(("U", "A", "Phi", "W"), 0.0)
-    for s, u in propagator_nodes(model, config):
-        _, chunk, _ = _diagnostics(model, variant, s, u, phase_factors(model, config.duration, s))
-        defects = {kind: max(worst, chunk[kind]) for kind, worst in defects.items()}
-    return defects
+    s = np.ones(1)
+    q = model.frame_matrix(s)
+    a = _exact_transport(model, variant, s, q)
+    a_adj = a.conj().swapaxes(-1, -2)  # once, for A^dag U and A^dag A
+    p = phase_factors(model, durations[:, None], 1.0)
+    w = _residual_operator(u1s, a_adj, p)
+    aa = np.matmul(a_adj, a)
+    residual = _chunk_residual(part, aa if a is q else _adjoint_product(q, a))
+    defects = {
+        "U": _unitarity_defect(u1s),
+        "A": _identity_defect(aa),
+        "Phi": float(np.abs(p.conj() * p - 1.0).max()),
+        "W": _unitarity_defect(w),
+    }
+    return w, defects, residual

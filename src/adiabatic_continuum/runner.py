@@ -250,7 +250,7 @@ def cmd_bands(config: ExperimentConfig):
 
 
 def cmd_verify(config: ExperimentConfig):
-    """run the six-invariant self-check battery"""
+    """run the five-invariant self-check battery"""
     all_passed, checks, annotations = verify_config(config)
     record = _record("verify", config, checks=checks, all_passed=all_passed, annotations=annotations)
     lines = []

@@ -1,16 +1,19 @@
 """Self-check battery for a configured experiment.
 
-Six named invariants run against the exact setup a config describes: projector
+Five named invariants run against the exact setup a config describes: projector
 algebra, unitarity of all four operator families, the frozen frame limit,
-degeneracy of the two generator variants at band size one, agreement of the
-transition integral with its integration-by-parts twin, and the transport
-intertwining property.  Each check is isolated so a single failure (or crash)
-is reported under its own name.  Every check returns its verdict through _row,
-and verify_config adds its name.  The frozen-frame leakage is W(1)'s exterior
-weight, as every command reports it.  The by-parts check compares the two
-integrals on every exterior pair coupled to j0 (analysis.coupled_pairs), the
-pairs the first-order leakage sums.  The stepped transports run CF4 at
-intertwiner_step_budget, not [run] steps: kato_state's stages all commute.
+agreement of the transition integral with its integration-by-parts twin, and
+the transport intertwining property.  Each check is isolated so a single
+failure (or crash) is reported under its own name.  Every check returns its
+verdict through _row, and verify_config adds its name.  The unitarity check
+reads the run's own s = 1 stage, final_propagators and final_stage at the
+reference duration, as simulate does: U and W are products of unitary steps,
+so a defect any step adds carries to s = 1, and A and Phi are closed forms.
+The frozen-frame leakage is W(1)'s exterior weight, as every command reports
+it.  The by-parts check compares the two integrals on every exterior pair
+coupled to j0 (analysis.coupled_pairs), the pairs the first-order leakage
+sums.  The stepped transports run CF4 at intertwiner_step_budget, not [run]
+steps: kato_state's stages all commute.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ from typing import Callable
 import numpy as np
 
 from .analysis import coupled_pairs, leakage_wave_form, transition_integral, transition_integral_parts
-from .bands import BandPartition, band_projector
+from .bands import band_projector
 from .config import ExperimentConfig
 from .errors import NoExteriorError
 from .propagation import (
     CF4,
     PropagationConfig,
     final_intertwiner,
+    final_propagators,
     final_stage,
     generator,
     intertwiner_step_budget,
@@ -35,13 +39,11 @@ from .propagation import (
     literal_window_hermiticity,
     phase_factors,
     propagator_nodes,
-    stream_families,
     transport_residual,
-    weyl_band,
 )
 
-# Schedule points at which the frozen-frame and variant-degeneracy checks
-# compare generators: both ends and the quarter points of s in [0, 1].
+# Schedule points at which the frozen-frame check reads the generator: both
+# ends and the quarter points of s in [0, 1].
 SCHEDULE_POINTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
@@ -84,14 +86,14 @@ def _check_projector_algebra(config, model, part) -> dict:
 
 def _check_unitarity(config, model, part) -> dict:
     t_ref = _reference_duration(config)
-    prop = PropagationConfig(t_ref, config.steps, config.scheme)
-    defects = stream_families(model, config.build_variant(part), prop)
+    u1s = final_propagators(model, [t_ref], config.steps, config.scheme)
+    _, defects, _ = final_stage(model, config.build_variant(part), part, [t_ref], u1s)
     worst = max(defects.values())
     return _row(
         worst <= 1e-9,
         worst,
         1e-9,
-        "; ".join(f"{k} {v:.3e}" for k, v in defects.items()) + f" at T={t_ref:g}",
+        "; ".join(f"{k} {v:.3e}" for k, v in defects.items()) + f" at s = 1, T={t_ref:g}",
     )
 
 
@@ -123,17 +125,6 @@ def _check_frozen_frame(config, model, part) -> dict:
         f"max|K| {k_max:.3e} (tol 1e-15); |A-1| {a_dev:.3e} (tol 1e-12); "
         f"max|U-Phi| {u_phi:.3e} (tol 1e-10); leakage {eta:.3e} (tol 1e-12)",
     )
-
-
-def _check_variant_degeneracy(config, model, part) -> dict:
-    part1 = BandPartition(model.size, 1)
-    wb = weyl_band(part1)
-    ks = kato_state()
-    diff = max(
-        _max_abs(generator(model, wb, s) - generator(model, ks, s))
-        for s in SCHEDULE_POINTS
-    )
-    return _row(diff <= 1e-14, diff, 1e-14, "band size 1 generator vs state-wise generator, 5 schedule points")
 
 
 def _check_by_parts(config, model, part) -> dict:
@@ -177,7 +168,6 @@ _CHECKS: tuple[tuple[str, Callable], ...] = (
     ("projector_algebra", _check_projector_algebra),
     ("unitarity", _check_unitarity),
     ("frozen_frame", _check_frozen_frame),
-    ("variant_degeneracy", _check_variant_degeneracy),
     ("by_parts", _check_by_parts),
     ("intertwining", _check_intertwining),
 )
@@ -185,7 +175,7 @@ CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
 def verify_config(config: ExperimentConfig) -> tuple[bool, list[dict], list[str]]:
-    """Run all six checks; returns (all_passed, check rows, info annotations)."""
+    """Run all five checks; returns (all_passed, check rows, info annotations)."""
     model = config.build_model()
     part = config.build_partition()
 

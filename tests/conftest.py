@@ -11,7 +11,9 @@ eigh_expm at every stage, kept as the references for the package's
 chunked eigenbasis kernels.  stored_families and
 projector_residual_loop are the stored-family path and the per-band
 residual formula that the streamed pass and its off-block residual
-replaced, kept as their references.  exact_final_propagator and
+replaced, kept as their references.  stream_families is the all-node
+unitarity pass that verify's s = 1 check replaced, kept as its
+reference.  exact_final_propagator and
 exact_final_residual are closed forms of U(1) and W(1) on the
 constant-rate model (constant_rate_model), exact at any T and N.
 """
@@ -42,7 +44,14 @@ from adiabatic_continuum import (
     random_banded_rotation,
     wave_operator,
 )
-from adiabatic_continuum.propagation import UnitaryFamily, _exact_transport
+from adiabatic_continuum.propagation import (
+    UnitaryFamily,
+    _exact_transport,
+    _residual_operator,
+    _unitarity_defect,
+    phase_factors,
+    propagator_nodes,
+)
 
 N = 16
 THETA_MAX = 0.4
@@ -155,6 +164,26 @@ def stored_families(model, variant, config):
     a = closed_form_family(model, variant, u.s_nodes)
     phi = phase_family(model, config.duration, config.steps)
     return u, a, phi, wave_operator(u, a, phi)
+
+
+def stream_families(model, variant, config) -> dict[str, float]:
+    """Max over all steps+1 nodes of the unitarity defects of U, the closed-form A, Phi and W.
+
+    One pass over the chunks of propagator_nodes, with the package's
+    defect formulas at every node, so memory is O(chunk N^2) at any steps.
+    """
+    defects = dict.fromkeys(("U", "A", "Phi", "W"), 0.0)
+    for s, u in propagator_nodes(model, config):
+        a = _exact_transport(model, variant, s, model.frame_matrix(s))
+        p = phase_factors(model, config.duration, s)
+        chunk = {
+            "U": _unitarity_defect(u),
+            "A": _unitarity_defect(a),
+            "Phi": float(np.abs(p.conj() * p - 1.0).max()),  # Phi is diagonal
+            "W": _unitarity_defect(_residual_operator(u, a.conj().swapaxes(-1, -2), p)),
+        }
+        defects = {kind: max(worst, chunk[kind]) for kind, worst in defects.items()}
+    return defects
 
 
 def projector_residual_loop(a_family, model, part) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
@@ -17,7 +18,7 @@ from adiabatic_continuum import (
 )
 from adiabatic_continuum import verify
 from adiabatic_continuum.analysis import coupled_pairs, transition_integral
-from adiabatic_continuum.propagation import kato_state, transport_residual
+from adiabatic_continuum.propagation import _CHUNK_BYTES, final_propagators, kato_state, transport_residual
 from adiabatic_continuum.runner import (
     COMMANDS,
     cmd_bands,
@@ -268,6 +269,49 @@ def test_simulate_and_verify_store_no_family(fast_config, monkeypatch):
     assert cmd_simulate(cfg)[0] == 0
     assert cmd_verify(cfg)[0] == 0
     assert built == []
+
+
+@pytest.mark.parametrize("scheme", ["midpoint_exponential", "fourth_order_commutator_free"])
+@pytest.mark.parametrize("variant", ["kato_state", "weyl_band"])
+def test_verify_unitarity_is_simulates_s1_stage(fast_config, variant, scheme):
+    # verify's unitarity check makes simulate's two calls at the same T, so
+    # it measures the largest of simulate's four defects, bitwise
+    cfg = fast_config({"run": {"steps": "1024", "scheme": scheme, "variant": variant}})
+    rows = {row["name"]: row for row in cmd_verify(cfg)[1]["checks"]}
+    defects = cmd_simulate(cfg)[1]["diagnostics"]["unitarity"]
+    assert rows["unitarity"]["measured"] == max(defects.values())
+    assert rows["unitarity"]["detail"].endswith("at s = 1, T=100")
+
+
+def test_verify_sabotage_names_unitarity(fast_config, monkeypatch):
+    # finals scaled off the unit sphere by 1e-8 have a U and W defect near
+    # 2e-8, past the 1e-9 tolerance; no other check reads them
+    def sabotaged(*args, **kwargs):
+        return (1.0 + 1e-8) * final_propagators(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "final_propagators", sabotaged)
+    cfg = fast_config({"run": {"steps": "1024"}})
+    code, record, _, lines = cmd_verify(cfg)
+    assert code == 1
+    assert {row["name"] for row in record["checks"] if not row["passed"]} == {"unitarity"}
+    assert any(line.startswith("[FAIL] unitarity") for line in lines)
+
+
+def test_verify_memory_is_flat_in_steps(fast_config):
+    # verify holds U(1) alone for its unitarity check and one chunk of
+    # frozen-frame nodes at a time; the four stored families would take
+    # 4 (steps+1) N^2 16 bytes at N = 128: 35 MB at 32 steps and 68 MB at 64
+    peaks = []
+    for steps in (32, 64):
+        cfg = fast_config({"grid": {"N": "128"}, "run": {"T": "1.0", "steps": str(steps)}})
+        tracemalloc.start()
+        try:
+            assert cmd_verify(cfg)[0] == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[1] < 16 * _CHUNK_BYTES
 
 
 def test_verify_streamed_checks_equal_stored_families(fast_config):

@@ -49,7 +49,6 @@ from adiabatic_continuum import (
     propagator_step_budget,
     quadratic_dispersion,
     random_banded_rotation,
-    stream_families,
     tabulated_dispersion,
     wave_operator,
     weyl_band,
@@ -70,6 +69,7 @@ from conftest import (
     midpoint_loop,
     projector_residual_loop,
     stored_families,
+    stream_families,
     taylor_expm,
 )
 
@@ -884,7 +884,7 @@ def test_deviation_from_identity():
     assert deviation_from_identity(m) == pytest.approx(0.5)
 
 
-# ---- the streamed pass ----------------------------------------------------
+# ---- the s=1 stage and its all-node reference ------------------------------
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -903,6 +903,7 @@ def test_stream_families_matches_stored_families(name, steps, band_variant, sche
     assert np.array_equal(w1s[0], w.final)
     last_a = UnitaryFamily("A", a.s_nodes[-1:], a.matrices[-1:])
     assert residual == intertwine_residual(last_a, model, part)
+    # the all-node reference pass (conftest) reads every node as stored
     streamed = stream_families(model, variant, config)
     for fam in (u, a, w):
         assert streamed[fam.kind] == fam.unitarity_defect()
@@ -910,15 +911,23 @@ def test_stream_families_matches_stored_families(name, steps, band_variant, sche
     assert abs(streamed["Phi"] - phi.unitarity_defect()) <= 1e-15
 
 
-def test_stream_families_without_partition_skips_the_residual(default_model):
-    config = PropagationConfig(2.0, 64)
-    assert list(stream_families(default_model, kato_state(), config)) == ["U", "A", "Phi", "W"]
-    with pytest.raises(StepBudgetError):
-        stream_families(default_model, kato_state(), PropagationConfig(100.0, 64))
-    # the residual is read at s=1 only, against the model's own partition
-    u1 = final_propagator(default_model, config)
-    with pytest.raises(ConfigError):
-        final_stage(default_model, kato_state(), BandPartition(8, 2), [2.0], u1[None])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("band_variant", [False, True], ids=["kato_state", "weyl_band"])
+def test_s1_defects_carry_the_all_node_maxima(default_model, default_part, band_variant, scheme):
+    # verify's unitarity check reads the s=1 stage: s=1 is one of the nodes,
+    # so its U and W defects are at most the all-node maxima, and a defect
+    # any step adds carries to s=1, so the maxima are at most twice them;
+    # A and Phi are closed forms at roundoff on both sides.  The bounds
+    # were fixed before measuring.
+    variant = weyl_band(default_part) if band_variant else kato_state()
+    config = PropagationConfig(100.0, 512, scheme)
+    u1s = final_propagators(default_model, [config.duration], config.steps, scheme)
+    _, at_s1, _ = final_stage(default_model, variant, default_part, [config.duration], u1s)
+    every_node = stream_families(default_model, variant, config)
+    for kind in ("U", "W"):
+        assert 0.0 < at_s1[kind] <= every_node[kind] <= 2.0 * at_s1[kind], kind
+    for kind in ("A", "Phi"):
+        assert max(at_s1[kind], every_node[kind]) <= 1e-14, kind
 
 
 @pytest.mark.parametrize(
@@ -936,25 +945,6 @@ def test_frame_matrix_is_independent_of_the_node_count(n, theta_max):
     assert np.array_equal(whole[0], np.eye(n))
     if theta_max == 0.0:
         assert np.array_equal(whole, np.broadcast_to(np.eye(n), whole.shape))
-
-
-@pytest.mark.parametrize("band_variant", [False, True], ids=["kato_state", "weyl_band"])
-def test_stream_families_builds_one_frame_per_chunk(monkeypatch, default_model, default_part, band_variant):
-    config = PropagationConfig(10.0, 2 * _CHUNK + 5)
-    chunks = [len(s) for s, _ in propagation.propagator_nodes(default_model, config)]
-    sizes = []
-    original = ContinuumModel.frame_matrix
-
-    def recorder(self, s):
-        sizes.append(np.size(s))
-        return original(self, s)
-
-    monkeypatch.setattr(ContinuumModel, "frame_matrix", recorder)
-    variant = weyl_band(default_part) if band_variant else kato_state()
-    stream_families(default_model, variant, config)
-    # the diagnostics build one frame per chunk of nodes; each chunk of
-    # steps past s=0 also forms its nodes from one frame at its midpoints
-    assert sizes == [chunks[0]] + [c for c in chunks[1:] for _ in range(2)]
 
 
 @pytest.mark.parametrize(
@@ -1002,23 +992,6 @@ def test_transport_residual_validation(default_model, default_part):
         propagation.transport_residual(default_model, kato_state(), default_part, 1, MIDPOINT)
 
 
-def test_stream_families_memory_is_flat_in_steps():
-    # the four stored families would take 4 (steps+1) N^2 16 bytes: 35 MB at
-    # 32 steps and 68 MB at 64
-    model = make_model(n=128)
-    model.frame_eigensystem  # cached before measuring
-    peaks = []
-    for steps in (32, 64):
-        tracemalloc.start()
-        try:
-            stream_families(model, kato_state(), PropagationConfig(1.0, steps))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.1 * peaks[0]
-    assert peaks[1] < 16 * _CHUNK_BYTES
-
-
 def test_final_stage_rejects_unpaired_durations(default_model, default_part):
     # broadcasting one duration's phases over two finals would give two W(1)
     # at T = 50; the counts must match instead
@@ -1027,3 +1000,6 @@ def test_final_stage_rejects_unpaired_durations(default_model, default_part):
         final_stage(default_model, kato_state(), default_part, [50.0], u1s)
     with pytest.raises(ConfigError, match="3 durations for 2 finals"):
         final_stage(default_model, kato_state(), default_part, [50.0, 60.0, 70.0], u1s)
+    # the residual is read against the model's own partition
+    with pytest.raises(ConfigError, match="grid sizes disagree"):
+        final_stage(default_model, kato_state(), BandPartition(8, 2), [50.0, 60.0], u1s)

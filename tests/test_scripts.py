@@ -200,6 +200,39 @@ def test_output_diff_compare_takes_a_relative_tolerance_and_a_floor(tmp_path):
     ]
 
 
+def test_output_diff_reports_a_removed_row_and_its_lines_once(tmp_path):
+    # a check row deleted from the middle of a verify run: the named rows
+    # pair by name and the stdout lines by difflib, so the row and each of
+    # its lines are one move, and the rows and lines after them pair with
+    # their twins (one moved number among them is still found)
+    spec = importlib.util.spec_from_file_location("output_diff", ROOT / "scripts" / "output_diff.py")
+    output_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(output_diff)
+    rows = [{"name": "unitarity", "measured": 1.8e-14}, {"name": "degeneracy", "measured": 0.0},
+            {"name": "by_parts", "measured": 1.5e-17}, {"name": "intertwining", "measured": 2.4e-15}]
+    lines = ["[PASS] unitarity: measured 1.821e-14", "       U 1.665e-14 at T=100",
+             "[PASS] degeneracy: measured 0.000e+00", "       band size 1",
+             "[PASS] by_parts: measured 1.552e-17", "[PASS] intertwining: measured 2.444e-15",
+             "all checks passed"]
+    for name, kept in (("a", rows), ("b", [rows[0], rows[2], {**rows[3], "measured": 2.5e-15}])):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "report.json").write_text(json.dumps({"checks": kept}))
+    (tmp_path / "a" / "stdout.txt").write_text("\n".join(lines) + "\n")
+    kept = lines[:1] + ["       U 1.248e-14 at s = 1, T=100", lines[4], "[PASS] intertwining: measured 2.500e-15"]
+    (tmp_path / "b" / "stdout.txt").write_text("\n".join(kept + lines[6:]) + "\n")
+    assert output_diff.compare(tmp_path / "a", tmp_path / "b") == [
+        "report.json checks[degeneracy]: {'name': 'degeneracy', 'measured': 0.0} -> None",
+        "report.json checks[intertwining].measured: 2.4e-15 -> 2.5e-15  abs 1.000e-16  rel 4.167e-02",
+        "stdout.txt [1]: '       U 1.665e-14 at T=100' -> '       U 1.248e-14 at s = 1, T=100'",
+        "stdout.txt [2]: '[PASS] degeneracy: measured 0.000e+00' -> None",
+        "stdout.txt [3]: '       band size 1' -> None",
+        "stdout.txt [5->3]: '[PASS] intertwining: measured 2.444e-15' -> '[PASS] intertwining: measured 2.500e-15'",
+    ]
+    # a line only the second run has is one move too, at its index there
+    added = "stdout.txt [2]: None -> '[PASS] degeneracy: measured 0.000e+00'"
+    assert added in output_diff.compare(tmp_path / "b", tmp_path / "a")
+
+
 def test_output_diff_compare_checks_the_file_names_and_other_files_bytes(tmp_path):
     # a file that one run leaves and the other does not is reported by name,
     # and a file compare does not parse is compared byte for byte
