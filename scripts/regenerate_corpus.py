@@ -14,8 +14,9 @@ kernels.
 
 tests/test_corpus.py replays every run through the same function (replay)
 and compares it with the stored files.  A regeneration changes check
-data: copy the corpus first, then record every value that
-``python3 scripts/output_diff.py OLD_COPY tests/corpus`` lists as moved.
+data, so the script copies the old corpus to a temporary directory before
+it rewrites, and prints every move that scripts/output_diff.py lists
+between the two (its compare_tree): record each of them.
 
 usage: python3 scripts/regenerate_corpus.py
 """
@@ -23,6 +24,7 @@ usage: python3 scripts/regenerate_corpus.py
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -57,9 +59,9 @@ def environment() -> dict:
     }
 
 
-def inputs() -> list[Path]:
+def inputs(corpus: Path = CORPUS) -> list[Path]:
     """The corpus's input directories, by name."""
-    return sorted(p.parent for p in CORPUS.glob(f"*/{INPUT}"))
+    return sorted(p.parent for p in corpus.glob(f"*/{INPUT}"))
 
 
 def replay(ini: Path, command: str, dest: Path) -> None:
@@ -87,14 +89,33 @@ def replay(ini: Path, command: str, dest: Path) -> None:
     (dest / "stderr.txt").write_text(stderr.getvalue(), encoding="utf-8")
 
 
-def main() -> None:
-    """Replace every command's stored run with a fresh one, and the environment record."""
-    for case in inputs():
-        for command in COMMANDS:
-            shutil.rmtree(case / command, ignore_errors=True)
-            replay(case / INPUT, command, case / command)
-    (CORPUS / ENVIRONMENT).write_text(json.dumps(environment(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"regenerated {len(inputs())} inputs x {len(COMMANDS)} commands in {CORPUS}")
+def _output_diff():
+    """scripts/output_diff.py, loaded from beside this script."""
+    spec = importlib.util.spec_from_file_location("output_diff", Path(__file__).with_name("output_diff.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def main(corpus: Path = CORPUS) -> None:
+    """Replace every command's stored run with a fresh one, and the environment record; print what moved."""
+    output_diff = _output_diff()
+    with tempfile.TemporaryDirectory() as work:
+        old = Path(work) / corpus.name
+        shutil.copytree(corpus, old)
+        for case in inputs(corpus):
+            for command in COMMANDS:
+                shutil.rmtree(case / command, ignore_errors=True)
+                replay(case / INPUT, command, case / command)
+        (corpus / ENVIRONMENT).write_text(json.dumps(environment(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        try:
+            lines = output_diff.compare_tree(old, corpus)
+        except output_diff.Unreadable as exc:  # a run or file in one corpus only
+            lines = [f"unreadable: {exc}"]
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} values moved" if lines else "identical")
+    print(f"regenerated {len(inputs(corpus))} inputs x {len(COMMANDS)} commands in {corpus}")
 
 
 if __name__ == "__main__":

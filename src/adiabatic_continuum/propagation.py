@@ -32,18 +32,22 @@ nearest_neighbor and banded generators are real, and a real G makes
 R_k = exp(-(theta_k - theta_{k-1}) G) real orthogonal: the chunk's GEMM builds R_k in real arithmetic, and each
 step is one real GEMM on the (re, im) float view of x, R_k Re(x) and
 R_k Im(x) at half the multiplies of a complex product.  A complex G keeps
-the complex products.  The node
-U_k = Q(m_k) x_k, with Q from frame_matrix, is formed only where a caller
-reads it: a stored family or propagator_nodes forms every node, a final
-only the last.  A frozen frame (theta_max = 0) has the eigensystem (0, I),
-so R_k = I and its steps stay diag(p_k) exactly.  Every caller takes this
-one path: evolve_propagator and propagator_nodes (so verify's frozen-frame
-check) with one duration, final_propagators (so final_propagator,
-simulate, sweeps and verify's unitarity check) with all of them.  A
-duration's slice sees the same matmuls in strict step order whatever
-shares the pass (a stacked matmul is one GEMM per slice, and the chunks
-do not depend on the durations), so a final equals the last node of its
-family bitwise, and a sweep's U(1) equals final_propagator at its
+the complex products.  The kernel builds R_k from its own copy of V,
+polished by two Newton-Schulz steps V <- V (3I - V^dag V) / 2: eigh's
+|V^dag V - I| of about 1e-15 would enter every R_k and grow U's unitarity
+defect linearly in the step count, and the polish cuts that growth about
+7x (frame_matrix keeps eigh's V).  The node U_k = Q(m_k) x_k, with Q from
+frame_matrix, is formed only where a caller reads it: a stored family or
+propagator_nodes forms every node, a final only the last.  A frozen frame
+(theta_max = 0) has the eigensystem (0, I), which the polish maps to
+itself, so R_k = I and its steps stay diag(p_k) exactly.  Every caller
+takes this one path: evolve_propagator and propagator_nodes (so verify's
+frozen-frame check) with one duration, final_propagators (so
+final_propagator, simulate, sweeps and verify's unitarity check) with all
+of them.  A duration's slice sees the same matmuls in strict step order
+whatever shares the pass (a stacked matmul is one GEMM per slice, and the
+chunks do not depend on the durations), so a final equals the last node
+of its family bitwise, and a sweep's U(1) equals final_propagator at its
 duration.  A pairwise tree reduction would be faster for finals alone,
 but it rounds differently from the sequential path and would fork the
 two.
@@ -367,10 +371,15 @@ def _midpoint_chunks(model: ContinuumModel, durations, steps: int, every_node: b
     complex products.
     """
     lam, v = model.frame_eigensystem
+    n = model.size
+    # two Newton-Schulz steps on a copy of V bring eigh's |V^dag V - I| of
+    # about 1e-15 to 2e-16, which every step rotation would otherwise carry
+    # into U; the frozen frame's V = I maps to itself bitwise
+    for _ in range(2):
+        v = v @ (3.0 * np.eye(n) - v.conj().T @ v) / 2.0
     real = not model.rotation.generator.imag.any()
     # R_k = (V d_k) @ vh: V^dag, or for a real G the transposed float view of V
     vh = v.view(float).T if real else v.conj().T
-    n = model.size
     ds = 1.0 / steps
     rate = (-1j / HBAR) * np.asarray(durations, dtype=float)[:, None, None]
     kappa = model.dispersion.kappa(model.grid.nodes)

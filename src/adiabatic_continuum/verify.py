@@ -9,11 +9,14 @@ verdict through _row, and verify_config adds its name.  The unitarity check
 reads the run's own s = 1 stage, final_propagators and final_stage at the
 reference duration, as simulate does: U and W are products of unitary steps,
 so a defect any step adds carries to s = 1, and A and Phi are closed forms.
-The frozen-frame leakage is W(1)'s exterior weight, as every command reports
-it.  The by-parts check compares the two integrals on every exterior pair
-coupled to j0 (analysis.coupled_pairs), the pairs the first-order leakage
-sums.  The stepped transports run CF4 at intertwiner_step_budget, not [run]
-steps: kato_state's stages all commute.
+The frozen-frame check compares every node of the frozen model's propagator,
+at [run] steps and scheme, with the dynamical phase: with theta_max = 0 the
+generator is zero, the transport the identity and the propagator diagonal by
+construction, so max|U - Phi| is the one number that can fail.  The
+by-parts check compares the two integrals on every exterior pair coupled to
+j0 (analysis.coupled_pairs), the pairs the first-order leakage sums.  The
+intertwining check steps the transport with CF4 at intertwiner_step_budget,
+not [run] steps: kato_state's stages all commute.
 """
 
 from __future__ import annotations
@@ -23,17 +26,15 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import coupled_pairs, leakage_wave_form, transition_integral, transition_integral_parts
+from .analysis import coupled_pairs, transition_integral, transition_integral_parts
 from .bands import band_projector
 from .config import ExperimentConfig
 from .errors import NoExteriorError
 from .propagation import (
     CF4,
     PropagationConfig,
-    final_intertwiner,
     final_propagators,
     final_stage,
-    generator,
     intertwiner_step_budget,
     kato_state,
     literal_window_hermiticity,
@@ -41,10 +42,6 @@ from .propagation import (
     propagator_nodes,
     transport_residual,
 )
-
-# Schedule points at which the frozen-frame check reads the generator: both
-# ends and the quarter points of s in [0, 1].
-SCHEDULE_POINTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -98,32 +95,19 @@ def _check_unitarity(config, model, part) -> dict:
 
 
 def _check_frozen_frame(config, model, part) -> dict:
-    frozen = dataclasses.replace(config, theta_max=0.0)
-    fmodel = frozen.build_model()
-    fpart = frozen.build_partition()
-    variant = frozen.build_variant(fpart)
+    fmodel = dataclasses.replace(config, theta_max=0.0).build_model()
     t_ref = _reference_duration(config)
-
-    k_max = max(_max_abs(generator(fmodel, variant, s)) for s in SCHEDULE_POINTS)
-    steps = intertwiner_step_budget(fmodel, variant)
-    a_dev = _max_abs(final_intertwiner(fmodel, variant, steps=steps, scheme=CF4) - np.eye(fmodel.size))
     u_phi = 0.0
     idx = np.arange(fmodel.size)
     for s, u in propagator_nodes(fmodel, PropagationConfig(t_ref, config.steps, config.scheme)):
         diff = u.copy()
         diff[:, idx, idx] -= phase_factors(fmodel, t_ref, s)
         u_phi = max(u_phi, _max_abs(diff))
-    w1, _, _ = final_stage(fmodel, variant, fpart, [t_ref], u[-1:])
-    # a band that covers the grid has no exterior, so nothing can leave it
-    eta = leakage_wave_form(fmodel, w1[0], fpart, config.j0) if len(fpart) > 1 else 0.0
-
-    passed = k_max <= 1e-15 and a_dev <= 1e-12 and u_phi <= 1e-10 and eta <= 1e-12
     return _row(
-        passed,
+        u_phi <= 1e-10,
         u_phi,
         1e-10,
-        f"max|K| {k_max:.3e} (tol 1e-15); |A-1| {a_dev:.3e} (tol 1e-12); "
-        f"max|U-Phi| {u_phi:.3e} (tol 1e-10); leakage {eta:.3e} (tol 1e-12)",
+        f"max|U-Phi| over {config.steps + 1} nodes at T={t_ref:g}",
     )
 
 

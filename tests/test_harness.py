@@ -18,7 +18,13 @@ from adiabatic_continuum import (
 )
 from adiabatic_continuum import verify
 from adiabatic_continuum.analysis import coupled_pairs, transition_integral
-from adiabatic_continuum.propagation import _CHUNK_BYTES, final_propagators, kato_state, transport_residual
+from adiabatic_continuum.propagation import (
+    _CHUNK_BYTES,
+    final_propagators,
+    kato_state,
+    propagator_nodes,
+    transport_residual,
+)
 from adiabatic_continuum.runner import (
     COMMANDS,
     cmd_bands,
@@ -247,7 +253,7 @@ def test_verify_single_band_annotation(fast_config, m, single):
     _, record, _, _ = cmd_verify(cfg)
     notes = record["annotations"]
     assert any("single band covers the grid" in note for note in notes) == single
-    # a band with no exterior leaks nothing; its frozen-frame leakage reads 0
+    # a single band passes the frozen-frame check too
     (frozen,) = [row for row in record["checks"] if row["name"] == "frozen_frame"]
     assert frozen["passed"], frozen
 
@@ -295,6 +301,26 @@ def test_verify_sabotage_names_unitarity(fast_config, monkeypatch):
     assert code == 1
     assert {row["name"] for row in record["checks"] if not row["passed"]} == {"unitarity"}
     assert any(line.startswith("[FAIL] unitarity") for line in lines)
+
+
+def test_verify_sabotage_names_frozen_frame(fast_config, monkeypatch):
+    # frozen-frame nodes that carry a 1e-8 off-diagonal entry stand 1e-8
+    # from Phi, past the 1e-10 tolerance; no other check reads the nodes
+    def sabotaged(*args, **kwargs):
+        for s, u in propagator_nodes(*args, **kwargs):
+            u = u.copy()
+            u[:, 0, 1] += 1e-8
+            yield s, u
+
+    monkeypatch.setattr(verify, "propagator_nodes", sabotaged)
+    cfg = fast_config({"run": {"steps": "1024"}})
+    code, record, _, lines = cmd_verify(cfg)
+    assert code == 1
+    assert {row["name"] for row in record["checks"] if not row["passed"]} == {"frozen_frame"}
+    (frozen,) = [row for row in record["checks"] if row["name"] == "frozen_frame"]
+    assert frozen["measured"] == pytest.approx(1e-8, rel=1e-6)
+    assert frozen["detail"] == "max|U-Phi| over 1025 nodes at T=100"
+    assert any(line.startswith("[FAIL] frozen_frame") for line in lines)
 
 
 def test_verify_memory_is_flat_in_steps(fast_config):

@@ -44,6 +44,7 @@ from adiabatic_continuum import (
     kato_state,
     linear_dispersion,
     literal_window_hermiticity,
+    load_config,
     phase_family,
     phase_operator,
     propagator_step_budget,
@@ -58,6 +59,7 @@ from adiabatic_continuum.propagation import _CHUNK, _CHUNK_BYTES
 
 from conftest import (
     M,
+    SRC,
     cf4_loop,
     closed_form_family,
     constant_rate_model,
@@ -556,8 +558,9 @@ def test_real_and_complex_kernels_agree_on_gauge_twins():
     # the complex chain G and its real twin G' = D^dag G D, D = diag(e^{i phi})
     # with G'[j, j+1] = |G[j, j+1]|, give D^dag U D = U' since D commutes
     # with the diagonal energies; U runs the kernel's complex products and
-    # U' its real ones.  The roundoff of the frame eigenvectors (V^dag V - I
-    # about 1e-15) grows with the step count, to about 2e-11 at 20000 steps.
+    # U' its real ones.  The roundoff of the kernel's polished eigenvectors
+    # grows with the step count, to about 4e-12 at 20000 steps (2.3e-11
+    # with eigh's V unpolished).
     model = make_model(rotation="random_banded")
     g = model.rotation.generator
     upper = np.diagonal(g, 1)
@@ -571,6 +574,15 @@ def test_real_and_complex_kernels_agree_on_gauge_twins():
     u = final_propagators(model, durations, steps)
     u_twin = final_propagators(twin_model, durations, steps)
     assert np.abs(d.conj()[:, None] * u * d[None, :] - u_twin).max() < 1e-10
+
+
+def test_midpoint_unitarity_defect_at_many_steps():
+    # the kernel's two Newton-Schulz steps take |V^dag V - I| from eigh's
+    # 1.3e-15 to 2.2e-16, so U's defect, still linear in the step count,
+    # reads 6.2e-12 on sweep.cfg's longest T at 20000 steps (4.5e-11 unpolished)
+    model = load_config(SRC.parent / "configs" / "sweep.cfg").build_model()
+    u = final_propagators(model, [800.0], 20000)
+    assert propagation._unitarity_defect(u) <= 1.5e-11
 
 
 def test_stacked_finals_name_the_smallest_unresolved_duration(default_model):

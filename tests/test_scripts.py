@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import re
+import shutil
 import sys
 
 import pytest
@@ -250,3 +251,37 @@ def test_output_diff_compare_checks_the_file_names_and_other_files_bytes(tmp_pat
     (a / "notes.txt").unlink()
     with pytest.raises(output_diff.Unreadable, match="notes.txt, plot.png is in only one of"):
         output_diff.compare(a, b, rel_tol=1e-10, floor=1e-9)
+
+
+def test_regenerate_corpus_prints_what_moved(tmp_path, capsys):
+    # a one-input corpus whose stored verify run was altered: regeneration
+    # rewrites it from a fresh run and prints the moves against the old copy
+    # (the crossing input's runs stop on a config check, the same bytes on
+    # any BLAS)
+    spec = importlib.util.spec_from_file_location("regenerate_corpus", ROOT / "scripts" / "regenerate_corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus.CORPUS / "crossing", root / "crossing")
+    run = root / "crossing" / "verify"
+    stored = (run / "stderr.txt").read_text()
+    (run / "exit_code.txt").write_text("0\n")
+    (run / "stderr.txt").write_text(stored.replace("separation 0.000e+00", "separation 1.000e-03"))
+    corpus.main(root)
+    assert capsys.readouterr().out.splitlines() == [
+        "crossing/verify/exit_code.txt [0]: '0' -> '3'  abs 3.000e+00  rel inf",
+        f"crossing/verify/stderr.txt [0]: {stored.replace('0.000e+00', '1.000e-03').rstrip()!r} -> {stored.rstrip()!r}",
+        "2 values moved",
+        f"regenerated 1 inputs x 5 commands in {root}",
+    ]
+    assert (run / "stderr.txt").read_text() == stored
+    assert json.loads((root / corpus.ENVIRONMENT).read_text()) == corpus.environment()
+    corpus.main(root)
+    assert capsys.readouterr().out.splitlines()[0] == "identical"
+    # an input the old copy lacks is named, after the corpus is rewritten
+    (root / "added").mkdir()
+    shutil.copyfile(root / "crossing" / corpus.INPUT, root / "added" / corpus.INPUT)
+    corpus.main(root)
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("unreadable: ") and "added" in first
+    assert (root / "added" / "verify" / "stderr.txt").read_text() == stored
