@@ -13,7 +13,10 @@ libm), the usable CPUs and the variables that set the BLAS threads and
 kernels.
 
 tests/test_corpus.py replays every run through the same function (replay)
-and compares it with the stored files.  A regeneration changes check
+and compares it with the stored files.  The script refuses to run while
+any of the BLAS variables is set: the corpus would record it, and a
+plain pytest run, which sets none, would then compare every input within
+the fallback tolerance instead of byte for byte.  A regeneration changes check
 data, so the script copies the old corpus to a temporary directory before
 it rewrites, and prints every move that scripts/output_diff.py lists
 between the two (its compare_tree): record each of them.
@@ -30,6 +33,7 @@ import json
 import os
 import platform
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -98,7 +102,16 @@ def _output_diff():
 
 
 def main(corpus: Path = CORPUS) -> None:
-    """Replace every command's stored run with a fresh one, and the environment record; print what moved."""
+    """Replace every command's stored run with a fresh one, and the environment record; print what moved.
+
+    Exits non-zero, writing nothing, while any of BLAS_VARIABLES is set.
+    """
+    pinned = [name for name in BLAS_VARIABLES if name in os.environ]
+    if pinned:
+        sys.exit(
+            f"regenerate_corpus: refusing to write while {', '.join(pinned)} is set: the corpus would record "
+            "it, and a plain pytest run would compare every input within the fallback tolerance, not byte for byte"
+        )
     output_diff = _output_diff()
     with tempfile.TemporaryDirectory() as work:
         old = Path(work) / corpus.name

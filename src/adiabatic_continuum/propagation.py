@@ -7,8 +7,8 @@ initial frame), and the residual wave operator obtained by composition.
 
 Every step is unitary to roundoff: a midpoint propagator step is a
 diagonal phase times a rotation in the frame's eigenbasis, and every
-other step is a Taylor exponential whose truncation error stays below the
-unit roundoff (see below).  So the families stay unitary to roundoff at
+other step is an elementwise phase or a Taylor exponential whose
+truncation error stays below the unit roundoff (see below).  So the families stay unitary to roundoff at
 any step count; step budgets only control accuracy, never stability.
 The transport unitary also has a closed form (_exact_transport), because
 the frame exp(theta(s) G) rotates with one constant generator; the stepped
@@ -52,25 +52,48 @@ duration.  A pairwise tree reduction would be faster for finals alone,
 but it rounds differently from the sequential path and would fork the
 two.
 
-The CF4 propagator and both stepped transports share one kernel in the
-same basis and one stage form, a scalar rate times a constant core:
+The CF4 propagator and both stepped transports share one kernel
+(_expm_chunks) and one stage form, a scalar rate times a constant core:
 every dispersion family is separable, E(k, s) = kappa(k) f(s), so
-V^dag H(s) V = f(s) E(theta) B E(theta)^dag with B = V^dag diag(kappa) V, and
-V^dag K(s) V = theta'(s) E(theta) C E(theta)^dag with C = V^dag (i hbar G_masked) V,
-each core formed once per evolution.  A chunk builds the stage matrices
-at all its Gauss nodes (two per CF4 step, one per midpoint step) with
-E(theta) as an elementwise phase and exponentiates the whole stack at
-once with a truncated Taylor series (_expm): the degree (at most 16,
-evaluated by Paterson-Stockmeyer in at most six matrix products) and the
-number of squarings follow from the chunk's largest 1-norm and the
-double-precision backward-error thresholds of Al-Mohy and Higham.  It
-composes the steps in order with one N x N matmul each, again with no
+H(s) = f(s) Q(s) diag(kappa) Q(s)^dag and
+K(s) = theta'(s) Q(s) (i hbar G_masked) Q(s)^dag.  A chunk builds the
+stages at all its Gauss nodes (two per CF4 step, one per midpoint step)
+and takes the steps in the cheapest exact arithmetic the stages allow,
+read from the inputs:
+
+- Every stage is diagonal where V and the core are (the frozen frame's
+  (0, I) with the propagator's diag(kappa)).  Each stage is then the
+  elementwise phase exp(-i scale ds r kappa), r its weighted node rates,
+  and a running product composes the steps: no Taylor series and no
+  N x N product, and the off-diagonals stay exactly zero.
+- Every stage is real in the lab frame where G and the core are (the
+  propagator of the nearest_neighbor and banded generators).  Q(s) is
+  then real orthogonal, built from the polished V by the midpoint
+  kernel's real GEMM, and each exponent is -i R with the real
+  R = scale ds f(s) Q diag(kappa) Q^T, so the Taylor powers are real
+  GEMMs and each Horner step is one real GEMM on the (re, im) float view
+  of the partial sum.  Only the step products stay complex.
+- Otherwise the kernel works in the frame eigenbasis, in complex
+  arithmetic: V^dag H(s) V = f(s) E(theta) B E(theta)^dag with
+  B = V^dag diag(kappa) V, and V^dag K(s) V = theta'(s) E(theta) C
+  E(theta)^dag with C = V^dag (i hbar G_masked) V, each core formed once
+  per evolution and E(theta) an elementwise phase.  A complex G takes
+  it, and so does every transport, whose K is imaginary: the stepped
+  transport and verify's intertwining check keep their rounding on every
+  input.
+
+The matrix cases exponentiate a chunk's whole stack at once with a
+truncated Taylor series (_expm): the degree (at most 16, evaluated by
+Paterson-Stockmeyer in at most six matrix products) and the number of
+squarings follow from the chunk's largest 1-norm and the
+double-precision backward-error thresholds of Al-Mohy and Higham.  They
+compose the steps in order with one N x N matmul each, again with no
 frame rebuild.  A zero stage gives the identity and a diagonal one a
-diagonal step, exactly, so a frozen frame keeps its exact transport and
-diagonal propagator.  The transport keeps the generic core C instead of
-its diagonal in exact arithmetic (hbar diag(lam) for kato_state): with
-the diagonal, the stepped transport would be the closed form by
-construction and would no longer check it.
+diagonal step, exactly, so a frozen frame keeps its exact transport.
+The transport keeps the generic core C instead of its diagonal in exact
+arithmetic (hbar diag(lam) for kato_state): with the diagonal, the
+stepped transport would be the closed form by construction and would no
+longer check it.
 
 No command stores the families.  simulate, sweeps and verify's unitarity
 check read U(1) from final_propagators, and W(1), the four unitarity
@@ -353,6 +376,30 @@ def literal_window_hermiticity(model: ContinuumModel, window: int, s: float) -> 
 # ---- evolutions --------------------------------------------------------
 
 
+def _polished(v: np.ndarray) -> np.ndarray:
+    """V after two Newton-Schulz steps V <- V (3I - V^dag V) / 2, a kernel's own copy.
+
+    They bring eigh's |V^dag V - I| of about 1e-15 to 2e-16, which every
+    rotation built from V would otherwise carry into the evolution; the
+    frozen frame's V = I maps to itself bitwise.
+    """
+    n = v.shape[0]
+    for _ in range(2):
+        v = v @ (3.0 * np.eye(n) - v.conj().T @ v) / 2.0
+    return v
+
+
+def _rotations(v: np.ndarray, d: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """V diag(d_k) V^dag for every row d_k of d, from one (K N, N) x (N, N) GEMM in vh's dtype.
+
+    vh is V^dag, or the transposed (re, im) float view of V, which makes the
+    GEMM real, (K N, 2N) x (2N, N), and gives Re(V diag(d_k) V^dag): the
+    whole matrix for a real G, whose rotations are real.
+    """
+    n = v.shape[0]
+    return ((v * d[:, None, :]).reshape(-1, n).view(vh.dtype) @ vh).reshape(-1, n, n)
+
+
 def _midpoint_chunks(model: ContinuumModel, durations, steps: int, every_node: bool = True):
     """Yield (frame, X) for consecutive chunks of the steps 1..steps (midpoint scheme), every duration at once.
 
@@ -371,12 +418,8 @@ def _midpoint_chunks(model: ContinuumModel, durations, steps: int, every_node: b
     complex products.
     """
     lam, v = model.frame_eigensystem
+    v = _polished(v)
     n = model.size
-    # two Newton-Schulz steps on a copy of V bring eigh's |V^dag V - I| of
-    # about 1e-15 to 2e-16, which every step rotation would otherwise carry
-    # into U; the frozen frame's V = I maps to itself bitwise
-    for _ in range(2):
-        v = v @ (3.0 * np.eye(n) - v.conj().T @ v) / 2.0
     real = not model.rotation.generator.imag.any()
     # R_k = (V d_k) @ vh: V^dag, or for a real G the transposed float view of V
     vh = v.view(float).T if real else v.conj().T
@@ -393,10 +436,9 @@ def _midpoint_chunks(model: ContinuumModel, durations, steps: int, every_node: b
         theta = model.rotation.schedule.angle(sm)
         d = np.exp(1j * np.multiply.outer(np.diff(theta, prepend=theta_prev), lam))
         theta_prev = theta[-1]
-        # every R_k = V diag(d_k) V^dag of the chunk from one (chunk*N, N) x (N, N)
-        # GEMM in vh's dtype (real: (chunk*N, 2N) x (2N, N)), shared by all
-        # durations; p_k as (D, N, 1) row factors
-        r = ((v * d[:, None, :]).reshape(-1, n).view(vh.dtype) @ vh).reshape(-1, n, n)
+        # every R_k of the chunk from one GEMM, shared by all durations; p_k
+        # as (D, N, 1) row factors
+        r = _rotations(v, d, vh)
         df = np.diff(model.dispersion.profile_integral(edges))
         p = np.exp(np.multiply.outer(df, kappa)[:, None, :, None] * rate)
         xs = np.empty((len(sm) if every_node else 2, *x.shape), dtype=complex)
@@ -411,35 +453,60 @@ def _midpoint_chunks(model: ContinuumModel, durations, steps: int, every_node: b
         yield (lambda i, sm=sm: model.frame_matrix(sm[i])), (xs if every_node else x[None])
 
 
-def _stages(model: ContinuumModel, s: np.ndarray, scheme: str, rate, core: np.ndarray) -> np.ndarray:
-    """The Hermitian stage matrices of the steps whose Gauss nodes are s, in the frame eigenbasis.
+def _gauss_nodes(steps: int, scheme: str, n: int):
+    """The Gauss nodes of consecutive chunks of the steps 1..steps, one array per chunk, in step order.
 
-    Each node contributes rate(s) E(theta) core E(theta)^dag; a CF4 step
-    mixes its two nodes with the commutator-free weights.
+    Two nodes per CF4 step and one per midpoint step; a chunk holds as many
+    steps as _EXPM_TEMPS stacks of their (N, N) stages allow.
     """
-    lam = model.frame_eigensystem[0]
-    e = np.exp(-1j * np.multiply.outer(model.rotation.schedule.angle(s), lam))
-    h = np.multiply.outer(rate(s), core)
-    h *= e[:, :, None]
-    h *= e.conj()[:, None, :]
+    ds = 1.0 / steps
+    nodes = np.multiply((0.5,) if scheme == MIDPOINT else (_C1, _C2), ds)
+    chunk = _chunk_len(n, len(nodes) * _EXPM_TEMPS)
+    for lo in range(0, steps, chunk):
+        yield np.add.outer(np.arange(lo, min(lo + chunk, steps)) * ds, nodes).ravel()
+
+
+def _mixed(h: np.ndarray, scheme: str) -> np.ndarray:
+    """The stages of the steps from the stack h of their nodes' values: a CF4 step mixes its two nodes with the commutator-free weights."""
     if scheme == MIDPOINT:
         return h
     h1, h2 = h[0::2], h[1::2]
     return np.stack((_A1 * h1 + _A2 * h2, _A2 * h1 + _A1 * h2), axis=1).reshape(h.shape)
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of every matrix of the stack a, by a scaled and squared Taylor polynomial; a is overwritten.
+def _stages(model: ContinuumModel, s: np.ndarray, scheme: str, rate, core: np.ndarray) -> np.ndarray:
+    """The Hermitian stage matrices of the steps whose Gauss nodes are s, in the frame eigenbasis.
 
-    The degree and the number of squarings follow from the largest 1-norm
-    of the stack (_TAYLOR_DEGREES), so before rounding each result is
-    exp(a + e) with ||e||_1 <= 2^-53 ||a||_1.  A zero matrix gives the
-    identity and a diagonal one a diagonal result, exactly.  A non-finite
-    entry raises ConfigError.
+    Each node contributes rate(s) E(theta) core E(theta)^dag, with core in
+    the eigenbasis.
     """
-    norm = float(np.abs(a).sum(axis=-2).max())
+    lam = model.frame_eigensystem[0]
+    e = np.exp(-1j * np.multiply.outer(model.rotation.schedule.angle(s), lam))
+    h = np.multiply.outer(rate(s), core)
+    h *= e[:, :, None]
+    h *= e.conj()[:, None, :]
+    return _mixed(h, scheme)
+
+
+def _finite_norm(norm: float) -> float:
+    """The largest 1-norm of a stack of step exponents, which must be finite (else ConfigError)."""
     if not math.isfinite(norm):
         raise ConfigError(f"step exponential of a non-finite matrix (1-norm {norm})")
+    return norm
+
+
+def _expm(a: np.ndarray, omega: complex = 1) -> np.ndarray:
+    """exp(omega a) for every matrix of the stack a, by a scaled and squared Taylor polynomial; a is overwritten.
+
+    omega is 1, or -1j with a real a, whose powers and Horner steps are
+    then real GEMMs (_taylor).  The degree and the number of squarings
+    follow from the largest 1-norm of the stack (_TAYLOR_DEGREES), so
+    before rounding each result is exp(omega (a + e)) with
+    ||e||_1 <= 2^-53 ||a||_1.  A zero matrix gives the identity and a
+    diagonal one a diagonal result, exactly.  A non-finite entry raises
+    ConfigError.
+    """
+    norm = _finite_norm(float(np.abs(a).sum(axis=-2).max()))
     squarings = 0
     for degree, theta in _TAYLOR_DEGREES:
         if norm <= theta:
@@ -447,18 +514,22 @@ def _expm(a: np.ndarray) -> np.ndarray:
     else:
         squarings = math.ceil(math.log2(norm / theta))
         a *= 0.5**squarings
-    x = _taylor(a, degree)
+    x = _taylor(a, degree, omega)
     for _ in range(squarings):
         x = x @ x
     return x
 
 
-def _taylor(a: np.ndarray, degree: int) -> np.ndarray:
-    """sum_{k <= degree} a^k / k! at every matrix of the stack a, by Paterson-Stockmeyer.
+def _taylor(a: np.ndarray, degree: int, omega: complex = 1) -> np.ndarray:
+    """sum_{k <= degree} (omega a)^k / k! at every matrix of the stack a, by Paterson-Stockmeyer.
 
     With p = ceil(sqrt(degree)) and the powers a..a^p, the series splits
     into blocks of p terms, summed by Horner's rule in a^p: p - 1 products
-    for the powers and one per block below the top.
+    for the powers and one per block below the top.  omega enters only the
+    coefficients omega^k / k!, so a real a keeps real powers.  The sum x is
+    a polynomial in a and commutes with a^p, so a complex x over a real a
+    takes each Horner step as a^p x: one real GEMM of a^p on x's (re, im)
+    float view, giving a^p Re(x) and a^p Im(x).
     """
     p = math.isqrt(degree - 1) + 1
     powers = [a]
@@ -466,51 +537,135 @@ def _taylor(a: np.ndarray, degree: int) -> np.ndarray:
         powers.append(powers[-1] @ a)
     top = (degree - 1) // p * p  # the top block holds the degrees top..degree
     x = powers[degree - top - 1] / math.factorial(degree)
-    _add_block(x, powers, top, degree - top - 1)
+    if omega != 1:
+        x = x * omega**degree
+    _add_block(x, powers, top, degree - top - 1, omega)
     for lo in range(top - p, -1, -p):
-        x = x @ powers[-1]
-        _add_block(x, powers, lo, p - 1)
+        if x.dtype == a.dtype:
+            x = x @ powers[-1]
+        else:
+            x = (powers[-1] @ x.view(a.dtype)).view(x.dtype)
+        _add_block(x, powers, lo, p - 1, omega)
     return x
 
 
-def _add_block(x: np.ndarray, powers: list, lo: int, top: int):
-    """x += sum_{i <= top} a^i / (lo + i)!, in place, with powers[i - 1] = a^i and a^0 = I."""
-    term = np.empty_like(x)
+def _add_block(x: np.ndarray, powers: list, lo: int, top: int, omega: complex = 1):
+    """x += sum_{i <= top} omega^(lo + i) a^i / (lo + i)!, in place, with powers[i - 1] = a^i and a^0 = I.
+
+    With omega = -1j each coefficient is real or imaginary, so a real
+    power adds to one part of a complex x.
+    """
+    term = np.empty_like(powers[0])
     for i in range(top, 0, -1):
-        x += np.multiply(powers[i - 1], 1.0 / math.factorial(lo + i), out=term)
+        c = omega ** (lo + i) / math.factorial(lo + i)
+        if term.dtype == x.dtype:
+            x += np.multiply(powers[i - 1], c, out=term)
+        else:
+            part, c = (x.imag, c.imag) if c.imag else (x.real, c.real)
+            part += np.multiply(powers[i - 1], c, out=term)
     d = np.arange(x.shape[-1])
-    x[..., d, d] += 1.0 / math.factorial(lo)
+    x[..., d, d] += omega**lo / math.factorial(lo)
+
+
+def _composed(x: np.ndarray, z: np.ndarray, scheme: str) -> np.ndarray:
+    """The running products X_k ... X_1 z of a chunk's steps X_k, from their stage exponentials x, with one N x N matmul each.
+
+    A CF4 step is the product of its two stage exponentials.
+    """
+    if scheme == CF4:
+        x = x[1::2] @ x[0::2]
+    zs = np.empty((len(x), *z.shape), dtype=complex)
+    for mat, out in zip(x, zs):
+        z = np.dot(mat, z, out=out)
+    return zs
 
 
 def _expm_chunks(model: ContinuumModel, steps: int, scheme: str, rate, core: np.ndarray, scale: float):
-    """Yield (frame, Z) for consecutive chunks of the nodes s_1..s_steps of i dY/ds = scale H(s) Y.
+    """(frame, Z) for consecutive chunks of the nodes s_1..s_steps of i dY/ds = scale H(s) Y, from Y_0 = I.
 
-    H is the Hamiltonian or the transport generator, V^dag H(s) V =
-    rate(s) E(theta) core E(theta)^dag, with rate taking an array of s.  Z
-    stacks the V^dag Y_k, from Y_0 = I, and frame(i) is V at every node, so
-    Y_k = frame(k) @ Z_k.
+    H is the Hamiltonian or the transport generator, H(s) = rate(s) Q(s)
+    core Q(s)^dag with the constant lab-frame core, and rate takes an array
+    of s.  Z stacks the Y_k in the basis frame(i) names, so that
+    Y_k = frame(k) @ Z_k, or Z_k = Y_k where frame is None (the lab frame).
+    The steps take the cheapest exact arithmetic their stages allow, read
+    from the inputs (module docstring): elementwise phases where every
+    stage is diagonal, real GEMMs where every stage is real in the lab
+    frame, and the complex eigenbasis kernel otherwise.
     """
     v = model.frame_eigensystem[1]
+    off = ~np.eye(model.size, dtype=bool)
+    if not (v[off].any() or core[off].any()):
+        return _diagonal_chunks(model, steps, scheme, rate, np.diagonal(core), scale)
+    if not (model.rotation.generator.imag.any() or core.imag.any()):
+        return _real_chunks(model, steps, scheme, rate, core.real, scale)
+    return _eigenbasis_chunks(model, steps, scheme, rate, core, scale)
+
+
+def _diagonal_chunks(model: ContinuumModel, steps: int, scheme: str, rate, diagonal: np.ndarray, scale: float):
+    """(None, Y) chunks of an evolution whose every stage is diagonal: a diagonal V and core.
+
+    The frame then never mixes the states, so H(s) = rate(s) diag(core),
+    each stage is the elementwise phase exp(-i scale ds r diag(core)), r
+    the stage's weighted node rates, and a running product along the steps
+    composes them: no Taylor series and no N x N product.  Off-diagonals
+    stay exactly zero.
+    """
     n = model.size
     ds = 1.0 / steps
-    nodes = np.multiply((0.5,) if scheme == MIDPOINT else (_C1, _C2), ds)
-    chunk = _chunk_len(n, len(nodes) * _EXPM_TEMPS)
+    d = np.arange(n)
+    c = np.ones((1, n), dtype=complex)
+    for s in _gauss_nodes(steps, scheme, n):
+        h = _mixed(np.multiply.outer(rate(s), diagonal), scheme)
+        _finite_norm(float(np.abs(h).max()))
+        x = np.exp(h * (-1j * scale * ds))
+        if scheme == CF4:
+            x = x[1::2] * x[0::2]
+        c = np.cumprod(np.concatenate((c[-1:], x)), axis=0)[1:]
+        ys = np.zeros((len(c), n, n), dtype=complex)
+        ys[:, d, d] = c
+        yield None, ys
+
+
+def _real_chunks(model: ContinuumModel, steps: int, scheme: str, rate, core: np.ndarray, scale: float):
+    """(None, Y) chunks of an evolution whose stages are real in the lab frame: a real G and a real core.
+
+    Q(s) = exp(theta G) is then real orthogonal, built as _midpoint_chunks
+    builds its rotations, by one real GEMM of the float views of the
+    polished V diag(e) and V; each step exponent is -i R with the real
+    R = scale ds rate(s) Q core Q^T, whose Taylor polynomial takes real
+    GEMMs (_expm with omega = -1j).  Only the step products stay complex.
+    """
+    lam, v = model.frame_eigensystem
+    v = _polished(v)
+    vh = v.view(float).T
+    n = model.size
+    ds = 1.0 / steps
+    y = np.eye(n, dtype=complex)
+    for s in _gauss_nodes(steps, scheme, n):
+        q = _rotations(v, np.exp(-1j * np.multiply.outer(model.rotation.schedule.angle(s), lam)), vh)
+        h = np.matmul(q @ core, q.swapaxes(-1, -2))
+        h *= (scale * ds * rate(s))[:, None, None]
+        ys = _composed(_expm(_mixed(h, scheme), -1j), y, scheme)
+        y = ys[-1]
+        yield None, ys
+
+
+def _eigenbasis_chunks(model: ContinuumModel, steps: int, scheme: str, rate, core: np.ndarray, scale: float):
+    """(frame, Z) chunks in the frame eigenbasis, frame = V and Z_k = V^dag Y_k: the general kernel."""
+    v = model.frame_eigensystem[1]
+    core = v.conj().T @ core @ v
+    ds = 1.0 / steps
     z = v.conj().T.copy()
-    for lo in range(0, steps, chunk):
-        s = np.add.outer(np.arange(lo, min(lo + chunk, steps)) * ds, nodes).ravel()
+    for s in _gauss_nodes(steps, scheme, model.size):
         h = _stages(model, s, scheme, rate, core)
         h *= -1j * scale * ds
-        x = _expm(h)
-        if scheme == CF4:
-            x = x[1::2] @ x[0::2]
-        zs = np.empty_like(x)
-        for mat, out in zip(x, zs):
-            z = np.dot(mat, z, out=out)
+        zs = _composed(_expm(h), z, scheme)
+        z = zs[-1]
         yield (lambda i: v), zs
 
 
 def _propagator_chunks(model: ContinuumModel, config: PropagationConfig):
-    """(frame, Z) for consecutive chunks of the nodes s_1..s_steps; U_k = frame(k) @ Z_k.
+    """(frame, Z) for consecutive chunks of the nodes s_1..s_steps; U_k = frame(k) @ Z_k, or Z_k where frame is None.
 
     The one sequential composition evolve_propagator, propagator_nodes
     and the CF4 finals consume: the family multiplies out every node,
@@ -519,10 +674,9 @@ def _propagator_chunks(model: ContinuumModel, config: PropagationConfig):
     """
     if config.scheme == MIDPOINT:
         return ((f, x[:, 0]) for f, x in _midpoint_chunks(model, [config.duration], config.steps))
-    v = model.frame_eigensystem[1]
-    # the constant core B = V^dag diag(kappa) V, so V^dag H(s) V = f E B E^dag
-    b = (v.conj().T * model.dispersion.kappa(model.grid.nodes)) @ v
-    return _expm_chunks(model, config.steps, config.scheme, model.dispersion.profile, b, config.duration / HBAR)
+    # H(s) = f(s) Q(s) diag(kappa) Q(s)^dag
+    core = np.diag(model.dispersion.kappa(model.grid.nodes))
+    return _expm_chunks(model, config.steps, config.scheme, model.dispersion.profile, core, config.duration / HBAR)
 
 
 def _check_propagator_budget(model: ContinuumModel, config: PropagationConfig):
@@ -577,7 +731,7 @@ def _last(chunks) -> np.ndarray:
     """The last node of a chunked evolution, multiplied out alone."""
     for frame, z in chunks:
         pass
-    return np.matmul(frame(-1), z[-1])
+    return z[-1].copy() if frame is None else np.matmul(frame(-1), z[-1])
 
 
 def _nodes(chunks, steps: int, n: int):
@@ -586,7 +740,7 @@ def _nodes(chunks, steps: int, n: int):
     yield s_nodes[:1], np.eye(n, dtype=complex)[None]
     k = 1
     for frame, z in chunks:
-        yield s_nodes[k : k + len(z)], np.matmul(frame(slice(None)), z)
+        yield s_nodes[k : k + len(z)], z if frame is None else np.matmul(frame(slice(None)), z)
         k += len(z)
 
 
@@ -602,10 +756,9 @@ def propagator_nodes(model: ContinuumModel, config: PropagationConfig):
 
 
 def _intertwiner_chunks(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str):
-    """(frame, Z) chunks of the stepped transport; A_k = frame(k) @ Z_k."""
-    v = model.frame_eigensystem[1]
-    # the constant core C = V^dag (i hbar G_masked) V, so V^dag K(s) V = theta' E C E^dag
-    c = v.conj().T @ (1j * HBAR * _masked_generator(model, variant)) @ v
+    """(frame, Z) chunks of the stepped transport; A_k = frame(k) @ Z_k, or Z_k where frame is None."""
+    # K(s) = theta'(s) Q(s) (i hbar G_masked) Q(s)^dag
+    c = 1j * HBAR * _masked_generator(model, variant)
     return _expm_chunks(model, steps, scheme, model.rotation.schedule.angle_rate, c, 1.0 / HBAR)
 
 

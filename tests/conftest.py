@@ -8,7 +8,7 @@ Paterson-Stockmeyer Taylor step exponentials.  The midpoint, CF4 and
 transport loops below are the step-by-step lab-frame forms of the
 stepped schemes, built from hamiltonian()/generator() at every node and
 eigh_expm at every stage, kept as the references for the package's
-chunked eigenbasis kernels.  stored_families and
+chunked kernels.  stored_families and
 projector_residual_loop are the stored-family path and the per-band
 residual formula that the streamed pass and its off-block residual
 replaced, kept as their references.  stream_families is the all-node

@@ -274,7 +274,7 @@ def test_propagator_family_structure(default_model):
             assert np.array_equal(final, evolve_propagator(default_model, config).final)
 
 
-# The chunked eigenbasis kernel and the step loop are one scheme rounded
+# The chunked kernels and the step loop are one scheme rounded
 # differently; their max-abs difference is roundoff, which this bound caps.
 KERNEL_TOL = 1e-11
 
@@ -365,6 +365,43 @@ def test_frozen_frame_eigh_kernel_families_stay_exact(frozen_model):
     for scheme in SCHEMES:
         a = evolve_intertwiner(frozen_model, kato_state(), steps, scheme)
         assert (a.matrices == np.eye(16)).all()
+
+
+# The CF4 propagator's kernel follows from the model: diagonal stages (a
+# frozen frame) step elementwise, real lab-frame stages (a real G) by real
+# GEMMs, the rest in the eigenbasis; every transport, whose K is imaginary,
+# takes the eigenbasis.  So the kernel tests above check all three paths.
+@pytest.mark.parametrize(
+    "name, path",
+    [("nearest_neighbor", "_real_chunks"), ("random_banded", "_eigenbasis_chunks"),
+     ("tabulated", "_real_chunks"), ("quadratic", "_real_chunks"), ("frozen", "_diagonal_chunks")],
+)
+def test_cf4_kernel_path_follows_the_stages(monkeypatch, name, path):
+    taken = []
+    for kernel in ("_diagonal_chunks", "_real_chunks", "_eigenbasis_chunks"):
+        original = getattr(propagation, kernel)
+
+        def recorder(*args, _original=original, _kernel=kernel):
+            taken.append(_kernel)
+            return _original(*args)
+
+        monkeypatch.setattr(propagation, kernel, recorder)
+    model = _kernel_models()[name]
+    evolve_propagator(model, PropagationConfig(0.1 * _CHUNK, _CHUNK, CF4))
+    for scheme in SCHEMES:
+        evolve_intertwiner(model, kato_state(), max(_CHUNK, intertwiner_step_budget(model, kato_state())), scheme)
+    assert taken == [path, "_eigenbasis_chunks", "_eigenbasis_chunks"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_diagonal_stages_reject_a_non_finite_stage(frozen_model, bad):
+    # the elementwise path keeps _expm's guard (an infinite rate makes the
+    # CF4 weights, one of them negative, mix inf - inf = nan)
+    kappa = np.diag(frozen_model.dispersion.kappa(frozen_model.grid.nodes))
+    chunks = propagation._expm_chunks(frozen_model, 8, CF4, lambda s: np.where(s > 0.5, bad, 1.0), kappa, 1.0)
+    with pytest.raises(ConfigError, match="non-finite"), np.errstate(invalid="ignore"):
+        for _ in chunks:
+            pass
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -554,13 +591,12 @@ def test_stacked_frozen_frame_steps_stay_diagonal(frozen_model):
     assert (stacked[0] == np.eye(16)).all()
 
 
-def test_real_and_complex_kernels_agree_on_gauge_twins():
-    # the complex chain G and its real twin G' = D^dag G D, D = diag(e^{i phi})
-    # with G'[j, j+1] = |G[j, j+1]|, give D^dag U D = U' since D commutes
-    # with the diagonal energies; U runs the kernel's complex products and
-    # U' its real ones.  The roundoff of the kernel's polished eigenvectors
-    # grows with the step count, to about 4e-12 at 20000 steps (2.3e-11
-    # with eigh's V unpolished).
+def _gauge_twins():
+    """random_banded's complex chain G, its real twin G' = D^dag G D and D.
+
+    D = diag(e^{i phi}) makes G'[j, j+1] = |G[j, j+1]|, and D commutes with
+    the diagonal energies, so D^dag U D = U' for either scheme.
+    """
     model = make_model(rotation="random_banded")
     g = model.rotation.generator
     upper = np.diagonal(g, 1)
@@ -570,10 +606,39 @@ def test_real_and_complex_kernels_agree_on_gauge_twins():
     assert np.abs(twin.imag).max() < 1e-15 and np.allclose(np.diagonal(twin, 1), np.abs(upper), rtol=0, atol=1e-15)
     twin_model = build_model(model.grid, model.dispersion, FrameRotation(twin.real, model.rotation.schedule))
     assert g.imag.any() and not twin_model.rotation.generator.imag.any()
+    return model, twin_model, d
+
+
+def test_real_and_complex_kernels_agree_on_gauge_twins():
+    # U runs the midpoint kernel's complex products and U' its real ones.
+    # The roundoff of the kernel's polished eigenvectors grows with the step
+    # count, to about 4e-12 at 20000 steps (2.3e-11 with eigh's V unpolished).
+    model, twin_model, d = _gauge_twins()
     durations, steps = [50.0, 100.0, 800.0], 20000
     u = final_propagators(model, durations, steps)
     u_twin = final_propagators(twin_model, durations, steps)
     assert np.abs(d.conj()[:, None] * u * d[None, :] - u_twin).max() < 1e-10
+
+
+def test_real_and_complex_cf4_kernels_agree_on_gauge_twins():
+    # the CF4 twin: U runs the eigenbasis kernel in complex arithmetic and
+    # U' the lab-frame kernel's real GEMMs, one scheme in exact arithmetic;
+    # their difference, 8.3e-13 at T = 400 and 4000 steps, is roundoff (1.5e-12
+    # with both twins in the eigenbasis)
+    model, twin_model, d = _gauge_twins()
+    durations, steps = [50.0, 100.0, 400.0], 4000
+    u = final_propagators(model, durations, steps, CF4)
+    u_twin = final_propagators(twin_model, durations, steps, CF4)
+    assert np.abs(d.conj()[:, None] * u * d[None, :] - u_twin).max() < 1e-11
+
+
+@pytest.mark.parametrize("name", ["verify-cf4", "kinked_cf4"])
+def test_cf4_unitarity_defect_stays_at_roundoff(name):
+    # the lab-frame kernel's s = 1 defect on the corpus's CF4 inputs reads
+    # 4.6e-14 and 9.2e-14 (the eigenbasis kernel's: 1.2e-14 and 1.6e-14)
+    config = load_config(SRC.parent / "tests" / "corpus" / name / "input.ini")
+    u = final_propagators(config.build_model(), [config.duration], config.steps, config.scheme)
+    assert propagation._unitarity_defect(u) <= 2e-13
 
 
 def test_midpoint_unitarity_defect_at_many_steps():
@@ -702,9 +767,9 @@ def test_expm_matches_eigh_around_each_threshold(monkeypatch, norm):
     degrees = []
     original = propagation._taylor
 
-    def recorder(a, degree):
+    def recorder(a, degree, *omega):
         degrees.append(degree)
-        return original(a, degree)
+        return original(a, degree, *omega)
 
     monkeypatch.setattr(propagation, "_taylor", recorder)
     x = propagation._expm(-1j * factor * h)

@@ -253,14 +253,21 @@ def test_output_diff_compare_checks_the_file_names_and_other_files_bytes(tmp_pat
         output_diff.compare(a, b, rel_tol=1e-10, floor=1e-9)
 
 
-def test_regenerate_corpus_prints_what_moved(tmp_path, capsys):
-    # a one-input corpus whose stored verify run was altered: regeneration
-    # rewrites it from a fresh run and prints the moves against the old copy
-    # (the crossing input's runs stop on a config check, the same bytes on
-    # any BLAS)
+def _regenerate_corpus():
     spec = importlib.util.spec_from_file_location("regenerate_corpus", ROOT / "scripts" / "regenerate_corpus.py")
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
+    return corpus
+
+
+def test_regenerate_corpus_prints_what_moved(tmp_path, capsys, monkeypatch):
+    # a one-input corpus whose stored verify run was altered: regeneration
+    # rewrites it from a fresh run and prints the moves against the old copy
+    # (the crossing input's runs stop on a config check, the same bytes on
+    # any BLAS); the script refuses to run under a BLAS variable
+    corpus = _regenerate_corpus()
+    for name in corpus.BLAS_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
     root = tmp_path / "corpus"
     shutil.copytree(corpus.CORPUS / "crossing", root / "crossing")
     run = root / "crossing" / "verify"
@@ -285,3 +292,21 @@ def test_regenerate_corpus_prints_what_moved(tmp_path, capsys):
     first = capsys.readouterr().out.splitlines()[0]
     assert first.startswith("unreadable: ") and "added" in first
     assert (root / "added" / "verify" / "stderr.txt").read_text() == stored
+
+
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE"])
+def test_regenerate_corpus_refuses_under_a_blas_variable(tmp_path, monkeypatch, name):
+    # the corpus would record the variable, and a plain pytest run (none
+    # set) would replay every input within the fallback tolerance: the
+    # script exits non-zero, names it and leaves the corpus as it was
+    corpus = _regenerate_corpus()
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus.CORPUS / "crossing", root / "crossing")
+    before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    for other in corpus.BLAS_VARIABLES:
+        monkeypatch.delenv(other, raising=False)
+    monkeypatch.setenv(name, "1")
+    with pytest.raises(SystemExit) as stop:
+        corpus.main(root)
+    assert name in stop.value.code  # a message exits with status 1
+    assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
