@@ -8,8 +8,9 @@ initial frame), and the residual wave operator obtained by composition.
 Every step is unitary to roundoff: a midpoint propagator step is a
 diagonal phase times a rotation in the frame's eigenbasis, and every
 other step is an elementwise phase or a Taylor exponential whose
-truncation error stays below the unit roundoff (see below).  So the families stay unitary to roundoff at
-any step count; step budgets only control accuracy, never stability.
+truncation error stays below the unit roundoff (see below).  So the
+families stay unitary to roundoff at any step count; step budgets only
+control accuracy, never stability.
 The transport unitary also has a closed form (_exact_transport), because
 the frame exp(theta(s) G) rotates with one constant generator; the stepped
 schemes stay as its independent check.
@@ -53,47 +54,44 @@ but it rounds differently from the sequential path and would fork the
 two.
 
 The CF4 propagator and both stepped transports share one kernel
-(_expm_chunks) and one stage form, a scalar rate times a constant core:
-every dispersion family is separable, E(k, s) = kappa(k) f(s), so
-H(s) = f(s) Q(s) diag(kappa) Q(s)^dag and
-K(s) = theta'(s) Q(s) (i hbar G_masked) Q(s)^dag.  A chunk builds the
-stages at all its Gauss nodes (two per CF4 step, one per midpoint step)
-and takes the steps in the cheapest exact arithmetic the stages allow,
-read from the inputs:
+(_expm_chunks) and one stage form,
+dY/ds = omega scale r(s) Q(s) core Q(s)^dag Y, with a scalar rate r and
+a constant lab-frame core.  Every dispersion family is separable,
+E(k, s) = kappa(k) f(s), so the propagator has omega = -i,
+scale = T / hbar, r = f and core diag(kappa).  The transport solves
+i hbar dA/ds = K(s) A with K(s) = i hbar theta'(s) Q(s) G_masked Q(s)^dag,
+so it has omega = 1, scale = 1, r = theta' and core G_masked.  A chunk
+builds the stages at all its Gauss nodes (two per CF4 step, one per
+midpoint step) and takes the steps in one of two ways, read from the
+inputs:
 
 - Every stage is diagonal where V and the core are (the frozen frame's
   (0, I) with the propagator's diag(kappa)).  Each stage is then the
-  elementwise phase exp(-i scale ds r kappa), r its weighted node rates,
+  elementwise exp(omega scale ds r kappa), r its weighted node rates,
   and a running product composes the steps: no Taylor series and no
   N x N product, and the off-diagonals stay exactly zero.
-- Every stage is real in the lab frame where G and the core are (the
-  propagator of the nearest_neighbor and banded generators).  Q(s) is
-  then real orthogonal, built from the polished V by the midpoint
-  kernel's real GEMM, and each exponent is -i R with the real
-  R = scale ds f(s) Q diag(kappa) Q^T, so the Taylor powers are real
-  GEMMs and each Horner step is one real GEMM on the (re, im) float view
-  of the partial sum.  Only the step products stay complex.
-- Otherwise the kernel works in the frame eigenbasis, in complex
-  arithmetic: V^dag H(s) V = f(s) E(theta) B E(theta)^dag with
-  B = V^dag diag(kappa) V, and V^dag K(s) V = theta'(s) E(theta) C
-  E(theta)^dag with C = V^dag (i hbar G_masked) V, each core formed once
-  per evolution and E(theta) an elementwise phase.  A complex G takes
-  it, and so does every transport, whose K is imaginary: the stepped
-  transport and verify's intertwining check keep their rounding on every
-  input.
+- Otherwise every stage is a Taylor exponential in the lab frame.  Q(s)
+  comes from the polished V by the midpoint kernel's one GEMM per
+  chunk, and the stage exponent is omega scale ds r(s) Q core Q^dag.  A
+  real G (the nearest_neighbor and banded generators) makes Q real
+  orthogonal and both cores real, so the Taylor powers are real GEMMs:
+  the transports' exponents are real antisymmetric and their whole
+  evolution is real, while the propagator's exponent -i R takes each
+  Horner step as one real GEMM on the (re, im) float view of the
+  partial sum, and only its step products stay complex.  A complex G
+  keeps complex products.
 
-The matrix cases exponentiate a chunk's whole stack at once with a
-truncated Taylor series (_expm): the degree (at most 16, evaluated by
-Paterson-Stockmeyer in at most six matrix products) and the number of
-squarings follow from the chunk's largest 1-norm and the
-double-precision backward-error thresholds of Al-Mohy and Higham.  They
-compose the steps in order with one N x N matmul each, again with no
-frame rebuild.  A zero stage gives the identity and a diagonal one a
-diagonal step, exactly, so a frozen frame keeps its exact transport.
-The transport keeps the generic core C instead of its diagonal in exact
-arithmetic (hbar diag(lam) for kato_state): with the diagonal, the
-stepped transport would be the closed form by construction and would no
-longer check it.
+The Taylor series (_expm) exponentiates a chunk's whole stack at once:
+the degree (at most 16, evaluated by Paterson-Stockmeyer in at most six
+matrix products) and the number of squarings follow from the chunk's
+largest 1-norm and the double-precision backward-error thresholds of
+Al-Mohy and Higham.  The steps are composed in order with one N x N
+matmul each, again with no frame rebuild.  A zero stage gives the
+identity and a diagonal one a diagonal step, exactly, so a frozen frame
+keeps its exact transport.  The transport's stage stays the product
+Q G_masked Q^dag instead of its exact form (theta' G for kato_state):
+with that, the stepped transport would be the closed form by
+construction and would no longer check it.
 
 No command stores the families.  simulate, sweeps and verify's unitarity
 check read U(1) from final_propagators, and W(1), the four unitarity
@@ -376,17 +374,20 @@ def literal_window_hermiticity(model: ContinuumModel, window: int, s: float) -> 
 # ---- evolutions --------------------------------------------------------
 
 
-def _polished(v: np.ndarray) -> np.ndarray:
-    """V after two Newton-Schulz steps V <- V (3I - V^dag V) / 2, a kernel's own copy.
+def _polished(model: ContinuumModel):
+    """(lam, V, vh): the frame eigensystem with V polished by two Newton-Schulz steps, and _rotations' vh.
 
-    They bring eigh's |V^dag V - I| of about 1e-15 to 2e-16, which every
-    rotation built from V would otherwise carry into the evolution; the
-    frozen frame's V = I maps to itself bitwise.
+    The steps V <- V (3I - V^dag V) / 2 bring eigh's |V^dag V - I| of
+    about 1e-15 to 2e-16, which every rotation built from V would
+    otherwise carry into the evolution; the frozen frame's V = I maps to
+    itself bitwise.  vh is V^dag, or for a real G, whose rotations are
+    real, the transposed float view of V.
     """
+    lam, v = model.frame_eigensystem
     n = v.shape[0]
     for _ in range(2):
         v = v @ (3.0 * np.eye(n) - v.conj().T @ v) / 2.0
-    return v
+    return lam, v, (v.conj().T if model.rotation.generator.imag.any() else v.view(float).T)
 
 
 def _rotations(v: np.ndarray, d: np.ndarray, vh: np.ndarray) -> np.ndarray:
@@ -417,12 +418,8 @@ def _midpoint_chunks(model: ContinuumModel, durations, steps: int, every_node: b
     (Re x, Im x), giving R_k Re(x) and R_k Im(x).  A complex G keeps the
     complex products.
     """
-    lam, v = model.frame_eigensystem
-    v = _polished(v)
+    lam, v, vh = _polished(model)
     n = model.size
-    real = not model.rotation.generator.imag.any()
-    # R_k = (V d_k) @ vh: V^dag, or for a real G the transposed float view of V
-    vh = v.view(float).T if real else v.conj().T
     ds = 1.0 / steps
     rate = (-1j / HBAR) * np.asarray(durations, dtype=float)[:, None, None]
     kappa = model.dispersion.kappa(model.grid.nodes)
@@ -474,20 +471,6 @@ def _mixed(h: np.ndarray, scheme: str) -> np.ndarray:
     return np.stack((_A1 * h1 + _A2 * h2, _A2 * h1 + _A1 * h2), axis=1).reshape(h.shape)
 
 
-def _stages(model: ContinuumModel, s: np.ndarray, scheme: str, rate, core: np.ndarray) -> np.ndarray:
-    """The Hermitian stage matrices of the steps whose Gauss nodes are s, in the frame eigenbasis.
-
-    Each node contributes rate(s) E(theta) core E(theta)^dag, with core in
-    the eigenbasis.
-    """
-    lam = model.frame_eigensystem[0]
-    e = np.exp(-1j * np.multiply.outer(model.rotation.schedule.angle(s), lam))
-    h = np.multiply.outer(rate(s), core)
-    h *= e[:, :, None]
-    h *= e.conj()[:, None, :]
-    return _mixed(h, scheme)
-
-
 def _finite_norm(norm: float) -> float:
     """The largest 1-norm of a stack of step exponents, which must be finite (else ConfigError)."""
     if not math.isfinite(norm):
@@ -498,13 +481,13 @@ def _finite_norm(norm: float) -> float:
 def _expm(a: np.ndarray, omega: complex = 1) -> np.ndarray:
     """exp(omega a) for every matrix of the stack a, by a scaled and squared Taylor polynomial; a is overwritten.
 
-    omega is 1, or -1j with a real a, whose powers and Horner steps are
-    then real GEMMs (_taylor).  The degree and the number of squarings
-    follow from the largest 1-norm of the stack (_TAYLOR_DEGREES), so
-    before rounding each result is exp(omega (a + e)) with
-    ||e||_1 <= 2^-53 ||a||_1.  A zero matrix gives the identity and a
-    diagonal one a diagonal result, exactly.  A non-finite entry raises
-    ConfigError.
+    omega is 1 or -1j.  A real a takes real powers (_taylor): at omega = 1
+    the result is real, and at -1j each Horner step is a real GEMM.  The
+    degree and the number of squarings follow from the largest 1-norm of
+    the stack (_TAYLOR_DEGREES), so before rounding each result is
+    exp(omega (a + e)) with ||e||_1 <= 2^-53 ||a||_1.  A zero matrix gives
+    the identity and a diagonal one a diagonal result, exactly.  A
+    non-finite entry raises ConfigError.
     """
     norm = _finite_norm(float(np.abs(a).sum(axis=-2).max()))
     squarings = 0
@@ -574,41 +557,37 @@ def _composed(x: np.ndarray, z: np.ndarray, scheme: str) -> np.ndarray:
     """
     if scheme == CF4:
         x = x[1::2] @ x[0::2]
-    zs = np.empty((len(x), *z.shape), dtype=complex)
+    zs = np.empty((len(x), *z.shape), dtype=np.result_type(x, z))
     for mat, out in zip(x, zs):
         z = np.dot(mat, z, out=out)
     return zs
 
 
-def _expm_chunks(model: ContinuumModel, steps: int, scheme: str, rate, core: np.ndarray, scale: float):
-    """(frame, Z) for consecutive chunks of the nodes s_1..s_steps of i dY/ds = scale H(s) Y, from Y_0 = I.
+def _expm_chunks(model: ContinuumModel, steps: int, scheme: str, rate, core: np.ndarray, scale: float, omega: complex):
+    """(None, Y) for consecutive chunks of the nodes s_1..s_steps of dY/ds = omega scale H(s) Y, from Y_0 = I.
 
-    H is the Hamiltonian or the transport generator, H(s) = rate(s) Q(s)
-    core Q(s)^dag with the constant lab-frame core, and rate takes an array
-    of s.  Z stacks the Y_k in the basis frame(i) names, so that
-    Y_k = frame(k) @ Z_k, or Z_k = Y_k where frame is None (the lab frame).
-    The steps take the cheapest exact arithmetic their stages allow, read
-    from the inputs (module docstring): elementwise phases where every
-    stage is diagonal, real GEMMs where every stage is real in the lab
-    frame, and the complex eigenbasis kernel otherwise.
+    H(s) = rate(s) Q(s) core Q(s)^dag with the constant lab-frame core,
+    and rate takes an array of s: the propagator's f(s) and diag(kappa)
+    with omega = -1j, or the transport's theta'(s) and G_masked with
+    omega = 1.  Every stage is diagonal where V and the core are, and the
+    steps are then elementwise (_diagonal_chunks); otherwise they are
+    Taylor exponentials in the lab frame (_lab_chunks).
     """
     v = model.frame_eigensystem[1]
     off = ~np.eye(model.size, dtype=bool)
     if not (v[off].any() or core[off].any()):
-        return _diagonal_chunks(model, steps, scheme, rate, np.diagonal(core), scale)
-    if not (model.rotation.generator.imag.any() or core.imag.any()):
-        return _real_chunks(model, steps, scheme, rate, core.real, scale)
-    return _eigenbasis_chunks(model, steps, scheme, rate, core, scale)
+        return _diagonal_chunks(model, steps, scheme, rate, np.diagonal(core), scale * omega)
+    return _lab_chunks(model, steps, scheme, rate, core, scale, omega)
 
 
-def _diagonal_chunks(model: ContinuumModel, steps: int, scheme: str, rate, diagonal: np.ndarray, scale: float):
+def _diagonal_chunks(model: ContinuumModel, steps: int, scheme: str, rate, diagonal: np.ndarray, scale: complex):
     """(None, Y) chunks of an evolution whose every stage is diagonal: a diagonal V and core.
 
     The frame then never mixes the states, so H(s) = rate(s) diag(core),
-    each stage is the elementwise phase exp(-i scale ds r diag(core)), r
-    the stage's weighted node rates, and a running product along the steps
-    composes them: no Taylor series and no N x N product.  Off-diagonals
-    stay exactly zero.
+    each stage is the elementwise exp(scale ds r diag(core)), with scale
+    carrying omega and r the stage's weighted node rates, and a running
+    product along the steps composes them: no Taylor series and no N x N
+    product.  Off-diagonals stay exactly zero.
     """
     n = model.size
     ds = 1.0 / steps
@@ -617,7 +596,7 @@ def _diagonal_chunks(model: ContinuumModel, steps: int, scheme: str, rate, diago
     for s in _gauss_nodes(steps, scheme, n):
         h = _mixed(np.multiply.outer(rate(s), diagonal), scheme)
         _finite_norm(float(np.abs(h).max()))
-        x = np.exp(h * (-1j * scale * ds))
+        x = np.exp(h * (scale * ds))
         if scheme == CF4:
             x = x[1::2] * x[0::2]
         c = np.cumprod(np.concatenate((c[-1:], x)), axis=0)[1:]
@@ -626,42 +605,29 @@ def _diagonal_chunks(model: ContinuumModel, steps: int, scheme: str, rate, diago
         yield None, ys
 
 
-def _real_chunks(model: ContinuumModel, steps: int, scheme: str, rate, core: np.ndarray, scale: float):
-    """(None, Y) chunks of an evolution whose stages are real in the lab frame: a real G and a real core.
+def _lab_chunks(model: ContinuumModel, steps: int, scheme: str, rate, core: np.ndarray, scale: float, omega: complex):
+    """(None, Y) chunks of an evolution stepped in the lab frame, every stage a Taylor exponential.
 
-    Q(s) = exp(theta G) is then real orthogonal, built as _midpoint_chunks
-    builds its rotations, by one real GEMM of the float views of the
-    polished V diag(e) and V; each step exponent is -i R with the real
-    R = scale ds rate(s) Q core Q^T, whose Taylor polynomial takes real
-    GEMMs (_expm with omega = -1j).  Only the step products stay complex.
+    Q(s) comes from the polished V by _rotations' one GEMM, as the
+    midpoint kernel builds its rotations, each stage is exp(omega R) with
+    R = scale ds rate(s) Q core Q^dag, and _composed takes the steps in
+    order.  A real G has real cores, so Q, R and _expm's powers are then
+    real: with omega = 1 (the transports) the whole evolution is real,
+    and with omega = -1j (the propagator) each Horner step is one real
+    GEMM on the (re, im) view and only the step products stay complex.
     """
-    lam, v = model.frame_eigensystem
-    v = _polished(v)
-    vh = v.view(float).T
-    n = model.size
+    lam, v, vh = _polished(model)
+    if vh.dtype == float:
+        core = core.real
     ds = 1.0 / steps
-    y = np.eye(n, dtype=complex)
-    for s in _gauss_nodes(steps, scheme, n):
+    y = np.eye(model.size)
+    for s in _gauss_nodes(steps, scheme, model.size):
         q = _rotations(v, np.exp(-1j * np.multiply.outer(model.rotation.schedule.angle(s), lam)), vh)
-        h = np.matmul(q @ core, q.swapaxes(-1, -2))
+        h = np.matmul(q @ core, q.conj().swapaxes(-1, -2))
         h *= (scale * ds * rate(s))[:, None, None]
-        ys = _composed(_expm(_mixed(h, scheme), -1j), y, scheme)
+        ys = _composed(_expm(_mixed(h, scheme), omega), y, scheme)
         y = ys[-1]
         yield None, ys
-
-
-def _eigenbasis_chunks(model: ContinuumModel, steps: int, scheme: str, rate, core: np.ndarray, scale: float):
-    """(frame, Z) chunks in the frame eigenbasis, frame = V and Z_k = V^dag Y_k: the general kernel."""
-    v = model.frame_eigensystem[1]
-    core = v.conj().T @ core @ v
-    ds = 1.0 / steps
-    z = v.conj().T.copy()
-    for s in _gauss_nodes(steps, scheme, model.size):
-        h = _stages(model, s, scheme, rate, core)
-        h *= -1j * scale * ds
-        zs = _composed(_expm(h), z, scheme)
-        z = zs[-1]
-        yield (lambda i: v), zs
 
 
 def _propagator_chunks(model: ContinuumModel, config: PropagationConfig):
@@ -676,7 +642,7 @@ def _propagator_chunks(model: ContinuumModel, config: PropagationConfig):
         return ((f, x[:, 0]) for f, x in _midpoint_chunks(model, [config.duration], config.steps))
     # H(s) = f(s) Q(s) diag(kappa) Q(s)^dag
     core = np.diag(model.dispersion.kappa(model.grid.nodes))
-    return _expm_chunks(model, config.steps, config.scheme, model.dispersion.profile, core, config.duration / HBAR)
+    return _expm_chunks(model, config.steps, config.scheme, model.dispersion.profile, core, config.duration / HBAR, -1j)
 
 
 def _check_propagator_budget(model: ContinuumModel, config: PropagationConfig):
@@ -731,7 +697,7 @@ def _last(chunks) -> np.ndarray:
     """The last node of a chunked evolution, multiplied out alone."""
     for frame, z in chunks:
         pass
-    return z[-1].copy() if frame is None else np.matmul(frame(-1), z[-1])
+    return z[-1].astype(complex) if frame is None else np.matmul(frame(-1), z[-1])
 
 
 def _nodes(chunks, steps: int, n: int):
@@ -756,10 +722,10 @@ def propagator_nodes(model: ContinuumModel, config: PropagationConfig):
 
 
 def _intertwiner_chunks(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str):
-    """(frame, Z) chunks of the stepped transport; A_k = frame(k) @ Z_k, or Z_k where frame is None."""
-    # K(s) = theta'(s) Q(s) (i hbar G_masked) Q(s)^dag
-    c = 1j * HBAR * _masked_generator(model, variant)
-    return _expm_chunks(model, steps, scheme, model.rotation.schedule.angle_rate, c, 1.0 / HBAR)
+    """(None, A) chunks of the stepped transport, real for a real G."""
+    # i hbar dA/ds = K(s) A with K(s) = i hbar theta'(s) Q(s) G_masked Q(s)^dag
+    rate = model.rotation.schedule.angle_rate
+    return _expm_chunks(model, steps, scheme, rate, _masked_generator(model, variant), 1.0, 1)
 
 
 def _check_intertwiner(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str):

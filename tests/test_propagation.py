@@ -368,17 +368,17 @@ def test_frozen_frame_eigh_kernel_families_stay_exact(frozen_model):
 
 
 # The CF4 propagator's kernel follows from the model: diagonal stages (a
-# frozen frame) step elementwise, real lab-frame stages (a real G) by real
-# GEMMs, the rest in the eigenbasis; every transport, whose K is imaginary,
-# takes the eigenbasis.  So the kernel tests above check all three paths.
+# frozen frame) step elementwise, every other stage by Taylor exponentials
+# in the lab frame; every transport, whose core G_masked keeps off-diagonal
+# couplings, takes the lab frame.  So the kernel tests above check both paths.
 @pytest.mark.parametrize(
     "name, path",
-    [("nearest_neighbor", "_real_chunks"), ("random_banded", "_eigenbasis_chunks"),
-     ("tabulated", "_real_chunks"), ("quadratic", "_real_chunks"), ("frozen", "_diagonal_chunks")],
+    [("nearest_neighbor", "_lab_chunks"), ("random_banded", "_lab_chunks"),
+     ("tabulated", "_lab_chunks"), ("quadratic", "_lab_chunks"), ("frozen", "_diagonal_chunks")],
 )
 def test_cf4_kernel_path_follows_the_stages(monkeypatch, name, path):
     taken = []
-    for kernel in ("_diagonal_chunks", "_real_chunks", "_eigenbasis_chunks"):
+    for kernel in ("_diagonal_chunks", "_lab_chunks"):
         original = getattr(propagation, kernel)
 
         def recorder(*args, _original=original, _kernel=kernel):
@@ -390,7 +390,7 @@ def test_cf4_kernel_path_follows_the_stages(monkeypatch, name, path):
     evolve_propagator(model, PropagationConfig(0.1 * _CHUNK, _CHUNK, CF4))
     for scheme in SCHEMES:
         evolve_intertwiner(model, kato_state(), max(_CHUNK, intertwiner_step_budget(model, kato_state())), scheme)
-    assert taken == [path, "_eigenbasis_chunks", "_eigenbasis_chunks"]
+    assert taken == [path, "_lab_chunks", "_lab_chunks"]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -398,7 +398,7 @@ def test_diagonal_stages_reject_a_non_finite_stage(frozen_model, bad):
     # the elementwise path keeps _expm's guard (an infinite rate makes the
     # CF4 weights, one of them negative, mix inf - inf = nan)
     kappa = np.diag(frozen_model.dispersion.kappa(frozen_model.grid.nodes))
-    chunks = propagation._expm_chunks(frozen_model, 8, CF4, lambda s: np.where(s > 0.5, bad, 1.0), kappa, 1.0)
+    chunks = propagation._expm_chunks(frozen_model, 8, CF4, lambda s: np.where(s > 0.5, bad, 1.0), kappa, 1.0, -1j)
     with pytest.raises(ConfigError, match="non-finite"), np.errstate(invalid="ignore"):
         for _ in chunks:
             pass
@@ -621,10 +621,9 @@ def test_real_and_complex_kernels_agree_on_gauge_twins():
 
 
 def test_real_and_complex_cf4_kernels_agree_on_gauge_twins():
-    # the CF4 twin: U runs the eigenbasis kernel in complex arithmetic and
-    # U' the lab-frame kernel's real GEMMs, one scheme in exact arithmetic;
-    # their difference, 8.3e-13 at T = 400 and 4000 steps, is roundoff (1.5e-12
-    # with both twins in the eigenbasis)
+    # the CF4 twin: U runs the lab-frame kernel in complex arithmetic and
+    # U' its real GEMMs, one scheme in exact arithmetic; their difference,
+    # 3.9e-13 at T = 400 and 4000 steps, is roundoff
     model, twin_model, d = _gauge_twins()
     durations, steps = [50.0, 100.0, 400.0], 4000
     u = final_propagators(model, durations, steps, CF4)
@@ -632,10 +631,23 @@ def test_real_and_complex_cf4_kernels_agree_on_gauge_twins():
     assert np.abs(d.conj()[:, None] * u * d[None, :] - u_twin).max() < 1e-11
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_real_and_complex_transports_agree_on_gauge_twins(scheme):
+    # D commutes with the masks, so D^dag G_masked D = G'_masked and
+    # D^dag A D = A': A steps the lab-frame kernel in complex arithmetic and
+    # A' in real arithmetic, at the budget and at many steps
+    model, twin_model, d = _gauge_twins()
+    for variant in (kato_state(), weyl_band(BandPartition(model.size, 2))):
+        for steps in (intertwiner_step_budget(model, variant), 1000):
+            a = final_intertwiner(model, variant, steps, scheme)
+            a_twin = final_intertwiner(twin_model, variant, steps, scheme)
+            assert np.abs(d.conj()[:, None] * a * d[None, :] - a_twin).max() < 1e-11
+
+
 @pytest.mark.parametrize("name", ["verify-cf4", "kinked_cf4"])
 def test_cf4_unitarity_defect_stays_at_roundoff(name):
     # the lab-frame kernel's s = 1 defect on the corpus's CF4 inputs reads
-    # 4.6e-14 and 9.2e-14 (the eigenbasis kernel's: 1.2e-14 and 1.6e-14)
+    # 4.6e-14 and 9.2e-14
     config = load_config(SRC.parent / "tests" / "corpus" / name / "input.ini")
     u = final_propagators(config.build_model(), [config.duration], config.steps, config.scheme)
     assert propagation._unitarity_defect(u) <= 2e-13
@@ -777,6 +789,15 @@ def test_expm_matches_eigh_around_each_threshold(monkeypatch, norm):
     # the smallest degree whose threshold covers the norm, else the top one
     fits = [m for m, theta in propagation._TAYLOR_DEGREES if norm <= theta]
     assert degrees == [fits[0] if fits else propagation._TAYLOR_DEGREES[-1][0]]
+    # the transports' stages: exp(a) of a real antisymmetric a at omega = 1
+    # is real, and exp(a) = exp(-i (i a)) with i a Hermitian
+    r = np.random.default_rng(15).normal(size=(6, 8, 8))
+    a = r - r.swapaxes(-1, -2)
+    factor = norm / one_norms(a).max()
+    x = propagation._expm(factor * a)
+    assert x.dtype == np.float64
+    assert np.abs(x - eigh_reference(1j * a, factor)).max() < expm_tol(norm)
+    assert degrees[1:] == degrees[:1]
 
 
 def test_expm_of_a_mixed_norm_stack():
