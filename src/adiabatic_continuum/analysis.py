@@ -9,8 +9,9 @@ Every first-order number reads one list of coupled pairs, each keyed by
 its mismatch (coupled_pairs), and the rule that mismatch sets (_pair_rule);
 verify's by-parts check compares the two integrals on that same list.
 One builder makes the leakage row of a duration (leakage_reports) from
-the W(1) of the s=1 stage propagation.final_stage, which simulate and
-sweep_leakage share; eta_exact is W(1)'s exterior weight (leakage_wave_form).
+the W(1) of one call to the s=1 stage propagation.final_stage, which steps
+its own finals U(1); simulate and sweep_leakage share it, and eta_exact is
+W(1)'s exterior weight (leakage_wave_form).
 
 Everything is computed on the dimensionless schedule clock s; quantities
 the literature states on the physical clock t = t0 + s*T absorb their
@@ -30,7 +31,6 @@ from .propagation import (
     GeneratorVariant,
     MIDPOINT,
     deviation_from_identity,
-    final_propagators,
     final_stage,
     kato_state,
 )
@@ -305,15 +305,14 @@ def sweep_leakage(
 ) -> list[LeakageReport]:
     """One LeakageReport per distinct duration, ascending.
 
-    `scheme` applies to the propagator.  Every U(1) comes from
-    final_propagators and equals final_propagator at its duration
+    `scheme` applies to the propagator.  Every W(1) comes from one
+    final_stage call, whose U(1) equals final_propagator at its duration
     bitwise.  A duration the step budget cannot resolve raises before any
     step, the smallest such one.
     """
     durations = sorted({float(t) for t in durations})
     variant = variant if variant is not None else kato_state()
-    u1s = final_propagators(model, durations, steps, scheme)
-    w1s, _, _ = final_stage(model, variant, part, durations, u1s)
+    w1s, _, _ = final_stage(model, variant, part, durations, steps, scheme)
     return leakage_reports(model, part, j0, durations, w1s)
 
 

@@ -37,21 +37,21 @@ the complex products.  The kernel builds R_k from its own copy of V,
 polished by two Newton-Schulz steps V <- V (3I - V^dag V) / 2: eigh's
 |V^dag V - I| of about 1e-15 would enter every R_k and grow U's unitarity
 defect linearly in the step count, and the polish cuts that growth about
-7x (frame_matrix keeps eigh's V).  The node U_k = Q(m_k) x_k, with Q from
-frame_matrix, is formed only where a caller reads it: a stored family or
-propagator_nodes forms every node, a final only the last.  A frozen frame
-(theta_max = 0) has the eigensystem (0, I), which the polish maps to
-itself, so R_k = I and its steps stay diag(p_k) exactly.  Every caller
+7x (frame_matrix keeps eigh's V).  The kernel yields the nodes
+U_k = Q(m_k) x_k, with Q from frame_matrix, in the lab frame as every
+other kernel does, and forms only those a caller reads: every node for a
+stored family or propagator_nodes, the last alone for a final.  A frozen
+frame (theta_max = 0) has the eigensystem (0, I), which the polish maps
+to itself, so R_k = I and its steps stay diag(p_k) exactly.  Every caller
 takes this one path: evolve_propagator and propagator_nodes (so verify's
 frozen-frame check) with one duration, final_propagators (so
-final_propagator, simulate, sweeps and verify's unitarity check) with all
-of them.  A duration's slice sees the same matmuls in strict step order
-whatever shares the pass (a stacked matmul is one GEMM per slice, and the
-chunks do not depend on the durations), so a final equals the last node
-of its family bitwise, and a sweep's U(1) equals final_propagator at its
-duration.  A pairwise tree reduction would be faster for finals alone,
-but it rounds differently from the sequential path and would fork the
-two.
+final_propagator and final_stage) with all of them.  A duration's slice
+sees the same matmuls in strict step order whatever shares the pass (a
+stacked matmul is one GEMM per slice, and the chunks do not depend on the
+durations), so a final equals the last node of its family bitwise, and a
+sweep's U(1) equals final_propagator at its duration.  A pairwise tree
+reduction would be faster for finals alone, but it rounds differently
+from the sequential path and would fork the two.
 
 The CF4 propagator and both stepped transports share one kernel
 (_expm_chunks) and one stage form,
@@ -94,10 +94,10 @@ with that, the stepped transport would be the closed form by
 construction and would no longer check it.
 
 No command stores the families.  simulate, sweeps and verify's unitarity
-check read U(1) from final_propagators, and W(1), the four unitarity
-defects and the intertwining residual at s=1 from one stage
-(final_stage), which builds Q(1), the closed-form A(1) and Phi(1) once
-for all durations: U and W are products of unitary steps, so any step's
+check make one call each to the s=1 stage (final_stage), which steps U(1)
+by final_propagators and returns W(1), the four unitarity defects and the
+intertwining residual, from one Q(1), the closed-form A(1) and Phi(1) for
+all durations: U and W are products of unitary steps, so any step's
 defect carries to s=1, and A, Phi and the residual are closed forms at
 every node.  Stored and staged W share one helper (_residual_operator,
 Phi^dag as a row scaling by the phases), to which wave_operator passes
@@ -402,13 +402,13 @@ def _rotations(v: np.ndarray, d: np.ndarray, vh: np.ndarray) -> np.ndarray:
 
 
 def _midpoint_chunks(model: ContinuumModel, durations, steps: int, every_node: bool = True):
-    """Yield (frame, X) for consecutive chunks of the steps 1..steps (midpoint scheme), every duration at once.
+    """Yield the nodes U_k of consecutive chunks of the steps 1..steps (midpoint scheme), every duration at once.
 
-    X stacks the x_k = Q(m_k)^dag U_k of the module docstring over the
-    chunk's steps and the durations, shape (chunk, D, N, N), and frame(i)
-    is Q(m_i) at the chunk's midpoints m, so U_k = frame(k) @ X[k].
-    Without every_node, X holds only the chunk's last step, so that the
-    memory is O(D N^2) rather than one (chunk, N, N) stack per duration.
+    Each chunk's stack, shape (chunk, D, N, N), is U_k = Q(m_k) x_k with
+    the x_k of the module docstring and Q from frame_matrix at the chunk's
+    midpoints m.  Without every_node, one stack of shape (1, D, N, N) comes
+    after the last chunk, U at s=1 alone, so that the memory is O(D N^2)
+    rather than one (chunk, N, N) stack per duration.
 
     A real G makes every R_k = exp(-(theta_k - theta_{k-1}) G) real
     orthogonal, so both products run in real arithmetic, at half the
@@ -446,8 +446,11 @@ def _midpoint_chunks(model: ContinuumModel, durations, steps: int, every_node: b
             np.matmul(r[k], x.view(r.dtype), out=out.view(r.dtype))
             x = out
             x *= p[k]
-        del r, p  # only X is held while the consumer reads the chunk
-        yield (lambda i, sm=sm: model.frame_matrix(sm[i])), (xs if every_node else x[None])
+        del r, p  # only the x_k are held while the consumer reads the chunk
+        if every_node:
+            yield np.matmul(model.frame_matrix(sm)[:, None], xs)
+    if not every_node:
+        yield np.matmul(model.frame_matrix(sm[-1]), x)[None]
 
 
 def _gauss_nodes(steps: int, scheme: str, n: int):
@@ -564,7 +567,7 @@ def _composed(x: np.ndarray, z: np.ndarray, scheme: str) -> np.ndarray:
 
 
 def _expm_chunks(model: ContinuumModel, steps: int, scheme: str, rate, core: np.ndarray, scale: float, omega: complex):
-    """(None, Y) for consecutive chunks of the nodes s_1..s_steps of dY/ds = omega scale H(s) Y, from Y_0 = I.
+    """Y for consecutive chunks of the nodes s_1..s_steps of dY/ds = omega scale H(s) Y, from Y_0 = I.
 
     H(s) = rate(s) Q(s) core Q(s)^dag with the constant lab-frame core,
     and rate takes an array of s: the propagator's f(s) and diag(kappa)
@@ -581,7 +584,7 @@ def _expm_chunks(model: ContinuumModel, steps: int, scheme: str, rate, core: np.
 
 
 def _diagonal_chunks(model: ContinuumModel, steps: int, scheme: str, rate, diagonal: np.ndarray, scale: complex):
-    """(None, Y) chunks of an evolution whose every stage is diagonal: a diagonal V and core.
+    """Y chunks of an evolution whose every stage is diagonal: a diagonal V and core.
 
     The frame then never mixes the states, so H(s) = rate(s) diag(core),
     each stage is the elementwise exp(scale ds r diag(core)), with scale
@@ -602,11 +605,11 @@ def _diagonal_chunks(model: ContinuumModel, steps: int, scheme: str, rate, diago
         c = np.cumprod(np.concatenate((c[-1:], x)), axis=0)[1:]
         ys = np.zeros((len(c), n, n), dtype=complex)
         ys[:, d, d] = c
-        yield None, ys
+        yield ys
 
 
 def _lab_chunks(model: ContinuumModel, steps: int, scheme: str, rate, core: np.ndarray, scale: float, omega: complex):
-    """(None, Y) chunks of an evolution stepped in the lab frame, every stage a Taylor exponential.
+    """Y chunks of an evolution stepped in the lab frame, every stage a Taylor exponential.
 
     Q(s) comes from the polished V by _rotations' one GEMM, as the
     midpoint kernel builds its rotations, each stage is exp(omega R) with
@@ -627,19 +630,18 @@ def _lab_chunks(model: ContinuumModel, steps: int, scheme: str, rate, core: np.n
         h *= (scale * ds * rate(s))[:, None, None]
         ys = _composed(_expm(_mixed(h, scheme), omega), y, scheme)
         y = ys[-1]
-        yield None, ys
+        yield ys
 
 
 def _propagator_chunks(model: ContinuumModel, config: PropagationConfig):
-    """(frame, Z) for consecutive chunks of the nodes s_1..s_steps; U_k = frame(k) @ Z_k, or Z_k where frame is None.
+    """U for consecutive chunks of the nodes s_1..s_steps.
 
     The one sequential composition evolve_propagator, propagator_nodes
-    and the CF4 finals consume: the family multiplies out every node,
-    the final only the last one.  The midpoint scheme runs the stacked
+    and the CF4 finals consume.  The midpoint scheme runs the stacked
     kernel with the one duration.
     """
     if config.scheme == MIDPOINT:
-        return ((f, x[:, 0]) for f, x in _midpoint_chunks(model, [config.duration], config.steps))
+        return (u[:, 0] for u in _midpoint_chunks(model, [config.duration], config.steps))
     # H(s) = f(s) Q(s) diag(kappa) Q(s)^dag
     core = np.diag(model.dispersion.kappa(model.grid.nodes))
     return _expm_chunks(model, config.steps, config.scheme, model.dispersion.profile, core, config.duration / HBAR, -1j)
@@ -694,19 +696,19 @@ def _stored(chunks, steps: int, n: int) -> np.ndarray:
 
 
 def _last(chunks) -> np.ndarray:
-    """The last node of a chunked evolution, multiplied out alone."""
-    for frame, z in chunks:
+    """The last node of a chunked evolution, complex."""
+    for z in chunks:
         pass
-    return z[-1].astype(complex) if frame is None else np.matmul(frame(-1), z[-1])
+    return z[-1].astype(complex)
 
 
 def _nodes(chunks, steps: int, n: int):
-    """(s, frame @ Z) chunk by chunk over every node of a chunked evolution, s=0 (the identity) first."""
+    """(s, nodes) chunk by chunk over every node of a chunked evolution, s=0 (the identity) first."""
     s_nodes = np.linspace(0.0, 1.0, steps + 1)
     yield s_nodes[:1], np.eye(n, dtype=complex)[None]
     k = 1
-    for frame, z in chunks:
-        yield s_nodes[k : k + len(z)], z if frame is None else np.matmul(frame(slice(None)), z)
+    for z in chunks:
+        yield s_nodes[k : k + len(z)], z
         k += len(z)
 
 
@@ -722,7 +724,7 @@ def propagator_nodes(model: ContinuumModel, config: PropagationConfig):
 
 
 def _intertwiner_chunks(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str):
-    """(None, A) chunks of the stepped transport, real for a real G."""
+    """A chunks of the stepped transport, real for a real G."""
     # i hbar dA/ds = K(s) A with K(s) = i hbar theta'(s) Q(s) G_masked Q(s)^dag
     rate = model.rotation.schedule.angle_rate
     return _expm_chunks(model, steps, scheme, rate, _masked_generator(model, variant), 1.0, 1)
@@ -901,11 +903,12 @@ def deviation_from_identity(matrix: np.ndarray) -> float:
 
 
 def final_stage(
-    model: ContinuumModel, variant: GeneratorVariant, part: BandPartition, durations, u1s
+    model: ContinuumModel, variant: GeneratorVariant, part: BandPartition, durations, steps: int, scheme: str = MIDPOINT
 ) -> tuple[np.ndarray, dict[str, float], float]:
-    """The s=1 stage of a run from its finals U(1): W(1) at every duration, the defects and A's residual.
+    """The s=1 stage of a run: W(1) at every duration, the defects and A's residual.
 
-    One frame Q(1) = frame_matrix(1), A(1) from the closed form on it and
+    U(1) comes from final_propagators, after the partition check.  One
+    frame Q(1) = frame_matrix(1), A(1) from the closed form on it and
     W(1) = Phi(1)^dag (A(1)^dag U(1)), shape (D, N, N), which equals the
     last node of wave_operator's family bitwise; A's residual is read
     against the same Q (for kato_state, whose closed-form A is Q itself,
@@ -913,19 +916,15 @@ def final_stage(
     U, A, Phi and W are maxima over the durations, Phi's taken elementwise
     as | |exp(-i T alpha)|^2 - 1 |, since Phi is diagonal.  U and W are
     products of unitary steps, so a defect any step adds carries to s=1,
-    and A, Phi and the residual are closed forms at every node.  Durations
-    and finals must pair one to one.
+    and A, Phi and the residual are closed forms at every node.
     """
-    durations = np.asarray(durations, dtype=float)
-    u1s = np.asarray(u1s)
-    if len(durations) != len(u1s):
-        raise ConfigError(f"final_stage got {len(durations)} durations for {len(u1s)} finals U(1)")
     _check_partition(model, part)
+    u1s = final_propagators(model, durations, steps, scheme)
     s = np.ones(1)
     q = model.frame_matrix(s)
     a = _exact_transport(model, variant, s, q)
     a_adj = a.conj().swapaxes(-1, -2)  # once, for A^dag U and A^dag A
-    p = phase_factors(model, durations[:, None], 1.0)
+    p = phase_factors(model, np.asarray(durations, dtype=float)[:, None], 1.0)
     w = _residual_operator(u1s, a_adj, p)
     aa = np.matmul(a_adj, a)
     residual = _chunk_residual(part, aa if a is q else _adjoint_product(q, a))

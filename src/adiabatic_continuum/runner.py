@@ -31,7 +31,6 @@ from .bands import band_plan, check_gap_margin, minimal_time, validate_noncrossi
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .propagation import (
-    final_propagators,
     final_stage,
     literal_window_hermiticity,
     propagator_step_budget,
@@ -110,8 +109,7 @@ def cmd_simulate(config: ExperimentConfig):
     min_separation = validate_noncrossing(model, part)
     variant = config.build_variant(part)
 
-    u1 = final_propagators(model, [duration], config.steps, config.scheme)
-    w1, unitarity, residual = final_stage(model, variant, part, [duration], u1)
+    w1, unitarity, residual = final_stage(model, variant, part, [duration], config.steps, config.scheme)
     (row,) = leakage_reports(model, part, config.j0, [duration], w1)
     crit = adiabatic_criterion(model, part, config.j0, threshold=config.threshold)
     mandated, used = planned_substeps(model, part, config.j0, duration)

@@ -362,9 +362,11 @@ class ContinuumModel:
             )
         # kappa strictly monotone (either direction) and every adjacent gap
         # above EPS_CROSS: the adjacent pairs then hold the smallest gap, so
-        # every pair_gap of disjoint index sets exceeds EPS_CROSS too.
+        # every pair_gap of disjoint index sets exceeds EPS_CROSS too.  The
+        # least adjacent pair_gap is min |dk| * min |f|, bitwise (min |f| >= 0).
         dk = np.diff(self.dispersion.kappa(self.grid.nodes))
-        gap = min(pair_gap(self, [j], [j + 1]) for j in range(self.size - 1))
+        lo, hi = self.dispersion.profile_range()
+        gap = float(np.abs(dk).min()) * max(lo, -hi, 0.0)
         if gap <= EPS_CROSS or not (np.all(dk > 0) or np.all(dk < 0)):
             lo, hi = self.dispersion.zero_interval() or (0.0, 1.0)
             raise DegenerateSpectrumError(

@@ -6,9 +6,9 @@ agreement of the transition integral with its integration-by-parts twin, and
 the transport intertwining property.  Each check is isolated so a single
 failure (or crash) is reported under its own name.  Every check returns its
 verdict through _row, and verify_config adds its name.  The unitarity check
-reads the run's own s = 1 stage, final_propagators and final_stage at the
-reference duration, as simulate does: U and W are products of unitary steps,
-so a defect any step adds carries to s = 1, and A and Phi are closed forms.
+reads the run's own s = 1 stage, the one final_stage call simulate makes, at
+the reference duration: U and W are products of unitary steps, so a defect
+any step adds carries to s = 1, and A and Phi are closed forms.
 The frozen-frame check compares every node of the frozen model's propagator,
 at [run] steps and scheme, with the dynamical phase: with theta_max = 0 the
 generator is zero, the transport the identity and the propagator diagonal by
@@ -33,7 +33,6 @@ from .errors import NoExteriorError
 from .propagation import (
     CF4,
     PropagationConfig,
-    final_propagators,
     final_stage,
     intertwiner_step_budget,
     kato_state,
@@ -83,8 +82,7 @@ def _check_projector_algebra(config, model, part) -> dict:
 
 def _check_unitarity(config, model, part) -> dict:
     t_ref = _reference_duration(config)
-    u1s = final_propagators(model, [t_ref], config.steps, config.scheme)
-    _, defects, _ = final_stage(model, config.build_variant(part), part, [t_ref], u1s)
+    _, defects, _ = final_stage(model, config.build_variant(part), part, [t_ref], config.steps, config.scheme)
     worst = max(defects.values())
     return _row(
         worst <= 1e-9,

@@ -23,7 +23,6 @@ from adiabatic_continuum import (
     StepBudgetError,
     adiabatic_criterion,
     final_propagator,
-    final_propagators,
     final_stage,
     fit_power_law,
     kato_state,
@@ -322,8 +321,7 @@ def test_sweep_one_row_per_distinct_duration(default_model, default_part):
 def test_leakage_reports_rejects_unpaired_sequences(default_model, default_part):
     # a zip would drop the rows past the shortest sequence without a word
     durations = [20.0, 30.0]
-    u1s = final_propagators(default_model, durations, 256)
-    w1s, _, _ = final_stage(default_model, kato_state(), default_part, durations, u1s)
+    w1s, _, _ = final_stage(default_model, kato_state(), default_part, durations, 256)
     assert len(leakage_reports(default_model, default_part, 1, durations, w1s)) == 2
     with pytest.raises(ConfigError, match=r"2 durations and 1 W\(1\)"):
         leakage_reports(default_model, default_part, 1, durations, w1s[:1])

@@ -16,7 +16,7 @@ from adiabatic_continuum import (
     ConfigError,
     load_config,
 )
-from adiabatic_continuum import verify
+from adiabatic_continuum import propagation, verify
 from adiabatic_continuum.analysis import coupled_pairs, transition_integral
 from adiabatic_continuum.propagation import (
     _CHUNK_BYTES,
@@ -295,7 +295,7 @@ def test_verify_sabotage_names_unitarity(fast_config, monkeypatch):
     def sabotaged(*args, **kwargs):
         return (1.0 + 1e-8) * final_propagators(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "final_propagators", sabotaged)
+    monkeypatch.setattr(propagation, "final_propagators", sabotaged)
     cfg = fast_config({"run": {"steps": "1024"}})
     code, record, _, lines = cmd_verify(cfg)
     assert code == 1
@@ -395,8 +395,6 @@ def test_record_numbers_equal_library_results(fast_config):
     # the library produces for the same inputs
     from adiabatic_continuum import (
         BandPartition,
-        PropagationConfig,
-        final_propagator,
         final_stage,
         kato_state,
         leakage_wave_form,
@@ -406,8 +404,7 @@ def test_record_numbers_equal_library_results(fast_config):
     _, record, _, _ = cmd_simulate(cfg)
     model = cfg.build_model()
     part = BandPartition(16, 2)
-    u1 = final_propagator(model, PropagationConfig(20.0, 512))
-    w1, _, _ = final_stage(model, kato_state(), part, [20.0], u1[None])
+    w1, _, _ = final_stage(model, kato_state(), part, [20.0], 512)
     eta = leakage_wave_form(model, w1[0], part, 1)
     assert record["leakage"]["eta_exact"] == eta
 
@@ -539,6 +536,13 @@ def test_only_propagation_names_the_stored_families():
         "phase_operator", "wave_operator", "intertwine_residual",
     }
     assert _modules_naming(names, ("propagation.py", "__init__.py")) == []
+
+
+def test_only_the_stage_reads_the_finals():
+    # every command reads U(1) through final_stage, which steps its own
+    # finals; final_propagators stays public for final_propagator and the
+    # bitwise pins
+    assert _modules_naming({"final_propagators"}, ("propagation.py", "__init__.py")) == []
 
 
 def test_no_command_reads_the_projector_form_leakage():

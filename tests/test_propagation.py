@@ -153,9 +153,8 @@ def test_state_wise_variant_is_the_one_state_band(n):
     )
     part = BandPartition(n, min(2, n - 1))
     durations = [20.0, 40.0]
-    u1s = final_propagators(model, durations, 512)
-    w_state, defects_state, residual_state = final_stage(model, state, part, durations, u1s)
-    w_band, defects_band, residual_band = final_stage(model, band, part, durations, u1s)
+    w_state, defects_state, residual_state = final_stage(model, state, part, durations, 512)
+    w_band, defects_band, residual_band = final_stage(model, band, part, durations, 512)
     assert np.array_equal(w_state, w_band)
     assert defects_state == defects_band
     assert residual_state == residual_band
@@ -512,7 +511,7 @@ def _oracle_errors(model, duration: float, steps: int, scheme: str) -> np.ndarra
     u1s = final_propagators(model, [duration], steps, scheme)
     errors = [np.abs(u1s[0] - exact_final_propagator(model, duration)).max()]
     for variant in (kato_state(), weyl_band(part)):
-        w1 = final_stage(model, variant, part, [duration], u1s)[0][0]
+        w1 = final_stage(model, variant, part, [duration], steps, scheme)[0][0]
         errors.append(np.abs(w1 - exact_final_residual(model, variant, duration)).max())
     return np.array(errors)
 
@@ -662,10 +661,19 @@ def test_midpoint_unitarity_defect_at_many_steps():
     assert propagation._unitarity_defect(u) <= 1.5e-11
 
 
-def test_stacked_finals_name_the_smallest_unresolved_duration(default_model):
+def test_stacked_finals_name_the_smallest_unresolved_duration(monkeypatch, default_model, default_part):
     steps = 256  # resolves T up to about 50 on the default model
     with pytest.raises(StepBudgetError) as err:
         final_propagators(default_model, [9000.0, 20.0, 5000.0], steps)
+    assert "T=5000" in str(err.value)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was taken")
+
+    # the stage takes its finals the same way, before any step
+    monkeypatch.setattr(propagation, "_midpoint_chunks", no_step)
+    with pytest.raises(StepBudgetError) as err:
+        final_stage(default_model, kato_state(), default_part, [9000.0, 20.0, 5000.0], steps)
     assert "T=5000" in str(err.value)
     with pytest.raises(ConfigError):
         final_propagators(default_model, [20.0], 0)
@@ -997,7 +1005,7 @@ def test_stream_families_matches_stored_families(name, steps, band_variant, sche
     u, a, phi, w = stored_families(model, variant, config)
     u1s = final_propagators(model, [config.duration], steps, scheme)
     assert np.array_equal(u1s[0], u.final)
-    w1s, _, residual = final_stage(model, variant, part, [config.duration], u1s)
+    w1s, _, residual = final_stage(model, variant, part, [config.duration], steps, scheme)
     assert np.array_equal(w1s[0], w.final)
     last_a = UnitaryFamily("A", a.s_nodes[-1:], a.matrices[-1:])
     assert residual == intertwine_residual(last_a, model, part)
@@ -1019,8 +1027,7 @@ def test_s1_defects_carry_the_all_node_maxima(default_model, default_part, band_
     # were fixed before measuring.
     variant = weyl_band(default_part) if band_variant else kato_state()
     config = PropagationConfig(100.0, 512, scheme)
-    u1s = final_propagators(default_model, [config.duration], config.steps, scheme)
-    _, at_s1, _ = final_stage(default_model, variant, default_part, [config.duration], u1s)
+    _, at_s1, _ = final_stage(default_model, variant, default_part, [config.duration], config.steps, scheme)
     every_node = stream_families(default_model, variant, config)
     for kind in ("U", "W"):
         assert 0.0 < at_s1[kind] <= every_node[kind] <= 2.0 * at_s1[kind], kind
@@ -1090,14 +1097,7 @@ def test_transport_residual_validation(default_model, default_part):
         propagation.transport_residual(default_model, kato_state(), default_part, 1, MIDPOINT)
 
 
-def test_final_stage_rejects_unpaired_durations(default_model, default_part):
-    # broadcasting one duration's phases over two finals would give two W(1)
-    # at T = 50; the counts must match instead
-    u1s = final_propagators(default_model, [50.0, 60.0], 512)
-    with pytest.raises(ConfigError, match="1 durations for 2 finals"):
-        final_stage(default_model, kato_state(), default_part, [50.0], u1s)
-    with pytest.raises(ConfigError, match="3 durations for 2 finals"):
-        final_stage(default_model, kato_state(), default_part, [50.0, 60.0, 70.0], u1s)
+def test_final_stage_rejects_a_foreign_partition(default_model):
     # the residual is read against the model's own partition
     with pytest.raises(ConfigError, match="grid sizes disagree"):
-        final_stage(default_model, kato_state(), BandPartition(8, 2), [50.0, 60.0], u1s)
+        final_stage(default_model, kato_state(), BandPartition(8, 2), [50.0, 60.0], 512)

@@ -370,8 +370,11 @@ def test_energies_vectorized_shape(default_model):
 
 def test_build_model_rejects_degenerate_spectrum():
     # profile vanishes at a knot: all grid energies coincide
-    with pytest.raises(DegenerateSpectrumError):
+    with pytest.raises(DegenerateSpectrumError, match=r"min adjacent separation 0\.000e\+00"):
         make_model(dispersion=tabulated_dispersion([1.0, 0.0, 1.0, 1.0, 1.0]))
+    # profile dips to 1e-10: adjacent energies 1/15 * 1e-10 apart, below EPS_CROSS
+    with pytest.raises(DegenerateSpectrumError, match=r"\[0\.0000, 1\.0000\]: min adjacent separation 6\.667e-12"):
+        make_model(dispersion=tabulated_dispersion([1.0, 1e-10, 1.0]))
     # profile crosses 0 between knots, off every uniform sample grid
     flip = tabulated_dispersion([1.0, -0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     with pytest.raises(DegenerateSpectrumError, match=r"s-interval \[0\.0000, 0\.1250\]"):
