@@ -23,29 +23,38 @@ a step a tabulated profile's kink falls inside.  In the frame basis
 x_k = Q(m_k)^dag U_k (x_0 = I, as Q(0) = I) it becomes
 x_k = diag(p_k) R_k x_{k-1} with the step rotation R_k = Q(m_k)^dag Q(m_{k-1}).
 With the frame's cached eigensystem iG = V diag(lam) V^dag,
-Q(s) = V diag(exp(-i theta(s) lam)) V^dag, so
-R_k = V diag(exp(i (theta_k - theta_{k-1}) lam)) V^dag, theta_k = theta(m_k).
+Q(s) = V diag(exp(-i theta(s) lam)) V^dag, so R_k = I + E_k with
+E_k = V diag(exp(i phi_k) - 1) V^dag, phi_k = (theta(m_k) - theta(m_{k-1})) lam.
+The zero modes add nothing to E_k, so they need no basis, whatever the
+kernel's dimension.  exp(i phi) - 1 is taken as -2 sin^2(phi/2) +
+i sin(phi), which keeps its relative precision at a step's small angles,
+where cos(phi) - 1 would cancel.  So the eigenvectors' residual defect
+enters R_k scaled by the step's angle, through E_k, and not whole, as
+V V^dag - I did in every V diag(exp(i phi)) V^dag.  A real G pairs its
+spectrum as +-lam with conjugate eigenvectors, so
+E_k = Re(W diag(exp(i phi_k) - 1) W^dag) with W = sqrt(2) V_+, the lam > 0
+half alone: R_k is real orthogonal, and one real GEMM per chunk,
+(chunk N, 2h) x (2h, N) with 2h <= N, builds every R_k (_rotations).  A
+complex G keeps every nonzero mode and a complex GEMM.  W is the kernel's
+own copy, polished by two Newton-Schulz steps (_polished), which take
+that defect from eigh's 1e-15 to 2e-16 (frame_matrix keeps eigh's V).
 Only p_k depends on T, so the kernel (_midpoint_chunks) carries a
-durations axis: one GEMM per chunk of steps builds every R_k once for all
-durations, and each step is one stacked matmul over the durations
-followed by the row scaling by p_k, with no frame rebuild.  The
-nearest_neighbor and banded generators are real, and a real G makes
-R_k = exp(-(theta_k - theta_{k-1}) G) real orthogonal: the chunk's GEMM builds R_k in real arithmetic, and each
-step is one real GEMM on the (re, im) float view of x, R_k Re(x) and
-R_k Im(x) at half the multiplies of a complex product.  A complex G keeps
-the complex products.  The kernel builds R_k from its own copy of V,
-polished by two Newton-Schulz steps V <- V (3I - V^dag V) / 2: eigh's
-|V^dag V - I| of about 1e-15 would enter every R_k and grow U's unitarity
-defect linearly in the step count, and the polish cuts that growth about
-7x (frame_matrix keeps eigh's V).  The kernel yields the nodes
+durations axis: the chunk's R_k serve every duration, and each step is
+one stacked matmul over the durations followed by the row scaling by
+p_k, with no frame rebuild; a real R_k takes the (re, im) float view of
+x, at half the multiplies of a complex product.  The stack is one GEMM
+per duration: a single GEMM over all of them rounds a duration's columns
+differently at some N (33 among them), and a final would then depend
+on which durations share the pass.  The kernel yields the nodes
 U_k = Q(m_k) x_k, with Q from frame_matrix, in the lab frame as every
 other kernel does, and forms only those a caller reads: every node for a
 stored family or propagator_nodes, the last alone for a final.  A frozen
-frame (theta_max = 0) has the eigensystem (0, I), which the polish maps
-to itself, so R_k = I and its steps stay diag(p_k) exactly.  Every caller
-takes this one path: evolve_propagator and propagator_nodes (so verify's
-frozen-frame check) with one duration, final_propagators (so
-final_propagator and final_stage) with all of them.  A duration's slice
+frame (theta_max = 0) has the eigensystem (0, I) and no moving mode: R_k
+and Q(m_k) are I exactly, so the kernel skips both products and its
+steps are diag(p_k) exactly.  Every caller takes this one path:
+evolve_propagator and propagator_nodes (so verify's frozen-frame check)
+with one duration, final_propagators (so final_propagator and
+final_stage) with all of them.  A duration's slice
 sees the same matmuls in strict step order whatever shares the pass (a
 stacked matmul is one GEMM per slice, and the chunks do not depend on the
 durations), so a final equals the last node of its family bitwise, and a
@@ -71,15 +80,15 @@ inputs:
   and a running product composes the steps: no Taylor series and no
   N x N product, and the off-diagonals stay exactly zero.
 - Otherwise every stage is a Taylor exponential in the lab frame.  Q(s)
-  comes from the polished V by the midpoint kernel's one GEMM per
-  chunk, and the stage exponent is omega scale ds r(s) Q core Q^dag.  A
-  real G (the nearest_neighbor and banded generators) makes Q real
-  orthogonal and both cores real, so the Taylor powers are real GEMMs:
-  the transports' exponents are real antisymmetric and their whole
-  evolution is real, while the propagator's exponent -i R takes each
-  Horner step as one real GEMM on the (re, im) float view of the
-  partial sum, and only its step products stay complex.  A complex G
-  keeps complex products.
+  comes from the midpoint kernel's rotation builder, I + E at the angle
+  phi = -theta(s) lam, one GEMM per chunk, and the stage exponent is
+  omega scale ds r(s) Q core Q^dag.  A real G (the nearest_neighbor and
+  banded generators) makes Q real orthogonal and both cores real, so the
+  Taylor powers are real GEMMs: the transports' exponents are real
+  antisymmetric and their whole evolution is real, while the
+  propagator's exponent -i R takes each Horner step as one real GEMM on
+  the (re, im) float view of the partial sum, and only its step products
+  stay complex.  A complex G keeps complex products.
 
 The Taylor series (_expm) exponentiates a chunk's whole stack at once:
 the degree (at most 16, evaluated by Paterson-Stockmeyer in at most six
@@ -119,6 +128,7 @@ numbers, so it is for small grids; every command streams instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -375,30 +385,46 @@ def literal_window_hermiticity(model: ContinuumModel, window: int, s: float) -> 
 
 
 def _polished(model: ContinuumModel):
-    """(lam, V, vh): the frame eigensystem with V polished by two Newton-Schulz steps, and _rotations' vh.
+    """(lam, W, wh): the frame's moving modes, their polished eigenvectors W, and _rotations' wh.
 
-    The steps V <- V (3I - V^dag V) / 2 bring eigh's |V^dag V - I| of
-    about 1e-15 to 2e-16, which every rotation built from V would
-    otherwise carry into the evolution; the frozen frame's V = I maps to
-    itself bitwise.  vh is V^dag, or for a real G, whose rotations are
-    real, the transposed float view of V.
+    The moving modes have |lam| above N eps max|lam| (on every banded
+    generator up to N = 64 and random_banded up to width 3, zero modes read
+    at most 0.2 of that, the others at least 4e10 times it): all of them
+    for a complex G, with wh = W^dag; the lam > 0 half for a real G, with
+    W = sqrt(2) V_+, whose float view is a real N x 2h isometry, and wh its
+    transpose.  Two Newton-Schulz steps Y <- Y (3I - Y^dag Y) / 2 on W, or
+    on that isometry, bring eigh's |V^dag V - I| of 1e-15 to 2e-16; the
+    frozen frame's (0, I) leaves W empty.
     """
     lam, v = model.frame_eigensystem
-    n = v.shape[0]
+    real = not model.rotation.generator.imag.any()
+    keep = (lam if real else np.abs(lam)) > len(lam) * np.finfo(float).eps * np.abs(lam).max()
+    y = np.ascontiguousarray(math.sqrt(2.0) * v[:, keep]).view(float) if real else v[:, keep]
     for _ in range(2):
-        v = v @ (3.0 * np.eye(n) - v.conj().T @ v) / 2.0
-    return lam, v, (v.conj().T if model.rotation.generator.imag.any() else v.view(float).T)
+        y = y @ (3.0 * np.eye(y.shape[1]) - y.conj().T @ y) / 2.0
+    return lam[keep], y.view(complex), y.conj().T
 
 
-def _rotations(v: np.ndarray, d: np.ndarray, vh: np.ndarray) -> np.ndarray:
-    """V diag(d_k) V^dag for every row d_k of d, from one (K N, N) x (N, N) GEMM in vh's dtype.
+def _cis(phi: np.ndarray, minus_one: bool = False) -> np.ndarray:
+    """exp(i phi) of a real array from its cos and sin; with minus_one, exp(i phi) - 1 as -2 sin^2(phi / 2) + i sin(phi)."""
+    z = np.empty(np.shape(phi), dtype=complex)
+    np.sin(phi, out=z.imag)
+    z.real = -2.0 * np.sin(0.5 * phi) ** 2 if minus_one else np.cos(phi)
+    return z
 
-    vh is V^dag, or the transposed (re, im) float view of V, which makes the
-    GEMM real, (K N, 2N) x (2N, N), and gives Re(V diag(d_k) V^dag): the
-    whole matrix for a real G, whose rotations are real.
+
+def _rotations(w: np.ndarray, wh: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """I + W diag(exp(i phi_k) - 1) W^dag for every row phi_k of phi, from one (K N, h) x (h, N) GEMM in wh's dtype.
+
+    wh is W^dag, or the transposed (re, im) float view of W, which makes the
+    GEMM real, (K N, 2h) x (2h, N), and gives Re(W diag(.) W^dag), adding
+    the -lam modes' conjugate half for a real G.  The zero modes take I
+    alone, as I - Re(W W^dag) projects onto them.
     """
-    n = v.shape[0]
-    return ((v * d[:, None, :]).reshape(-1, n).view(vh.dtype) @ vh).reshape(-1, n, n)
+    n, h = w.shape
+    e = (w * _cis(phi, minus_one=True)[:, None, :]).reshape(len(phi) * n, h).view(wh.dtype) @ wh
+    e.reshape(len(phi), n * n)[:, :: n + 1] += 1.0  # the diagonals
+    return e.reshape(-1, n, n)
 
 
 def _midpoint_chunks(model: ContinuumModel, durations, steps: int, every_node: bool = True):
@@ -410,47 +436,46 @@ def _midpoint_chunks(model: ContinuumModel, durations, steps: int, every_node: b
     after the last chunk, U at s=1 alone, so that the memory is O(D N^2)
     rather than one (chunk, N, N) stack per duration.
 
-    A real G makes every R_k = exp(-(theta_k - theta_{k-1}) G) real
-    orthogonal, so both products run in real arithmetic, at half the
-    multiplies: the chunk's stack Re(V diag(d_k) V^dag) is one real GEMM of
-    the (re, im) float views of V diag(d_k) and of V, and each step is one
-    real GEMM of R_k on the float view of x, whose rows interleave
-    (Re x, Im x), giving R_k Re(x) and R_k Im(x).  A complex G keeps the
-    complex products.
+    A step writes R_k x (on x's (re, im) float view for a real R_k),
+    scaled by p_k, into two preallocated buffers in turn or the chunk's
+    node stack.  A frozen frame's steps are the row scalings alone.
     """
-    lam, v, vh = _polished(model)
+    lam, w, wh = _polished(model)
+    frozen = not lam.size
     n = model.size
     ds = 1.0 / steps
-    rate = (-1j / HBAR) * np.asarray(durations, dtype=float)[:, None, None]
+    rate = (-1.0 / HBAR) * np.asarray(durations, dtype=float)[:, None, None]
     kappa = model.dispersion.kappa(model.grid.nodes)
     chunk = _chunk_len(n)
-    x = np.empty((len(rate), n, n), dtype=complex)
-    x[:] = np.eye(n)  # x_0 = Q(0)^dag U(0) = I
+    buffers = np.empty((2, len(rate), n, n), dtype=complex)
+    buffers[1] = np.eye(n)  # x_0 = Q(0)^dag U(0) = I
+    x, xf = buffers[1], buffers[1].view(wh.dtype)
+    ring = itertools.cycle(zip(buffers, buffers.view(wh.dtype)))
     theta_prev = 0.0
     for lo in range(0, steps, chunk):
         edges = np.arange(lo, min(lo + chunk, steps) + 1) * ds
         sm = edges[:-1] + 0.5 * ds
         theta = model.rotation.schedule.angle(sm)
-        d = np.exp(1j * np.multiply.outer(np.diff(theta, prepend=theta_prev), lam))
+        # the chunk's R_k from one GEMM for all durations; p_k as (D, N, 1) row factors
+        phi = np.multiply.outer(np.diff(theta, prepend=theta_prev), lam)
+        r = itertools.repeat(None) if frozen else _rotations(w, wh, phi)
         theta_prev = theta[-1]
-        # every R_k of the chunk from one GEMM, shared by all durations; p_k
-        # as (D, N, 1) row factors
-        r = _rotations(v, d, vh)
         df = np.diff(model.dispersion.profile_integral(edges))
-        p = np.exp(np.multiply.outer(df, kappa)[:, None, :, None] * rate)
-        xs = np.empty((len(sm) if every_node else 2, *x.shape), dtype=complex)
-        for k in range(len(sm)):
-            # one stacked matmul over the durations, in R's dtype (a real R
-            # takes x's (re, im) float view), then the row scaling
-            out = xs[k if every_node else k % 2]
-            np.matmul(r[k], x.view(r.dtype), out=out.view(r.dtype))
-            x = out
-            x *= p[k]
+        p = _cis(np.multiply.outer(df, kappa)[:, None, :, None] * rate)
+        if every_node:
+            xs = np.empty((len(sm), *x.shape), dtype=complex)
+        for pk, rk, (out, outf) in zip(p, r, zip(xs, xs.view(wh.dtype)) if every_node else ring):
+            if frozen:
+                np.multiply(x, pk, out=out)
+            else:
+                np.matmul(rk, xf, out=outf)
+                out *= pk
+            x, xf = out, outf
         del r, p  # only the x_k are held while the consumer reads the chunk
         if every_node:
-            yield np.matmul(model.frame_matrix(sm)[:, None], xs)
+            yield xs if frozen else np.matmul(model.frame_matrix(sm)[:, None], xs)
     if not every_node:
-        yield np.matmul(model.frame_matrix(sm[-1]), x)[None]
+        yield (x if frozen else np.matmul(model.frame_matrix(sm[-1]), x))[None]
 
 
 def _gauss_nodes(steps: int, scheme: str, n: int):
@@ -611,21 +636,21 @@ def _diagonal_chunks(model: ContinuumModel, steps: int, scheme: str, rate, diago
 def _lab_chunks(model: ContinuumModel, steps: int, scheme: str, rate, core: np.ndarray, scale: float, omega: complex):
     """Y chunks of an evolution stepped in the lab frame, every stage a Taylor exponential.
 
-    Q(s) comes from the polished V by _rotations' one GEMM, as the
-    midpoint kernel builds its rotations, each stage is exp(omega R) with
+    Q(s) is I + E at phi = -theta(s) lam, from _rotations' one GEMM per
+    chunk as the midpoint kernel's R_k, each stage is exp(omega R) with
     R = scale ds rate(s) Q core Q^dag, and _composed takes the steps in
     order.  A real G has real cores, so Q, R and _expm's powers are then
     real: with omega = 1 (the transports) the whole evolution is real,
     and with omega = -1j (the propagator) each Horner step is one real
     GEMM on the (re, im) view and only the step products stay complex.
     """
-    lam, v, vh = _polished(model)
-    if vh.dtype == float:
+    lam, w, wh = _polished(model)
+    if wh.dtype == float:
         core = core.real
     ds = 1.0 / steps
     y = np.eye(model.size)
     for s in _gauss_nodes(steps, scheme, model.size):
-        q = _rotations(v, np.exp(-1j * np.multiply.outer(model.rotation.schedule.angle(s), lam)), vh)
+        q = _rotations(w, wh, np.multiply.outer(-model.rotation.schedule.angle(s), lam))
         h = np.matmul(q @ core, q.conj().swapaxes(-1, -2))
         h *= (scale * ds * rate(s))[:, None, None]
         ys = _composed(_expm(_mixed(h, scheme), omega), y, scheme)

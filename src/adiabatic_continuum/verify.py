@@ -27,7 +27,6 @@ from typing import Callable
 import numpy as np
 
 from .analysis import coupled_pairs, transition_integral, transition_integral_parts
-from .bands import band_projector
 from .config import ExperimentConfig
 from .errors import NoExteriorError
 from .propagation import (
@@ -63,9 +62,11 @@ def _check_projector_algebra(config, model, part) -> dict:
     worst = {"idempotency": 0.0, "hermiticity": 0.0, "trace": 0.0, "resolution": 0.0}
     tols = {"idempotency": 1e-12, "hermiticity": 1e-13, "trace": 1e-10, "resolution": 1e-12}
     for s in (0.0, 0.5, 1.0):
+        q = model.frame_matrix(s)  # one frame; each band's projector F F^dag from its columns F
         total = np.zeros((n, n), dtype=complex)
         for b in range(len(part)):
-            p = band_projector(model, part, b, s).matrix
+            f = q[:, list(part.members(b))]
+            p = f @ f.conj().T
             worst["idempotency"] = max(worst["idempotency"], _max_abs(p @ p - p))
             worst["hermiticity"] = max(worst["hermiticity"], _max_abs(p - p.conj().T))
             worst["trace"] = max(worst["trace"], abs(np.trace(p) - len(part.members(b))))

@@ -29,6 +29,7 @@ from adiabatic_continuum import (
     PropagationConfig,
     StepBudgetError,
     UnitaryFamily,
+    banded_rotation,
     build_model,
     deviation_from_identity,
     evolve_intertwiner,
@@ -610,8 +611,9 @@ def _gauge_twins():
 
 def test_real_and_complex_kernels_agree_on_gauge_twins():
     # U runs the midpoint kernel's complex products and U' its real ones.
-    # The roundoff of the kernel's polished eigenvectors grows with the step
-    # count, to about 4e-12 at 20000 steps (2.3e-11 with eigh's V unpolished).
+    # The roundoff of the kernel's rotations grows with the step count, to
+    # 1.0e-13 at 20000 steps (4e-12 from the full V diag(exp(i phi lam))
+    # V^dag, 2.3e-11 with eigh's V unpolished).
     model, twin_model, d = _gauge_twins()
     durations, steps = [50.0, 100.0, 800.0], 20000
     u = final_propagators(model, durations, steps)
@@ -622,7 +624,8 @@ def test_real_and_complex_kernels_agree_on_gauge_twins():
 def test_real_and_complex_cf4_kernels_agree_on_gauge_twins():
     # the CF4 twin: U runs the lab-frame kernel in complex arithmetic and
     # U' its real GEMMs, one scheme in exact arithmetic; their difference,
-    # 3.9e-13 at T = 400 and 4000 steps, is roundoff
+    # 5.4e-14 at T = 400 and 4000 steps (3.9e-13 with Q(s) from the full
+    # V), is roundoff
     model, twin_model, d = _gauge_twins()
     durations, steps = [50.0, 100.0, 400.0], 4000
     u = final_propagators(model, durations, steps, CF4)
@@ -654,11 +657,62 @@ def test_cf4_unitarity_defect_stays_at_roundoff(name):
 
 def test_midpoint_unitarity_defect_at_many_steps():
     # the kernel's two Newton-Schulz steps take |V^dag V - I| from eigh's
-    # 1.3e-15 to 2.2e-16, so U's defect, still linear in the step count,
-    # reads 6.2e-12 on sweep.cfg's longest T at 20000 steps (4.5e-11 unpolished)
+    # 1.3e-15 to 2.2e-16, and each R_k is I + E with E from the polished
+    # modes, so U's defect reads 1.1e-13 on sweep.cfg's longest T at 20000
+    # steps (6.2e-12 from the full V diag(exp(i phi lam)) V^dag, 4.5e-11
+    # unpolished)
     model = load_config(SRC.parent / "configs" / "sweep.cfg").build_model()
     u = final_propagators(model, [800.0], 20000)
     assert propagation._unitarity_defect(u) <= 1.5e-11
+
+
+@pytest.mark.parametrize("rotation, bound", [("nearest_neighbor", 5e-13), ("random_banded", 1e-12)])
+def test_midpoint_unitarity_defect_of_i_plus_e_rotations(rotation, bound):
+    # sweep.cfg's model on its real chain (1.1e-13 at T = 800 and 20000
+    # steps) and on the complex chain of random_banded, width 1, seed 11
+    # (9.7e-14), whose R_k = I + E take a complex GEMM
+    model = load_config(SRC.parent / "configs" / "sweep.cfg").build_model()
+    if rotation == "random_banded":
+        model = build_model(model.grid, model.dispersion, random_banded_rotation(16, 1, 11, model.rotation.schedule))
+    assert model.rotation.generator.imag.any() == (rotation == "random_banded")
+    u = final_propagators(model, [800.0], 20000)
+    assert propagation._unitarity_defect(u) <= bound
+
+
+@pytest.mark.parametrize(
+    "n, width", [(15, 1), (16, 1), (33, 1), (16, 3), (17, 16), (24, 5)],
+    ids=["nn15", "nn16", "nn33", "banded16w3", "banded17w16", "banded24w5"],
+)
+def test_half_spectrum_rotations_match_the_full_eigenbasis(n, width):
+    # R = I + Re(W diag(exp(i phi) - 1) W^dag) from the lam > 0 modes alone
+    # against V diag(exp(i phi lam)) V^dag from the polished full V, at a
+    # chunk of midpoint step angles and at frame angles of either sign; odd
+    # N and banded24w5 (four zero modes) take the kernel projector
+    # implicitly; width 1 is the nearest_neighbor generator
+    rotation = banded_rotation(n, width, AngleSchedule("cubic_ramp", 0.4))
+    model = build_model(KGrid(1.0, 2.0, n), linear_dispersion(), rotation)
+    lam, w, wh = propagation._polished(model)
+    full_lam, v = model.frame_eigensystem
+    zero_modes = n - 2 * len(lam)
+    assert zero_modes == (4 if (n, width) == (24, 5) else n % 2)
+    assert (np.sort(np.abs(full_lam))[:zero_modes] < 1e-14).all()
+    for _ in range(2):
+        v = v @ (3.0 * np.eye(n) - v.conj().T @ v) / 2.0
+    theta = model.rotation.schedule.angle((np.arange(_CHUNK) + 0.5) / 20000)
+    phi = np.concatenate((np.diff(theta, prepend=0.0), [0.4, -0.4, 1.3]))
+    r = propagation._rotations(w, wh, np.multiply.outer(phi, lam))
+    reference = (v * np.exp(1j * np.multiply.outer(phi, full_lam))[:, None, :]) @ v.conj().T
+    assert r.dtype == float
+    assert np.abs(r - reference).max() <= 1e-14
+    assert propagation._identity_defect(np.matmul(r.swapaxes(-1, -2), r)) <= 1e-15 * n
+
+
+def test_frozen_frame_rotations_are_the_identity(frozen_model):
+    # (0, I) has no moving mode: W is empty and every R = I exactly
+    lam, w, wh = propagation._polished(frozen_model)
+    assert lam.size == 0 and w.shape == (16, 0)
+    r = propagation._rotations(w, wh, np.zeros((5, 0)))
+    assert (r == np.eye(16)).all()
 
 
 def test_stacked_finals_name_the_smallest_unresolved_duration(monkeypatch, default_model, default_part):
