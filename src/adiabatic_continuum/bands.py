@@ -1,4 +1,4 @@
-"""Band partitions, packets, and differential projectors over the grid.
+"""Band partitions and differential projectors over the grid.
 
 A band is a contiguous run of grid indices standing in for a small spectral
 window.  Projectors onto the rotating frame vectors of a band are exact
@@ -76,20 +76,6 @@ class BandPartition:
 
 
 @dataclass(frozen=True)
-class WeylPacket:
-    """Uniform-weight packet over one band of frame vectors.
-
-    `coefficients` live in the instantaneous frame basis (support confined
-    to the band); `vector` is the same state in the computational basis.
-    """
-
-    band: int
-    s: float
-    coefficients: np.ndarray
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
 class DifferentialProjector:
     """Snapshot projector onto an index window of frame vectors at one s.
 
@@ -108,15 +94,6 @@ class DifferentialProjector:
     @cached_property
     def matrix(self) -> np.ndarray:
         return self.frame_slice @ self.frame_slice.conj().T
-
-
-@dataclass(frozen=True)
-class WeylProjection:
-    """Result of projecting a state onto one band."""
-
-    indices: tuple[int, ...]
-    vector: np.ndarray
-    coefficients: np.ndarray
 
 
 def projector(model: ContinuumModel, indices, s: float) -> DifferentialProjector:
@@ -138,25 +115,6 @@ def projector(model: ContinuumModel, indices, s: float) -> DifferentialProjector
 
 def band_projector(model: ContinuumModel, part: BandPartition, band: int, s: float) -> DifferentialProjector:
     return projector(model, part.members(band), s)
-
-
-def project(proj: DifferentialProjector, psi: np.ndarray) -> WeylProjection:
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (proj.frame_slice.shape[0],):
-        raise ConfigError(
-            f"state has shape {psi.shape}, expected ({proj.frame_slice.shape[0]},)"
-        )
-    coeff = proj.frame_slice.conj().T @ psi
-    return WeylProjection(proj.indices, proj.frame_slice @ coeff, coeff)
-
-
-def weyl_packet(model: ContinuumModel, part: BandPartition, band: int, s: float) -> WeylPacket:
-    """Equal-weight normalized packet over a band's frame vectors."""
-    members = part.members(band)
-    coeff = np.zeros(model.size, dtype=complex)
-    coeff[list(members)] = 1.0 / np.sqrt(len(members))
-    vector = model.frame_matrix(s)[:, list(members)].sum(axis=1) / np.sqrt(len(members))
-    return WeylPacket(band, float(s), coeff, vector)
 
 
 def virtual_gap(model: ContinuumModel, part: BandPartition, band: int) -> float:

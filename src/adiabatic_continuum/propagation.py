@@ -49,12 +49,12 @@ on which durations share the pass.  The kernel yields the nodes
 U_k = Q(m_k) x_k, with Q from frame_matrix, in the lab frame as every
 other kernel does, and forms only those a caller reads: every node for a
 stored family or propagator_nodes, the last alone for a final.  A frozen
-frame (theta_max = 0) has the eigensystem (0, I) and no moving mode: R_k
-and Q(m_k) are I exactly, so the kernel skips both products and its
-steps are diag(p_k) exactly.  Every caller takes this one path:
-evolve_propagator and propagator_nodes (so verify's frozen-frame check)
-with one duration, final_propagators (so final_propagator and
-final_stage) with all of them.  A duration's slice
+frame (theta_max = 0) has the eigensystem (0, I) and no moving mode, so
+its R_k and Q(m_k) are I exactly and its nodes are the diagonal
+products of the diag(p_k), off-diagonals exactly 0, on the same path.
+Every caller takes this one path: evolve_propagator and
+propagator_nodes with one duration, final_propagators (so
+final_propagator and final_stage) with all of them.  A duration's slice
 sees the same matmuls in strict step order whatever shares the pass (a
 stacked matmul is one GEMM per slice, and the chunks do not depend on the
 durations), so a final equals the last node of its family bitwise, and a
@@ -63,7 +63,7 @@ reduction would be faster for finals alone, but it rounds differently
 from the sequential path and would fork the two.
 
 The CF4 propagator and both stepped transports share one kernel
-(_expm_chunks) and one stage form,
+(_lab_chunks) and one stage form,
 dY/ds = omega scale r(s) Q(s) core Q(s)^dag Y, with a scalar rate r and
 a constant lab-frame core.  Every dispersion family is separable,
 E(k, s) = kappa(k) f(s), so the propagator has omega = -i,
@@ -71,24 +71,16 @@ scale = T / hbar, r = f and core diag(kappa).  The transport solves
 i hbar dA/ds = K(s) A with K(s) = i hbar theta'(s) Q(s) G_masked Q(s)^dag,
 so it has omega = 1, scale = 1, r = theta' and core G_masked.  A chunk
 builds the stages at all its Gauss nodes (two per CF4 step, one per
-midpoint step) and takes the steps in one of two ways, read from the
-inputs:
-
-- Every stage is diagonal where V and the core are (the frozen frame's
-  (0, I) with the propagator's diag(kappa)).  Each stage is then the
-  elementwise exp(omega scale ds r kappa), r its weighted node rates,
-  and a running product composes the steps: no Taylor series and no
-  N x N product, and the off-diagonals stay exactly zero.
-- Otherwise every stage is a Taylor exponential in the lab frame.  Q(s)
-  comes from the midpoint kernel's rotation builder, I + E at the angle
-  phi = -theta(s) lam, one GEMM per chunk, and the stage exponent is
-  omega scale ds r(s) Q core Q^dag.  A real G (the nearest_neighbor and
-  banded generators) makes Q real orthogonal and both cores real, so the
-  Taylor powers are real GEMMs: the transports' exponents are real
-  antisymmetric and their whole evolution is real, while the
-  propagator's exponent -i R takes each Horner step as one real GEMM on
-  the (re, im) float view of the partial sum, and only its step products
-  stay complex.  A complex G keeps complex products.
+midpoint step), each a Taylor exponential in the lab frame.  Q(s) comes
+from the midpoint kernel's rotation builder, I + E at the angle
+phi = -theta(s) lam, one GEMM per chunk, and the stage exponent is
+omega scale ds r(s) Q core Q^dag.  A real G (the nearest_neighbor and
+banded generators) makes Q real orthogonal and both cores real, so the
+Taylor powers are real GEMMs: the transports' exponents are real
+antisymmetric and their whole evolution is real, while the propagator's
+exponent -i R takes each Horner step as one real GEMM on the (re, im)
+float view of the partial sum, and only its step products stay complex.
+A complex G keeps complex products.
 
 The Taylor series (_expm) exponentiates a chunk's whole stack at once:
 the degree (at most 16, evaluated by Paterson-Stockmeyer in at most six
@@ -97,10 +89,10 @@ largest 1-norm and the double-precision backward-error thresholds of
 Al-Mohy and Higham.  The steps are composed in order with one N x N
 matmul each, again with no frame rebuild.  A zero stage gives the
 identity and a diagonal one a diagonal step, exactly, so a frozen frame
-keeps its exact transport.  The transport's stage stays the product
-Q G_masked Q^dag instead of its exact form (theta' G for kato_state):
-with that, the stepped transport would be the closed form by
-construction and would no longer check it.
+keeps its exact transport and a diagonal CF4 propagator.  The
+transport's stage stays the product Q G_masked Q^dag instead of its
+exact form (theta' G for kato_state): with that, the stepped transport
+would be the closed form by construction and would no longer check it.
 
 No command stores the families.  simulate, sweeps and verify's unitarity
 check make one call each to the s=1 stage (final_stage), which steps U(1)
@@ -111,12 +103,18 @@ defect carries to s=1, and A, Phi and the residual are closed forms at
 every node.  Stored and staged W share one helper (_residual_operator,
 Phi^dag as a row scaling by the phases), to which wave_operator passes
 its Phi family's diagonal and final_stage the phases at s=1.  verify's
-frozen-frame check streams every node of the propagator
-(propagator_nodes), one chunk at a time, so memory is O(chunk N^2) at any
-step count; each node equals the node of the stored family bitwise,
-because no node depends on the chunk it is built in (frame_matrix takes
-one N x N product per node).  verify's stepped transport is streamed the
-same way (transport_residual).
+frozen-frame check streams the frozen frame's propagator diagonals
+(frozen_phases), O(chunk N) in memory at any step count.  Every step of
+either scheme is then diagonal, the kernel's own p_k (_step_phases) or a
+CF4 step's elementwise stage exponentials, and one vector multiply per
+step composes them in step order, as the kernel's row scaling does
+(np.cumprod rounds differently): a midpoint diagonal equals the kernel's
+node bitwise, a CF4 one the Taylor stages' to roundoff.  The kernels'
+frozen off-diagonals are exactly 0, which only the tests read.
+propagator_nodes, every node streamed, is the tests' reference: each
+node equals the stored family's bitwise, as no node depends on its chunk
+(frame_matrix takes one N x N product per node).  verify's stepped
+transport is streamed too (transport_residual).
 
 The stored families (UnitaryFamily, from evolve_propagator,
 evolve_intertwiner, phase_family and wave_operator, with phase_operator
@@ -427,6 +425,17 @@ def _rotations(w: np.ndarray, wh: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return e.reshape(-1, n, n)
 
 
+def _step_phases(model: ContinuumModel, edges: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """p_k = exp(i rate kappa (F(s_k) - F(s_{k-1}))) of the steps between consecutive edges, for every rate; shape (K, D, N).
+
+    rate is -T / hbar for each of the D durations; F is the profile's
+    closed-form integral, so the phase is exact over any step.
+    """
+    df = np.diff(model.dispersion.profile_integral(edges))
+    kappa = model.dispersion.kappa(model.grid.nodes)
+    return _cis(np.multiply.outer(df, kappa)[:, None, :] * rate[:, None])
+
+
 def _midpoint_chunks(model: ContinuumModel, durations, steps: int, every_node: bool = True):
     """Yield the nodes U_k of consecutive chunks of the steps 1..steps (midpoint scheme), every duration at once.
 
@@ -438,14 +447,12 @@ def _midpoint_chunks(model: ContinuumModel, durations, steps: int, every_node: b
 
     A step writes R_k x (on x's (re, im) float view for a real R_k),
     scaled by p_k, into two preallocated buffers in turn or the chunk's
-    node stack.  A frozen frame's steps are the row scalings alone.
+    node stack.
     """
     lam, w, wh = _polished(model)
-    frozen = not lam.size
     n = model.size
     ds = 1.0 / steps
-    rate = (-1.0 / HBAR) * np.asarray(durations, dtype=float)[:, None, None]
-    kappa = model.dispersion.kappa(model.grid.nodes)
+    rate = (-1.0 / HBAR) * np.asarray(durations, dtype=float)
     chunk = _chunk_len(n)
     buffers = np.empty((2, len(rate), n, n), dtype=complex)
     buffers[1] = np.eye(n)  # x_0 = Q(0)^dag U(0) = I
@@ -457,25 +464,20 @@ def _midpoint_chunks(model: ContinuumModel, durations, steps: int, every_node: b
         sm = edges[:-1] + 0.5 * ds
         theta = model.rotation.schedule.angle(sm)
         # the chunk's R_k from one GEMM for all durations; p_k as (D, N, 1) row factors
-        phi = np.multiply.outer(np.diff(theta, prepend=theta_prev), lam)
-        r = itertools.repeat(None) if frozen else _rotations(w, wh, phi)
+        r = _rotations(w, wh, np.multiply.outer(np.diff(theta, prepend=theta_prev), lam))
         theta_prev = theta[-1]
-        df = np.diff(model.dispersion.profile_integral(edges))
-        p = _cis(np.multiply.outer(df, kappa)[:, None, :, None] * rate)
+        p = _step_phases(model, edges, rate)[..., None]
         if every_node:
             xs = np.empty((len(sm), *x.shape), dtype=complex)
         for pk, rk, (out, outf) in zip(p, r, zip(xs, xs.view(wh.dtype)) if every_node else ring):
-            if frozen:
-                np.multiply(x, pk, out=out)
-            else:
-                np.matmul(rk, xf, out=outf)
-                out *= pk
+            np.matmul(rk, xf, out=outf)
+            out *= pk
             x, xf = out, outf
         del r, p  # only the x_k are held while the consumer reads the chunk
         if every_node:
-            yield xs if frozen else np.matmul(model.frame_matrix(sm)[:, None], xs)
+            yield np.matmul(model.frame_matrix(sm)[:, None], xs)
     if not every_node:
-        yield (x if frozen else np.matmul(model.frame_matrix(sm[-1]), x))[None]
+        yield np.matmul(model.frame_matrix(sm[-1]), x)[None]
 
 
 def _gauss_nodes(steps: int, scheme: str, n: int):
@@ -591,48 +593,6 @@ def _composed(x: np.ndarray, z: np.ndarray, scheme: str) -> np.ndarray:
     return zs
 
 
-def _expm_chunks(model: ContinuumModel, steps: int, scheme: str, rate, core: np.ndarray, scale: float, omega: complex):
-    """Y for consecutive chunks of the nodes s_1..s_steps of dY/ds = omega scale H(s) Y, from Y_0 = I.
-
-    H(s) = rate(s) Q(s) core Q(s)^dag with the constant lab-frame core,
-    and rate takes an array of s: the propagator's f(s) and diag(kappa)
-    with omega = -1j, or the transport's theta'(s) and G_masked with
-    omega = 1.  Every stage is diagonal where V and the core are, and the
-    steps are then elementwise (_diagonal_chunks); otherwise they are
-    Taylor exponentials in the lab frame (_lab_chunks).
-    """
-    v = model.frame_eigensystem[1]
-    off = ~np.eye(model.size, dtype=bool)
-    if not (v[off].any() or core[off].any()):
-        return _diagonal_chunks(model, steps, scheme, rate, np.diagonal(core), scale * omega)
-    return _lab_chunks(model, steps, scheme, rate, core, scale, omega)
-
-
-def _diagonal_chunks(model: ContinuumModel, steps: int, scheme: str, rate, diagonal: np.ndarray, scale: complex):
-    """Y chunks of an evolution whose every stage is diagonal: a diagonal V and core.
-
-    The frame then never mixes the states, so H(s) = rate(s) diag(core),
-    each stage is the elementwise exp(scale ds r diag(core)), with scale
-    carrying omega and r the stage's weighted node rates, and a running
-    product along the steps composes them: no Taylor series and no N x N
-    product.  Off-diagonals stay exactly zero.
-    """
-    n = model.size
-    ds = 1.0 / steps
-    d = np.arange(n)
-    c = np.ones((1, n), dtype=complex)
-    for s in _gauss_nodes(steps, scheme, n):
-        h = _mixed(np.multiply.outer(rate(s), diagonal), scheme)
-        _finite_norm(float(np.abs(h).max()))
-        x = np.exp(h * (scale * ds))
-        if scheme == CF4:
-            x = x[1::2] * x[0::2]
-        c = np.cumprod(np.concatenate((c[-1:], x)), axis=0)[1:]
-        ys = np.zeros((len(c), n, n), dtype=complex)
-        ys[:, d, d] = c
-        yield ys
-
-
 def _lab_chunks(model: ContinuumModel, steps: int, scheme: str, rate, core: np.ndarray, scale: float, omega: complex):
     """Y chunks of an evolution stepped in the lab frame, every stage a Taylor exponential.
 
@@ -669,7 +629,7 @@ def _propagator_chunks(model: ContinuumModel, config: PropagationConfig):
         return (u[:, 0] for u in _midpoint_chunks(model, [config.duration], config.steps))
     # H(s) = f(s) Q(s) diag(kappa) Q(s)^dag
     core = np.diag(model.dispersion.kappa(model.grid.nodes))
-    return _expm_chunks(model, config.steps, config.scheme, model.dispersion.profile, core, config.duration / HBAR, -1j)
+    return _lab_chunks(model, config.steps, config.scheme, model.dispersion.profile, core, config.duration / HBAR, -1j)
 
 
 def _check_propagator_budget(model: ContinuumModel, config: PropagationConfig):
@@ -714,7 +674,7 @@ def _stored(chunks, steps: int, n: int) -> np.ndarray:
     """Every node of a chunked evolution, stored: the _nodes chunks end to end."""
     matrices = np.empty((steps + 1, n, n), dtype=complex)
     k = 0
-    for _, m in _nodes(chunks, steps, n):
+    for _, m in _nodes(chunks, steps, np.eye(n, dtype=complex)):
         matrices[k : k + len(m)] = m
         k += len(m)
     return matrices
@@ -727,10 +687,10 @@ def _last(chunks) -> np.ndarray:
     return z[-1].astype(complex)
 
 
-def _nodes(chunks, steps: int, n: int):
-    """(s, nodes) chunk by chunk over every node of a chunked evolution, s=0 (the identity) first."""
+def _nodes(chunks, steps: int, identity: np.ndarray):
+    """(s, nodes) chunk by chunk over every node of a chunked evolution, s=0 (the identity, as a matrix or a diagonal) first."""
     s_nodes = np.linspace(0.0, 1.0, steps + 1)
-    yield s_nodes[:1], np.eye(n, dtype=complex)[None]
+    yield s_nodes[:1], identity[None]
     k = 1
     for z in chunks:
         yield s_nodes[k : k + len(z)], z
@@ -745,14 +705,54 @@ def propagator_nodes(model: ContinuumModel, config: PropagationConfig):
     at a time.
     """
     _check_propagator_budget(model, config)
-    return _nodes(_propagator_chunks(model, config), config.steps, model.size)
+    return _nodes(_propagator_chunks(model, config), config.steps, np.eye(model.size, dtype=complex))
+
+
+def frozen_phases(model: ContinuumModel, config: PropagationConfig):
+    """(s, diag U) for consecutive chunks of the steps+1 nodes of a frozen frame's propagator, from s=0.
+
+    The steps of either scheme are diagonal (module docstring), one vector
+    multiply each, and memory is O(chunk N).  A moving frame raises
+    ConfigError, and the budget is checked, on the call.
+    """
+    if model.rotation.schedule.theta_max != 0.0:
+        raise ConfigError("frozen_phases needs a frozen frame (theta_max = 0)")
+    _check_propagator_budget(model, config)
+    identity = np.ones(model.size, dtype=complex)
+    return _nodes(_diagonal_products(_frozen_steps(model, config), identity), config.steps, identity)
+
+
+def _frozen_steps(model: ContinuumModel, config: PropagationConfig):
+    """A frozen frame's diagonal steps, one (chunk, N) stack per chunk: p_k, or a CF4 step's two stage exponentials' product."""
+    ds = 1.0 / config.steps
+    if config.scheme == MIDPOINT:
+        rate = np.array([-config.duration / HBAR])
+        chunk = _chunk_len(model.size)
+        for lo in range(0, config.steps, chunk):
+            yield _step_phases(model, np.arange(lo, min(lo + chunk, config.steps) + 1) * ds, rate)[:, 0]
+        return
+    kappa = model.dispersion.kappa(model.grid.nodes)
+    for s in _gauss_nodes(config.steps, CF4, model.size):
+        h = _mixed(np.multiply.outer(model.dispersion.profile(s), kappa), CF4)
+        _finite_norm(float(np.abs(h).max()))
+        x = np.exp(h * (config.duration / HBAR * -1j * ds))
+        yield x[1::2] * x[0::2]
+
+
+def _diagonal_products(chunks, c: np.ndarray):
+    """The running products of diagonal steps from c, chunk by chunk: one vector multiply per step."""
+    for x in chunks:
+        cs = np.empty_like(x)
+        for xk, out in zip(x, cs):
+            c = np.multiply(c, xk, out=out)
+        yield cs
 
 
 def _intertwiner_chunks(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str):
     """A chunks of the stepped transport, real for a real G."""
     # i hbar dA/ds = K(s) A with K(s) = i hbar theta'(s) Q(s) G_masked Q(s)^dag
     rate = model.rotation.schedule.angle_rate
-    return _expm_chunks(model, steps, scheme, rate, _masked_generator(model, variant), 1.0, 1)
+    return _lab_chunks(model, steps, scheme, rate, _masked_generator(model, variant), 1.0, 1)
 
 
 def _check_intertwiner(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str):
@@ -861,7 +861,7 @@ def transport_residual(
     """intertwine_residual of the stepped transport family, streamed over its chunks unstored."""
     _check_intertwiner(model, variant, steps, scheme)
     _check_partition(model, part)
-    nodes = _nodes(_intertwiner_chunks(model, variant, steps, scheme), steps, model.size)
+    nodes = _nodes(_intertwiner_chunks(model, variant, steps, scheme), steps, np.eye(model.size, dtype=complex))
     return _max_residual(model, part, nodes)
 
 

@@ -9,10 +9,11 @@ verdict through _row, and verify_config adds its name.  The unitarity check
 reads the run's own s = 1 stage, the one final_stage call simulate makes, at
 the reference duration: U and W are products of unitary steps, so a defect
 any step adds carries to s = 1, and A and Phi are closed forms.
-The frozen-frame check compares every node of the frozen model's propagator,
-at [run] steps and scheme, with the dynamical phase: with theta_max = 0 the
-generator is zero, the transport the identity and the propagator diagonal by
-construction, so max|U - Phi| is the one number that can fail.  The
+The frozen-frame check compares the diagonal of every node of the frozen
+model's propagator, at [run] steps and scheme, with the dynamical phase:
+with theta_max = 0 the generator is zero, the transport the identity and the
+propagator diagonal by construction, so max|U - Phi| over the diagonals
+(frozen_phases) is the one number that can fail.  The
 by-parts check compares the two integrals on every exterior pair coupled to
 j0 (analysis.coupled_pairs), the pairs the first-order leakage sums.  The
 intertwining check steps the transport with CF4 at intertwiner_step_budget,
@@ -36,8 +37,8 @@ from .propagation import (
     intertwiner_step_budget,
     kato_state,
     literal_window_hermiticity,
+    frozen_phases,
     phase_factors,
-    propagator_nodes,
     transport_residual,
 )
 
@@ -96,12 +97,10 @@ def _check_unitarity(config, model, part) -> dict:
 def _check_frozen_frame(config, model, part) -> dict:
     fmodel = dataclasses.replace(config, theta_max=0.0).build_model()
     t_ref = _reference_duration(config)
-    u_phi = 0.0
-    idx = np.arange(fmodel.size)
-    for s, u in propagator_nodes(fmodel, PropagationConfig(t_ref, config.steps, config.scheme)):
-        diff = u.copy()
-        diff[:, idx, idx] -= phase_factors(fmodel, t_ref, s)
-        u_phi = max(u_phi, _max_abs(diff))
+    u_phi = max(
+        _max_abs(d - phase_factors(fmodel, t_ref, s))
+        for s, d in frozen_phases(fmodel, PropagationConfig(t_ref, config.steps, config.scheme))
+    )
     return _row(
         u_phi <= 1e-10,
         u_phi,

@@ -20,12 +20,10 @@ from adiabatic_continuum import (
     feasible_band_size,
     minimal_time,
     pair_gap,
-    project,
     projector,
     tabulated_dispersion,
     validate_noncrossing,
     virtual_gap,
-    weyl_packet,
 )
 
 from conftest import make_model
@@ -118,22 +116,6 @@ def test_projector_validation(default_model):
         projector(default_model, [1, 1], 0.5)
     with pytest.raises(ConfigError):
         projector(default_model, [99], 0.5)
-
-
-def test_projection_coefficients(default_model, default_part):
-    p = band_projector(default_model, default_part, 0, 0.5)
-    psi = default_model.frame_matrix(0.5)[:, 1]
-    proj = project(p, psi)
-    assert proj.coefficients == pytest.approx([0.0 + 0.0j, 1.0 + 0.0j], abs=1e-14)
-    assert np.allclose(proj.vector, psi)
-
-
-def test_weyl_packet_unit_norm(default_model, default_part):
-    packet = weyl_packet(default_model, default_part, 1, 0.5)
-    assert np.linalg.norm(packet.vector) == pytest.approx(1.0, rel=1e-14)
-    expected = np.zeros(16, dtype=complex)
-    expected[[2, 3]] = 1.0 / np.sqrt(2.0)
-    assert packet.coefficients == pytest.approx(expected)
 
 
 # ---- gaps and planning -----------------------------------------------------

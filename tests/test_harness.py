@@ -16,13 +16,13 @@ from adiabatic_continuum import (
     ConfigError,
     load_config,
 )
-from adiabatic_continuum import propagation, verify
+from adiabatic_continuum import ContinuumModel, analysis, propagation, verify
 from adiabatic_continuum.analysis import coupled_pairs, transition_integral
 from adiabatic_continuum.propagation import (
     _CHUNK_BYTES,
     final_propagators,
+    frozen_phases,
     kato_state,
-    propagator_nodes,
     transport_residual,
 )
 from adiabatic_continuum.runner import (
@@ -304,15 +304,13 @@ def test_verify_sabotage_names_unitarity(fast_config, monkeypatch):
 
 
 def test_verify_sabotage_names_frozen_frame(fast_config, monkeypatch):
-    # frozen-frame nodes that carry a 1e-8 off-diagonal entry stand 1e-8
-    # from Phi, past the 1e-10 tolerance; no other check reads the nodes
+    # frozen-frame diagonals moved by 1e-8 stand 1e-8 from Phi, past the
+    # 1e-10 tolerance; no other check reads them
     def sabotaged(*args, **kwargs):
-        for s, u in propagator_nodes(*args, **kwargs):
-            u = u.copy()
-            u[:, 0, 1] += 1e-8
-            yield s, u
+        for s, d in frozen_phases(*args, **kwargs):
+            yield s, d + 1e-8
 
-    monkeypatch.setattr(verify, "propagator_nodes", sabotaged)
+    monkeypatch.setattr(verify, "frozen_phases", sabotaged)
     cfg = fast_config({"run": {"steps": "1024"}})
     code, record, _, lines = cmd_verify(cfg)
     assert code == 1
@@ -321,6 +319,41 @@ def test_verify_sabotage_names_frozen_frame(fast_config, monkeypatch):
     assert frozen["measured"] == pytest.approx(1e-8, rel=1e-6)
     assert frozen["detail"] == "max|U-Phi| over 1025 nodes at T=100"
     assert any(line.startswith("[FAIL] frozen_frame") for line in lines)
+
+
+def test_verify_sabotage_names_projector_algebra(fast_config, monkeypatch):
+    # a frame whose columns are 5e-11 too long has F^dag F - I = 1e-10: P^2 - P
+    # and the resolution of the identity stand 1e-10 off, past their 1e-12
+    # tolerances; the unitarity check sees the same frame in U(1), A(1) and
+    # W(1), at most 2e-10 off, within its 1e-9
+    original = ContinuumModel.frame_matrix
+    monkeypatch.setattr(ContinuumModel, "frame_matrix", lambda self, s: (1.0 + 5e-11) * original(self, s))
+    cfg = fast_config({"run": {"steps": "1024"}})
+    code, record, _, lines = cmd_verify(cfg)
+    assert code == 1
+    assert {row["name"] for row in record["checks"] if not row["passed"]} == {"projector_algebra"}
+    (row,) = [row for row in record["checks"] if row["name"] == "projector_algebra"]
+    assert row["measured"] == pytest.approx(1e-10, rel=1e-3)
+    assert row["tolerance"] == 1e-12
+    assert any(line.startswith("[FAIL] projector_algebra") for line in lines)
+
+
+def test_verify_sabotage_names_by_parts(fast_config, monkeypatch):
+    # a phase budget of 1000 rad per panel with no floor on the panel count
+    # leaves one 20-node panel for the 80 rad that j0's one coupled exterior
+    # pair, (1, 2), turns through at T = 800: the direct integral and its
+    # by-parts twin then differ past max(1e-8, 1e-6 |F|); no other check
+    # integrates the pairs
+    monkeypatch.setattr(analysis, "_PHASE_BUDGET", 1000.0)
+    monkeypatch.setattr(analysis, "_MIN_PANELS", 1)
+    cfg = fast_config({"run": {"T": "800.0", "steps": "4096"}})
+    code, record, _, lines = cmd_verify(cfg)
+    assert code == 1
+    assert {row["name"] for row in record["checks"] if not row["passed"]} == {"by_parts"}
+    (row,) = [row for row in record["checks"] if row["name"] == "by_parts"]
+    assert row["measured"] > row["tolerance"] == 1e-8
+    assert row["detail"].startswith("1 coupled exterior pair at T=800; worst pair (1, 2);")
+    assert any(line.startswith("[FAIL] by_parts") for line in lines)
 
 
 def test_verify_memory_is_flat_in_steps(fast_config):
@@ -543,6 +576,13 @@ def test_only_the_stage_reads_the_finals():
     # finals; final_propagators stays public for final_propagator and the
     # bitwise pins
     assert _modules_naming({"final_propagators"}, ("propagation.py", "__init__.py")) == []
+
+
+def test_only_verify_steps_the_frozen_diagonals():
+    # verify's frozen-frame check streams the frozen diagonals; no module
+    # reads propagator_nodes, the streamed reference of the tests
+    assert _modules_naming({"frozen_phases"}, ("propagation.py", "verify.py")) == []
+    assert _modules_naming({"propagator_nodes"}, ("propagation.py",)) == []
 
 
 def test_no_command_reads_the_projector_form_leakage():

@@ -23,6 +23,7 @@ from adiabatic_continuum import (
     BandPartition,
     ConfigError,
     ContinuumModel,
+    DispersionSchedule,
     FrameRotation,
     GeneratorVariant,
     KGrid,
@@ -367,25 +368,23 @@ def test_frozen_frame_eigh_kernel_families_stay_exact(frozen_model):
         assert (a.matrices == np.eye(16)).all()
 
 
-# The CF4 propagator's kernel follows from the model: diagonal stages (a
-# frozen frame) step elementwise, every other stage by Taylor exponentials
-# in the lab frame; every transport, whose core G_masked keeps off-diagonal
-# couplings, takes the lab frame.  So the kernel tests above check both paths.
+# The CF4 propagator and every transport step their stages by Taylor
+# exponentials in the lab frame, a frozen frame's included (its elementwise
+# steps are frozen_phases'), so the kernel tests above check the one path.
 @pytest.mark.parametrize(
     "name, path",
     [("nearest_neighbor", "_lab_chunks"), ("random_banded", "_lab_chunks"),
-     ("tabulated", "_lab_chunks"), ("quadratic", "_lab_chunks"), ("frozen", "_diagonal_chunks")],
+     ("tabulated", "_lab_chunks"), ("quadratic", "_lab_chunks")],
 )
 def test_cf4_kernel_path_follows_the_stages(monkeypatch, name, path):
     taken = []
-    for kernel in ("_diagonal_chunks", "_lab_chunks"):
-        original = getattr(propagation, kernel)
+    original = propagation._lab_chunks
 
-        def recorder(*args, _original=original, _kernel=kernel):
-            taken.append(_kernel)
-            return _original(*args)
+    def recorder(*args):
+        taken.append("_lab_chunks")
+        return original(*args)
 
-        monkeypatch.setattr(propagation, kernel, recorder)
+    monkeypatch.setattr(propagation, "_lab_chunks", recorder)
     model = _kernel_models()[name]
     evolve_propagator(model, PropagationConfig(0.1 * _CHUNK, _CHUNK, CF4))
     for scheme in SCHEMES:
@@ -394,14 +393,47 @@ def test_cf4_kernel_path_follows_the_stages(monkeypatch, name, path):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_diagonal_stages_reject_a_non_finite_stage(frozen_model, bad):
-    # the elementwise path keeps _expm's guard (an infinite rate makes the
-    # CF4 weights, one of them negative, mix inf - inf = nan)
-    kappa = np.diag(frozen_model.dispersion.kappa(frozen_model.grid.nodes))
-    chunks = propagation._expm_chunks(frozen_model, 8, CF4, lambda s: np.where(s > 0.5, bad, 1.0), kappa, 1.0, -1j)
+def test_diagonal_stages_reject_a_non_finite_stage(monkeypatch, frozen_model, bad):
+    # frozen_phases' CF4 stages keep _expm's guard (an infinite profile value
+    # makes the CF4 weights, one of them negative, mix inf - inf = nan)
+    original = DispersionSchedule.profile
+    monkeypatch.setattr(DispersionSchedule, "profile", lambda self, s: np.where(s > 0.5, bad, original(self, s)))
+    chunks = propagation.frozen_phases(frozen_model, PropagationConfig(1.0, 8, CF4))
     with pytest.raises(ConfigError, match="non-finite"), np.errstate(invalid="ignore"):
         for _ in chunks:
             pass
+
+
+@pytest.mark.parametrize("steps", [*KERNEL_STEPS, 4000])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_frozen_phases_are_the_kernels_frozen_diagonals(frozen_model, scheme, steps):
+    # the general kernels step a frozen frame with identity rotations and an
+    # exact Q, so their nodes are diagonal, off-diagonals exactly 0;
+    # frozen_phases steps the diagonals alone, in the midpoint kernel's
+    # order (bitwise, sign bits included) and within 1e-13 of the CF4
+    # Taylor stages.  The bound was fixed before measuring.
+    config = PropagationConfig(100.0 if steps == 4000 else 0.1 * steps, steps, scheme)
+    fam = evolve_propagator(frozen_model, config)
+    assert not fam.matrices[:, ~np.eye(16, dtype=bool)].any()
+    chunks = list(propagation.frozen_phases(frozen_model, config))
+    assert max(len(d) for _, d in chunks) <= _CHUNK
+    s = np.concatenate([s for s, _ in chunks])
+    diagonals = np.concatenate([d for _, d in chunks])
+    assert np.array_equal(s, fam.s_nodes)
+    nodes = np.ascontiguousarray(np.diagonal(fam.matrices, axis1=1, axis2=2))
+    if scheme == MIDPOINT:
+        assert diagonals.tobytes() == nodes.tobytes()
+    else:
+        assert np.abs(diagonals - nodes).max() <= 1e-13
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_frozen_phases_reject_a_moving_frame_and_a_short_budget(default_model, frozen_model, scheme):
+    # both raise on the call, before any chunk is asked for
+    with pytest.raises(ConfigError, match="frozen frame"):
+        propagation.frozen_phases(default_model, PropagationConfig(1.0, 8, scheme))
+    with pytest.raises(StepBudgetError):
+        propagation.frozen_phases(frozen_model, PropagationConfig(100.0, 10, scheme))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
