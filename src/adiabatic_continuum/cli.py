@@ -22,7 +22,7 @@ Allocator policy: ``main`` first raises glibc's mmap and trim thresholds
 chunk frees stay on the heap for the next chunk instead of going back to
 the kernel and being faulted in again.  On the benchmark's seed-1 inputs
 it takes the minor page faults of one CLI op from 40,558 to 5,652
-(sweep-t5), 42,606 to 5,980 (verify-cf4) and 50,890 to 10,496
+(sweep-t5), 9,702 to 5,427 (verify-cf4) and 50,890 to 10,496
 (simulate-n32).  It is glibc-only (a C library without ``mallopt`` is
 left as it is), adds no option, changes no number, and runs only when
 ``main`` does, never at import.

@@ -6,11 +6,12 @@ generator (T-independent), the dynamical-phase operator (diagonal in the
 initial frame), and the residual wave operator obtained by composition.
 
 Every step is unitary to roundoff: a midpoint propagator step is a
-diagonal phase times a rotation in the frame's eigenbasis, and every
-other step is an elementwise phase or a Taylor exponential whose
-truncation error stays below the unit roundoff (see below).  So the
-families stay unitary to roundoff at any step count; step budgets only
-control accuracy, never stability.
+diagonal phase times a rotation in the frame's eigenbasis, and a stepped
+transport's step a Taylor exponential whose truncation error stays below
+the unit roundoff (see below).  So the stepped families stay unitary to
+roundoff at any step count; step budgets only control accuracy, never
+stability.  The fourth-order U (below) combines two such families, so it
+is unitary to its truncation error and the drift of its two passes.
 The transport unitary also has a closed form (_exact_transport), because
 the frame exp(theta(s) G) rotates with one constant generator; the stepped
 schemes stay as its independent check.
@@ -62,25 +63,28 @@ sweep's U(1) equals final_propagator at its duration.  A pairwise tree
 reduction would be faster for finals alone, but it rounds differently
 from the sequential path and would fork the two.
 
-The CF4 propagator and both stepped transports share one kernel
-(_lab_chunks) and one stage form,
-dY/ds = omega scale r(s) Q(s) core Q(s)^dag Y, with a scalar rate r and
-a constant lab-frame core.  Every dispersion family is separable,
-E(k, s) = kappa(k) f(s), so the propagator has omega = -i,
-scale = T / hbar, r = f and core diag(kappa).  The transport solves
-i hbar dA/ds = K(s) A with K(s) = i hbar theta'(s) Q(s) G_masked Q(s)^dag,
-so it has omega = 1, scale = 1, r = theta' and core G_masked.  A chunk
-builds the stages at all its Gauss nodes (two per CF4 step, one per
-midpoint step), each a Taylor exponential in the lab frame.  Q(s) comes
-from the midpoint kernel's rotation builder, I + E at the angle
-phi = -theta(s) lam, one GEMM per chunk, and the stage exponent is
-omega scale ds r(s) Q core Q^dag.  A real G (the nearest_neighbor and
-banded generators) makes Q real orthogonal and both cores real, so the
-Taylor powers are real GEMMs: the transports' exponents are real
-antisymmetric and their whole evolution is real, while the propagator's
-exponent -i R takes each Horner step as one real GEMM on the (re, im)
-float view of the partial sum, and only its step products stay complex.
-A complex G keeps complex products.
+The scheme key selects the fourth-order scheme of each family: for U,
+Richardson on the midpoint kernel; for the stepped transports, the
+commutator-free stages.  The midpoint step is a symmetric (Strang)
+splitting, so the error of U_n, the kernel's U at n steps, expands in
+even powers of the step (Gragg, SIAM J. Numer. Anal. 2 (1965)), and
+R = (4 U_2n - U_n) / 3 is fourth order (Richardson, Phil. Trans. A 210
+(1911)).  R is not unitary: to leading order R^dag R - I is
+(4/9) X^dag X with X = U_n - U_2n, the midpoint error squared, so the key
+takes R (I - (2/9) X^dag X) (_richardson), which cancels that term to
+the same order and leaves the two passes' drift for verify's unitarity
+check to see.  Both are ordinary passes of the kernel: final_propagators
+combines the finals of its passes at steps and 2 steps, and a streamed
+family node k of the n-step stream with node 2k of the 2n-step one
+(_scheme_chunks).  So the s-grid, the step budget on steps and every
+"final == last node" pin are the midpoint scheme's.
+
+Both stepped transports run one kernel (_lab_chunks): a chunk builds
+the stages at all its Gauss nodes (two per CF4 step, one per midpoint
+step), each a Taylor exponential of ds theta'(s) Q G_masked Q^dag in the
+lab frame, with Q(s) from the midpoint kernel's rotation builder.  A real
+G (the nearest_neighbor and banded generators) keeps the whole evolution
+in real GEMMs; a complex G keeps complex products.
 
 The Taylor series (_expm) exponentiates a chunk's whole stack at once:
 the degree (at most 16, evaluated by Paterson-Stockmeyer in at most six
@@ -89,28 +93,28 @@ largest 1-norm and the double-precision backward-error thresholds of
 Al-Mohy and Higham.  The steps are composed in order with one N x N
 matmul each, again with no frame rebuild.  A zero stage gives the
 identity and a diagonal one a diagonal step, exactly, so a frozen frame
-keeps its exact transport and a diagonal CF4 propagator.  The
-transport's stage stays the product Q G_masked Q^dag instead of its
-exact form (theta' G for kato_state): with that, the stepped transport
-would be the closed form by construction and would no longer check it.
+keeps its exact transport.  The transport's stage stays the product
+Q G_masked Q^dag instead of its exact form (theta' G for kato_state):
+with that, the stepped transport would be the closed form by
+construction and would no longer check it.
 
 No command stores the families.  simulate, sweeps and verify's unitarity
 check make one call each to the s=1 stage (final_stage), which steps U(1)
 by final_propagators and returns W(1), the four unitarity defects and the
 intertwining residual, from one Q(1), the closed-form A(1) and Phi(1) for
-all durations: U and W are products of unitary steps, so any step's
-defect carries to s=1, and A, Phi and the residual are closed forms at
-every node.  Stored and staged W share one helper (_residual_operator,
+all durations: U and W are products of unitary steps (for the CF4 key,
+combinations of two), so any step's defect carries to s=1, and A, Phi
+and the residual are closed forms at every node.  Stored and staged W share one helper (_residual_operator,
 Phi^dag as a row scaling by the phases), to which wave_operator passes
 its Phi family's diagonal and final_stage the phases at s=1.  verify's
 frozen-frame check streams the frozen frame's propagator diagonals
-(frozen_phases), O(chunk N) in memory at any step count.  Every step of
-either scheme is then diagonal, the kernel's own p_k (_step_phases) or a
-CF4 step's elementwise stage exponentials, and one vector multiply per
-step composes them in step order, as the kernel's row scaling does
-(np.cumprod rounds differently): a midpoint diagonal equals the kernel's
-node bitwise, a CF4 one the Taylor stages' to roundoff.  The kernels'
-frozen off-diagonals are exactly 0, which only the tests read.
+(frozen_phases), O(chunk N) in memory at any step count.  Every step is
+then the kernel's own diagonal p_k (_step_phases), and one vector
+multiply per step composes them in step order, as the kernel's row
+scaling does (np.cumprod rounds differently), so each diagonal equals
+the kernel's node bitwise, for CF4 through the same Richardson
+combination.  The kernel's frozen off-diagonals are exactly 0, which
+only the tests read.
 propagator_nodes, every node streamed, is the tests' reference: each
 node equals the stored family's bitwise, as no node depends on its chunk
 (frame_matrix takes one N x N product per node).  verify's stepped
@@ -137,6 +141,8 @@ from .errors import ConfigError, StepBudgetError
 from .spectral import HBAR, ContinuumModel
 
 MIDPOINT = "midpoint_exponential"
+# each family's fourth-order scheme: Richardson on the midpoint kernel for
+# U, the commutator-free stages for the stepped transports
 CF4 = "fourth_order_commutator_free"
 SCHEMES = (MIDPOINT, CF4)
 
@@ -160,7 +166,7 @@ _CHUNK = 128
 _CHUNK_BYTES = 2 << 20
 
 
-# The step exponentials of the CF4 propagator and the stepped transports:
+# The step exponentials of the stepped transports:
 # Taylor degrees evaluated by Paterson-Stockmeyer (1, 2, 3, 4, 5 and 6
 # matrix products), each with the largest 1-norm theta at which its
 # truncation is the exact exponential of a matrix within a unit roundoff
@@ -501,25 +507,19 @@ def _mixed(h: np.ndarray, scheme: str) -> np.ndarray:
     return np.stack((_A1 * h1 + _A2 * h2, _A2 * h1 + _A1 * h2), axis=1).reshape(h.shape)
 
 
-def _finite_norm(norm: float) -> float:
-    """The largest 1-norm of a stack of step exponents, which must be finite (else ConfigError)."""
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) for every matrix of the stack a, by a scaled and squared Taylor polynomial; a is overwritten.
+
+    A real a takes real powers and gives a real result.  The degree and the
+    number of squarings follow from the largest 1-norm of the stack
+    (_TAYLOR_DEGREES), so before rounding each result is exp(a + e) with
+    ||e||_1 <= 2^-53 ||a||_1.  A zero matrix gives the identity and a
+    diagonal one a diagonal result, exactly.  A non-finite entry raises
+    ConfigError.
+    """
+    norm = float(np.abs(a).sum(axis=-2).max())
     if not math.isfinite(norm):
         raise ConfigError(f"step exponential of a non-finite matrix (1-norm {norm})")
-    return norm
-
-
-def _expm(a: np.ndarray, omega: complex = 1) -> np.ndarray:
-    """exp(omega a) for every matrix of the stack a, by a scaled and squared Taylor polynomial; a is overwritten.
-
-    omega is 1 or -1j.  A real a takes real powers (_taylor): at omega = 1
-    the result is real, and at -1j each Horner step is a real GEMM.  The
-    degree and the number of squarings follow from the largest 1-norm of
-    the stack (_TAYLOR_DEGREES), so before rounding each result is
-    exp(omega (a + e)) with ||e||_1 <= 2^-53 ||a||_1.  A zero matrix gives
-    the identity and a diagonal one a diagonal result, exactly.  A
-    non-finite entry raises ConfigError.
-    """
-    norm = _finite_norm(float(np.abs(a).sum(axis=-2).max()))
     squarings = 0
     for degree, theta in _TAYLOR_DEGREES:
         if norm <= theta:
@@ -527,22 +527,18 @@ def _expm(a: np.ndarray, omega: complex = 1) -> np.ndarray:
     else:
         squarings = math.ceil(math.log2(norm / theta))
         a *= 0.5**squarings
-    x = _taylor(a, degree, omega)
+    x = _taylor(a, degree)
     for _ in range(squarings):
         x = x @ x
     return x
 
 
-def _taylor(a: np.ndarray, degree: int, omega: complex = 1) -> np.ndarray:
-    """sum_{k <= degree} (omega a)^k / k! at every matrix of the stack a, by Paterson-Stockmeyer.
+def _taylor(a: np.ndarray, degree: int) -> np.ndarray:
+    """sum_{k <= degree} a^k / k! at every matrix of the stack a, by Paterson-Stockmeyer.
 
     With p = ceil(sqrt(degree)) and the powers a..a^p, the series splits
     into blocks of p terms, summed by Horner's rule in a^p: p - 1 products
-    for the powers and one per block below the top.  omega enters only the
-    coefficients omega^k / k!, so a real a keeps real powers.  The sum x is
-    a polynomial in a and commutes with a^p, so a complex x over a real a
-    takes each Horner step as a^p x: one real GEMM of a^p on x's (re, im)
-    float view, giving a^p Re(x) and a^p Im(x).
+    for the powers and one per block below the top.
     """
     p = math.isqrt(degree - 1) + 1
     powers = [a]
@@ -550,34 +546,20 @@ def _taylor(a: np.ndarray, degree: int, omega: complex = 1) -> np.ndarray:
         powers.append(powers[-1] @ a)
     top = (degree - 1) // p * p  # the top block holds the degrees top..degree
     x = powers[degree - top - 1] / math.factorial(degree)
-    if omega != 1:
-        x = x * omega**degree
-    _add_block(x, powers, top, degree - top - 1, omega)
+    _add_block(x, powers, top, degree - top - 1)
     for lo in range(top - p, -1, -p):
-        if x.dtype == a.dtype:
-            x = x @ powers[-1]
-        else:
-            x = (powers[-1] @ x.view(a.dtype)).view(x.dtype)
-        _add_block(x, powers, lo, p - 1, omega)
+        x = x @ powers[-1]
+        _add_block(x, powers, lo, p - 1)
     return x
 
 
-def _add_block(x: np.ndarray, powers: list, lo: int, top: int, omega: complex = 1):
-    """x += sum_{i <= top} omega^(lo + i) a^i / (lo + i)!, in place, with powers[i - 1] = a^i and a^0 = I.
-
-    With omega = -1j each coefficient is real or imaginary, so a real
-    power adds to one part of a complex x.
-    """
+def _add_block(x: np.ndarray, powers: list, lo: int, top: int):
+    """x += sum_{i <= top} a^i / (lo + i)!, in place, with powers[i - 1] = a^i and a^0 = I."""
     term = np.empty_like(powers[0])
     for i in range(top, 0, -1):
-        c = omega ** (lo + i) / math.factorial(lo + i)
-        if term.dtype == x.dtype:
-            x += np.multiply(powers[i - 1], c, out=term)
-        else:
-            part, c = (x.imag, c.imag) if c.imag else (x.real, c.real)
-            part += np.multiply(powers[i - 1], c, out=term)
+        x += np.multiply(powers[i - 1], 1 / math.factorial(lo + i), out=term)
     d = np.arange(x.shape[-1])
-    x[..., d, d] += omega**lo / math.factorial(lo)
+    x[..., d, d] += 1 / math.factorial(lo)
 
 
 def _composed(x: np.ndarray, z: np.ndarray, scheme: str) -> np.ndarray:
@@ -593,18 +575,17 @@ def _composed(x: np.ndarray, z: np.ndarray, scheme: str) -> np.ndarray:
     return zs
 
 
-def _lab_chunks(model: ContinuumModel, steps: int, scheme: str, rate, core: np.ndarray, scale: float, omega: complex):
-    """Y chunks of an evolution stepped in the lab frame, every stage a Taylor exponential.
+def _lab_chunks(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str):
+    """A chunks of the stepped transport, every stage a Taylor exponential in the lab frame.
 
+    i hbar dA/ds = K(s) A with K(s) = i hbar theta'(s) Q(s) G_masked Q(s)^dag.
     Q(s) is I + E at phi = -theta(s) lam, from _rotations' one GEMM per
-    chunk as the midpoint kernel's R_k, each stage is exp(omega R) with
-    R = scale ds rate(s) Q core Q^dag, and _composed takes the steps in
-    order.  A real G has real cores, so Q, R and _expm's powers are then
-    real: with omega = 1 (the transports) the whole evolution is real,
-    and with omega = -1j (the propagator) each Horner step is one real
-    GEMM on the (re, im) view and only the step products stay complex.
+    chunk as the midpoint kernel's R_k, each stage is exp(R) with
+    R = ds theta'(s) Q G_masked Q^dag, and _composed takes the steps in
+    order.  A real G makes Q, R, _expm's powers and the whole evolution real.
     """
     lam, w, wh = _polished(model)
+    core = _masked_generator(model, variant)
     if wh.dtype == float:
         core = core.real
     ds = 1.0 / steps
@@ -612,24 +593,47 @@ def _lab_chunks(model: ContinuumModel, steps: int, scheme: str, rate, core: np.n
     for s in _gauss_nodes(steps, scheme, model.size):
         q = _rotations(w, wh, np.multiply.outer(-model.rotation.schedule.angle(s), lam))
         h = np.matmul(q @ core, q.conj().swapaxes(-1, -2))
-        h *= (scale * ds * rate(s))[:, None, None]
-        ys = _composed(_expm(_mixed(h, scheme), omega), y, scheme)
+        h *= (ds * model.rotation.schedule.angle_rate(s))[:, None, None]
+        ys = _composed(_expm(_mixed(h, scheme)), y, scheme)
         y = ys[-1]
         yield ys
 
 
-def _propagator_chunks(model: ContinuumModel, config: PropagationConfig):
-    """U for consecutive chunks of the nodes s_1..s_steps.
+def _richardson(fine: np.ndarray, coarse: np.ndarray, diagonal: bool = False) -> np.ndarray:
+    """The CF4 key's U, R (I - (2/9) X^dag X) with R = (4 U_2n - U_n) / 3 and X = U_n - U_2n (module docstring).
 
-    The one sequential composition evolve_propagator, propagator_nodes
-    and the CF4 finals consume.  The midpoint scheme runs the stacked
-    kernel with the one duration.
+    fine and coarse are stacks of U_2n and U_n or, with diagonal, of their diagonals.
     """
-    if config.scheme == MIDPOINT:
-        return (u[:, 0] for u in _midpoint_chunks(model, [config.duration], config.steps))
-    # H(s) = f(s) Q(s) diag(kappa) Q(s)^dag
-    core = np.diag(model.dispersion.kappa(model.grid.nodes))
-    return _lab_chunks(model, config.steps, config.scheme, model.dispersion.profile, core, config.duration / HBAR, -1j)
+    r = (4 * fine - coarse) / 3
+    x = coarse - fine
+    if diagonal:
+        return r - (2 / 9) * (r * (x.conj() * x))
+    return r - (2 / 9) * (r @ _adjoint_product(x, x))
+
+
+def _scheme_chunks(stream, steps: int, scheme: str, diagonal: bool = False):
+    """The chunks of a midpoint stream(steps) for the midpoint scheme; for CF4, one per chunk of stream(steps), node k of it with node 2k of stream(2 steps), combined by _richardson."""
+    if scheme == MIDPOINT:
+        yield from stream(steps)
+        return
+    fine, held = stream(2 * steps), np.empty(0)
+    for c in stream(steps):
+        while len(held) < 2 * len(c):
+            held = np.concatenate((held, next(fine))) if len(held) else next(fine)
+        yield _richardson(held[1 : 2 * len(c) : 2], c, diagonal)
+        held = held[2 * len(c) :]
+
+
+def _propagator_chunks(model: ContinuumModel, config: PropagationConfig):
+    """U for consecutive chunks of the nodes s_1..s_steps, from the stacked midpoint kernel with the one duration.
+
+    The one sequential composition evolve_propagator and propagator_nodes consume.
+    """
+
+    def stream(steps: int):
+        return (u[:, 0] for u in _midpoint_chunks(model, [config.duration], steps))
+
+    return _scheme_chunks(stream, config.steps, config.scheme)
 
 
 def _check_propagator_budget(model: ContinuumModel, config: PropagationConfig):
@@ -654,20 +658,21 @@ def final_propagators(model: ContinuumModel, durations, steps: int, scheme: str 
     The midpoint scheme takes one stacked pass: the step rotations R_k are
     duration-free and built once for all durations, and each duration pays
     one row scaling and one N x N product per step; memory is O(D N^2)
-    plus one chunk of R_k, flat in steps.  The CF4 scheme takes one
-    chunked evolution per duration, in turn.  Slice d does not depend on
-    which durations share the call or in what order.  A duration the step
-    budget cannot resolve raises before any step is taken, the smallest
-    such one first.
+    plus one chunk of R_k, flat in steps.  The CF4 scheme takes two such
+    passes, at steps and 2 steps, and returns their _richardson
+    combination.  Slice d does not depend on which durations share the
+    call or in what order.  A duration the step budget cannot resolve
+    raises before any step is taken, the smallest such one first.
     """
     if len(durations) == 0:
         raise ConfigError("final_propagators needs at least one duration")
     configs = [PropagationConfig(duration, steps, scheme) for duration in durations]
     for config in sorted(configs, key=lambda c: c.duration):
         _check_propagator_budget(model, config)
+    u = _last(_midpoint_chunks(model, durations, steps, every_node=False))
     if scheme == MIDPOINT:
-        return _last(_midpoint_chunks(model, durations, steps, every_node=False))
-    return np.array([_last(_propagator_chunks(model, c)) for c in configs])
+        return u
+    return _richardson(_last(_midpoint_chunks(model, durations, 2 * steps, every_node=False)), u)
 
 
 def _stored(chunks, steps: int, n: int) -> np.ndarray:
@@ -711,32 +716,29 @@ def propagator_nodes(model: ContinuumModel, config: PropagationConfig):
 def frozen_phases(model: ContinuumModel, config: PropagationConfig):
     """(s, diag U) for consecutive chunks of the steps+1 nodes of a frozen frame's propagator, from s=0.
 
-    The steps of either scheme are diagonal (module docstring), one vector
-    multiply each, and memory is O(chunk N).  A moving frame raises
-    ConfigError, and the budget is checked, on the call.
+    The midpoint steps are the kernel's diagonal p_k (module docstring),
+    one vector multiply each, and the CF4 scheme combines two such streams
+    as _propagator_chunks does; memory is O(chunk N).  A moving frame
+    raises ConfigError, and the budget is checked, on the call.
     """
     if model.rotation.schedule.theta_max != 0.0:
         raise ConfigError("frozen_phases needs a frozen frame (theta_max = 0)")
     _check_propagator_budget(model, config)
     identity = np.ones(model.size, dtype=complex)
-    return _nodes(_diagonal_products(_frozen_steps(model, config), identity), config.steps, identity)
+
+    def stream(steps: int):
+        return _diagonal_products(_frozen_steps(model, config.duration, steps), identity)
+
+    return _nodes(_scheme_chunks(stream, config.steps, config.scheme, diagonal=True), config.steps, identity)
 
 
-def _frozen_steps(model: ContinuumModel, config: PropagationConfig):
-    """A frozen frame's diagonal steps, one (chunk, N) stack per chunk: p_k, or a CF4 step's two stage exponentials' product."""
-    ds = 1.0 / config.steps
-    if config.scheme == MIDPOINT:
-        rate = np.array([-config.duration / HBAR])
-        chunk = _chunk_len(model.size)
-        for lo in range(0, config.steps, chunk):
-            yield _step_phases(model, np.arange(lo, min(lo + chunk, config.steps) + 1) * ds, rate)[:, 0]
-        return
-    kappa = model.dispersion.kappa(model.grid.nodes)
-    for s in _gauss_nodes(config.steps, CF4, model.size):
-        h = _mixed(np.multiply.outer(model.dispersion.profile(s), kappa), CF4)
-        _finite_norm(float(np.abs(h).max()))
-        x = np.exp(h * (config.duration / HBAR * -1j * ds))
-        yield x[1::2] * x[0::2]
+def _frozen_steps(model: ContinuumModel, duration: float, steps: int):
+    """A frozen frame's midpoint steps p_k, one (chunk, N) stack per chunk."""
+    ds = 1.0 / steps
+    rate = np.array([-duration / HBAR])
+    chunk = _chunk_len(model.size)
+    for lo in range(0, steps, chunk):
+        yield _step_phases(model, np.arange(lo, min(lo + chunk, steps) + 1) * ds, rate)[:, 0]
 
 
 def _diagonal_products(chunks, c: np.ndarray):
@@ -746,13 +748,6 @@ def _diagonal_products(chunks, c: np.ndarray):
         for xk, out in zip(x, cs):
             c = np.multiply(c, xk, out=out)
         yield cs
-
-
-def _intertwiner_chunks(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str):
-    """A chunks of the stepped transport, real for a real G."""
-    # i hbar dA/ds = K(s) A with K(s) = i hbar theta'(s) Q(s) G_masked Q(s)^dag
-    rate = model.rotation.schedule.angle_rate
-    return _lab_chunks(model, steps, scheme, rate, _masked_generator(model, variant), 1.0, 1)
 
 
 def _check_intertwiner(model: ContinuumModel, variant: GeneratorVariant, steps: int, scheme: str):
@@ -792,7 +787,7 @@ def evolve_intertwiner(
     """Transport family A solving iħ dA/ds = K(s) A; duration-free."""
     _check_intertwiner(model, variant, steps, scheme)
     s_nodes = np.linspace(0.0, 1.0, steps + 1)
-    matrices = _stored(_intertwiner_chunks(model, variant, steps, scheme), steps, model.size)
+    matrices = _stored(_lab_chunks(model, variant, steps, scheme), steps, model.size)
     return UnitaryFamily("A", s_nodes, matrices)
 
 
@@ -804,7 +799,7 @@ def final_intertwiner(
 ) -> np.ndarray:
     """A at s=1 only; streaming variant of evolve_intertwiner."""
     _check_intertwiner(model, variant, steps, scheme)
-    return _last(_intertwiner_chunks(model, variant, steps, scheme))
+    return _last(_lab_chunks(model, variant, steps, scheme))
 
 
 def _chunk_residual(part: BandPartition, x: np.ndarray) -> float:
@@ -861,7 +856,7 @@ def transport_residual(
     """intertwine_residual of the stepped transport family, streamed over its chunks unstored."""
     _check_intertwiner(model, variant, steps, scheme)
     _check_partition(model, part)
-    nodes = _nodes(_intertwiner_chunks(model, variant, steps, scheme), steps, np.eye(model.size, dtype=complex))
+    nodes = _nodes(_lab_chunks(model, variant, steps, scheme), steps, np.eye(model.size, dtype=complex))
     return _max_residual(model, part, nodes)
 
 

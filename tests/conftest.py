@@ -4,11 +4,12 @@ The matrix exponential oracle below uses scaling-and-squaring with a
 plain 40-term Taylor series, so it shares no code path with the closed
 forms inside the package.  eigh_expm exponentiates a Hermitian matrix
 through its eigendecomposition, independently of the package's
-Paterson-Stockmeyer Taylor step exponentials.  The midpoint, CF4 and
+Paterson-Stockmeyer Taylor step exponentials.  The midpoint and
 transport loops below are the step-by-step lab-frame forms of the
-stepped schemes, built from hamiltonian()/generator() at every node and
-eigh_expm at every stage, kept as the references for the package's
-chunked kernels.  stored_families and
+stepped schemes, built from frame_matrix() and the closed-form phases,
+or from generator() and eigh_expm at every stage, kept as the references
+for the package's chunked kernels; richardson_loop combines two midpoint
+loops into the CF4 key's U.  stored_families and
 projector_residual_loop are the stored-family path and the per-band
 residual formula that the streamed pass and its off-block residual
 replaced, kept as their references.  stream_families is the all-node
@@ -126,31 +127,38 @@ def eigh_expm(h: np.ndarray, factor: float) -> np.ndarray:
     return (p * np.exp(-1j * factor * w)) @ p.conj().T
 
 
-def _step_loop(h, scale: float, steps: int, scheme: str) -> np.ndarray:
-    """Y at all steps+1 nodes of i dY/ds = scale h(s) Y, Y(0) = I, one step at a time."""
+def richardson(fine: np.ndarray, coarse: np.ndarray, diagonal: bool = False) -> np.ndarray:
+    """The CF4 key's U from stacks of midpoint U_2n and U_n, or with diagonal of their diagonals.
+
+    R (I - (2/9) X^dag X), with R = (4 U_2n - U_n) / 3 and X = U_n - U_2n.
+    """
+    r = (4 * fine - coarse) / 3
+    x = coarse - fine
+    if diagonal:
+        return r - (2 / 9) * (r * (x.conj() * x))
+    return r - (2 / 9) * (r @ (x.conj().swapaxes(-1, -2) @ x))
+
+
+def richardson_loop(model, duration: float, steps: int) -> np.ndarray:
+    """The CF4 key's U at all steps+1 nodes: richardson of midpoint_loop at 2 steps and steps, node 2k with node k."""
+    return richardson(midpoint_loop(model, duration, 2 * steps)[::2], midpoint_loop(model, duration, steps))
+
+
+def intertwiner_loop(model, variant, steps: int, scheme: str) -> np.ndarray:
+    """Stepped transport A at all steps+1 nodes from generator() and eigh per stage."""
     ds = 1.0 / steps
-    y = np.eye(h(0.0).shape[0], dtype=complex)
+    y = np.eye(model.size, dtype=complex)
     out = [y]
     for step in range(steps):
         s0 = step * ds
         if scheme == CF4:
             (c1, c2), (a1, a2) = CF4_NODES, CF4_WEIGHTS
-            h1, h2 = h(s0 + c1 * ds), h(s0 + c2 * ds)
-            y = eigh_expm(a2 * h1 + a1 * h2, scale * ds) @ (eigh_expm(a1 * h1 + a2 * h2, scale * ds) @ y)
+            h1, h2 = generator(model, variant, s0 + c1 * ds), generator(model, variant, s0 + c2 * ds)
+            y = eigh_expm(a2 * h1 + a1 * h2, ds) @ (eigh_expm(a1 * h1 + a2 * h2, ds) @ y)
         else:
-            y = eigh_expm(h(s0 + 0.5 * ds), scale * ds) @ y
+            y = eigh_expm(generator(model, variant, s0 + 0.5 * ds), ds) @ y
         out.append(y)
     return np.array(out)
-
-
-def cf4_loop(model, duration: float, steps: int) -> np.ndarray:
-    """U at all steps+1 nodes from two hamiltonian() builds and two eigh per CF4 step."""
-    return _step_loop(model.hamiltonian, duration, steps, CF4)
-
-
-def intertwiner_loop(model, variant, steps: int, scheme: str) -> np.ndarray:
-    """Stepped transport A at all steps+1 nodes from generator() and eigh per stage."""
-    return _step_loop(lambda s: generator(model, variant, s), 1.0, steps, scheme)
 
 
 def closed_form_family(model, variant, s) -> UnitaryFamily:

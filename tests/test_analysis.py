@@ -460,7 +460,7 @@ def test_commands_build_the_frame_at_s1_once(monkeypatch, command, name):
 
 def test_midpoint_sweep_runs_one_stacked_pass(monkeypatch, default_model, default_part):
     # a midpoint sweep propagates every duration in one stacked pass; a CF4
-    # sweep takes one chunked evolution per duration
+    # sweep in two, at steps and twice the steps
     from adiabatic_continuum import propagation
 
     calls = []
@@ -472,7 +472,7 @@ def test_midpoint_sweep_runs_one_stacked_pass(monkeypatch, default_model, defaul
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(propagation, name, recorder)
-    for scheme, expected in ((MIDPOINT, ["_midpoint_chunks"]), (CF4, ["_propagator_chunks"] * 3)):
+    for scheme, expected in ((MIDPOINT, ["_midpoint_chunks"]), (CF4, ["_midpoint_chunks"] * 2)):
         calls.clear()
         sweep_leakage(default_model, default_part, 1, [20.0, 30.0, 40.0], 256, scheme)
         assert calls == expected

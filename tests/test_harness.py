@@ -200,8 +200,10 @@ def test_verify_passes_on_default(fast_config):
 
 
 def test_verify_passes_with_the_cf4_scheme(fast_config):
-    # the CF4 propagator and stepped CF4 transport stay unitary to near
-    # roundoff at 1024 steps; the bound was fixed before measuring
+    # the CF4 key's U and stepped CF4 transport stay unitary to near
+    # roundoff at 1024 steps (W reads 2.5e-14; the bare Richardson
+    # combination's U would read 7.9e-13); the bound was fixed before
+    # measuring
     cfg = fast_config({"run": {"steps": "1024", "scheme": "fourth_order_commutator_free"}})
     code, record, _, _ = cmd_verify(cfg)
     assert code == 0
@@ -459,11 +461,11 @@ def test_verify_by_parts_passes_on_a_kinked_profile():
         assert row["measured"] <= row["tolerance"]
 
 
-@pytest.mark.xfail(strict=True, reason="CF4 stages read the profile at the Gauss nodes, across its kinks")
 def test_verify_frozen_frame_passes_on_a_kinked_profile_with_cf4():
-    # the kinks at s = 1/3 and 2/3 fall inside CF4 steps at the shipped
-    # 4000 steps; today max|U - Phi| reads 6.13e-08 against 1e-10.  The
-    # mend must hold at this step count, so remove the marker with it
+    # the kinks at s = 1/3 and 2/3 fall inside steps at the shipped 4000
+    # steps; the CF4 key's frozen U combines two midpoint streams, whose
+    # phases are exact increments of F, so max|U - Phi| reads 5.0e-14
+    # against 1e-10 (6.13e-08 from the Gauss-node stages it replaced)
     overrides = {
         ("dispersion", "family"): "tabulated",
         ("dispersion", "params"): "1.0, 1.3, 1.9, 2.0",

@@ -23,7 +23,6 @@ from adiabatic_continuum import (
     BandPartition,
     ConfigError,
     ContinuumModel,
-    DispersionSchedule,
     FrameRotation,
     GeneratorVariant,
     KGrid,
@@ -62,7 +61,6 @@ from adiabatic_continuum.propagation import _CHUNK, _CHUNK_BYTES
 from conftest import (
     M,
     SRC,
-    cf4_loop,
     closed_form_family,
     constant_rate_model,
     eigh_expm,
@@ -72,6 +70,8 @@ from conftest import (
     make_model,
     midpoint_loop,
     projector_residual_loop,
+    richardson,
+    richardson_loop,
     stored_families,
     stream_families,
     taylor_expm,
@@ -314,11 +314,13 @@ def test_midpoint_kernel_matches_step_loop(name, steps):
 @pytest.mark.parametrize("steps", KERNEL_STEPS)
 @pytest.mark.parametrize("name", KERNEL_MODELS)
 def test_cf4_kernel_matches_step_loop(name, steps):
+    # the CF4 key's U pairs node k of the kernel's n-step stream with node
+    # 2k of its 2n-step one, across their chunk boundaries
     model = _kernel_models()[name]
     duration = 0.1 * steps
     fam = evolve_propagator(model, PropagationConfig(duration, steps, CF4))
     assert np.array_equal(fam.matrices[0], np.eye(model.size))
-    assert np.abs(fam.matrices - cf4_loop(model, duration, steps)).max() < KERNEL_TOL
+    assert np.abs(fam.matrices - richardson_loop(model, duration, steps)).max() < KERNEL_TOL
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -336,10 +338,9 @@ def test_transport_kernel_matches_step_loop(name, steps, band_variant, scheme):
     assert np.abs(fam.matrices - reference).max() < KERNEL_TOL
 
 
-# At its step budget a stage has the largest norm the budget admits: the
-# CF4 propagator's stages take Taylor degree 12 or 16 there.  The transport
-# runs at its budget in the kernel test above (steps = 1 is raised to it),
-# where the midpoint transport's stages need a squaring.
+# At its step budget a step has the largest phase swing the budget admits.
+# The transport runs at its budget in the kernel test above (steps = 1 is
+# raised to it), where the midpoint transport's stages need a squaring.
 @pytest.mark.parametrize("name", KERNEL_MODELS)
 def test_cf4_kernel_matches_step_loop_at_the_budget(name):
     model = _kernel_models()[name]
@@ -347,7 +348,7 @@ def test_cf4_kernel_matches_step_loop_at_the_budget(name):
     duration = steps * math.pi / (4.0 * model.max_energy()) * (1.0 - 1e-9)
     assert propagator_step_budget(model, duration) == steps
     fam = evolve_propagator(model, PropagationConfig(duration, steps, CF4))
-    assert np.abs(fam.matrices - cf4_loop(model, duration, steps)).max() < KERNEL_TOL
+    assert np.abs(fam.matrices - richardson_loop(model, duration, steps)).max() < KERNEL_TOL
 
 
 def test_frozen_frame_propagator_stays_diagonal(frozen_model):
@@ -358,8 +359,8 @@ def test_frozen_frame_propagator_stays_diagonal(frozen_model):
 
 
 def test_frozen_frame_eigh_kernel_families_stay_exact(frozen_model):
-    # every CF4 propagator step is diagonal and every transport step the
-    # identity, exactly
+    # the CF4 key's U combines two diagonal midpoint families, and every
+    # transport step is the identity, exactly
     steps = 3 * _CHUNK + 5
     fam = evolve_propagator(frozen_model, PropagationConfig(0.1 * steps, steps, CF4))
     assert not fam.matrices[:, ~np.eye(16, dtype=bool)].any()
@@ -368,9 +369,9 @@ def test_frozen_frame_eigh_kernel_families_stay_exact(frozen_model):
         assert (a.matrices == np.eye(16)).all()
 
 
-# The CF4 propagator and every transport step their stages by Taylor
-# exponentials in the lab frame, a frozen frame's included (its elementwise
-# steps are frozen_phases'), so the kernel tests above check the one path.
+# Every transport steps its stages by Taylor exponentials in the lab frame,
+# a frozen frame's included, so the kernel tests above check the one path;
+# the CF4 key's U takes the midpoint kernel and no Taylor stage.
 @pytest.mark.parametrize(
     "name, path",
     [("nearest_neighbor", "_lab_chunks"), ("random_banded", "_lab_chunks"),
@@ -387,21 +388,10 @@ def test_cf4_kernel_path_follows_the_stages(monkeypatch, name, path):
     monkeypatch.setattr(propagation, "_lab_chunks", recorder)
     model = _kernel_models()[name]
     evolve_propagator(model, PropagationConfig(0.1 * _CHUNK, _CHUNK, CF4))
+    assert taken == []
     for scheme in SCHEMES:
         evolve_intertwiner(model, kato_state(), max(_CHUNK, intertwiner_step_budget(model, kato_state())), scheme)
-    assert taken == [path, "_lab_chunks", "_lab_chunks"]
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_diagonal_stages_reject_a_non_finite_stage(monkeypatch, frozen_model, bad):
-    # frozen_phases' CF4 stages keep _expm's guard (an infinite profile value
-    # makes the CF4 weights, one of them negative, mix inf - inf = nan)
-    original = DispersionSchedule.profile
-    monkeypatch.setattr(DispersionSchedule, "profile", lambda self, s: np.where(s > 0.5, bad, original(self, s)))
-    chunks = propagation.frozen_phases(frozen_model, PropagationConfig(1.0, 8, CF4))
-    with pytest.raises(ConfigError, match="non-finite"), np.errstate(invalid="ignore"):
-        for _ in chunks:
-            pass
+    assert taken == [path, path]
 
 
 @pytest.mark.parametrize("steps", [*KERNEL_STEPS, 4000])
@@ -410,8 +400,8 @@ def test_frozen_phases_are_the_kernels_frozen_diagonals(frozen_model, scheme, st
     # the general kernels step a frozen frame with identity rotations and an
     # exact Q, so their nodes are diagonal, off-diagonals exactly 0;
     # frozen_phases steps the diagonals alone, in the midpoint kernel's
-    # order (bitwise, sign bits included) and within 1e-13 of the CF4
-    # Taylor stages.  The bound was fixed before measuring.
+    # order (bitwise, sign bits included) and within 1e-13 of the CF4 key's
+    # matrix combination.  The bound was fixed before measuring.
     config = PropagationConfig(100.0 if steps == 4000 else 0.1 * steps, steps, scheme)
     fam = evolve_propagator(frozen_model, config)
     assert not fam.matrices[:, ~np.eye(16, dtype=bool)].any()
@@ -478,7 +468,7 @@ def test_stepped_families_rebuild_no_frame_per_step(monkeypatch, default_part, s
     for steps in (_CHUNK, 4 * _CHUNK):
         model = make_model()
         calls.update(dict.fromkeys(calls, 0))
-        evolve_propagator(model, PropagationConfig(0.1 * steps, steps, CF4))
+        final_propagator(model, PropagationConfig(0.1 * steps, steps, CF4))
         evolve_intertwiner(model, weyl_band(default_part), steps, scheme)
         final_intertwiner(model, kato_state(), steps, scheme)
         counts.append(dict(calls))
@@ -568,6 +558,23 @@ def test_cf4_final_meets_the_exact_one(family, n, duration, rotation):
     assert errors.max() < 1e-11, errors
 
 
+# At T = 800 the step budget already puts the CF4 key's U at its roundoff
+# floor (1.5e-12 at the 3056-step budget and at twice it, where the
+# midpoint reads 4e-7), so only the T = 100 cases can show the order.
+ORDER_FOUR_CASES = [case for case in ORACLE_CASES if case[2] == 100.0]
+
+
+@pytest.mark.parametrize("family, n, duration, rotation", ORDER_FOUR_CASES, ids=_oracle_ids(ORDER_FOUR_CASES))
+def test_cf4_final_converges_to_the_exact_one_at_order_four(family, n, duration, rotation):
+    # at the step budget, where truncation still dominates roundoff, twice
+    # the steps must cut every error by 12 to 20 (16 at order four, 4 at the
+    # midpoint's order two); the bounds were fixed before measuring
+    model = constant_rate_model(family, n, rotation=rotation)
+    steps = propagator_step_budget(model, duration)
+    ratios = _oracle_errors(model, duration, steps, CF4) / _oracle_errors(model, duration, 2 * steps, CF4)
+    assert np.all((ratios >= 12.0) & (ratios <= 20.0)), ratios
+
+
 # ---- the stacked midpoint pass ---------------------------------------------------
 
 # Durations within the midpoint step budget at 2 _CHUNK + 5 steps, whose
@@ -602,7 +609,7 @@ def test_stacked_finals_equal_final_propagator_bitwise(name, durations):
 
 @pytest.mark.parametrize("shift", [1, 2, 3])
 def test_cf4_finals_equal_final_propagator_bitwise(default_model, shift):
-    # one chunked evolution per duration: slice d is the final and the
+    # two stacked passes for all durations: slice d is the final and the
     # stored family's last node at durations[d], in call order, whichever
     # duration the call starts from
     durations = [25.0, 3.0, 40.0, 10.0]
@@ -613,6 +620,43 @@ def test_cf4_finals_equal_final_propagator_bitwise(default_model, shift):
         config = PropagationConfig(duration, STACKED_STEPS, CF4)
         assert np.array_equal(u, final_propagator(default_model, config))
         assert np.array_equal(u, evolve_propagator(default_model, config).final)
+
+
+@pytest.mark.parametrize("name", ["n7", "n12_random_banded", "n16", "n33", "frozen"])
+def test_cf4_finals_are_the_richardson_combination_bitwise(name):
+    # two ordinary stacked midpoint passes, at 2n and n steps, combined
+    model = _stacked_models()[name]
+    fine, coarse = (final_propagators(model, STACKED_DURATIONS, k * STACKED_STEPS) for k in (2, 1))
+    u = final_propagators(model, STACKED_DURATIONS, STACKED_STEPS, CF4)
+    assert u.tobytes() == richardson(fine, coarse).tobytes()
+
+
+@pytest.mark.parametrize("steps", [_CHUNK - 1, STACKED_STEPS])
+def test_cf4_family_is_the_richardson_combination_of_its_nodes_bitwise(default_model, steps):
+    # node k of the n-step family with node 2k of the 2n-step one, across
+    # both families' chunk boundaries; the last node is the final
+    config = PropagationConfig(20.0, steps, CF4)
+    coarse = evolve_propagator(default_model, PropagationConfig(20.0, steps)).matrices
+    fine = evolve_propagator(default_model, PropagationConfig(20.0, 2 * steps)).matrices[::2]
+    fam = evolve_propagator(default_model, config)
+    assert np.array_equal(fam.matrices[0], np.eye(16))
+    assert fam.matrices[1:].tobytes() == richardson(fine[1:], coarse[1:]).tobytes()
+    assert fam.final.tobytes() == final_propagator(default_model, config).tobytes()
+
+
+@pytest.mark.parametrize("steps", [_CHUNK - 1, STACKED_STEPS, 4000])
+def test_cf4_frozen_phases_are_the_richardson_combination_bitwise(frozen_model, steps):
+    # the same combination of the two midpoint frozen streams' diagonals
+    duration = 100.0 if steps == 4000 else 0.1 * steps
+
+    def diagonals(n: int, scheme: str) -> np.ndarray:
+        chunks = propagation.frozen_phases(frozen_model, PropagationConfig(duration, n, scheme))
+        return np.concatenate([d for _, d in chunks])
+
+    coarse, fine = diagonals(steps, MIDPOINT), diagonals(2 * steps, MIDPOINT)[::2]
+    combined = diagonals(steps, CF4)
+    assert np.array_equal(combined[0], np.ones(16))
+    assert combined[1:].tobytes() == richardson(fine[1:], coarse[1:], diagonal=True).tobytes()
 
 
 def test_stacked_frozen_frame_steps_stay_diagonal(frozen_model):
@@ -654,10 +698,9 @@ def test_real_and_complex_kernels_agree_on_gauge_twins():
 
 
 def test_real_and_complex_cf4_kernels_agree_on_gauge_twins():
-    # the CF4 twin: U runs the lab-frame kernel in complex arithmetic and
-    # U' its real GEMMs, one scheme in exact arithmetic; their difference,
-    # 5.4e-14 at T = 400 and 4000 steps (3.9e-13 with Q(s) from the full
-    # V), is roundoff
+    # the CF4 twin: U combines two passes of the midpoint kernel's complex
+    # products and U' of its real ones, one scheme in exact arithmetic;
+    # their difference, 4.7e-14 at T = 400 and 4000 steps, is roundoff
     model, twin_model, d = _gauge_twins()
     durations, steps = [50.0, 100.0, 400.0], 4000
     u = final_propagators(model, durations, steps, CF4)
@@ -680,8 +723,8 @@ def test_real_and_complex_transports_agree_on_gauge_twins(scheme):
 
 @pytest.mark.parametrize("name", ["verify-cf4", "kinked_cf4"])
 def test_cf4_unitarity_defect_stays_at_roundoff(name):
-    # the lab-frame kernel's s = 1 defect on the corpus's CF4 inputs reads
-    # 4.6e-14 and 9.2e-14
+    # the s = 1 defect of the CF4 key's U on the corpus's CF4 inputs reads
+    # 6.7e-14 and 4.6e-14
     config = load_config(SRC.parent / "tests" / "corpus" / name / "input.ini")
     u = final_propagators(config.build_model(), [config.duration], config.steps, config.scheme)
     assert propagation._unitarity_defect(u) <= 2e-13
@@ -782,7 +825,8 @@ def test_stacked_finals_memory_stays_within_chunk_budget():
 
 
 def test_cf4_final_memory_stays_within_chunk_budget():
-    # unchunked, 32 CF4 steps at N=128 would take 16 MiB per stage temporary
+    # the CF4 key's passes at 32 and 64 steps; unchunked, the 64 nodes of
+    # the second at N=128 would take 16 MiB
     model = make_model(n=128)
     model.frame_eigensystem  # cached before measuring
     tracemalloc.start()
